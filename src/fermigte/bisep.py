@@ -7,15 +7,23 @@ inequalities
     -1 < r1 - 2*r_plus < 0,
     3*r2**2 + 3*r3**2 + (1 - 3*r_plus)**2 <= (r1 - 2*r_plus)**2,
 
-a convex lens in the (r1, r2) plane.  The 12|3 and 13|2 regions are the
-+-2*pi/3 rotations of that lens about the origin.  Every state inside the
-convex hull of the three regions is biseparable, so the hull gives an
-upper bound on the separation below which the symmetric collinear
-configuration is genuinely tripartite entangled: the solver bisects on
-the separation until the configuration's (r1, r2) point crosses the hull
-boundary.  The hull is built from boundary samples, hence converges to
-the true hull from inside and keeps the resulting distance an honest
-upper bound.
+a convex lens in the (r1, r2) plane: a straight side r1 = 2*r_plus - 1
+facing away from the origin and a curved side facing it, meeting at two
+corners.  The 12|3 and 13|2 regions are the +-2*pi/3 rotations of that
+lens about the origin.  Every state inside the convex hull of the three
+regions is biseparable, so the hull gives an upper bound on the
+separation below which the symmetric collinear configuration is
+genuinely tripartite entangled.
+
+The six lens corners are lens points, so their hexagon lies inside the
+hull on every section and a bound built on it stays honest.  While the
+corners keep their hexagon order (half-height below sqrt(3)*(1 - 2*r_plus),
+i.e. r_plus < 1/3 at r3 = 0) each curved side leaves its corners on the
+inner side of the neighbouring hexagon edges, and the hexagon is the hull
+itself; sampling the lens boundaries finds no other hull vertex there.
+The threshold solver therefore works on the closed-form hexagon, bisecting
+on the sign of the point's signed distance to its nearest edge.  The
+sampled hull (:func:`bisep_hull`) stays for vertex dumps at any section.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ _ROT = {"1|23": 0.0, "12|3": 2.0 * math.pi / 3.0, "13|2": -2.0 * math.pi / 3.0}
 
 DEFAULT_SAMPLES = 2048
 MEMBERSHIP_TOL = 1e-9
+PRESCAN_POINTS = 32
 _BRACKETS = {Dimensionality.THREE_D: (2.0, 3.2), Dimensionality.TWO_D: (1.8, 3.0)}
 
 
@@ -73,7 +82,7 @@ class ConvexRegion:
 def _check_section(sec: SectionSpec) -> float:
     """Return (1 - 3*r_plus); raise when the 1|23 region is empty."""
     c = 1.0 - 3.0 * sec.r_plus
-    if 3.0 * sec.r3 * sec.r3 + c * c >= 1.0:
+    if not 3.0 * sec.r3 * sec.r3 + c * c < 1.0:
         raise EmptyRegionError(
             f"no state satisfies the separability inequalities at "
             f"r_plus={sec.r_plus}, r3={sec.r3}"
@@ -158,21 +167,64 @@ def bisep_hull(sec: SectionSpec, n_samples: int = DEFAULT_SAMPLES) -> ConvexRegi
     return ConvexRegion(tuple(_monotone_chain(pts)))
 
 
-def point_in_hull(
-    region: ConvexRegion, r1: float, r2: float, tol: float = MEMBERSHIP_TOL
-) -> bool:
-    """True when (r1, r2) lies inside the hull or within tol of its boundary."""
+def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
+    """Hexagon of the six lens corners, counterclockwise from the lower
+    1|23 corner.
+
+    The 1|23 corners are r1 = 2*r_plus - 1, r2 = +-sqrt((1 - c**2 -
+    3*r3**2)/3) with c = 1 - 3*r_plus; the other four are their +-2*pi/3
+    rotations.  The hexagon is always inside the hull of the lenses, and
+    is that hull while the corners keep this order, which is the only
+    case accepted (r_plus < 1/3 at r3 = 0).
+    """
+    c = _check_section(sec)
+    r1 = 2.0 * sec.r_plus - 1.0
+    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
+    if not r2 < -math.sqrt(3.0) * r1:
+        raise DomainError(
+            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}; "
+            "use bisep_hull"
+        )
+
+    def rotated(partition: str, y: float) -> tuple[float, float]:
+        a = _ROT[partition]
+        ca, sa = math.cos(a), math.sin(a)
+        return (ca * r1 - sa * y, sa * r1 + ca * y)
+
+    return ConvexRegion(
+        (
+            (r1, -r2),
+            rotated("12|3", r2),
+            rotated("12|3", -r2),
+            rotated("13|2", r2),
+            rotated("13|2", -r2),
+            (r1, r2),
+        )
+    )
+
+
+def hull_margin(region: ConvexRegion, r1: float, r2: float) -> float:
+    """Signed distance from (r1, r2) to the nearest edge line, positive inside.
+
+    Inside the polygon this is the distance to its boundary; outside it is
+    negative and no larger in magnitude than that distance.
+    """
     v = region.vertices
     n = len(v)
+    margin = math.inf
     for i in range(n):
         ax, ay = v[i]
         bx, by = v[(i + 1) % n]
         ex, ey = bx - ax, by - ay
-        # signed distance of the point from edge i (positive = inside)
-        cross = ex * (r2 - ay) - ey * (r1 - ax)
-        if cross < -tol * math.hypot(ex, ey):
-            return False
-    return True
+        margin = min(margin, (ex * (r2 - ay) - ey * (r1 - ax)) / math.hypot(ex, ey))
+    return margin
+
+
+def point_in_hull(
+    region: ConvexRegion, r1: float, r2: float, tol: float = MEMBERSHIP_TOL
+) -> bool:
+    """True when (r1, r2) lies inside the hull or within tol of its boundary."""
+    return hull_margin(region, r1, r2) >= -tol
 
 
 def polygon_to_csv(region: ConvexRegion) -> str:
@@ -194,53 +246,45 @@ def r_max_solver(
     dim: Dimensionality,
     bracket: tuple[float, float] | None = None,
     tol: float = 1e-5,
-    n_samples: int = DEFAULT_SAMPLES,
-    prescan: int = 32,
-    stability_check: bool = True,
 ) -> float:
     """Upper bound on the GTE distance from the biseparability hull.
 
     Bisects the separation of the symmetric collinear configuration on
-    the predicate "its (r1, r2) point lies inside the hull of the
-    configuration's own section"; inside implies biseparable, so the
-    crossing bounds the GTE distance from above.  The section is
-    recomputed at every step because r_plus drifts with the separation.
+    the sign of its (r1, r2) point's margin in the corner hexagon of the
+    configuration's own section (inside within MEMBERSHIP_TOL counts as
+    inside).  The section is recomputed at every step because r_plus
+    drifts with the separation.  The hexagon's corners are biseparable,
+    so inside implies biseparable and the crossing bounds the GTE
+    distance from above; on the sections visited (r_plus < 1/3, r3 = 0)
+    the hexagon is the exact hull, so the bound is the hull's own.  A
+    PRESCAN_POINTS grid over the bracket must show a single
+    outside-to-inside switch.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     lo, hi = bracket if bracket is not None else _BRACKETS[dim]
-    if not lo < hi:
-        raise DomainError(f"bracket must be increasing, got ({lo}, {hi})")
+    if not -math.inf < lo < hi < math.inf:
+        raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
 
-    def inside(separation: float, samples: int) -> bool:
+    def inside(separation: float) -> bool:
         sec, point = _symmetric_point(dim, separation)
-        hull = bisep_hull(sec, samples)
-        return point_in_hull(hull, *point)
+        return hull_margin(corner_hexagon(sec), *point) >= -MEMBERSHIP_TOL
 
-    def solve(samples: int) -> float:
-        grid = np.linspace(lo, hi, prescan)
-        flags = [inside(r, samples) for r in grid]
-        switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-        if flags[0] or not flags[-1] or len(switches) != 1:
-            raise BracketError(
-                f"hull-membership predicate is not a single False->True "
-                f"switch on [{lo}, {hi}] (flags {flags})"
-            )
-        a, b = float(grid[switches[0]]), float(grid[switches[0] + 1])
-        for _ in range(200):
-            if b - a <= tol:
-                return 0.5 * (a + b)
-            mid = 0.5 * (a + b)
-            if inside(mid, samples):
-                b = mid
-            else:
-                a = mid
-        raise ConvergenceFailure("bisection failed to reach tolerance")
-
-    result = solve(n_samples)
-    if stability_check:
-        refined = solve(2 * n_samples)
-        if abs(refined - result) > 10.0 * tol:
-            raise ConvergenceFailure(
-                f"hull-resolution sensitivity {abs(refined - result):.3e} "
-                f"exceeds {10.0 * tol:.3e}; increase n_samples"
-            )
-    return result
+    grid = np.linspace(lo, hi, PRESCAN_POINTS)
+    flags = [inside(r) for r in grid]
+    switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
+    if flags[0] or not flags[-1] or len(switches) != 1:
+        raise BracketError(
+            f"hull-membership predicate is not a single False->True "
+            f"switch on [{lo}, {hi}] (flags {flags})"
+        )
+    a, b = float(grid[switches[0]]), float(grid[switches[0] + 1])
+    for _ in range(200):
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        if inside(mid):
+            b = mid
+        else:
+            a = mid
+    raise ConvergenceFailure("bisection failed to reach tolerance")

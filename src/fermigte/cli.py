@@ -154,7 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=["witness", "polygon"], required=True)
     p.add_argument("--tol", type=float, help="bisection tolerance")
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
-    p.add_argument("--n-samples", type=int, default=bisep.DEFAULT_SAMPLES)
 
     p = sub.add_parser(
         "sweep", help="figure-style parameter sweep (CSV)", parents=[common]
@@ -183,6 +182,8 @@ def _run_sweep(args: argparse.Namespace) -> str:
     dim = _dim(args.dim)
     threads = _threads(args)
     n = args.points
+    if n < 2:
+        raise DomainError(f"--points must be at least 2, got {n}")
     buf = io.StringIO()
     if args.figure in ("1a", "1b"):
         grid = list(np.linspace(0.0, 1.0, n))
@@ -252,9 +253,7 @@ def dispatch(args: argparse.Namespace) -> str:
             return _scalar("gte_distance_lower_bound", args.dim, value, tol)
         tol = args.tol if args.tol is not None else 1e-5
         bracket = tuple(args.bracket) if args.bracket else None
-        value = bisep.r_max_solver(
-            dim, bracket=bracket, tol=tol, n_samples=args.n_samples
-        )
+        value = bisep.r_max_solver(dim, bracket=bracket, tol=tol)
         return _scalar("gte_distance_upper_bound", args.dim, value, tol)
     if cmd == "sweep":
         return _run_sweep(args)

@@ -21,6 +21,7 @@ trusted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDenominatorError, DomainError
@@ -86,12 +87,12 @@ def from_config(cfg: TriangleConfig) -> Couplings:
 def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     """Singlet weights in the vanishing-size limit; only ratios matter.
 
-    Dimension independent.  Requires strictly positive distances forming
+    Dimension independent.  Requires finite positive distances forming
     a (possibly degenerate) triangle; the equilateral shape is rejected.
     """
-    if min(d12, d13, d23) <= 0.0:
+    if not all(0.0 < v < math.inf for v in (d12, d13, d23)):
         raise DomainError(
-            f"zero_limit requires positive distances, got ({d12}, {d13}, {d23})"
+            f"zero_limit requires finite positive distances, got ({d12}, {d13}, {d23})"
         )
     dmax = max(d12, d13, d23)
     tol = _TRI_TOL * dmax

@@ -34,8 +34,8 @@ class TriangleConfig:
 
     def __post_init__(self) -> None:
         d = (self.d12, self.d13, self.d23)
-        if any(v < 0.0 for v in d):
-            raise DomainError(f"distances must be nonnegative, got {d}")
+        if not all(0.0 <= v < math.inf for v in d):
+            raise DomainError(f"distances must be finite and nonnegative, got {d}")
         if sum(1 for v in d if v > 0.0) < 2:
             raise DomainError("at most one pairwise distance may vanish")
         tol = _TRI_TOL * max(1.0, max(d))

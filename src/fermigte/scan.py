@@ -19,7 +19,7 @@ import numpy as np
 
 from . import couplings as cpl
 from . import geometry
-from .errors import BracketError, ConvergenceFailure
+from .errors import BracketError, ConvergenceFailure, DomainError
 from .specfun import Dimensionality
 from .witnesses import GTE_THRESHOLD, er_lower_bound
 
@@ -192,6 +192,8 @@ def find_rmin(
     3*(p12 + p23) - (1 + sqrt(5)) on a pre-scan grid and bisects it; the
     pre-scan keeps later, oscillation-induced crossings out of play.
     """
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
     def margin(r: float) -> float:
         c = cpl.from_config(geometry.collinear(r, 0.5, dim))

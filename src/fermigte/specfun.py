@@ -81,7 +81,7 @@ def f_factor(dim: Dimensionality, x: float) -> float:
     Returns exactly 1 at x = 0 (the removable singularity) and satisfies
     |f| <= 1; absolute error <= 1e-12 on the working range [0, 50].
     """
-    if x < 0.0 or x > X_MAX:
+    if not 0.0 <= x <= X_MAX:
         raise DomainError(f"f_factor requires 0 <= x <= {X_MAX}, got {x}")
     if x < _SERIES_SWITCH:
         return _f_small_x(dim, x)

@@ -31,6 +31,7 @@ from fermigte import (
     sweep_polar_boundary,
     validate_couplings,
 )
+from fermigte.bisep import _symmetric_point, bisep_hull, point_in_hull
 from fermigte.cli import main
 from fermigte.witnesses import PERM_MIDDLE
 
@@ -91,17 +92,24 @@ def test_criterion_03_polygon_distance(capsys):
             capsys, ["gte-distance", "--dim", dim, "--method", "polygon"]
         )
         results[dim] = (payload["value"], elapsed, expect)
-    stable = abs(
-        r_max_solver(D3, tol=1e-5, n_samples=2048, stability_check=False)
-        - r_max_solver(D3, tol=1e-5, n_samples=4096, stability_check=False)
+
+    def sampled_inside(dim, r, n_samples):
+        sec, point = _symmetric_point(Dimensionality(dim), r)
+        return point_in_hull(bisep_hull(sec, n_samples), *point)
+
+    # sampled hulls at either resolution put the crossing within 1e-4
+    stable = all(
+        not sampled_inside(d, v - 1e-4, n) and sampled_inside(d, v + 1e-4, n)
+        for d, (v, _, _) in results.items()
+        for n in (2048, 4096)
     )
     ok = (
         all(abs(v - e) <= 2e-3 and t < 10.0 for v, t, e in results.values())
-        and stable <= 1e-4
+        and stable
     )
     detail = (
         ", ".join(f"{d}: {v:.5f} (ref {e}) in {t:.2f}s" for d, (v, t, e) in results.items())
-        + f", 2048-vs-4096 shift {stable:.2e}"
+        + f", 2048/4096-sample hulls cross within 1e-4: {stable}"
     )
     report(3, "polygon upper bound", ok, detail)
 
@@ -111,7 +119,7 @@ def test_criterion_04_ordering_and_gap():
     ok = True
     for dim in (D3, D2):
         lo = find_rmin(dim, tol=1e-6)
-        hi = r_max_solver(dim, tol=1e-5, stability_check=False)
+        hi = r_max_solver(dim, tol=1e-5)
         ok &= lo < hi and hi - lo <= 0.005
         details.append(f"{dim.value}: r_min={lo:.5f} < r_max={hi:.5f}, gap={hi - lo:.4f}")
     report(4, "bound ordering and gap", ok, "; ".join(details))

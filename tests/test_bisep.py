@@ -9,8 +9,10 @@ from fermigte import (
     SectionSpec,
     bisep_hull,
     collinear,
+    corner_hexagon,
     couplings_from_config,
     find_rmin,
+    hull_margin,
     in_region,
     in_region_1_23,
     point_in_hull,
@@ -18,7 +20,7 @@ from fermigte import (
     region_boundary,
     werner_coords,
 )
-from fermigte.bisep import PARTITIONS, _symmetric_point, polygon_to_csv
+from fermigte.bisep import PARTITIONS, ConvexRegion, _symmetric_point, polygon_to_csv
 from fermigte.errors import BracketError, DomainError, EmptyRegionError
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
@@ -82,7 +84,7 @@ class TestRegionBoundary:
         with pytest.raises(DomainError):
             region_boundary(SEC, "1|23", 32)
 
-    @pytest.mark.parametrize("r_plus", [0.0, -0.1, 2.0 / 3.0, 0.9])
+    @pytest.mark.parametrize("r_plus", [0.0, -0.1, 2.0 / 3.0, 0.9, math.nan])
     def test_empty_section(self, r_plus):
         with pytest.raises(EmptyRegionError):
             region_boundary(SectionSpec(r_plus, 0.0), "1|23", 256)
@@ -129,6 +131,48 @@ class TestHull:
         float(first[0]), float(first[1])
 
 
+class TestCornerHexagon:
+    def test_equals_sampled_hull_vertices(self):
+        # both start at the lower 1|23 corner and run counterclockwise
+        for r_plus in np.linspace(0.013, 0.096, 8):
+            sec = SectionSpec(float(r_plus), 0.0)
+            hexagon = corner_hexagon(sec).as_array()
+            for n in (2048, 4096):
+                sampled = bisep_hull(sec, n).as_array()
+                assert sampled.shape == (6, 2)
+                assert np.allclose(hexagon, sampled, rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("r_plus", [0.34, 0.5])
+    def test_rejects_overlapping_corners(self, r_plus):
+        with pytest.raises(DomainError):
+            corner_hexagon(SectionSpec(r_plus, 0.0))
+
+    def test_empty_section(self):
+        with pytest.raises(EmptyRegionError):
+            corner_hexagon(SectionSpec(0.0, 0.0))
+
+
+class TestHullMargin:
+    SQUARE = ConvexRegion(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
+
+    def test_distance_to_nearest_edge(self):
+        assert hull_margin(self.SQUARE, 1.0, 0.25) == 0.25
+        assert hull_margin(self.SQUARE, 1.75, 1.0) == 0.25
+        assert hull_margin(self.SQUARE, 1.0, 1.0) == 1.0
+
+    def test_sign(self):
+        assert hull_margin(self.SQUARE, 1.0, -0.5) == -0.5
+        assert hull_margin(self.SQUARE, 2.0, 1.0) == 0.0
+        assert hull_margin(self.SQUARE, 3.0, 3.0) < 0.0
+
+    def test_straight_side_of_hexagon(self):
+        # the 1|23 straight side r1 = 2*r_plus - 1 is the nearest edge here
+        hexagon = corner_hexagon(SEC)
+        edge = 2.0 * 0.041 - 1.0
+        assert hull_margin(hexagon, edge + 0.01, 0.0) == pytest.approx(0.01, abs=1e-15)
+        assert hull_margin(hexagon, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
+
+
 class TestRMaxSolver:
     def test_three_d_threshold(self):
         value = r_max_solver(D3, tol=1e-5)
@@ -141,25 +185,25 @@ class TestRMaxSolver:
     def test_upper_bound_exceeds_witness_bound(self):
         for dim in (D3, D2):
             r_lo = find_rmin(dim)
-            r_hi = r_max_solver(dim, tol=1e-5, stability_check=False)
+            r_hi = r_max_solver(dim, tol=1e-5)
             assert r_lo < r_hi
             assert r_hi - r_lo <= 0.005
 
     def test_crossing_semantics(self):
-        value = r_max_solver(D3, tol=1e-5, stability_check=False)
+        value = r_max_solver(D3, tol=1e-5)
         sec, point = _symmetric_point(D3, value + 1e-3)
         assert point_in_hull(bisep_hull(sec, 2048), *point)
         sec, point = _symmetric_point(D3, value - 1e-3)
         assert not point_in_hull(bisep_hull(sec, 2048), *point)
 
-    def test_sampling_stability(self):
-        a = r_max_solver(D3, tol=1e-5, n_samples=2048, stability_check=False)
-        b = r_max_solver(D3, tol=1e-5, n_samples=4096, stability_check=False)
-        assert abs(a - b) <= 1e-4
-
     def test_bracket_without_crossing(self):
         with pytest.raises(BracketError):
-            r_max_solver(D3, bracket=(3.0, 3.2), tol=1e-5, stability_check=False)
+            r_max_solver(D3, bracket=(3.0, 3.2), tol=1e-5)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            r_max_solver(D3, tol=tol)
 
     def test_symmetric_point_on_werner_ray(self):
         sec, (r1, r2) = _symmetric_point(D3, 2.6)

@@ -145,3 +145,37 @@ class TestExitCodes:
     def test_bad_flags(self, capsys):
         assert main(["gte-distance", "--dim", "4d", "--method", "witness"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["gte-distance", "--dim", "3d", "--method", "polygon", "--tol", "0"],
+            ["gte-distance", "--dim", "3d", "--method", "witness", "--tol", "-1"],
+            ["f", "--dim", "3d", "--x", "nan"],
+            ["couplings", "--d12", "nan", "--d13", "1", "--d23", "1"],
+            ["couplings", "--d12", "nan", "--d13", "1", "--d23", "1", "--limit"],
+            ["sweep", "--figure", "1a", "--points", "0"],
+            ["polygon", "--rplus", "nan"],
+            ["gte-distance", "--dim", "3d", "--method", "polygon", "--bracket", "2", "inf"],
+        ],
+        ids=[
+            "polygon-tol-0",
+            "witness-tol-neg",
+            "f-nan",
+            "couplings-nan",
+            "limit-nan",
+            "points-0",
+            "rplus-nan",
+            "bracket-inf",
+        ],
+    )
+    def test_invalid_input(self, capsys, args):
+        code, out, err = run(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_n_samples_only_for_polygon(self, capsys):
+        args = ["gte-distance", "--dim", "3d", "--method", "polygon", "--n-samples", "256"]
+        assert main(args) == 2
+        capsys.readouterr()

@@ -47,6 +47,11 @@ class TestZeroLimit:
         with pytest.raises(DomainError):
             couplings_zero_limit(0.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            couplings_zero_limit(bad, 1.0, 1.0)
+
     def test_rejects_equilateral(self):
         with pytest.raises(DegenerateDenominatorError):
             couplings_zero_limit(1.0, 1.0, 1.0)

@@ -98,6 +98,11 @@ class TestTriangleConfig:
         with pytest.raises(DomainError):
             TriangleConfig(1.0, 1.0, 2.5, D3)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(DomainError):
+            TriangleConfig(bad, 1.0, 1.0, D3)
+
     def test_collinear_equality_allowed(self):
         TriangleConfig(1.0, 2.0, 1.0, D3)
 

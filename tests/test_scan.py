@@ -18,7 +18,7 @@ from fermigte import (
     sweep_isosceles,
     sweep_polar_boundary,
 )
-from fermigte.errors import BracketError
+from fermigte.errors import BracketError, DomainError
 from fermigte.scan import polar_table, sweep_table, write_csv
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
@@ -67,12 +67,17 @@ class TestFindRmin:
         with pytest.raises(BracketError):
             find_rmin(D3, tol=1e-6, prescan_range=(3.0, 4.0))
 
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_tolerance(self, tol):
+        with pytest.raises(DomainError):
+            find_rmin(D3, tol=tol)
+
     def test_below_polygon_bound(self):
         from fermigte import r_max_solver
 
         for dim in (D3, D2):
             r_lo = find_rmin(dim, tol=1e-6)
-            r_hi = r_max_solver(dim, tol=1e-5, stability_check=False)
+            r_hi = r_max_solver(dim, tol=1e-5)
             assert r_lo < r_hi
             assert r_hi - r_lo <= 0.005
 

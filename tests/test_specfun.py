@@ -104,7 +104,7 @@ class TestFFactor:
         assert abs(f_factor(D3, x)) <= 1.0
         assert abs(f_factor(D2, x)) <= 1.0
 
-    @pytest.mark.parametrize("x", [-1e-9, 50.1])
+    @pytest.mark.parametrize("x", [-1e-9, 50.1, math.nan])
     def test_domain(self, x):
         for dim in (D2, D3):
             with pytest.raises(DomainError):
