@@ -5,82 +5,44 @@ Writes into --outdir (default ./data): the robustness curves along the
 collinear and isosceles families, the polar GTE boundary, the
 distance sweep for both gas dimensions, the biseparability polygon at
 the symmetric-configuration section, and a JSON summary of the four
-distance/shape thresholds.
+distance/shape thresholds.  Each CSV is the output of one ``gte-fermi``
+command, so the grids are the CLI's own.
 """
 
 import argparse
 import json
-import math
 import pathlib
+import sys
 
-import numpy as np
+from fermigte import Dimensionality, analytic_limit_thresholds, cli, find_rmin, r_max_solver
 
-from fermigte import (
-    Dimensionality,
-    SectionSpec,
-    analytic_limit_thresholds,
-    bisep_hull,
-    find_rmin,
-    r_max_solver,
-    sweep_collinear,
-    sweep_distance,
-    sweep_isosceles,
-    sweep_polar_boundary,
-)
-from fermigte.bisep import polygon_to_csv
-from fermigte.scan import polar_table, sweep_table, write_csv
-
-CURVE_KFR = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 2.59]
-POLAR_KFR = [0.0, 1.0, 2.0, 2.5, 2.59]
+# output file -> gte-fermi arguments; sweeps also get --points
+TABLES = {
+    "collinear_3d.csv": ["sweep", "--figure", "1a", "--dim", "3d"],
+    "isosceles_3d.csv": ["sweep", "--figure", "1b", "--dim", "3d"],
+    "polar_boundary_3d.csv": ["sweep", "--figure", "2", "--dim", "3d"],
+    "distance_both.csv": ["sweep", "--figure", "3"],
+    "polygon_rplus_0.041.csv": ["polygon", "--rplus", "0.041"],
+}
 
 
-def save_table(path: pathlib.Path, columns, rows) -> None:
-    with open(path, "w") as fh:
-        write_csv(columns, rows, fh)
-    print(f"wrote {path}")
-
-
-def main() -> None:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--outdir", default="data")
     parser.add_argument("--points", type=int, default=201)
-    parser.add_argument("--threads", type=int, default=None)
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
-    dim = Dimensionality.THREE_D
-    n = args.points
-
-    # fraction grids; the limit curve cannot touch the coincident-pair
-    # endpoints, so inset them by half a step there
-    grid = list(np.linspace(0.0, 1.0, n))
-    inset = [min(max(x, 0.0025), 0.9975) for x in grid]
-
-    rows = []
-    for kfr in CURVE_KFR:
-        g = inset if kfr == 0.0 else grid
-        rows += sweep_collinear(dim, [kfr], g, threads=args.threads)
-    save_table(out / "collinear_3d.csv", *sweep_table(rows))
-
-    rows = []
-    for kfr in CURVE_KFR:
-        rows += sweep_isosceles(dim, [kfr], grid, threads=args.threads)
-    save_table(out / "isosceles_3d.csv", *sweep_table(rows))
-
-    thetas = list(np.linspace(0.0, math.pi / 2.0, max(2, n // 2)))
-    rows = sweep_polar_boundary(dim, POLAR_KFR, thetas, threads=args.threads)
-    save_table(out / "polar_boundary_3d.csv", *polar_table(rows))
-
-    kfr_grid = [0.0] + list(np.linspace(0.015, 3.0, n))
-    rows = sweep_distance(
-        [Dimensionality.TWO_D, Dimensionality.THREE_D], kfr_grid, threads=args.threads
-    )
-    save_table(out / "distance_both.csv", *sweep_table(rows))
-
-    hull = bisep_hull(SectionSpec(0.041, 0.0), 2048)
-    (out / "polygon_rplus_0.041.csv").write_text(polygon_to_csv(hull))
-    print(f"wrote {out / 'polygon_rplus_0.041.csv'}")
+    for name, command in TABLES.items():
+        if command[0] == "sweep":
+            command = command + ["--points", str(args.points)]
+        path = out / name
+        code = cli.main(command + ["--out", str(path)])
+        if code != 0:
+            print(f"gte-fermi {' '.join(command)} exited with {code}", file=sys.stderr)
+            return code
+        print(f"wrote {path}")
 
     summary = {"limit_shape_thresholds": analytic_limit_thresholds()}
     for d in (Dimensionality.TWO_D, Dimensionality.THREE_D):
@@ -88,7 +50,8 @@ def main() -> None:
         summary[f"r_max_{d.value}"] = r_max_solver(d, tol=1e-5)
     (out / "thresholds.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'thresholds.json'}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

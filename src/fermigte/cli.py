@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -28,13 +27,6 @@ _LIMIT_INSET = 0.0025
 
 def _dim(value: str) -> Dimensionality:
     return Dimensionality(value)
-
-
-def _threads(args: argparse.Namespace) -> int | None:
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("GTE_FERMI_THREADS")
-    return int(env) if env else None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -62,25 +54,21 @@ def _triangle_couplings(args: argparse.Namespace) -> couplings.Couplings:
     return couplings.from_config(cfg)
 
 
+_SHAPES = {
+    "collinear": lambda a: geometry.collinear_shape(a.x_over_r),
+    "isosceles": lambda a: geometry.isosceles_shape(a.y_over_r),
+    "polar": lambda a: geometry.polar_shape(a.theta, a.q_over_r),
+    "equilateral": lambda a: geometry.equilateral_shape(),
+}
+
+
 def _geometry_couplings(args: argparse.Namespace) -> couplings.Couplings:
-    dim = _dim(args.dim)
-    kind = args.geometry
-    if kind == "triangle":
+    if args.geometry == "triangle":
         if None in (args.d12, args.d13, args.d23):
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
         return _triangle_couplings(args)
-    kfr = args.kfr
-    if kind == "collinear":
-        return scan._collinear_couplings(dim, kfr, args.x_over_r)
-    if kind == "isosceles":
-        return scan._isosceles_couplings(dim, kfr, args.y_over_r)
-    if kind == "polar":
-        if kfr == 0.0:
-            return couplings.zero_limit(*scan._polar_shape(args.theta, args.q_over_r))
-        return couplings.from_config(geometry.polar(kfr, args.theta, args.q_over_r, dim))
-    if kfr == 0.0:
-        raise DomainError("the equilateral family has no vanishing-size limit")
-    return couplings.from_config(geometry.equilateral(kfr, dim))
+    shape = _SHAPES[args.geometry](args)
+    return couplings.from_shape(shape, args.kfr, _dim(args.dim))
 
 
 def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
@@ -98,11 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", help="write output to this path instead of stdout")
-    common.add_argument(
-        "--threads",
-        type=int,
-        help="worker cap for sweeps (default: GTE_FERMI_THREADS or serial)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("f", help="correlation kernel f(x)", parents=[common])
@@ -180,30 +163,26 @@ def _run_sweep(args: argparse.Namespace) -> str:
     import io
 
     dim = _dim(args.dim)
-    threads = _threads(args)
     n = args.points
     if n < 2:
         raise DomainError(f"--points must be at least 2, got {n}")
     buf = io.StringIO()
-    if args.figure in ("1a", "1b"):
+    if args.figure == "1a":
         grid = list(np.linspace(0.0, 1.0, n))
-        rows = []
-        for kfr in _FIG_KFR:
-            g = _limit_safe(grid) if kfr == 0.0 else grid
-            if args.figure == "1a":
-                rows += scan.sweep_collinear(dim, [kfr], g, threads)
-            else:
-                rows += scan.sweep_isosceles(dim, [kfr], grid, threads)
+        # only the limit row (_FIG_KFR[0] = 0) takes the inset grid
+        rows = scan.sweep_collinear(dim, _FIG_KFR[:1], _limit_safe(grid))
+        rows += scan.sweep_collinear(dim, _FIG_KFR[1:], grid)
+        scan.write_csv(*scan.sweep_table(rows), buf)
+    elif args.figure == "1b":
+        rows = scan.sweep_isosceles(dim, _FIG_KFR, list(np.linspace(0.0, 1.0, n)))
         scan.write_csv(*scan.sweep_table(rows), buf)
     elif args.figure == "2":
         thetas = list(np.linspace(0.0, math.pi / 2.0, max(2, n // 2)))
-        rows = scan.sweep_polar_boundary(dim, _FIG2_KFR, thetas, threads=threads)
+        rows = scan.sweep_polar_boundary(dim, _FIG2_KFR, thetas)
         scan.write_csv(*scan.polar_table(rows), buf)
     else:
         grid = [0.0] + list(np.linspace(0.015, 3.0, n))
-        rows = scan.sweep_distance(
-            [Dimensionality.TWO_D, Dimensionality.THREE_D], grid, threads
-        )
+        rows = scan.sweep_distance([Dimensionality.TWO_D, Dimensionality.THREE_D], grid)
         scan.write_csv(*scan.sweep_table(rows), buf)
     return buf.getvalue()
 
@@ -247,12 +226,15 @@ def dispatch(args: argparse.Namespace) -> str:
         return _scalar("er_lower_bound", args.dim, witnesses.er_lower_bound(c), None)
     if cmd == "gte-distance":
         dim = _dim(args.dim)
+        bracket = tuple(args.bracket) if args.bracket else None
         if args.method == "witness":
             tol = args.tol if args.tol is not None else 1e-6
-            value = scan.find_rmin(dim, tol=tol)
+            if bracket is None:
+                value = scan.find_rmin(dim, tol=tol)
+            else:
+                value = scan.find_rmin(dim, tol=tol, prescan_range=bracket)
             return _scalar("gte_distance_lower_bound", args.dim, value, tol)
         tol = args.tol if args.tol is not None else 1e-5
-        bracket = tuple(args.bracket) if args.bracket else None
         value = bisep.r_max_solver(dim, bracket=bracket, tol=tol)
         return _scalar("gte_distance_upper_bound", args.dim, value, tol)
     if cmd == "sweep":

@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DegenerateDenominatorError, DomainError
-from .geometry import TriangleConfig, _TRI_TOL
-from .specfun import f_factor
+from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
+from .geometry import Shape, TriangleConfig, _TRI_TOL, scaled
+from .specfun import Dimensionality, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
 # noise (|D| falls under ~1e-12) and the shape-only limit takes over.
@@ -40,7 +40,8 @@ class Couplings:
     """Singlet weights (p12, p13, p23) and their sum p.
 
     Physical states satisfy |p_ij| <= 1 for each pair and |p| <= 1; use
-    :func:`validate` to check both within a 1e-9 slack.
+    :func:`validate` to check both within a 1e-9 slack.  Non-finite
+    weights raise InvalidCouplingsError.
     """
 
     p12: float
@@ -50,9 +51,26 @@ class Couplings:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", self.p12 + self.p13 + self.p23)
+        # a sum holding a NaN or an infinity is never finite
+        if not math.isfinite(self.p):
+            raise InvalidCouplingsError(
+                f"singlet weights must be finite, got {self.as_tuple()}"
+            )
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p12, self.p13, self.p23)
+
+
+def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
+    """Singlet weights of a unit-separation shape at separation kfr.
+
+    kfr = 0 selects the exact vanishing-size limit (:func:`zero_limit`
+    of the shape, the same for both dimensions); any other kfr is
+    :func:`from_config` of the shape scaled to kfr, which must be positive.
+    """
+    if kfr == 0.0:
+        return zero_limit(*shape)
+    return from_config(scaled(kfr, shape, dim))
 
 
 def from_config(cfg: TriangleConfig) -> Couplings:

@@ -2,9 +2,11 @@
 
 Only the three relative distances k_F*r_ij matter for the reduced spin
 state, so configurations are stored as a distance triple rather than as
-coordinates.  Constructors cover the standard arrangements: collinear,
-isosceles, a point in polar coordinates about the midpoint of a fixed
-pair, and the equilateral triangle.
+coordinates.  Each standard arrangement (collinear, isosceles, a point
+in polar coordinates about the midpoint of a fixed pair, and the
+equilateral triangle) is a shape function that validates its arguments
+and returns the distances at unit 1-3 separation, plus a constructor
+that scales that shape to separation kfr.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from .errors import DomainError
 from .specfun import Dimensionality
 
 _TRI_TOL = 1e-12
+
+# distances (d12, d13, d23) of a configuration at unit 1-3 separation
+Shape = tuple[float, float, float]
 
 
 @dataclass(frozen=True)
@@ -55,48 +60,69 @@ def _check_kfr(kfr: float) -> None:
         raise DomainError(f"kfr must be positive, got {kfr}")
 
 
-def collinear(kfr: float, x_over_r: float, dim: Dimensionality) -> TriangleConfig:
-    """Three fermions on a line: 1 and 3 a distance kfr apart, 2 between
-    them at fraction x_over_r of the way from 1 to 3."""
+def scaled(kfr: float, shape: Shape, dim: Dimensionality) -> TriangleConfig:
+    """The configuration of a unit-separation shape at separation kfr > 0."""
     _check_kfr(kfr)
+    d12, d13, d23 = shape
+    return TriangleConfig(kfr * d12, kfr * d13, kfr * d23, dim)
+
+
+def collinear_shape(x_over_r: float) -> Shape:
+    """Three fermions on a line: 1 and 3 at unit separation, 2 between
+    them at fraction x_over_r of the way from 1 to 3."""
     if not 0.0 <= x_over_r <= 1.0:
         raise DomainError(f"x_over_r must lie in [0, 1], got {x_over_r}")
-    return TriangleConfig(kfr * x_over_r, kfr, kfr * (1.0 - x_over_r), dim)
+    return (x_over_r, 1.0, 1.0 - x_over_r)
 
 
-def isosceles(kfr: float, y_over_r: float, dim: Dimensionality) -> TriangleConfig:
-    """Fermions 1 and 3 form a base of length kfr; fermion 2 sits a
-    distance y_over_r * kfr above the midpoint of the base."""
-    _check_kfr(kfr)
-    if y_over_r < 0.0:
-        raise DomainError(f"y_over_r must be nonnegative, got {y_over_r}")
-    side = kfr * math.hypot(0.5, y_over_r)
-    return TriangleConfig(side, kfr, side, dim)
+def isosceles_shape(y_over_r: float) -> Shape:
+    """Fermions 1 and 3 form a unit base; fermion 2 sits a distance
+    y_over_r above the midpoint of the base."""
+    if not 0.0 <= y_over_r < math.inf:
+        raise DomainError(f"y_over_r must be nonnegative and finite, got {y_over_r}")
+    side = math.hypot(0.5, y_over_r)
+    return (side, 1.0, side)
 
 
-def polar(kfr: float, theta: float, q_over_r: float, dim: Dimensionality) -> TriangleConfig:
+def polar_shape(theta: float, q_over_r: float) -> Shape:
     """Fermion 2 at polar coordinates (theta, q_over_r) about the midpoint
-    of fermions 1 and 3, in units of their separation kfr.
+    of fermions 1 and 3 at unit separation.
 
     theta is measured from the 1-3 axis; the physically distinct range is
     [0, pi/2] but any |theta| <= pi is accepted (mirror symmetry).
     """
-    _check_kfr(kfr)
-    if abs(theta) > math.pi:
+    if not abs(theta) <= math.pi:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta}")
     if not 0.0 <= q_over_r <= 0.5:
         raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
     # cosine via the complement of |theta| so that the quarter turn lands
-    # exactly on the isosceles constructor (sin(pi/2 - pi/2) is 0 while
+    # exactly on the isosceles shape (sin(pi/2 - pi/2) is 0 while
     # cos(pi/2) is not) and the axis mirror theta -> -theta is bit-exact
     px = q_over_r * math.sin(math.pi / 2.0 - abs(theta))
     py = q_over_r * math.sin(theta)
-    d12 = kfr * math.hypot(px + 0.5, py)
-    d23 = kfr * math.hypot(px - 0.5, py)
-    return TriangleConfig(d12, kfr, d23, dim)
+    return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
+
+
+def equilateral_shape() -> Shape:
+    """All three fermions mutually at unit separation."""
+    return (1.0, 1.0, 1.0)
+
+
+def collinear(kfr: float, x_over_r: float, dim: Dimensionality) -> TriangleConfig:
+    """:func:`collinear_shape` at separation kfr."""
+    return scaled(kfr, collinear_shape(x_over_r), dim)
+
+
+def isosceles(kfr: float, y_over_r: float, dim: Dimensionality) -> TriangleConfig:
+    """:func:`isosceles_shape` at separation kfr."""
+    return scaled(kfr, isosceles_shape(y_over_r), dim)
+
+
+def polar(kfr: float, theta: float, q_over_r: float, dim: Dimensionality) -> TriangleConfig:
+    """:func:`polar_shape` at separation kfr."""
+    return scaled(kfr, polar_shape(theta, q_over_r), dim)
 
 
 def equilateral(kfr: float, dim: Dimensionality) -> TriangleConfig:
-    """All three fermions mutually separated by kfr."""
-    _check_kfr(kfr)
-    return TriangleConfig(kfr, kfr, kfr, dim)
+    """:func:`equilateral_shape` at separation kfr."""
+    return scaled(kfr, equilateral_shape(), dim)

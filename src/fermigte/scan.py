@@ -1,9 +1,13 @@
 """Parameter sweeps and threshold solvers for witnessed GTE.
 
 Sweeps tabulate the robustness lower bound along the standard
-configuration families; a separation value of 0 selects the exact
-vanishing-size limit (shape-only couplings) instead of a small-distance
-proxy.  Thresholds are located by bisection after a mandatory pre-scan
+configuration families, each given by its unit-separation shape in
+:mod:`geometry`.  Every sweep point goes through
+:func:`couplings.from_shape`, so a separation value of 0 selects the
+exact vanishing-size limit (shape-only couplings) instead of a
+small-distance proxy, with the same shape checks as any finite
+separation.  Sweeps run serially, because the work holds the interpreter
+lock.  Thresholds are located by bisection after a mandatory pre-scan
 that brackets the *first* sign change, guarding against the oscillating
 tails of the correlation kernels.
 """
@@ -11,16 +15,15 @@ tails of the correlation kernels.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
 from . import couplings as cpl
 from . import geometry
 from .errors import BracketError, ConvergenceFailure, DomainError
-from .specfun import Dimensionality
+from .specfun import X_MAX, Dimensionality
 from .witnesses import GTE_THRESHOLD, er_lower_bound
 
 SWEEP_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
@@ -47,13 +50,6 @@ class PolarBoundaryRow:
     q_star: float
 
 
-def _map(fn: Callable, items: Sequence, threads: int | None):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _row(indep: tuple[tuple[str, object], ...], c: cpl.Couplings) -> SweepRow:
     sums = (c.p12 + c.p13, c.p12 + c.p23, c.p13 + c.p23)
     return SweepRow(
@@ -66,66 +62,43 @@ def _row(indep: tuple[tuple[str, object], ...], c: cpl.Couplings) -> SweepRow:
     )
 
 
-def _collinear_couplings(dim: Dimensionality, kfr: float, x: float) -> cpl.Couplings:
-    if kfr == 0.0:
-        return cpl.zero_limit(x, 1.0, 1.0 - x)
-    return cpl.from_config(geometry.collinear(kfr, x, dim))
-
-
-def _isosceles_couplings(dim: Dimensionality, kfr: float, y: float) -> cpl.Couplings:
-    if kfr == 0.0:
-        side = math.hypot(0.5, y)
-        return cpl.zero_limit(side, 1.0, side)
-    return cpl.from_config(geometry.isosceles(kfr, y, dim))
-
-
-def _polar_shape(theta: float, q: float) -> tuple[float, float, float]:
-    px = q * math.cos(theta)
-    py = q * math.sin(theta)
-    return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
-
-
 def sweep_collinear(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     x_over_r_grid: Sequence[float],
-    threads: int | None = None,
 ) -> list[SweepRow]:
-    def one(point: tuple[float, float]) -> SweepRow:
-        kfr, x = point
-        c = _collinear_couplings(dim, kfr, x)
-        return _row((("kfr", kfr), ("x_over_r", x)), c)
-
-    items = [(kfr, x) for kfr in kfr_values for x in x_over_r_grid]
-    return _map(one, items, threads)
+    return [
+        _row(
+            (("kfr", kfr), ("x_over_r", x)),
+            cpl.from_shape(geometry.collinear_shape(x), kfr, dim),
+        )
+        for kfr in kfr_values
+        for x in x_over_r_grid
+    ]
 
 
 def sweep_isosceles(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     y_over_r_grid: Sequence[float],
-    threads: int | None = None,
 ) -> list[SweepRow]:
-    def one(point: tuple[float, float]) -> SweepRow:
-        kfr, y = point
-        c = _isosceles_couplings(dim, kfr, y)
-        return _row((("kfr", kfr), ("y_over_r", y)), c)
-
-    items = [(kfr, y) for kfr in kfr_values for y in y_over_r_grid]
-    return _map(one, items, threads)
+    return [
+        _row(
+            (("kfr", kfr), ("y_over_r", y)),
+            cpl.from_shape(geometry.isosceles_shape(y), kfr, dim),
+        )
+        for kfr in kfr_values
+        for y in y_over_r_grid
+    ]
 
 
 def _polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:
-    if kfr == 0.0:
-        shape = _polar_shape(theta, q)
-        if min(shape) < 1e-12:
-            # Coincident pair (theta = 0, q = 1/2): the limiting weights are
-            # (0, 0, 1), whose best witness value 3 stays below 1 + sqrt(5).
-            return False
-        c = cpl.zero_limit(*shape)
-    else:
-        c = cpl.from_config(geometry.polar(kfr, theta, q, dim))
-    return er_lower_bound(c) > 0.0
+    shape = geometry.polar_shape(theta, q)
+    if min(shape) == 0.0:
+        # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1) at
+        # every kfr, whose best witness value 3 stays below 1 + sqrt(5).
+        return False
+    return er_lower_bound(cpl.from_shape(shape, kfr, dim)) > 0.0
 
 
 def sweep_polar_boundary(
@@ -134,7 +107,6 @@ def sweep_polar_boundary(
     theta_grid: Sequence[float],
     q_tol: float = 1e-6,
     prescan: int = 33,
-    threads: int | None = None,
 ) -> list[PolarBoundaryRow]:
     """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
 
@@ -142,8 +114,7 @@ def sweep_polar_boundary(
     where it holds nowhere report q* = 0, keeping the table rectangular.
     """
 
-    def one(point: tuple[float, float]) -> PolarBoundaryRow:
-        kfr, theta = point
+    def one(kfr: float, theta: float) -> PolarBoundaryRow:
         qs = np.linspace(0.0, 0.5, prescan)
         flags = [_polar_gte(dim, kfr, theta, float(q)) for q in qs]
         if not flags[0]:
@@ -160,24 +131,20 @@ def sweep_polar_boundary(
                 hi = mid
         return PolarBoundaryRow(kfr, theta, 0.5 * (lo + hi))
 
-    items = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-    return _map(one, items, threads)
+    return [one(kfr, theta) for kfr in kfr_values for theta in theta_grid]
 
 
 def sweep_distance(
     dims: Sequence[Dimensionality],
     kfr_grid: Sequence[float],
-    threads: int | None = None,
 ) -> list[SweepRow]:
     """Robustness bound of the symmetric collinear family versus separation."""
-
-    def one(point: tuple[Dimensionality, float]) -> SweepRow:
-        dim, kfr = point
-        c = _collinear_couplings(dim, kfr, 0.5)
-        return _row((("dim", dim.value), ("kfr", kfr)), c)
-
-    items = [(dim, kfr) for dim in dims for kfr in kfr_grid]
-    return _map(one, items, threads)
+    shape = geometry.collinear_shape(0.5)
+    return [
+        _row((("dim", dim.value), ("kfr", kfr)), cpl.from_shape(shape, kfr, dim))
+        for dim in dims
+        for kfr in kfr_grid
+    ]
 
 
 def find_rmin(
@@ -190,16 +157,22 @@ def find_rmin(
 
     For the symmetric collinear family, locates the first sign change of
     3*(p12 + p23) - (1 + sqrt(5)) on a pre-scan grid and bisects it; the
-    pre-scan keeps later, oscillation-induced crossings out of play.
+    pre-scan keeps later, oscillation-induced crossings out of play.  The
+    pre-scan range must be increasing and inside the kernels' domain
+    (0, X_MAX].
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
+    lo, hi = prescan_range
+    if not 0.0 < lo < hi <= X_MAX:
+        raise DomainError(
+            f"prescan range must be increasing within (0, {X_MAX}], got ({lo}, {hi})"
+        )
 
     def margin(r: float) -> float:
         c = cpl.from_config(geometry.collinear(r, 0.5, dim))
         return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD
 
-    lo, hi = prescan_range
     grid = np.arange(lo, hi + 0.5 * prescan_step, prescan_step)
     values = [margin(float(r)) for r in grid]
     bracket = None

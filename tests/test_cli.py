@@ -157,6 +157,10 @@ class TestExitCodes:
             ["sweep", "--figure", "1a", "--points", "0"],
             ["polygon", "--rplus", "nan"],
             ["gte-distance", "--dim", "3d", "--method", "polygon", "--bracket", "2", "inf"],
+            ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "4", "3"],
+            ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "nan", "3"],
+            ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.5", "--kfr", "0"],
+            ["er", "--geometry", "equilateral", "--kfr", "0"],
         ],
         ids=[
             "polygon-tol-0",
@@ -167,6 +171,10 @@ class TestExitCodes:
             "points-0",
             "rplus-nan",
             "bracket-inf",
+            "witness-bracket-decreasing",
+            "witness-bracket-nan",
+            "polar-limit-coincident",
+            "equilateral-limit",
         ],
     )
     def test_invalid_input(self, capsys, args):
@@ -179,3 +187,52 @@ class TestExitCodes:
         args = ["gte-distance", "--dim", "3d", "--method", "polygon", "--n-samples", "256"]
         assert main(args) == 2
         capsys.readouterr()
+
+    def test_witness_bracket_without_crossing(self, capsys):
+        args = ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "3", "4"]
+        code, out, err = run(capsys, args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:")
+
+    def test_witness_bracket_agrees_with_default(self, capsys):
+        base = ["gte-distance", "--dim", "3d", "--method", "witness"]
+        _, default, _ = run(capsys, base)
+        code, narrow, _ = run(capsys, base + ["--bracket", "2.4", "2.8"])
+        assert code == 0
+        assert json.loads(narrow)["value"] == pytest.approx(
+            json.loads(default)["value"], abs=1e-6
+        )
+
+    @pytest.mark.parametrize(
+        "shape_args",
+        [
+            ["--geometry", "collinear", "--x-over-r", "-0.1"],
+            ["--geometry", "collinear", "--x-over-r", "1.5"],
+            ["--geometry", "collinear", "--x-over-r", "nan"],
+            ["--geometry", "isosceles", "--y-over-r", "-0.3"],
+            ["--geometry", "isosceles", "--y-over-r", "inf"],
+            ["--geometry", "polar", "--theta", "4", "--q-over-r", "0.3"],
+            ["--geometry", "polar", "--theta", "nan", "--q-over-r", "0.3"],
+            ["--geometry", "polar", "--theta", "0.3", "--q-over-r", "0.7"],
+            ["--geometry", "polar", "--theta", "0.3", "--q-over-r", "-0.1"],
+        ],
+        ids=[
+            "x-negative",
+            "x-above-1",
+            "x-nan",
+            "y-negative",
+            "y-inf",
+            "theta-above-pi",
+            "theta-nan",
+            "q-above-half",
+            "q-negative",
+        ],
+    )
+    def test_limit_mode_checks_the_shape(self, capsys, shape_args):
+        results = [run(capsys, ["er", *shape_args, "--kfr", kfr]) for kfr in ("0", "1")]
+        for code, out, err in results:
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+        assert results[0][2] == results[1][2]

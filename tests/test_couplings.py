@@ -16,7 +16,9 @@ from fermigte import (
     equilateral,
     validate_couplings,
 )
-from fermigte.errors import DegenerateDenominatorError, DomainError
+from fermigte.couplings import from_shape
+from fermigte.errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
+from fermigte.geometry import collinear_shape, equilateral_shape, scaled
 
 from conftest import random_config
 
@@ -131,6 +133,36 @@ class TestFromConfig:
 
             ratio = err(1e-2) / err(1e-3)
             assert ratio == pytest.approx(100.0, rel=0.25)
+
+
+class TestFromShape:
+    def test_zero_separation_is_the_limit(self):
+        shape = collinear_shape(0.3)
+        for dim in (D2, D3):
+            assert from_shape(shape, 0.0, dim) == couplings_zero_limit(*shape)
+
+    def test_finite_separation_scales_the_shape(self):
+        shape = collinear_shape(0.3)
+        for kfr in (5e-4, 1.7):
+            assert from_shape(shape, kfr, D2) == couplings_from_config(scaled(kfr, shape, D2))
+
+    @pytest.mark.parametrize("kfr", [-1.0, math.nan])
+    def test_rejects_bad_separation(self, kfr):
+        with pytest.raises(DomainError):
+            from_shape(collinear_shape(0.3), kfr, D3)
+
+    def test_equilateral_has_no_limit(self):
+        with pytest.raises(DegenerateDenominatorError):
+            from_shape(equilateral_shape(), 0.0, D3)
+
+
+@pytest.mark.parametrize("slot", range(3))
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_couplings_reject_non_finite_weights(slot, bad):
+    weights = [0.2, 0.2, 0.2]
+    weights[slot] = bad
+    with pytest.raises(InvalidCouplingsError):
+        Couplings(*weights)
 
 
 class TestValidate:

@@ -1,11 +1,12 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import Dimensionality, TriangleConfig, collinear, equilateral, isosceles, polar
 from fermigte.errors import DomainError
+from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -125,15 +126,18 @@ def test_isosceles_realizable(kfr, y):
     st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
 )
 @settings(max_examples=200, deadline=None)
+@example(kfr=8.0, theta=1e-6, q=0.5)
 def test_polar_realizable_and_mirror(kfr, theta, q):
     cfg = polar(kfr, theta, q, D3)
     assert triangle_ok(cfg)
     # reflection across the 1-3 axis leaves every distance unchanged
     assert polar(kfr, -theta, q, D3).distances() == cfg.distances()
-    # reflection across the perpendicular bisector swaps the roles of 1 and 3
+    # reflection across the perpendicular bisector swaps the roles of 1 and 3;
+    # sin(pi - theta) is exact only to an absolute ulp, so near the coincident
+    # pair the slack is absolute in units of the configuration scale
     swapped = polar(kfr, math.pi - theta, q, D3).distances()
-    assert swapped[0] == pytest.approx(cfg.d23, rel=1e-12, abs=1e-15)
-    assert swapped[2] == pytest.approx(cfg.d12, rel=1e-12, abs=1e-15)
+    assert swapped[0] == pytest.approx(cfg.d23, rel=1e-12, abs=1e-15 * kfr)
+    assert swapped[2] == pytest.approx(cfg.d12, rel=1e-12, abs=1e-15 * kfr)
     assert swapped[1] == cfg.d13
 
 
@@ -141,3 +145,43 @@ def test_polar_realizable_and_mirror(kfr, theta, q):
 @settings(max_examples=100, deadline=None)
 def test_isosceles_equals_vertical_polar(kfr, q):
     assert isosceles(kfr, q, D3).distances() == polar(kfr, math.pi / 2.0, q, D3).distances()
+
+
+@given(
+    kfr_st,
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    st.floats(min_value=-math.pi, max_value=math.pi, allow_nan=False),
+    st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+)
+@settings(max_examples=200, deadline=None)
+def test_constructors_scale_their_shapes_bit_for_bit(kfr, x, y, theta, q):
+    pairs = [
+        (collinear(kfr, x, D3), collinear_shape(x)),
+        (isosceles(kfr, y, D3), isosceles_shape(y)),
+        (polar(kfr, theta, q, D3), polar_shape(theta, q)),
+        (equilateral(kfr, D3), equilateral_shape()),
+    ]
+    for cfg, shape in pairs:
+        assert cfg.distances() == tuple(kfr * d for d in shape)
+
+
+@pytest.mark.parametrize(
+    "shape, args",
+    [
+        (collinear_shape, (-0.1,)),
+        (collinear_shape, (1.5,)),
+        (collinear_shape, (math.nan,)),
+        (isosceles_shape, (-0.3,)),
+        (isosceles_shape, (math.nan,)),
+        (isosceles_shape, (math.inf,)),
+        (polar_shape, (4.0, 0.3)),
+        (polar_shape, (math.nan, 0.3)),
+        (polar_shape, (0.3, 0.7)),
+        (polar_shape, (0.3, -0.1)),
+        (polar_shape, (0.3, math.nan)),
+    ],
+)
+def test_shapes_reject_out_of_domain_arguments(shape, args):
+    with pytest.raises(DomainError):
+        shape(*args)
