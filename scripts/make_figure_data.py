@@ -46,8 +46,8 @@ def main(argv: list[str] | None = None) -> int:
 
     summary = {"limit_shape_thresholds": analytic_limit_thresholds()}
     for d in (Dimensionality.TWO_D, Dimensionality.THREE_D):
-        summary[f"r_min_{d.value}"] = find_rmin(d, tol=1e-6)
-        summary[f"r_max_{d.value}"] = r_max_solver(d, tol=1e-5)
+        summary[f"r_min_{d.value}"] = find_rmin(d)
+        summary[f"r_max_{d.value}"] = r_max_solver(d)
     (out / "thresholds.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(f"wrote {out / 'thresholds.json'}")
     return 0

@@ -22,8 +22,9 @@ i.e. r_plus < 1/3 at r3 = 0) each curved side leaves its corners on the
 inner side of the neighbouring hexagon edges, and the hexagon is the hull
 itself; sampling the lens boundaries finds no other hull vertex there.
 The threshold solver therefore works on the closed-form hexagon, bisecting
-on the sign of the point's signed distance to its nearest edge.  The
-sampled hull (:func:`bisep_hull`) stays for vertex dumps at any section.
+(with :func:`scan.bisect_switch`) on the sign of the point's signed
+distance to its nearest edge.  The sampled hull (:func:`bisep_hull`)
+stays for vertex dumps at any section.
 """
 
 from __future__ import annotations
@@ -34,8 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .couplings import from_config
-from .errors import BracketError, ConvergenceFailure, DomainError, EmptyRegionError
+from .errors import BracketError, DomainError, EmptyRegionError
 from .geometry import collinear
+from .scan import bisect_switch, first_switch
 from .specfun import Dimensionality
 from .tristate import werner_coords
 
@@ -43,6 +45,7 @@ PARTITIONS = ("1|23", "12|3", "13|2")
 _ROT = {"1|23": 0.0, "12|3": 2.0 * math.pi / 3.0, "13|2": -2.0 * math.pi / 3.0}
 
 DEFAULT_SAMPLES = 2048
+DEFAULT_TOL = 1e-5
 MEMBERSHIP_TOL = 1e-9
 PRESCAN_POINTS = 32
 _BRACKETS = {Dimensionality.THREE_D: (2.0, 3.2), Dimensionality.TWO_D: (1.8, 3.0)}
@@ -245,7 +248,7 @@ def _symmetric_point(dim: Dimensionality, separation: float):
 def r_max_solver(
     dim: Dimensionality,
     bracket: tuple[float, float] | None = None,
-    tol: float = 1e-5,
+    tol: float = DEFAULT_TOL,
 ) -> float:
     """Upper bound on the GTE distance from the biseparability hull.
 
@@ -266,25 +269,16 @@ def r_max_solver(
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
 
-    def inside(separation: float) -> bool:
+    def outside(separation: float) -> bool:
         sec, point = _symmetric_point(dim, separation)
-        return hull_margin(corner_hexagon(sec), *point) >= -MEMBERSHIP_TOL
+        return not hull_margin(corner_hexagon(sec), *point) >= -MEMBERSHIP_TOL
 
     grid = np.linspace(lo, hi, PRESCAN_POINTS)
-    flags = [inside(r) for r in grid]
-    switches = [i for i in range(len(flags) - 1) if flags[i] != flags[i + 1]]
-    if flags[0] or not flags[-1] or len(switches) != 1:
+    flags = [outside(r) for r in grid]
+    i = first_switch(flags)
+    if not flags[0] or i is None or any(flags[i + 1 :]):
         raise BracketError(
-            f"hull-membership predicate is not a single False->True "
-            f"switch on [{lo}, {hi}] (flags {flags})"
+            f"hull-membership predicate is not a single outside->inside "
+            f"switch on [{lo}, {hi}] (outside flags {flags})"
         )
-    a, b = float(grid[switches[0]]), float(grid[switches[0] + 1])
-    for _ in range(200):
-        if b - a <= tol:
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        if inside(mid):
-            b = mid
-        else:
-            a = mid
-    raise ConvergenceFailure("bisection failed to reach tolerance")
+    return bisect_switch(outside, float(grid[i]), float(grid[i + 1]), tol)

@@ -1,8 +1,10 @@
 """Command-line front end; every computation is a subcommand.
 
-Scalar results are emitted as JSON objects, tables as CSV.  Grid,
-tolerance and bracket defaults live here, not in the core modules.  Exit
-codes: 0 success, 2 validation/domain error, 3 convergence error.
+Scalar results are emitted as JSON objects (never holding NaN or an
+infinity), tables as CSV.  The figure grids live here; solver tolerances
+and search brackets default beside their solvers in :mod:`scan` and
+:mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
+output path that cannot be written, 3 bracket or convergence error.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _scalar(quantity: str, dim: str | None, value: float, tol: float | None) -> str:
@@ -135,7 +137,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gte-distance", help="GTE distance threshold", parents=[common])
     p.add_argument("--dim", choices=["2d", "3d"], required=True)
     p.add_argument("--method", choices=["witness", "polygon"], required=True)
-    p.add_argument("--tol", type=float, help="bisection tolerance")
+    p.add_argument(
+        "--tol",
+        type=float,
+        help=f"bisection tolerance (default {scan.DEFAULT_TOL:g} for witness, "
+        f"{bisep.DEFAULT_TOL:g} for polygon)",
+    )
     p.add_argument("--bracket", type=float, nargs=2, metavar=("LO", "HI"))
 
     p = sub.add_parser(
@@ -228,13 +235,10 @@ def dispatch(args: argparse.Namespace) -> str:
         dim = _dim(args.dim)
         bracket = tuple(args.bracket) if args.bracket else None
         if args.method == "witness":
-            tol = args.tol if args.tol is not None else 1e-6
-            if bracket is None:
-                value = scan.find_rmin(dim, tol=tol)
-            else:
-                value = scan.find_rmin(dim, tol=tol, prescan_range=bracket)
+            tol = scan.DEFAULT_TOL if args.tol is None else args.tol
+            value = scan.find_rmin(dim, tol=tol, prescan_range=bracket)
             return _scalar("gte_distance_lower_bound", args.dim, value, tol)
-        tol = args.tol if args.tol is not None else 1e-5
+        tol = bisep.DEFAULT_TOL if args.tol is None else args.tol
         value = bisep.r_max_solver(dim, bracket=bracket, tol=tol)
         return _scalar("gte_distance_upper_bound", args.dim, value, tol)
     if cmd == "sweep":
@@ -252,14 +256,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        text = dispatch(args)
-    except DomainError as exc:
+        _emit(dispatch(args), args.out)
+    except (DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (BracketError, ConvergenceFailure) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    _emit(text, args.out)
     return 0
 
 

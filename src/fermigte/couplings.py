@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, scaled
+from .geometry import Shape, TriangleConfig, _TRI_TOL, check_triangle, scaled
 from .specfun import Dimensionality, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
@@ -114,16 +114,19 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
         )
     dmax = max(d12, d13, d23)
     tol = _TRI_TOL * dmax
-    if d12 > d13 + d23 + tol or d13 > d12 + d23 + tol or d23 > d12 + d13 + tol:
-        raise DomainError(f"triangle inequality violated for ({d12}, {d13}, {d23})")
+    check_triangle((d12, d13, d23), tol)
     if dmax - min(d12, d13, d23) <= tol:
         raise DegenerateDenominatorError(
             "the equilateral shape is doubly singular in the vanishing-size "
             "limit; evaluate at finite separation instead"
         )
-    s12 = d12 * d12
-    s13 = d13 * d13
-    s23 = d23 * d23
+    # bring the largest distance into [1/2, 1) before squaring so that the
+    # squares neither underflow nor overflow; a power of two scales exactly
+    e = -math.frexp(dmax)[1]
+    u12, u13, u23 = math.ldexp(d12, e), math.ldexp(d13, e), math.ldexp(d23, e)
+    s12 = u12 * u12
+    s13 = u13 * u13
+    s23 = u23 * u23
     total = s12 + s13 + s23
     return Couplings(
         (s13 + s23 - s12) / total,

@@ -23,6 +23,14 @@ _TRI_TOL = 1e-12
 Shape = tuple[float, float, float]
 
 
+def check_triangle(d: Shape, slack: float) -> None:
+    """Raise DomainError unless no distance exceeds the sum of the other
+    two by more than slack."""
+    d12, d13, d23 = d
+    if d12 > d13 + d23 + slack or d13 > d12 + d23 + slack or d23 > d12 + d13 + slack:
+        raise DomainError(f"triangle inequality violated for {d}")
+
+
 @dataclass(frozen=True)
 class TriangleConfig:
     """Pairwise distances k_F*r_ij of three localized fermions.
@@ -43,13 +51,7 @@ class TriangleConfig:
             raise DomainError(f"distances must be finite and nonnegative, got {d}")
         if sum(1 for v in d if v > 0.0) < 2:
             raise DomainError("at most one pairwise distance may vanish")
-        tol = _TRI_TOL * max(1.0, max(d))
-        if (
-            self.d12 > self.d13 + self.d23 + tol
-            or self.d13 > self.d12 + self.d23 + tol
-            or self.d23 > self.d12 + self.d13 + tol
-        ):
-            raise DomainError(f"triangle inequality violated for {d}")
+        check_triangle(d, _TRI_TOL * max(1.0, max(d)))
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)

@@ -7,16 +7,19 @@ configuration families, each given by its unit-separation shape in
 exact vanishing-size limit (shape-only couplings) instead of a
 small-distance proxy, with the same shape checks as any finite
 separation.  Sweeps run serially, because the work holds the interpreter
-lock.  Thresholds are located by bisection after a mandatory pre-scan
-that brackets the *first* sign change, guarding against the oscillating
-tails of the correlation kernels.
+lock.  Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`)
+is one bracket-then-bisect solve: :func:`first_switch` finds the first
+pre-scan grid step where a predicate stops holding, which keeps the
+oscillating kernel tails' later crossings out of play, and
+:func:`bisect_switch` narrows that step to the tolerance.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence, TextIO
+from functools import partial
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -27,6 +30,11 @@ from .specfun import X_MAX, Dimensionality
 from .witnesses import GTE_THRESHOLD, er_lower_bound
 
 SWEEP_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
+
+DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
+RMIN_RANGE = (0.1, 4.0)
+RMIN_PRESCAN_STEP = 0.05
+POLAR_PRESCAN_POINTS = 33
 
 
 @dataclass(frozen=True)
@@ -48,6 +56,25 @@ class PolarBoundaryRow:
     kfr: float
     theta: float
     q_star: float
+
+
+def first_switch(flags: Sequence[bool]) -> int | None:
+    """Index i of the first flags[i] and not flags[i + 1], or None."""
+    return next((i for i in range(len(flags) - 1) if flags[i] and not flags[i + 1]), None)
+
+
+def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: float) -> float:
+    """Midpoint of [a, b], bisected to width tol keeping before(a) True and
+    before(b) False; ConvergenceFailure if 200 steps do not get there."""
+    for _ in range(200):
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        if before(mid):
+            a = mid
+        else:
+            b = mid
+    raise ConvergenceFailure("bisection failed to reach tolerance")
 
 
 def _row(indep: tuple[tuple[str, object], ...], c: cpl.Couplings) -> SweepRow:
@@ -105,8 +132,7 @@ def sweep_polar_boundary(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     theta_grid: Sequence[float],
-    q_tol: float = 1e-6,
-    prescan: int = 33,
+    q_tol: float = DEFAULT_TOL,
 ) -> list[PolarBoundaryRow]:
     """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
 
@@ -114,24 +140,19 @@ def sweep_polar_boundary(
     where it holds nowhere report q* = 0, keeping the table rectangular.
     """
 
-    def one(kfr: float, theta: float) -> PolarBoundaryRow:
-        qs = np.linspace(0.0, 0.5, prescan)
-        flags = [_polar_gte(dim, kfr, theta, float(q)) for q in qs]
+    def q_star(kfr: float, theta: float) -> float:
+        gte = partial(_polar_gte, dim, kfr, theta)
+        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
+        flags = [gte(float(q)) for q in qs]
         if not flags[0]:
-            return PolarBoundaryRow(kfr, theta, 0.0)
-        if all(flags):
-            return PolarBoundaryRow(kfr, theta, 0.5)
-        first = next(i for i in range(len(flags) - 1) if flags[i] and not flags[i + 1])
-        lo, hi = float(qs[first]), float(qs[first + 1])
-        while hi - lo > q_tol:
-            mid = 0.5 * (lo + hi)
-            if _polar_gte(dim, kfr, theta, mid):
-                lo = mid
-            else:
-                hi = mid
-        return PolarBoundaryRow(kfr, theta, 0.5 * (lo + hi))
+            return 0.0
+        i = first_switch(flags)
+        if i is None:
+            return 0.5
+        return bisect_switch(gte, float(qs[i]), float(qs[i + 1]), q_tol)
 
-    return [one(kfr, theta) for kfr in kfr_values for theta in theta_grid]
+    rows = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
+    return [PolarBoundaryRow(kfr, theta, q_star(kfr, theta)) for kfr, theta in rows]
 
 
 def sweep_distance(
@@ -149,51 +170,34 @@ def sweep_distance(
 
 def find_rmin(
     dim: Dimensionality,
-    tol: float = 1e-6,
-    prescan_range: tuple[float, float] = (0.1, 4.0),
-    prescan_step: float = 0.05,
+    tol: float = DEFAULT_TOL,
+    prescan_range: tuple[float, float] | None = None,
 ) -> float:
     """Separation where the energy witness stops certifying GTE.
 
     For the symmetric collinear family, locates the first sign change of
     3*(p12 + p23) - (1 + sqrt(5)) on a pre-scan grid and bisects it; the
     pre-scan keeps later, oscillation-induced crossings out of play.  The
-    pre-scan range must be increasing and inside the kernels' domain
-    (0, X_MAX].
+    pre-scan range (RMIN_RANGE by default) must be increasing and inside
+    the kernels' domain (0, X_MAX].
     """
     if not 0.0 < tol < math.inf:
         raise DomainError(f"tol must be positive and finite, got {tol}")
-    lo, hi = prescan_range
+    lo, hi = prescan_range if prescan_range is not None else RMIN_RANGE
     if not 0.0 < lo < hi <= X_MAX:
         raise DomainError(
             f"prescan range must be increasing within (0, {X_MAX}], got ({lo}, {hi})"
         )
 
-    def margin(r: float) -> float:
+    def certified(r: float) -> bool:
         c = cpl.from_config(geometry.collinear(r, 0.5, dim))
-        return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD
+        return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD > 0.0
 
-    grid = np.arange(lo, hi + 0.5 * prescan_step, prescan_step)
-    values = [margin(float(r)) for r in grid]
-    bracket = None
-    for i in range(len(values) - 1):
-        if values[i] > 0.0 >= values[i + 1]:
-            bracket = (float(grid[i]), float(grid[i + 1]))
-            break
-    if bracket is None:
-        raise BracketError(
-            f"no sign change of the witness margin on [{lo}, {hi}]"
-        )
-    a, b = bracket
-    for _ in range(200):
-        if b - a <= tol:
-            return 0.5 * (a + b)
-        mid = 0.5 * (a + b)
-        if margin(mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    raise ConvergenceFailure("bisection failed to reach tolerance")
+    grid = np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP)
+    i = first_switch([certified(float(r)) for r in grid])
+    if i is None:
+        raise BracketError(f"no sign change of the witness margin on [{lo}, {hi}]")
+    return bisect_switch(certified, float(grid[i]), float(grid[i + 1]), tol)
 
 
 def analytic_limit_thresholds() -> dict[str, float]:

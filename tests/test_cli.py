@@ -1,8 +1,13 @@
+import contextlib
+import csv
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermigte import matrix_from_text
 from fermigte.cli import main
@@ -183,6 +188,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_out_path_cannot_be_opened(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, ["f", "--dim", "3d", "--x", "1", "--out", str(target)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("method", ["witness", "polygon"])
+    def test_tolerance_below_float_spacing(self, capsys, method):
+        args = ["gte-distance", "--dim", "3d", "--method", method, "--tol", "1e-300"]
+        code, out, err = run(capsys, args)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_n_samples_only_for_polygon(self, capsys):
         args = ["gte-distance", "--dim", "3d", "--method", "polygon", "--n-samples", "256"]
         assert main(args) == 2
@@ -236,3 +256,134 @@ class TestExitCodes:
             assert out == ""
             assert err.startswith("error:") and err.count("\n") == 1
         assert results[0][2] == results[1][2]
+
+
+class TestTinyConfigurations:
+    def test_limit_couplings_at_1e_300(self, capsys):
+        args = ["couplings", "--d12", "1e-300", "--d13", "1e-300", "--d23", "1.5e-300", "--limit"]
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["p12"] == pytest.approx(9.0 / 17.0, abs=1e-15)
+        assert payload["p23"] == pytest.approx(-1.0 / 17.0, abs=1e-15)
+
+    def test_finite_kfr_below_the_limit_switch(self, capsys):
+        values = []
+        for kfr in ("1e-200", "0"):
+            code, out, _ = run(capsys, ["er", "--geometry", "collinear", "--kfr", kfr])
+            assert code == 0
+            values.append(json.loads(out)["value"])
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
+# property test over argument lists
+
+_SPECIAL = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e-300", "1e300", "x"])
+
+
+def _number(lo, hi, *typical):
+    """Float flag values: mostly in [lo, hi] or typical, plus any float and
+    the special values above."""
+    return st.one_of(
+        st.sampled_from(typical) if typical else st.nothing(),
+        st.floats(min_value=lo, max_value=hi).map(repr),
+        st.floats().map(repr),
+        _SPECIAL,
+    )
+
+
+_DISTANCE = _number(0.0, 3.0)
+_COUNT = st.integers(min_value=-3, max_value=300).map(str)
+_DIM = st.sampled_from(["2d", "3d", "4d"])
+_TRIANGLE = {
+    "--dim": _DIM,
+    ("--d12", "--d13", "--d23"): st.one_of(
+        st.sampled_from(
+            [("0.5", "1", "0.5"), ("0.3", "1", "0.8"), ("1", "1", "1"), ("1e-300", "1e-300", "1.5e-300")]
+        ),
+        st.tuples(_DISTANCE, _DISTANCE, _DISTANCE),
+    ),
+    "--limit": None,
+}
+# subcommand -> flag -> value strategy (None: a switch without a value)
+_FLAGS = {
+    "f": {"--dim": _DIM, "--x": _number(-1.0, 60.0)},
+    "couplings": _TRIANGLE,
+    "rho3": _TRIANGLE,
+    "werner": _TRIANGLE,
+    "witness-scan": {"--detail": None},
+    "er": {
+        "--geometry": st.sampled_from(
+            ["collinear", "isosceles", "polar", "equilateral", "triangle", "square"]
+        ),
+        "--kfr": _number(0.0, 5.0, "0"),
+        "--x-over-r": _number(-0.5, 1.5),
+        "--y-over-r": _number(-0.5, 2.0),
+        "--theta": _number(-4.0, 4.0),
+        "--q-over-r": _number(-0.2, 0.7),
+        **_TRIANGLE,
+    },
+    "gte-distance": {
+        "--dim": _DIM,
+        "--method": st.sampled_from(["witness", "polygon"]),
+        "--tol": _number(0.0, 0.1, "1e-5", "1e-6", "1e-300"),
+        "--bracket": st.one_of(
+            st.sampled_from([("2.2", "2.8"), ("1", "3.5")]),
+            st.tuples(_number(-1.0, 60.0), _number(-1.0, 60.0)),
+        ),
+    },
+    "sweep": {"--figure": st.sampled_from(["1a", "1b", "2", "3"]), "--dim": _DIM, "--points": _COUNT},
+    "polygon": {
+        "--rplus": _number(-0.1, 0.5, "0.041"),
+        "--r3": _number(-0.1, 0.6, "0"),
+        "--n-samples": _COUNT,
+    },
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_FLAGS)))
+    argv = [command]
+    for flags, values in _FLAGS[command].items():
+        if draw(st.integers(0, 4)) == 0:  # leave out about one flag in five
+            continue
+        # --flag=value keeps a leading minus from reading as an option
+        if values is None:
+            argv.append(flags)
+        elif isinstance(flags, tuple):
+            argv += [f"{f}={v}" for f, v in zip(flags, draw(values))]
+        elif flags == "--bracket":
+            argv += [flags, *draw(values)]
+        else:
+            argv.append(f"{flags}={draw(values)}")
+    return argv
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _check_output(command, out):
+    if command == "rho3":
+        assert np.isfinite(matrix_from_text(out)).all()
+    elif command in ("sweep", "polygon"):
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) > 1 and all(len(r) == len(rows[0]) for r in rows)
+        cells = [c for r in rows[1:] for c in r if c not in ("2d", "3d")]
+        assert all(math.isfinite(float(c)) for c in cells)
+    else:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+@given(_argv())
+@settings(max_examples=150, deadline=None)
+def test_any_argv_exits_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    if code == 0:
+        _check_output(argv[0], out.getvalue())
+    else:
+        assert out.getvalue() == ""

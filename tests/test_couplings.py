@@ -62,6 +62,24 @@ class TestZeroLimit:
         with pytest.raises(DomainError):
             couplings_zero_limit(0.1, 1.0, 0.5)
 
+    def test_slack_is_relative_to_the_shape(self):
+        # TriangleConfig forgives 1e-12 absolutely below unit size; the
+        # limit, being scale-free, forgives only 1e-12 of the longest side
+        d = (1e-3, 1e-3, 2e-3 + 1e-14)
+        TriangleConfig(*d, D3)
+        with pytest.raises(DomainError, match="triangle inequality"):
+            couplings_zero_limit(*d)
+
+    @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-160, 1e160, 1e300, 2.0**1000])
+    def test_scale_free_without_underflow(self, scale):
+        # the squares of these distances underflow or overflow unscaled
+        shape = (1.0, 1.0, 1.5)
+        ref = couplings_zero_limit(*shape).as_tuple()
+        got = couplings_zero_limit(*(scale * v for v in shape)).as_tuple()
+        assert got == pytest.approx(ref, abs=1e-15)
+        if math.frexp(scale)[0] == 0.5:
+            assert got == ref  # a power of two scales exactly
+
     @pytest.mark.parametrize("dim", [D3, D2])
     def test_validated_against_direct_evaluation(self, dim):
         # the closed form must match the defining formula at scale 1e-4

@@ -6,7 +6,13 @@ from hypothesis import strategies as st
 
 from fermigte import Dimensionality, TriangleConfig, collinear, equilateral, isosceles, polar
 from fermigte.errors import DomainError
-from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
+from fermigte.geometry import (
+    check_triangle,
+    collinear_shape,
+    equilateral_shape,
+    isosceles_shape,
+    polar_shape,
+)
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -106,6 +112,18 @@ class TestTriangleConfig:
 
     def test_collinear_equality_allowed(self):
         TriangleConfig(1.0, 2.0, 1.0, D3)
+
+
+class TestCheckTriangle:
+    @pytest.mark.parametrize("d", [(2.5, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 1.0, 2.5)])
+    def test_each_side_is_checked(self, d):
+        with pytest.raises(DomainError, match="triangle inequality"):
+            check_triangle(d, 0.0)
+
+    def test_slack(self):
+        check_triangle((1.0, 1.0, 2.0 + 1e-9), 1e-9)
+        with pytest.raises(DomainError):
+            check_triangle((1.0, 1.0, 2.0 + 1e-9), 1e-10)
 
 
 @given(kfr_st, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

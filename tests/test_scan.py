@@ -18,8 +18,8 @@ from fermigte import (
     sweep_isosceles,
     sweep_polar_boundary,
 )
-from fermigte.errors import BracketError, DomainError
-from fermigte.scan import polar_table, sweep_table, write_csv
+from fermigte.errors import BracketError, ConvergenceFailure, DomainError
+from fermigte.scan import bisect_switch, first_switch, polar_table, sweep_table, write_csv
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -182,11 +182,50 @@ class TestSweepPolarBoundary:
         import fermigte.scan as scan_module
 
         monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: True)
-        rows = sweep_polar_boundary(D3, [1.0], [0.3], prescan=9)
+        rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
         monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: False)
-        rows = sweep_polar_boundary(D3, [1.0], [0.3], prescan=9)
+        rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
+
+
+class TestBracketThenBisect:
+    @pytest.mark.parametrize(
+        "flags, expected",
+        [
+            ([], None),
+            ([True], None),
+            ([True, True, True], None),
+            ([False, False, False], None),
+            ([False, True, True], None),
+            ([False, True, False, True], 1),
+            ([True, False, True, False], 0),
+            ([True, True, True, False], 2),
+        ],
+        ids=[
+            "empty",
+            "single",
+            "all-true",
+            "all-false",
+            "no-switch-after-leading-false",
+            "leading-false",
+            "first-of-two",
+            "last-step",
+        ],
+    )
+    def test_first_switch(self, flags, expected):
+        assert first_switch(flags) == expected
+
+    def test_bisect_switch_brackets_the_switch(self):
+        root = bisect_switch(lambda x: x < math.sqrt(2.0), 1.0, 2.0, 1e-12)
+        assert abs(root - math.sqrt(2.0)) <= 1e-12
+
+    def test_bisect_switch_returns_midpoint_of_narrow_bracket(self):
+        assert bisect_switch(lambda x: pytest.fail("no step needed"), 1.0, 1.5, 0.5) == 1.25
+
+    def test_bisect_switch_tolerance_below_float_spacing(self):
+        with pytest.raises(ConvergenceFailure):
+            bisect_switch(lambda x: x < 1.3, 1.0, 2.0, 1e-300)
 
 
 class TestSweepDistance:
@@ -237,7 +276,7 @@ class TestCsvOutput:
         assert lines[1] == "0.333333333333,2d"
 
     def test_polar_table(self):
-        rows = sweep_polar_boundary(D3, [2.7], [0.0, 0.5], q_tol=1e-4, prescan=9)
+        rows = sweep_polar_boundary(D3, [2.7], [0.0, 0.5], q_tol=1e-4)
         columns, data = polar_table(rows)
         assert columns == ["kfr", "theta", "q_star"]
         assert len(data) == 2
