@@ -7,14 +7,10 @@ __version__ = "0.1.0"
 from .bisep import (
     ConvexRegion,
     SectionSpec,
-    bisep_hull,
     corner_hexagon,
     hull_margin,
-    in_region,
-    in_region_1_23,
     point_in_hull,
     r_max_solver,
-    region_boundary,
 )
 from .couplings import Couplings
 from .couplings import from_config as couplings_from_config
@@ -92,7 +88,6 @@ __all__ = [
     "WitnessOperator",
     "analytic_limit_thresholds",
     "bessel_j1",
-    "bisep_hull",
     "bounded_energy_witness",
     "collinear",
     "corner_hexagon",
@@ -109,8 +104,6 @@ __all__ = [
     "ghz_state",
     "grid_scan_ghz_w",
     "hull_margin",
-    "in_region",
-    "in_region_1_23",
     "isosceles",
     "matrix_from_text",
     "matrix_to_text",
@@ -120,7 +113,6 @@ __all__ = [
     "polar",
     "projective_witness",
     "r_max_solver",
-    "region_boundary",
     "rho3",
     "spherical_j1",
     "sweep_collinear",

@@ -23,8 +23,9 @@ inner side of the neighbouring hexagon edges, and the hexagon is the hull
 itself; sampling the lens boundaries finds no other hull vertex there.
 The threshold solver therefore works on the closed-form hexagon, bisecting
 (with :func:`scan.bisect_switch`) on the sign of the point's signed
-distance to its nearest edge.  The sampled hull (:func:`bisep_hull`)
-stays for vertex dumps at any section.
+distance to its nearest edge, and the vertex dump is the hexagon.  Once
+the corners overlap (r_plus >= 1/3 at r3 = 0) the hull has curved sides;
+no threshold or figure visits those sections and they are rejected.
 """
 
 from __future__ import annotations
@@ -37,14 +38,10 @@ import numpy as np
 from .couplings import from_config
 from .errors import BracketError, DomainError, EmptyRegionError
 from .geometry import collinear
-from .scan import bisect_switch, first_switch
+from .scan import bisect_switch, check_tol, first_switch
 from .specfun import Dimensionality
 from .tristate import werner_coords
 
-PARTITIONS = ("1|23", "12|3", "13|2")
-_ROT = {"1|23": 0.0, "12|3": 2.0 * math.pi / 3.0, "13|2": -2.0 * math.pi / 3.0}
-
-DEFAULT_SAMPLES = 2048
 DEFAULT_TOL = 1e-5
 MEMBERSHIP_TOL = 1e-9
 PRESCAN_POINTS = 32
@@ -93,83 +90,6 @@ def _check_section(sec: SectionSpec) -> float:
     return c
 
 
-def in_region_1_23(sec: SectionSpec, r1: float, r2: float, tol: float = 0.0) -> bool:
-    """Membership in the 1|23 separable lens, inequalities relaxed by tol."""
-    t = r1 - 2.0 * sec.r_plus
-    if not (-1.0 - tol < t < tol):
-        return False
-    c = 1.0 - 3.0 * sec.r_plus
-    return 3.0 * r2 * r2 + 3.0 * sec.r3 * sec.r3 + c * c <= t * t + tol
-
-
-def in_region(
-    sec: SectionSpec, partition: str, r1: float, r2: float, tol: float = 0.0
-) -> bool:
-    """Membership in the lens of any of the three partitions."""
-    if partition not in _ROT:
-        raise DomainError(f"partition must be one of {PARTITIONS}, got {partition!r}")
-    a = -_ROT[partition]
-    ca, sa = math.cos(a), math.sin(a)
-    return in_region_1_23(sec, ca * r1 - sa * r2, sa * r1 + ca * r2, tol)
-
-
-def region_boundary(
-    sec: SectionSpec, partition: str = "1|23", n_samples: int = DEFAULT_SAMPLES
-) -> np.ndarray:
-    """Ordered samples of the closed lens boundary for one partition.
-
-    The curved side r1 = 2*r_plus - sqrt(3*r2**2 + 3*r3**2 + (1-3*r_plus)**2)
-    is sampled uniformly in r2 between the two corners where it meets the
-    straight side r1 = 2*r_plus - 1; the straight side is the chord
-    between the corners, so the returned arc (corners included) is the
-    full vertex set of the inscribed polygon.  Doubling n_samples refines
-    the previous sample set, so hulls grow monotonically with resolution.
-    """
-    if partition not in _ROT:
-        raise DomainError(f"partition must be one of {PARTITIONS}, got {partition!r}")
-    if n_samples < 64:
-        raise DomainError(f"n_samples must be at least 64, got {n_samples}")
-    c = _check_section(sec)
-    r2_max = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
-    r2 = np.linspace(-r2_max, r2_max, n_samples + 1)
-    r1 = 2.0 * sec.r_plus - np.sqrt(3.0 * r2 * r2 + 3.0 * sec.r3 * sec.r3 + c * c)
-    pts = np.column_stack([r1, r2])
-    a = _ROT[partition]
-    if a != 0.0:
-        ca, sa = math.cos(a), math.sin(a)
-        pts = pts @ np.array([[ca, sa], [-sa, ca]])
-    return pts
-
-
-def _monotone_chain(points: np.ndarray) -> list[tuple[float, float]]:
-    """Convex hull (Andrew's monotone chain), counterclockwise."""
-    pts = sorted(set(map(tuple, points.tolist())))
-    if len(pts) < 3:
-        raise DomainError("hull needs at least 3 distinct points")
-
-    def half(seq):
-        out: list[tuple[float, float]] = []
-        for p in seq:
-            while len(out) > 1:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if (bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) <= 0.0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    return lower[:-1] + upper[:-1]
-
-
-def bisep_hull(sec: SectionSpec, n_samples: int = DEFAULT_SAMPLES) -> ConvexRegion:
-    """Convex hull of the three partition lenses (inner approximation)."""
-    pts = np.vstack([region_boundary(sec, part, n_samples) for part in PARTITIONS])
-    return ConvexRegion(tuple(_monotone_chain(pts)))
-
-
 def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
     """Hexagon of the six lens corners, counterclockwise from the lower
     1|23 corner.
@@ -185,22 +105,22 @@ def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
     r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
     if not r2 < -math.sqrt(3.0) * r1:
         raise DomainError(
-            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}; "
-            "use bisep_hull"
+            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}, "
+            "so the hull has curved sides; no polygon is given there"
         )
 
-    def rotated(partition: str, y: float) -> tuple[float, float]:
-        a = _ROT[partition]
+    def rotated(a: float, y: float) -> tuple[float, float]:
         ca, sa = math.cos(a), math.sin(a)
         return (ca * r1 - sa * y, sa * r1 + ca * y)
 
+    third = 2.0 * math.pi / 3.0  # 12|3 is +third, 13|2 is -third
     return ConvexRegion(
         (
             (r1, -r2),
-            rotated("12|3", r2),
-            rotated("12|3", -r2),
-            rotated("13|2", r2),
-            rotated("13|2", -r2),
+            rotated(third, r2),
+            rotated(third, -r2),
+            rotated(-third, r2),
+            rotated(-third, -r2),
             (r1, r2),
         )
     )
@@ -259,19 +179,24 @@ def r_max_solver(
     drifts with the separation.  The hexagon's corners are biseparable,
     so inside implies biseparable and the crossing bounds the GTE
     distance from above; on the sections visited (r_plus < 1/3, r3 = 0)
-    the hexagon is the exact hull, so the bound is the hull's own.  A
+    the hexagon is the exact hull, so the bound is the hull's own.  An
+    empty section (the weights round past their bounds at separations
+    below ~5e-3) holds no biseparable state and counts as outside.  A
     PRESCAN_POINTS grid over the bracket must show a single
     outside-to-inside switch.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_tol(tol)
     lo, hi = bracket if bracket is not None else _BRACKETS[dim]
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
 
     def outside(separation: float) -> bool:
         sec, point = _symmetric_point(dim, separation)
-        return not hull_margin(corner_hexagon(sec), *point) >= -MEMBERSHIP_TOL
+        try:
+            hexagon = corner_hexagon(sec)
+        except EmptyRegionError:
+            return True
+        return not point_in_hull(hexagon, *point)
 
     grid = np.linspace(lo, hi, PRESCAN_POINTS)
     flags = [outside(r) for r in grid]

@@ -153,11 +153,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--points", type=int, default=201, help="grid points per axis")
 
     p = sub.add_parser(
-        "polygon", help="biseparability hull vertex dump (CSV)", parents=[common]
+        "polygon",
+        help="vertices of the exact biseparability hull, the six lens corners "
+        "(CSV); exits 2 where the corners overlap",
+        parents=[common],
     )
     p.add_argument("--rplus", type=float, required=True)
     p.add_argument("--r3", type=float, default=0.0)
-    p.add_argument("--n-samples", type=int, default=bisep.DEFAULT_SAMPLES)
 
     return parser
 
@@ -245,7 +247,7 @@ def dispatch(args: argparse.Namespace) -> str:
         return _run_sweep(args)
     if cmd == "polygon":
         sec = bisep.SectionSpec(args.rplus, args.r3)
-        return bisep.polygon_to_csv(bisep.bisep_hull(sec, args.n_samples))
+        return bisep.polygon_to_csv(bisep.corner_hexagon(sec))
     raise DomainError(f"unknown command {cmd!r}")
 
 

@@ -58,6 +58,12 @@ class PolarBoundaryRow:
     q_star: float
 
 
+def check_tol(tol: float, name: str = "tol") -> None:
+    """DomainError unless 0 < tol < inf (a solver's final bracket width)."""
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {tol}")
+
+
 def first_switch(flags: Sequence[bool]) -> int | None:
     """Index i of the first flags[i] and not flags[i + 1], or None."""
     return next((i for i in range(len(flags) - 1) if flags[i] and not flags[i + 1]), None)
@@ -139,6 +145,7 @@ def sweep_polar_boundary(
     Rows where GTE holds on the whole radius report q* = 1/2 and rows
     where it holds nowhere report q* = 0, keeping the table rectangular.
     """
+    check_tol(q_tol, "q_tol")
 
     def q_star(kfr: float, theta: float) -> float:
         gte = partial(_polar_gte, dim, kfr, theta)
@@ -181,8 +188,7 @@ def find_rmin(
     pre-scan range (RMIN_RANGE by default) must be increasing and inside
     the kernels' domain (0, X_MAX].
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    check_tol(tol)
     lo, hi = prescan_range if prescan_range is not None else RMIN_RANGE
     if not 0.0 < lo < hi <= X_MAX:
         raise DomainError(
@@ -193,7 +199,8 @@ def find_rmin(
         c = cpl.from_config(geometry.collinear(r, 0.5, dim))
         return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD > 0.0
 
-    grid = np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP)
+    # arange can step past hi by a rounding error; the kernels stop at X_MAX
+    grid = np.minimum(np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP), hi)
     i = first_switch([certified(float(r)) for r in grid])
     if i is None:
         raise BracketError(f"no sign change of the witness margin on [{lo}, {hi}]")

@@ -2,14 +2,16 @@
 
 The oracles here deliberately avoid the code paths they check: Bessel
 values come from a truncated power series, the minimum eigenvalue from a
-cyclic Jacobi sweep on the real embedding of the Hermitian matrix, and
-random states from direct Haar sampling.
+cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
+biseparability hull from sampled lens boundaries and qhull, and random
+states from direct Haar sampling.
 """
 
 import math
 
 import numpy as np
 import pytest
+from scipy.spatial import ConvexHull
 
 from fermigte import Dimensionality, TriangleConfig
 
@@ -61,6 +63,42 @@ def jacobi_min_eig(h: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> floa
         if off <= tol:
             break
     return float(np.min(np.diag(a)))
+
+
+def lens_points(r_plus: float, r3: float, n: int) -> np.ndarray:
+    """Boundary samples of the three Eggeling-Werner lenses on a section.
+
+    The 1|23 lens is -1 <= t <= 0 with t = r1 - 2*r_plus and
+    3*r2**2 + 3*r3**2 + (1 - 3*r_plus)**2 <= t**2; its curved side is
+    sampled at n + 1 values of t, from the corners (t = -1) to the tip.
+    The 12|3 and 13|2 lenses are its +-2*pi/3 rotations.
+    """
+    c2 = (1.0 - 3.0 * r_plus) ** 2 + 3.0 * r3 * r3
+    t = np.linspace(-1.0, -math.sqrt(c2), n + 1)
+    r2 = np.sqrt(np.maximum(t * t - c2, 0.0) / 3.0)
+    r1 = 2.0 * r_plus + t
+    lens = np.column_stack([np.concatenate([r1, r1]), np.concatenate([r2, -r2])])
+    parts = []
+    for angle in (0.0, 2.0 * math.pi / 3.0, -2.0 * math.pi / 3.0):
+        ca, sa = math.cos(angle), math.sin(angle)
+        parts.append(lens @ np.array([[ca, sa], [-sa, ca]]))
+    return np.vstack(parts)
+
+
+def lens_hull(r_plus: float, r3: float, n: int) -> np.ndarray:
+    """Vertices of the convex hull of lens_points, counterclockwise from
+    the lexicographically smallest (r1, r2): the lower 1|23 corner while
+    the lenses keep their corners apart."""
+    pts = lens_points(r_plus, r3, n)
+    verts = pts[ConvexHull(pts).vertices]
+    start = np.lexsort((verts[:, 1], verts[:, 0]))[0]
+    return np.roll(verts, -start, axis=0)
+
+
+def in_lens_hull(r_plus: float, r3: float, point, n: int, tol: float = 1e-9) -> bool:
+    """True when point is inside the hull of lens_points or within tol of it."""
+    eq = ConvexHull(lens_points(r_plus, r3, n)).equations
+    return bool(np.all(eq[:, :2] @ np.asarray(point) + eq[:, 2] <= tol))
 
 
 _PAULIS = (

@@ -31,11 +31,11 @@ from fermigte import (
     sweep_polar_boundary,
     validate_couplings,
 )
-from fermigte.bisep import _symmetric_point, bisep_hull, point_in_hull
+from fermigte.bisep import _symmetric_point
 from fermigte.cli import main
 from fermigte.witnesses import PERM_MIDDLE
 
-from conftest import random_biseparable, random_config, random_su2
+from conftest import in_lens_hull, random_biseparable, random_config, random_su2
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 SQRT5 = math.sqrt(5.0)
@@ -95,7 +95,7 @@ def test_criterion_03_polygon_distance(capsys):
 
     def sampled_inside(dim, r, n_samples):
         sec, point = _symmetric_point(Dimensionality(dim), r)
-        return point_in_hull(bisep_hull(sec, n_samples), *point)
+        return in_lens_hull(sec.r_plus, sec.r3, point, n_samples)
 
     # sampled hulls at either resolution put the crossing within 1e-4
     stable = all(

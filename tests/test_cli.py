@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 from fermigte import matrix_from_text
 from fermigte.cli import main
 
+from conftest import lens_hull
+
 
 def run(capsys, args):
     code = main(args)
@@ -86,11 +88,29 @@ class TestMatrixAndTables:
         assert first == second
 
     def test_polygon_csv(self, capsys):
-        code, out, _ = run(capsys, ["polygon", "--rplus", "0.041", "--n-samples", "256"])
+        code, out, _ = run(capsys, ["polygon", "--rplus", "0.041"])
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "r1,r2"
-        assert len(lines) >= 4
+        assert len(lines) == 7
+
+    # non-empty sections, 17 of the 23 with r3 > 0
+    @pytest.mark.parametrize(
+        "r_plus, r3",
+        [
+            (r_plus, r3)
+            for r_plus in (0.005, 0.041, 0.1, 0.2, 0.3, 0.33)
+            for r3 in (0.0, 0.05, 0.2, 0.4, 0.55)
+            if 3.0 * r3 * r3 + (1.0 - 3.0 * r_plus) ** 2 < 1.0
+        ],
+    )
+    def test_polygon_matches_sampled_hull(self, capsys, r_plus, r3):
+        code, out, _ = run(capsys, ["polygon", "--rplus", repr(r_plus), "--r3", repr(r3)])
+        assert code == 0
+        vertices = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        expected = lens_hull(r_plus, r3, 2048)
+        assert vertices.shape == expected.shape == (6, 2)
+        assert np.allclose(vertices, expected, rtol=0.0, atol=1e-12)
 
     def test_witness_scan_json(self, capsys):
         code, out, _ = run(capsys, ["witness-scan"])
@@ -166,6 +186,8 @@ class TestExitCodes:
             ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "nan", "3"],
             ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.5", "--kfr", "0"],
             ["er", "--geometry", "equilateral", "--kfr", "0"],
+            ["polygon", "--rplus", "0.34"],
+            ["polygon", "--rplus", "0.5"],
         ],
         ids=[
             "polygon-tol-0",
@@ -180,6 +202,8 @@ class TestExitCodes:
             "witness-bracket-nan",
             "polar-limit-coincident",
             "equilateral-limit",
+            "polygon-corners-overlap-0.34",
+            "polygon-corners-overlap-0.5",
         ],
     )
     def test_invalid_input(self, capsys, args):
@@ -203,10 +227,18 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
-    def test_n_samples_only_for_polygon(self, capsys):
-        args = ["gte-distance", "--dim", "3d", "--method", "polygon", "--n-samples", "256"]
-        assert main(args) == 2
-        capsys.readouterr()
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["polygon", "--rplus", "0.041"],
+            ["gte-distance", "--dim", "3d", "--method", "polygon"],
+        ],
+        ids=["polygon", "gte-distance"],
+    )
+    def test_n_samples_is_rejected(self, capsys, args):
+        code, out, _ = run(capsys, args + ["--n-samples", "256"])
+        assert code == 2
+        assert out == ""
 
     def test_witness_bracket_without_crossing(self, capsys):
         args = ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "3", "4"]
@@ -222,6 +254,28 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(narrow)["value"] == pytest.approx(
             json.loads(default)["value"], abs=1e-6
+        )
+
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    @pytest.mark.parametrize("lo", ["0.1", "1"])
+    def test_witness_bracket_up_to_the_kernel_domain(self, capsys, dim, lo):
+        base = ["gte-distance", "--dim", dim, "--method", "witness"]
+        _, default, _ = run(capsys, base)
+        code, wide, _ = run(capsys, base + ["--bracket", lo, "50"])
+        assert code == 0
+        assert json.loads(wide)["value"] == pytest.approx(
+            json.loads(default)["value"], abs=1e-6
+        )
+
+    @pytest.mark.parametrize("lo", ["0.0005", "0.002"])
+    def test_polygon_bracket_from_empty_sections(self, capsys, lo):
+        # below ~5e-3 the symmetric state's section is empty: outside the hull
+        base = ["gte-distance", "--dim", "3d", "--method", "polygon"]
+        _, default, _ = run(capsys, base)
+        code, wide, _ = run(capsys, base + ["--bracket", lo, "3"])
+        assert code == 0
+        assert json.loads(wide)["value"] == pytest.approx(
+            json.loads(default)["value"], abs=2e-5
         )
 
     @pytest.mark.parametrize(
@@ -336,7 +390,6 @@ _FLAGS = {
     "polygon": {
         "--rplus": _number(-0.1, 0.5, "0.041"),
         "--r3": _number(-0.1, 0.6, "0"),
-        "--n-samples": _COUNT,
     },
 }
 

@@ -13,6 +13,7 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
     find_rmin,
+    r_max_solver,
     sweep_collinear,
     sweep_distance,
     sweep_isosceles,
@@ -80,8 +81,6 @@ class TestFindRmin:
             find_rmin(D3, prescan_range=prescan_range)
 
     def test_below_polygon_bound(self):
-        from fermigte import r_max_solver
-
         for dim in (D3, D2):
             r_lo = find_rmin(dim, tol=1e-6)
             r_hi = r_max_solver(dim, tol=1e-5)
@@ -226,6 +225,24 @@ class TestBracketThenBisect:
     def test_bisect_switch_tolerance_below_float_spacing(self):
         with pytest.raises(ConvergenceFailure):
             bisect_switch(lambda x: x < 1.3, 1.0, 2.0, 1e-300)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda tol: find_rmin(D3, tol=tol),
+            lambda tol: r_max_solver(D3, tol=tol),
+            lambda tol: sweep_polar_boundary(D3, [1.0], [0.3], q_tol=tol),
+        ],
+        ids=["find_rmin", "r_max_solver", "sweep_polar_boundary"],
+    )
+    def test_solvers_reject_bad_tolerance(self, monkeypatch, solve, tol):
+        import fermigte.scan as scan_module
+
+        # the polar pre-scan must not start
+        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: pytest.fail("pre-scan ran"))
+        with pytest.raises(DomainError):
+            solve(tol)
 
 
 class TestSweepDistance:
