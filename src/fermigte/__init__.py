@@ -4,6 +4,11 @@ distance thresholds that bracket where the entanglement disappears."""
 
 __version__ = "0.1.0"
 
+import logging
+
+# silent unless the application configures the "fermigte" logger
+logging.getLogger(__name__).addHandler(logging.NullHandler())
+
 from .bisep import (
     ConvexRegion,
     SectionSpec,

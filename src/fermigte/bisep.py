@@ -1,19 +1,21 @@
 """Biseparability geometry of collective-rotation-invariant states.
 
-At a fixed section (r_plus, r3) of the invariant coordinates, the states
-that are separable across the 1|23 cut satisfy the Eggeling-Werner
-inequalities
+At a fixed section (r_plus, r3) of the invariant coordinates, every state
+satisfying the Eggeling-Werner inequalities
 
     -1 < r1 - 2*r_plus < 0,
-    3*r2**2 + 3*r3**2 + (1 - 3*r_plus)**2 <= (r1 - 2*r_plus)**2,
+    3*r2**2 + 3*r3**2 + (1 - 3*r_plus)**2 <= (r1 - 2*r_plus)**2
 
-a convex lens in the (r1, r2) plane: a straight side r1 = 2*r_plus - 1
-facing away from the origin and a curved side facing it, meeting at two
-corners.  The 12|3 and 13|2 regions are the +-2*pi/3 rotations of that
-lens about the origin.  Every state inside the convex hull of the three
-regions is biseparable, so the hull gives an upper bound on the
-separation below which the symmetric collinear configuration is
-genuinely tripartite entangled.
+is separable across the 1|23 cut.  These points form a convex lens in the
+(r1, r2) plane: a straight side r1 = 2*r_plus - 1 facing away from the
+origin and a curved side facing it, meeting at two corners.  The lens is
+a strict subset of the 1|23-separable states (the twirled product |000>,
+r_plus = 1, r1 = 0, lies outside it), so it certifies separability but
+never entanglement.  The 12|3 and 13|2 lenses are the +-2*pi/3 rotations
+of that lens about the origin.  Every state inside the convex hull of the
+three lenses is a mixture of separable states, hence biseparable, so the
+hull gives an honest upper bound on the separation below which the
+symmetric collinear configuration is genuinely tripartite entangled.
 
 The six lens corners are lens points, so their hexagon lies inside the
 hull on every section and a bound built on it stays honest.  While the

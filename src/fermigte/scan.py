@@ -11,14 +11,19 @@ lock.  Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`)
 is one bracket-then-bisect solve: :func:`first_switch` finds the first
 pre-scan grid step where a predicate stops holding, which keeps the
 oscillating kernel tails' later crossings out of play, and
-:func:`bisect_switch` narrows that step to the tolerance.
+:func:`bisect_switch` narrows that step to the tolerance.  The r_min and
+q* pre-scans hand :func:`first_switch` a generator, so they stop
+evaluating at the first switch; r_max evaluates its whole pre-scan,
+because it also checks that there is no second switch.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import chain, pairwise
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -35,6 +40,8 @@ DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
 POLAR_PRESCAN_POINTS = 33
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -64,16 +71,21 @@ def check_tol(tol: float, name: str = "tol") -> None:
         raise DomainError(f"{name} must be positive and finite, got {tol}")
 
 
-def first_switch(flags: Sequence[bool]) -> int | None:
-    """Index i of the first flags[i] and not flags[i + 1], or None."""
-    return next((i for i in range(len(flags) - 1) if flags[i] and not flags[i + 1]), None)
+def first_switch(flags: Iterable[bool]) -> int | None:
+    """Index i of the first flags[i] and not flags[i + 1], or None; reads flags up to i + 1."""
+    return next((i for i, (a, b) in enumerate(pairwise(flags)) if a and not b), None)
 
 
 def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: float) -> float:
     """Midpoint of [a, b], bisected to width tol keeping before(a) True and
-    before(b) False; ConvergenceFailure if 200 steps do not get there."""
-    for _ in range(200):
+    before(b) False; ConvergenceFailure if 200 steps do not get there.
+
+    Logs one DEBUG record per solve: the bracket, the number of steps (one
+    call of before each) and the final width."""
+    bracket = (a, b)
+    for steps in range(200):
         if b - a <= tol:
+            _log.debug("bisect_switch bracket=%r steps=%d width=%r", bracket, steps, b - a)
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
         if before(mid):
@@ -150,10 +162,9 @@ def sweep_polar_boundary(
     def q_star(kfr: float, theta: float) -> float:
         gte = partial(_polar_gte, dim, kfr, theta)
         qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
-        flags = [gte(float(q)) for q in qs]
-        if not flags[0]:
+        if not gte(float(qs[0])):
             return 0.0
-        i = first_switch(flags)
+        i = first_switch(chain([True], (gte(float(q)) for q in qs[1:])))
         if i is None:
             return 0.5
         return bisect_switch(gte, float(qs[i]), float(qs[i + 1]), q_tol)
@@ -201,7 +212,7 @@ def find_rmin(
 
     # arange can step past hi by a rounding error; the kernels stop at X_MAX
     grid = np.minimum(np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP), hi)
-    i = first_switch([certified(float(r)) for r in grid])
+    i = first_switch(certified(float(r)) for r in grid)
     if i is None:
         raise BracketError(f"no sign change of the witness margin on [{lo}, {hi}]")
     return bisect_switch(certified, float(grid[i]), float(grid[i + 1]), tol)

@@ -100,26 +100,31 @@ def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
+def _products(bases: tuple[LocalBasis, LocalBasis, LocalBasis]) -> tuple[tuple, tuple]:
+    """GHZ kets (|n1,n2,n3>, |-n1,-n2,-n3>), W kets (|n1,n2,-n3>, |n1,-n2,n3>, |-n1,n2,n3>)."""
+    (k1, f1), (k2, f2), (k3, f3) = ((b.ket(), b.ket_flip()) for b in bases)
+    ghz = (_kron3(k1, k2, k3), _kron3(f1, f2, f3))
+    return ghz, (_kron3(k1, k2, f3), _kron3(k1, f2, k3), _kron3(f1, k2, k3))
+
+
+def _ghz(alpha: float, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
+    return (up + np.exp(1.0j * alpha) * dn) / math.sqrt(2.0)
+
+
+def _w(beta: float, gamma: float, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    return (a + np.exp(1.0j * beta) * b + np.exp(1.0j * gamma) * c) / math.sqrt(3.0)
+
+
 def ghz_state(alpha: float, bases: tuple[LocalBasis, LocalBasis, LocalBasis]) -> np.ndarray:
     """(|n1,n2,n3> + e^{i alpha} |-n1,-n2,-n3>) / sqrt(2)."""
-    b1, b2, b3 = bases
-    up = _kron3(b1.ket(), b2.ket(), b3.ket())
-    dn = _kron3(b1.ket_flip(), b2.ket_flip(), b3.ket_flip())
-    return (up + np.exp(1.0j * alpha) * dn) / math.sqrt(2.0)
+    return _ghz(alpha, *_products(bases)[0])
 
 
 def w_state(
     beta: float, gamma: float, bases: tuple[LocalBasis, LocalBasis, LocalBasis]
 ) -> np.ndarray:
     """(|n1,n2,-n3> + e^{i beta}|n1,-n2,n3> + e^{i gamma}|-n1,n2,n3>) / sqrt(3)."""
-    b1, b2, b3 = bases
-    k1, k2, k3 = b1.ket(), b2.ket(), b3.ket()
-    f1, f2, f3 = b1.ket_flip(), b2.ket_flip(), b3.ket_flip()
-    return (
-        _kron3(k1, k2, f3)
-        + np.exp(1.0j * beta) * _kron3(k1, f2, k3)
-        + np.exp(1.0j * gamma) * _kron3(f1, k2, k3)
-    ) / math.sqrt(3.0)
+    return _w(beta, gamma, *_products(bases)[1])
 
 
 def projective_witness(psi: np.ndarray, lam: float) -> WitnessOperator:
@@ -281,9 +286,10 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
             "theta3": theta3,
             "phi3": phi3,
         }
-        states = [("ghz", {"alpha": a}, ghz_state(a, bases)) for a in _GRID]
+        ghz, w = _products(bases)
+        states = [("ghz", {"alpha": a}, _ghz(a, *ghz)) for a in _GRID]
         states += [
-            ("w", {"beta": b, "gamma": g}, w_state(b, g, bases))
+            ("w", {"beta": b, "gamma": g}, _w(b, g, *w))
             for b, g in itertools.product(_GRID, repeat=2)
         ]
         for family, phases, psi in states:

@@ -1,4 +1,5 @@
 import io
+import logging
 import math
 
 import numpy as np
@@ -20,7 +21,14 @@ from fermigte import (
     sweep_polar_boundary,
 )
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
-from fermigte.scan import bisect_switch, first_switch, polar_table, sweep_table, write_csv
+from fermigte.scan import (
+    POLAR_PRESCAN_POINTS,
+    bisect_switch,
+    first_switch,
+    polar_table,
+    sweep_table,
+    write_csv,
+)
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -215,6 +223,33 @@ class TestBracketThenBisect:
     def test_first_switch(self, flags, expected):
         assert first_switch(flags) == expected
 
+    def test_first_switch_reads_no_flag_past_the_switch(self):
+        def flags():
+            yield from (True, True, False)
+            raise AssertionError("read a flag past the switch")
+
+        assert first_switch(flags()) == 1
+
+    def test_bisect_switch_logs_its_steps(self, caplog):
+        calls = []
+
+        def before(x):
+            calls.append(x)
+            return x < math.sqrt(2.0)
+
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            bisect_switch(before, 1.0, 2.0, 1e-9)
+        (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
+        assert record.levelno == logging.DEBUG
+        bracket, steps, width = record.args
+        assert bracket == (1.0, 2.0)
+        assert steps == len(calls) == 30
+        assert width == 2.0**-30
+
+    def test_library_logger_is_silent_by_default(self):
+        handlers = logging.getLogger("fermigte").handlers
+        assert any(isinstance(h, logging.NullHandler) for h in handlers)
+
     def test_bisect_switch_brackets_the_switch(self):
         root = bisect_switch(lambda x: x < math.sqrt(2.0), 1.0, 2.0, 1e-12)
         assert abs(root - math.sqrt(2.0)) <= 1e-12
@@ -243,6 +278,57 @@ class TestBracketThenBisect:
         monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: pytest.fail("pre-scan ran"))
         with pytest.raises(DomainError):
             solve(tol)
+
+
+class TestLazyPrescan:
+    @pytest.fixture
+    def polar_calls(self, monkeypatch):
+        # q of every _polar_gte evaluation a sweep makes
+        import fermigte.scan as scan_module
+
+        calls = []
+        real = scan_module._polar_gte
+
+        def counting(dim, kfr, theta, q):
+            calls.append(q)
+            return real(dim, kfr, theta, q)
+
+        monkeypatch.setattr(scan_module, "_polar_gte", counting)
+        return calls, real
+
+    @pytest.mark.parametrize("kfr, theta", [(2.0, math.pi / 2.0), (1.0, 0.3)])
+    def test_polar_row_stops_at_the_first_switch(self, polar_calls, caplog, kfr, theta):
+        calls, real = polar_calls
+        qs = [float(q) for q in np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)]
+        flags = [real(D3, kfr, theta, q) for q in qs]
+        i = next(k for k in range(len(qs) - 1) if flags[k] and not flags[k + 1])
+        assert i + 2 < POLAR_PRESCAN_POINTS
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            (row,) = sweep_polar_boundary(D3, [kfr], [theta], q_tol=1e-6)
+        (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
+        steps = record.args[1]
+        assert len(calls) == i + 2 + steps
+        assert calls[: i + 2] == qs[: i + 2]
+        assert all(qs[i] < q < qs[i + 1] for q in calls[i + 2 :])
+        assert qs[i] < row.q_star < qs[i + 1]
+
+    def test_polar_row_without_gte_at_the_centre_makes_one_evaluation(self, polar_calls):
+        calls, _ = polar_calls
+        (row,) = sweep_polar_boundary(D3, [2.7], [0.3])
+        assert row.q_star == 0.0
+        assert calls == [0.0]
+
+    def test_r_max_prescan_still_checks_for_a_second_switch(self, monkeypatch):
+        import fermigte.bisep as bisep_module
+
+        # outside, inside, outside again, inside: two outside->inside switches
+        outside = [True] * 10 + [False] * 5 + [True] * 5 + [False] * 12
+        assert len(outside) == bisep_module.PRESCAN_POINTS
+        flags = iter(outside)
+        monkeypatch.setattr(bisep_module, "point_in_hull", lambda *a: not next(flags))
+        with pytest.raises(BracketError):
+            r_max_solver(D3, tol=1e-5)
+        assert next(flags, None) is None
 
 
 class TestSweepDistance:

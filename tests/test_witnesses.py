@@ -46,6 +46,31 @@ def all_grid_states():
     return np.array(ghz), np.array(w)
 
 
+def reference_grid_kets():
+    """Every grid ket from its own np.kron products, in the operand order of
+    the GHZ and W definitions."""
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    ghz, w = [], []
+    for t2, t3, f3 in itertools.product(_GRID, repeat=3):
+        bases = (LocalBasis(0.0, 0.0), LocalBasis(t2, 0.0), LocalBasis(t3, f3))
+        (k1, x1), (k2, x2), (k3, x3) = ((b.ket(), b.ket_flip()) for b in bases)
+        for a in _GRID:
+            ghz.append((kron3(k1, k2, k3) + np.exp(1.0j * a) * kron3(x1, x2, x3)) / math.sqrt(2.0))
+        for b, g in itertools.product(_GRID, repeat=2):
+            w.append(
+                (
+                    kron3(k1, k2, x3)
+                    + np.exp(1.0j * b) * kron3(k1, x2, k3)
+                    + np.exp(1.0j * g) * kron3(x1, k2, k3)
+                )
+                / math.sqrt(3.0)
+            )
+    return np.array(ghz), np.array(w)
+
+
 class TestStates:
     def test_standard_ghz(self):
         v = ghz_state(0.0, STD)
@@ -254,6 +279,37 @@ class TestGridScan:
         assert set(report.per_family) == {"ghz", "w"}
         assert report.per_family["ghz"] >= -1e-12
         assert report.per_family["w"] >= -1e-12
+
+    def test_grid_kets_are_bit_identical_to_the_reference(self):
+        ghz, w = all_grid_states()
+        ref_ghz, ref_w = reference_grid_kets()
+        assert len(ref_ghz) + len(ref_w) == 1280
+        assert np.array_equal(ghz, ref_ghz)
+        assert np.array_equal(w, ref_w)
+
+    def test_pinned_minimum(self):
+        # the JSON prints this rounding-noise value, so it must not drift
+        report = grid_scan_ghz_w()
+        assert report.min_value == -1.1102230246251565e-16
+        assert report.argmin == {
+            "family": "w",
+            "p": [1.0, 1.0, -1.0],
+            "angles": dict.fromkeys(("theta1", "phi1", "phi2", "theta2", "theta3", "phi3"), 0.0),
+            "phases": {"beta": 0.0, "gamma": math.pi},
+        }
+
+    def test_products_built_once_per_basis_triple(self, monkeypatch):
+        # 64 basis triples x 5 product kets x 2 np.kron calls each
+        calls = []
+        kron = np.kron
+
+        def counting(a, b):
+            calls.append(None)
+            return kron(a, b)
+
+        monkeypatch.setattr(np, "kron", counting)
+        grid_scan_ghz_w()
+        assert len(calls) == 640
 
     def test_ghz_value_at_limit_couplings(self):
         # with p = 1 the GHZ overlap vanishes, so Tr(rho Pi) = 1/2
