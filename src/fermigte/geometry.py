@@ -46,12 +46,12 @@ class TriangleConfig:
     dim: Dimensionality
 
     def __post_init__(self) -> None:
-        d = (self.d12, self.d13, self.d23)
-        if not all(0.0 <= v < math.inf for v in d):
+        d12, d13, d23 = d = (self.d12, self.d13, self.d23)
+        if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
             raise DomainError(f"distances must be finite and nonnegative, got {d}")
-        if sum(1 for v in d if v > 0.0) < 2:
+        if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
             raise DomainError("at most one pairwise distance may vanish")
-        check_triangle(d, _TRI_TOL * max(1.0, max(d)))
+        check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)

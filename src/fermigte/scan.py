@@ -13,8 +13,9 @@ pre-scan grid step where a predicate stops holding, which keeps the
 oscillating kernel tails' later crossings out of play, and
 :func:`bisect_switch` narrows that step to the tolerance.  The r_min and
 q* pre-scans hand :func:`first_switch` a generator, so they stop
-evaluating at the first switch; r_max evaluates its whole pre-scan,
-because it also checks that there is no second switch.
+evaluating at the first switch (the q grid is built once per sweep and
+shared by its rows); r_max evaluates its whole pre-scan, because it also
+checks that there is no second switch.
 """
 
 from __future__ import annotations
@@ -158,16 +159,16 @@ def sweep_polar_boundary(
     where it holds nowhere report q* = 0, keeping the table rectangular.
     """
     check_tol(q_tol, "q_tol")
+    qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
 
     def q_star(kfr: float, theta: float) -> float:
         gte = partial(_polar_gte, dim, kfr, theta)
-        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
-        if not gte(float(qs[0])):
+        if not gte(qs[0]):
             return 0.0
-        i = first_switch(chain([True], (gte(float(q)) for q in qs[1:])))
+        i = first_switch(chain([True], (gte(q) for q in qs[1:])))
         if i is None:
             return 0.5
-        return bisect_switch(gte, float(qs[i]), float(qs[i + 1]), q_tol)
+        return bisect_switch(gte, qs[i], qs[i + 1], q_tol)
 
     rows = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
     return [PolarBoundaryRow(kfr, theta, q_star(kfr, theta)) for kfr, theta in rows]

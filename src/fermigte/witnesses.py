@@ -216,11 +216,13 @@ def er_lower_bound(c: Couplings) -> float:
     members and both observable signs; agrees with the matrix path
     :func:`er_lower_bound_matrix` to machine precision.
     """
-    best = 0.0
-    for middle in (1, 2, 3):
-        value = (3.0 * abs(_pair_sum(c, middle)) - GTE_THRESHOLD) / _NORM
-        best = max(best, value)
-    return best
+    p12, p13, p23 = c.p12, c.p13, c.p23
+    return max(
+        0.0,
+        (3.0 * abs(p12 + p13) - GTE_THRESHOLD) / _NORM,  # middle spin 1
+        (3.0 * abs(p12 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 2
+        (3.0 * abs(p13 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 3
+    )
 
 
 def er_lower_bound_matrix(c: Couplings) -> float:
@@ -235,6 +237,8 @@ def er_lower_bound_matrix(c: Couplings) -> float:
 
 
 _GRID = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+# the eight vertex states' singlet weights (p12, p13, p23)
+_VERTICES = tuple(itertools.product((-1.0, 1.0), repeat=3))
 
 
 @dataclass(frozen=True)
@@ -257,25 +261,9 @@ class GridScanReport:
         return out
 
 
-def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
-    """Scan Tr(rho * Pi) over the extremal parameter grid of both families.
-
-    The trace is linear in each p_ij and trigonometric in the angles, so
-    its extrema over the admissible box lie on p_ij in {-1, +1} and
-    angles on multiples of pi/2; collective rotation invariance pins
-    theta1 = phi1 = phi2 = 0.  The scan evaluates every remaining node
-    (the vertex states need not be positive semidefinite) and returns the
-    global minimum; a nonnegative result means neither family can detect
-    GTE anywhere in the admissible parameter range.
-    """
-    vertices = list(itertools.product((-1.0, 1.0), repeat=3))
-    rhos = [_assemble(*v) for v in vertices]
-
-    best = math.inf
-    best_node: dict = {}
-    nodes = 0
-    family_min = {"ghz": math.inf, "w": math.inf}
-
+def _grid_kets():
+    """Per grid ket in scan order: family, phases, angles, node values over _VERTICES."""
+    rhos = np.stack([_assemble(*v) for v in _VERTICES])
     for theta2, theta3, phi3 in itertools.product(_GRID, repeat=3):
         bases = (LocalBasis(0.0, 0.0), LocalBasis(theta2, 0.0), LocalBasis(theta3, phi3))
         angles = {
@@ -294,18 +282,38 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
         ]
         for family, phases, psi in states:
             lam = GHZ_OVERLAP if family == "ghz" else W_OVERLAP
-            for vertex, rho in zip(vertices, rhos):
-                value = lam - float(np.real(np.vdot(psi, rho @ psi)))
-                nodes += 1
-                family_min[family] = min(family_min[family], value)
-                if value < best:
-                    best = value
-                    best_node = {
-                        "family": family,
-                        "p": list(vertex),
-                        "angles": dict(angles),
-                        "phases": dict(phases),
-                    }
+            # one stacked product per ket, rounded per node as np.vdot(psi, rho @ psi)
+            values = [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
+            yield family, phases, angles, values
+
+
+def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
+    """Scan Tr(rho * Pi) over the extremal parameter grid of both families.
+
+    The trace is linear in each p_ij and trigonometric in the angles, so
+    its extrema over the admissible box lie on p_ij in {-1, +1} and
+    angles on multiples of pi/2; collective rotation invariance pins
+    theta1 = phi1 = phi2 = 0.  The scan evaluates every remaining node
+    (the vertex states need not be positive semidefinite) and returns the
+    global minimum; a nonnegative result means neither family can detect
+    GTE anywhere in the admissible parameter range.
+    """
+    best = math.inf
+    best_node: dict = {}
+    nodes = 0
+    family_min = {"ghz": math.inf, "w": math.inf}
+    for family, phases, angles, values in _grid_kets():
+        nodes += len(values)
+        low = min(values)  # the first of equal minima, as a node-by-node scan keeps
+        family_min[family] = min(family_min[family], low)
+        if low < best:
+            best = low
+            best_node = {
+                "family": family,
+                "p": list(_VERTICES[values.index(low)]),
+                "angles": dict(angles),
+                "phases": dict(phases),
+            }
     return GridScanReport(
         min_value=best,
         argmin=best_node,

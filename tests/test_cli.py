@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermigte import matrix_from_text
+from fermigte import Dimensionality, matrix_from_text, scan
 from fermigte.cli import main
 
 from conftest import lens_hull
@@ -135,6 +135,31 @@ class TestMatrixAndTables:
         assert lines[0].startswith("dim,kfr")
         dims = {line.split(",")[0] for line in lines[1:]}
         assert dims == {"2d", "3d"}
+
+    @pytest.mark.parametrize(
+        "figure, sweep",
+        [
+            ("1a", "sweep_collinear"),
+            ("1b", "sweep_isosceles"),
+            ("2", "sweep_polar_boundary"),
+            ("3", "sweep_distance"),
+        ],
+    )
+    def test_sweep_grids_are_python_floats(self, capsys, monkeypatch, figure, sweep):
+        # the per-point kernels run on plain floats, not np.float64 scalars
+        seen = []
+        real = getattr(scan, sweep)
+
+        def spy(*args):
+            seen.extend(v for a in args if isinstance(a, list) for v in a)
+            return real(*args)
+
+        monkeypatch.setattr(scan, sweep, spy)
+        code, _, _ = run(capsys, ["sweep", "--figure", figure, "--points", "6"])
+        assert code == 0
+        grids = [v for v in seen if not isinstance(v, Dimensionality)]
+        assert len(grids) >= 6
+        assert all(type(v) is float for v in grids), {type(v) for v in grids}
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "result.json"

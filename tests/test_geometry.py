@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -112,6 +113,27 @@ class TestTriangleConfig:
 
     def test_collinear_equality_allowed(self):
         TriangleConfig(1.0, 2.0, 1.0, D3)
+
+    # the threshold solvers hand in np.float64 distances, whose comparisons
+    # give np.bool_ (adding two of those is a logical or, not a count)
+    @pytest.mark.parametrize(
+        "d", [(0.0, 0.0, 1.0), (0.0, 1.0, 0.0), (1.0, 0.0, 0.0), (0.0, 0.0, 0.0)]
+    )
+    def test_rejects_two_zero_float64_distances(self, d):
+        with pytest.raises(DomainError, match="at most one pairwise distance may vanish"):
+            TriangleConfig(*map(np.float64, d), D3)
+
+    @pytest.mark.parametrize("d", [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, 0.0), (0.5, 1.0, 0.5)])
+    def test_accepts_float64_distances_with_at_most_one_zero(self, d):
+        assert TriangleConfig(*map(np.float64, d), D3).distances() == d
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("slot", range(3))
+    def test_rejects_non_finite_float64(self, bad, slot):
+        d = [np.float64(1.0)] * 3
+        d[slot] = np.float64(bad)
+        with pytest.raises(DomainError, match="distances must be finite and nonnegative"):
+            TriangleConfig(*d, D3)
 
 
 class TestCheckTriangle:

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import (
@@ -24,7 +24,8 @@ from fermigte import (
     w_state,
 )
 from fermigte.errors import DomainError
-from fermigte.witnesses import _GRID, GHZ_OVERLAP, W_OVERLAP
+from fermigte.tristate import _assemble
+from fermigte.witnesses import _GRID, _NORM, GHZ_OVERLAP, W_OVERLAP, _grid_kets
 
 from conftest import jacobi_min_eig, random_biseparable
 
@@ -69,6 +70,20 @@ def reference_grid_kets():
                 / math.sqrt(3.0)
             )
     return np.array(ghz), np.array(w)
+
+
+def reference_node_values():
+    """Every grid-scan node value in scan order (basis triple, then the 4 GHZ
+    and 16 W kets, then the 8 vertex states), one rho @ psi product per node."""
+    rhos = [_assemble(*v) for v in itertools.product((-1.0, 1.0), repeat=3)]
+    ghz, w = reference_grid_kets()
+    values = []
+    for t in range(64):
+        kets = [(GHZ_OVERLAP, psi) for psi in ghz[4 * t : 4 * t + 4]]
+        kets += [(W_OVERLAP, psi) for psi in w[16 * t : 16 * t + 16]]
+        for lam, psi in kets:
+            values += [lam - float(np.real(np.vdot(psi, rho @ psi))) for rho in rhos]
+    return np.array(values)
 
 
 class TestStates:
@@ -264,6 +279,15 @@ class TestErLowerBound:
     def test_nonnegative(self):
         assert er_lower_bound(Couplings(0.0, 0.0, 0.0)) == 0.0
 
+    @given(p_st, p_st, p_st)
+    @settings(max_examples=300, deadline=None)
+    @example(-1.0, -0.5, -0.5)  # pair sums -1.5, -1.5, -1.0: the abs decides
+    def test_equals_the_per_middle_formula(self, p12, p13, p23):
+        # exact: the closed form is one formula per middle spin, maximized with 0
+        sums = (p12 + p13, p12 + p23, p13 + p23)
+        expect = max([0.0] + [(3.0 * abs(s) - GTE_THRESHOLD) / _NORM for s in sums])
+        assert er_lower_bound(Couplings(p12, p13, p23)) == expect
+
 
 class TestGridScan:
     def test_negative_result(self):
@@ -297,6 +321,15 @@ class TestGridScan:
             "angles": dict.fromkeys(("theta1", "phi1", "phi2", "theta2", "theta3", "phi3"), 0.0),
             "phases": {"beta": 0.0, "gamma": math.pi},
         }
+
+    def test_every_node_value_matches_a_per_node_product(self):
+        # the scan multiplies all vertex states by a ket at once; a stacked
+        # product that rounds differently from rho @ psi fails here
+        expect = reference_node_values()
+        values = np.array([v for *_, ket_values in _grid_kets() for v in ket_values])
+        assert len(values) == len(expect) == 10240
+        assert np.array_equal(values, expect)
+        assert grid_scan_ghz_w().min_value == expect.min()
 
     def test_products_built_once_per_basis_triple(self, monkeypatch):
         # 64 basis triples x 5 product kets x 2 np.kron calls each
