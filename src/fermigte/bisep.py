@@ -23,17 +23,23 @@ corners keep their hexagon order (half-height below sqrt(3)*(1 - 2*r_plus),
 i.e. r_plus < 1/3 at r3 = 0) each curved side leaves its corners on the
 inner side of the neighbouring hexagon edges, and the hexagon is the hull
 itself; sampling the lens boundaries finds no other hull vertex there.
-The threshold solver therefore works on the closed-form hexagon, bisecting
-(with :func:`scan.bisect_switch`) on the sign of the point's signed
-distance to its nearest edge, and the vertex dump is the hexagon.  Once
+The threshold solver therefore bisects (with :func:`scan.bisect_switch`)
+on the bare corner margin: the sign of the point's signed distance to the
+nearest edge of the closed-form corners, computed straight from their
+vertex tuple.  Only the public :func:`corner_hexagon`, whose vertices the
+dump prints, wraps the corners in a :class:`ConvexRegion` and runs its
+convexity check; both share one corner and one margin computation, so the
+solver sees the same numbers as :func:`hull_margin` on that hexagon.  Once
 the corners overlap (r_plus >= 1/3 at r3 = 0) the hull has curved sides;
 no threshold or figure visits those sections and they are rejected.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -48,6 +54,13 @@ DEFAULT_TOL = 1e-5
 MEMBERSHIP_TOL = 1e-9
 PRESCAN_POINTS = 32
 _BRACKETS = {Dimensionality.THREE_D: (2.0, 3.2), Dimensionality.TWO_D: (1.8, 3.0)}
+
+_SQRT3 = math.sqrt(3.0)
+_THIRD = 2.0 * math.pi / 3.0  # 12|3 is +third, 13|2 is -third
+_COS_P, _SIN_P = math.cos(_THIRD), math.sin(_THIRD)
+_COS_M, _SIN_M = math.cos(-_THIRD), math.sin(-_THIRD)
+
+_log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -92,6 +105,27 @@ def _check_section(sec: SectionSpec) -> float:
     return c
 
 
+def _corners(sec: SectionSpec) -> tuple[tuple[float, float], ...]:
+    """The six lens corners of :func:`corner_hexagon`, without the
+    ConvexRegion check (the corners are convex whenever they are returned)."""
+    c = _check_section(sec)
+    r1 = 2.0 * sec.r_plus - 1.0
+    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
+    if not r2 < -_SQRT3 * r1:
+        raise DomainError(
+            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}, "
+            "so the hull has curved sides; no polygon is given there"
+        )
+    return (
+        (r1, -r2),
+        (_COS_P * r1 - _SIN_P * r2, _SIN_P * r1 + _COS_P * r2),
+        (_COS_P * r1 - _SIN_P * -r2, _SIN_P * r1 + _COS_P * -r2),
+        (_COS_M * r1 - _SIN_M * r2, _SIN_M * r1 + _COS_M * r2),
+        (_COS_M * r1 - _SIN_M * -r2, _SIN_M * r1 + _COS_M * -r2),
+        (r1, r2),
+    )
+
+
 def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
     """Hexagon of the six lens corners, counterclockwise from the lower
     1|23 corner.
@@ -102,30 +136,16 @@ def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
     is that hull while the corners keep this order, which is the only
     case accepted (r_plus < 1/3 at r3 = 0).
     """
-    c = _check_section(sec)
-    r1 = 2.0 * sec.r_plus - 1.0
-    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
-    if not r2 < -math.sqrt(3.0) * r1:
-        raise DomainError(
-            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}, "
-            "so the hull has curved sides; no polygon is given there"
-        )
+    return ConvexRegion(_corners(sec))
 
-    def rotated(a: float, y: float) -> tuple[float, float]:
-        ca, sa = math.cos(a), math.sin(a)
-        return (ca * r1 - sa * y, sa * r1 + ca * y)
 
-    third = 2.0 * math.pi / 3.0  # 12|3 is +third, 13|2 is -third
-    return ConvexRegion(
-        (
-            (r1, -r2),
-            rotated(third, r2),
-            rotated(third, -r2),
-            rotated(-third, r2),
-            rotated(-third, -r2),
-            (r1, r2),
-        )
-    )
+def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> float:
+    """:func:`hull_margin` of the polygon with these vertices."""
+    margin = math.inf
+    for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
+        ex, ey = bx - ax, by - ay
+        margin = min(margin, (ex * (r2 - ay) - ey * (r1 - ax)) / math.hypot(ex, ey))
+    return margin
 
 
 def hull_margin(region: ConvexRegion, r1: float, r2: float) -> float:
@@ -134,15 +154,7 @@ def hull_margin(region: ConvexRegion, r1: float, r2: float) -> float:
     Inside the polygon this is the distance to its boundary; outside it is
     negative and no larger in magnitude than that distance.
     """
-    v = region.vertices
-    n = len(v)
-    margin = math.inf
-    for i in range(n):
-        ax, ay = v[i]
-        bx, by = v[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        margin = min(margin, (ex * (r2 - ay) - ey * (r1 - ax)) / math.hypot(ex, ey))
-    return margin
+    return _margin(region.vertices, r1, r2)
 
 
 def point_in_hull(
@@ -167,6 +179,18 @@ def _symmetric_point(dim: Dimensionality, separation: float):
     return SectionSpec(wc.r_plus, wc.r3), (wc.r1, wc.r2)
 
 
+def _outside(dim: Dimensionality, separation: float) -> bool:
+    """r_max_solver's predicate: the symmetric collinear point lies outside
+    its own section's corner hexagon by more than MEMBERSHIP_TOL, or the
+    section is empty."""
+    sec, (r1, r2) = _symmetric_point(dim, separation)
+    try:
+        vertices = _corners(sec)
+    except EmptyRegionError:
+        return True
+    return not _margin(vertices, r1, r2) >= -MEMBERSHIP_TOL
+
+
 def r_max_solver(
     dim: Dimensionality,
     bracket: tuple[float, float] | None = None,
@@ -186,26 +210,23 @@ def r_max_solver(
     below ~5e-3) holds no biseparable state and counts as outside.  A
     PRESCAN_POINTS grid over the bracket must show a single
     outside-to-inside switch.
+
+    Logs one DEBUG record per solve: the pre-scan's switch index (None
+    when there is none) and its PRESCAN_POINTS outside flags.
     """
     check_tol(tol)
     lo, hi = bracket if bracket is not None else _BRACKETS[dim]
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
 
-    def outside(separation: float) -> bool:
-        sec, point = _symmetric_point(dim, separation)
-        try:
-            hexagon = corner_hexagon(sec)
-        except EmptyRegionError:
-            return True
-        return not point_in_hull(hexagon, *point)
-
-    grid = np.linspace(lo, hi, PRESCAN_POINTS)
+    outside = partial(_outside, dim)
+    grid = np.linspace(lo, hi, PRESCAN_POINTS).tolist()
     flags = [outside(r) for r in grid]
     i = first_switch(flags)
+    _log.debug("r_max_solver prescan switch=%s outside=%r", i, flags)
     if not flags[0] or i is None or any(flags[i + 1 :]):
         raise BracketError(
             f"hull-membership predicate is not a single outside->inside "
             f"switch on [{lo}, {hi}] (outside flags {flags})"
         )
-    return bisect_switch(outside, float(grid[i]), float(grid[i + 1]), tol)
+    return bisect_switch(outside, grid[i], grid[i + 1], tol)

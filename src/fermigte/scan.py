@@ -199,6 +199,9 @@ def find_rmin(
     pre-scan keeps later, oscillation-induced crossings out of play.  The
     pre-scan range (RMIN_RANGE by default) must be increasing and inside
     the kernels' domain (0, X_MAX].
+
+    Logs one DEBUG record per solve: the pre-scan's switch index (None
+    when there is none) and the number of pre-scan points evaluated.
     """
     check_tol(tol)
     lo, hi = prescan_range if prescan_range is not None else RMIN_RANGE
@@ -214,6 +217,7 @@ def find_rmin(
     # arange can step past hi by a rounding error; the kernels stop at X_MAX
     grid = np.minimum(np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP), hi)
     i = first_switch(certified(float(r)) for r in grid)
+    _log.debug("find_rmin prescan switch=%s read=%d", i, len(grid) if i is None else i + 2)
     if i is None:
         raise BracketError(f"no sign change of the witness margin on [{lo}, {hi}]")
     return bisect_switch(certified, float(grid[i]), float(grid[i + 1]), tol)

@@ -1,4 +1,7 @@
 import math
+import sys
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,10 +19,25 @@ from fermigte import (
     r_max_solver,
     werner_coords,
 )
-from fermigte.bisep import ConvexRegion, _symmetric_point, polygon_to_csv
+from fermigte.bisep import (
+    _BRACKETS,
+    PRESCAN_POINTS,
+    ConvexRegion,
+    _corners,
+    _margin,
+    _symmetric_point,
+    polygon_to_csv,
+)
 from fermigte.errors import BracketError, DomainError, EmptyRegionError
+from fermigte.scan import bisect_switch
 
 from conftest import in_lens_hull, lens_hull
+
+PERFBENCH = str(Path(__file__).resolve().parent.parent / "perfbench")
+if PERFBENCH not in sys.path:
+    sys.path.insert(0, PERFBENCH)
+
+import workloads  # noqa: E402
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -121,6 +139,113 @@ class TestCornerHexagon:
     def test_empty_section(self):
         with pytest.raises(EmptyRegionError):
             corner_hexagon(SectionSpec(0.0, 0.0))
+
+
+# every section of the grid r_plus 0.001..0.337 step 0.004 x r3 0..0.58
+# step 0.02: 1,965 hexagons, 578 empty sections, 7 with overlapping corners
+GRID_SECTIONS = [
+    SectionSpec(r_plus, r3)
+    for r_plus in np.linspace(0.001, 0.337, 85).tolist()
+    for r3 in np.linspace(0.0, 0.58, 30).tolist()
+]
+PROBES = ((0.0, 0.0), (-0.35, SQRT3 * -0.35), (-0.35, -0.6062), (0.3, -0.2), (-0.9, 0.1))
+
+
+def _outcome(make, sec):
+    try:
+        return make(sec)
+    except (EmptyRegionError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_corners(sec):
+    # the corner formula with cos/sin of +-2*pi/3 taken at every rotation
+    c = 1.0 - 3.0 * sec.r_plus
+    r1 = 2.0 * sec.r_plus - 1.0
+    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
+
+    def rotated(a, y):
+        ca, sa = math.cos(a), math.sin(a)
+        return (ca * r1 - sa * y, sa * r1 + ca * y)
+
+    third = 2.0 * math.pi / 3.0
+    return (
+        (r1, -r2),
+        rotated(third, r2),
+        rotated(third, -r2),
+        rotated(-third, r2),
+        rotated(-third, -r2),
+        (r1, r2),
+    )
+
+
+def _reference_margin(v, r1, r2):
+    # edge i runs from v[i] to v[(i + 1) % n]
+    n = len(v)
+    margin = math.inf
+    for i in range(n):
+        ax, ay = v[i]
+        bx, by = v[(i + 1) % n]
+        ex, ey = bx - ax, by - ay
+        margin = min(margin, (ex * (r2 - ay) - ey * (r1 - ax)) / math.hypot(ex, ey))
+    return margin
+
+
+class TestBareCorners:
+    """The solver's bare corners and margin are the public hexagon's, bit for bit."""
+
+    def test_grid_outcomes(self):
+        outcomes = [_outcome(_corners, sec) for sec in GRID_SECTIONS]
+        kinds = Counter(o[0] if isinstance(o[0], type) else "corners" for o in outcomes)
+        assert kinds == {"corners": 1965, EmptyRegionError: 578, DomainError: 7}
+
+    def test_corners_equal_the_hexagon(self):
+        for sec in GRID_SECTIONS:
+            bare = _outcome(_corners, sec)
+            assert bare == _outcome(lambda s: corner_hexagon(s).vertices, sec)
+            if isinstance(bare[0], tuple):
+                assert bare == _reference_corners(sec)
+
+    def test_margin_equals_hull_margin(self):
+        for sec in GRID_SECTIONS:
+            vertices = _outcome(_corners, sec)
+            if not isinstance(vertices[0], tuple):
+                continue
+            region = corner_hexagon(sec)
+            for r1, r2 in PROBES + vertices:
+                margin = _margin(vertices, r1, r2)
+                assert margin == hull_margin(region, r1, r2)
+                assert margin == _reference_margin(vertices, r1, r2)
+
+
+def _reference_r_max(dim, bracket, tol):
+    """r_max through the public hexagon and membership test, over a
+    np.float64 pre-scan grid."""
+    lo, hi = bracket if bracket is not None else _BRACKETS[dim]
+
+    def outside(separation):
+        sec, point = _symmetric_point(dim, separation)
+        try:
+            hexagon = corner_hexagon(sec)
+        except EmptyRegionError:
+            return True
+        return not point_in_hull(hexagon, *point)
+
+    grid = np.linspace(lo, hi, PRESCAN_POINTS)
+    flags = [outside(r) for r in grid]
+    i = flags.index(False) - 1
+    assert i >= 0 and not any(flags[i + 1 :])
+    return bisect_switch(outside, float(grid[i]), float(grid[i + 1]), tol)
+
+
+class TestRMaxSolverExact:
+    @pytest.mark.parametrize("tol", workloads.TOLS)
+    @pytest.mark.parametrize("bracket", range(4))
+    @pytest.mark.parametrize("dim", ["3d", "2d"])
+    def test_equals_the_public_hexagon_path(self, dim, bracket, tol):
+        d = Dimensionality(dim)
+        rng = workloads.BRACKETS[("polygon", dim)][bracket]
+        assert r_max_solver(d, bracket=rng, tol=tol) == _reference_r_max(d, rng, tol)
 
 
 class TestHullMargin:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import logging
 import math
@@ -250,6 +251,59 @@ class TestBracketThenBisect:
         handlers = logging.getLogger("fermigte").handlers
         assert any(isinstance(h, logging.NullHandler) for h in handlers)
 
+    def test_r_max_solver_logs_its_prescan_flags(self, monkeypatch, caplog):
+        import fermigte.bisep as bisep_module
+
+        seen = []
+        real = bisep_module._outside
+
+        def counting(dim, separation):
+            seen.append(real(dim, separation))
+            return seen[-1]
+
+        monkeypatch.setattr(bisep_module, "_outside", counting)
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            r_max_solver(D3, tol=1e-5)
+        (prescan,) = [r for r in caplog.records if r.name == "fermigte.bisep"]
+        (bisection,) = [r for r in caplog.records if r.name == "fermigte.scan"]
+        assert prescan.levelno == logging.DEBUG
+        i, flags = prescan.args
+        assert flags == seen[: bisep_module.PRESCAN_POINTS]
+        assert len(flags) == bisep_module.PRESCAN_POINTS
+        assert i == first_switch(flags)
+        assert flags[: i + 1] == [True] * (i + 1) and not any(flags[i + 1 :])
+        assert len(seen) == len(flags) + bisection.args[1]
+
+    @pytest.mark.parametrize("prescan_range", [None, (3.0, 4.0)], ids=["switch", "no-switch"])
+    def test_find_rmin_logs_the_flags_it_read(self, monkeypatch, caplog, prescan_range):
+        import fermigte.scan as scan_module
+
+        # one coupling evaluation per predicate call
+        calls = []
+        real = scan_module.cpl.from_config
+        monkeypatch.setattr(scan_module.cpl, "from_config", lambda cfg: calls.append(cfg) or real(cfg))
+        raises = pytest.raises(BracketError) if prescan_range else contextlib.nullcontext()
+        with caplog.at_level(logging.DEBUG, logger="fermigte"), raises:
+            find_rmin(D3, prescan_range=prescan_range)
+        records = [r for r in caplog.records if r.name == "fermigte.scan"]
+        prescan = records[0]
+        assert prescan.levelno == logging.DEBUG
+        assert prescan.msg.startswith("find_rmin")
+        i, read = prescan.args
+        if prescan_range is None:
+            (bisection,) = records[1:]
+            assert read == i + 2
+            assert len(calls) == read + bisection.args[1]
+        else:
+            assert (i, records[1:]) == (None, [])
+            assert read == len(calls) == 21
+
+    def test_solver_records_are_silent_by_default(self, caplog):
+        assert not logging.getLogger("fermigte").isEnabledFor(logging.DEBUG)
+        find_rmin(D3)
+        r_max_solver(D3)
+        assert [r for r in caplog.records if r.name.startswith("fermigte")] == []
+
     def test_bisect_switch_brackets_the_switch(self):
         root = bisect_switch(lambda x: x < math.sqrt(2.0), 1.0, 2.0, 1e-12)
         assert abs(root - math.sqrt(2.0)) <= 1e-12
@@ -325,7 +379,7 @@ class TestLazyPrescan:
         outside = [True] * 10 + [False] * 5 + [True] * 5 + [False] * 12
         assert len(outside) == bisep_module.PRESCAN_POINTS
         flags = iter(outside)
-        monkeypatch.setattr(bisep_module, "point_in_hull", lambda *a: not next(flags))
+        monkeypatch.setattr(bisep_module, "_outside", lambda *a: next(flags))
         with pytest.raises(BracketError):
             r_max_solver(D3, tol=1e-5)
         assert next(flags, None) is None
