@@ -141,6 +141,8 @@ def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
 
 def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> float:
     """:func:`hull_margin` of the polygon with these vertices."""
+    if not (math.isfinite(r1) and math.isfinite(r2)):
+        return math.nan
     margin = math.inf
     for (ax, ay), (bx, by) in zip(vertices, vertices[1:] + vertices[:1]):
         ex, ey = bx - ax, by - ay
@@ -152,7 +154,8 @@ def hull_margin(region: ConvexRegion, r1: float, r2: float) -> float:
     """Signed distance from (r1, r2) to the nearest edge line, positive inside.
 
     Inside the polygon this is the distance to its boundary; outside it is
-    negative and no larger in magnitude than that distance.
+    negative and no larger in magnitude than that distance.  A non-finite
+    point has a NaN margin, so it is never inside.
     """
     return _margin(region.vertices, r1, r2)
 

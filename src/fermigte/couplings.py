@@ -17,6 +17,14 @@ the dimension constant a cancels, leaving the exact shape-only limit
 identical for the 2D and 3D gases.  The equilateral shape is rejected in
 limit mode: there the ratio is doubly singular and the closed form is not
 trusted.
+
+Each formula and check has one float core that returns the bare triple
+(p12, p13, p23): :func:`_weights` for a distance triple (the limit below
+LIMIT_SWITCH, else the kernel formula and its denominator floor),
+:func:`_limit_weights` for the limit, and :func:`_finite_sum` for
+finiteness.  :func:`from_config`,
+:func:`from_shape` and :func:`zero_limit` wrap them in a
+:class:`Couplings`; the sweeps in :mod:`scan` call them directly.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, check_triangle, scaled
+from .geometry import Shape, TriangleConfig, _TRI_TOL, _check_distances, _scale, check_triangle
 from .specfun import Dimensionality, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
@@ -33,6 +41,18 @@ from .specfun import Dimensionality, f_factor
 LIMIT_SWITCH = 1e-3
 DENOM_FLOOR = 1e-12
 BOUND_TOL = 1e-9
+
+# singlet weights (p12, p13, p23)
+Weights = tuple[float, float, float]
+
+
+def _finite_sum(p12: float, p13: float, p23: float) -> float:
+    """The weights' sum p; InvalidCouplingsError unless it is finite."""
+    p = p12 + p13 + p23
+    # a sum holding a NaN or an infinity is never finite
+    if not math.isfinite(p):
+        raise InvalidCouplingsError(f"singlet weights must be finite, got {(p12, p13, p23)}")
+    return p
 
 
 @dataclass(frozen=True)
@@ -50,15 +70,51 @@ class Couplings:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", self.p12 + self.p13 + self.p23)
-        # a sum holding a NaN or an infinity is never finite
-        if not math.isfinite(self.p):
-            raise InvalidCouplingsError(
-                f"singlet weights must be finite, got {self.as_tuple()}"
-            )
+        object.__setattr__(self, "p", _finite_sum(self.p12, self.p13, self.p23))
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p12, self.p13, self.p23)
+
+
+def _weights(
+    dim: Dimensionality, d12: float, d13: float, d23: float, f13: float | None = None
+) -> Weights:
+    """Singlet weights of a checked distance triple: the float core of
+    :func:`from_config`, :func:`from_shape` and the sweeps.
+
+    f13, when given, must be f_factor(dim, d13); a caller that holds d13
+    fixed over many triples passes it to evaluate the kernel there once.
+    """
+    if max(d12, d13, d23) < LIMIT_SWITCH:
+        return _limit_weights(d12, d13, d23)
+    f12 = f_factor(dim, d12)
+    if f13 is None:
+        f13 = f_factor(dim, d13)
+    f23 = f_factor(dim, d23)
+    prod = f12 * f13 * f23
+    denom = -2.0 + f12 * f12 + f13 * f13 + f23 * f23 - prod
+    if abs(denom) <= DENOM_FLOOR:
+        raise DegenerateDenominatorError(
+            f"singlet-weight denominator is {denom:.3e} at distances "
+            f"({d12}, {d13}, {d23}); the configuration is outside the "
+            "supported limit"
+        )
+    p12 = (-f12 * f12 + prod) / denom
+    p13 = (-f13 * f13 + prod) / denom
+    p23 = (-f23 * f23 + prod) / denom
+    _finite_sum(p12, p13, p23)
+    return (p12, p13, p23)
+
+
+def _shape_weights(
+    shape: Shape, kfr: float, dim: Dimensionality, f13: float | None = None
+) -> Weights:
+    """The float core of :func:`from_shape`; f13 as in :func:`_weights`."""
+    if kfr == 0.0:
+        return _limit_weights(*shape)
+    d12, d13, d23 = _scale(kfr, shape)
+    _check_distances(d12, d13, d23)
+    return _weights(dim, d12, d13, d23, f13)
 
 
 def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
@@ -68,9 +124,7 @@ def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
     of the shape, the same for both dimensions); any other kfr is
     :func:`from_config` of the shape scaled to kfr, which must be positive.
     """
-    if kfr == 0.0:
-        return zero_limit(*shape)
-    return from_config(scaled(kfr, shape, dim))
+    return Couplings(*_shape_weights(shape, kfr, dim))
 
 
 def from_config(cfg: TriangleConfig) -> Couplings:
@@ -81,34 +135,12 @@ def from_config(cfg: TriangleConfig) -> Couplings:
     the shared denominator is numerically zero outside that regime, e.g.
     for a shrinking equilateral triangle just above the switch scale.
     """
-    d12, d13, d23 = cfg.distances()
-    if max(d12, d13, d23) < LIMIT_SWITCH:
-        return zero_limit(d12, d13, d23)
-    f12 = f_factor(cfg.dim, d12)
-    f13 = f_factor(cfg.dim, d13)
-    f23 = f_factor(cfg.dim, d23)
-    prod = f12 * f13 * f23
-    denom = -2.0 + f12 * f12 + f13 * f13 + f23 * f23 - prod
-    if abs(denom) <= DENOM_FLOOR:
-        raise DegenerateDenominatorError(
-            f"singlet-weight denominator is {denom:.3e} at distances "
-            f"({d12}, {d13}, {d23}); the configuration is outside the "
-            "supported limit"
-        )
-    return Couplings(
-        (-f12 * f12 + prod) / denom,
-        (-f13 * f13 + prod) / denom,
-        (-f23 * f23 + prod) / denom,
-    )
+    return Couplings(*_weights(cfg.dim, cfg.d12, cfg.d13, cfg.d23))
 
 
-def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
-    """Singlet weights in the vanishing-size limit; only ratios matter.
-
-    Dimension independent.  Requires finite positive distances forming
-    a (possibly degenerate) triangle; the equilateral shape is rejected.
-    """
-    if not all(0.0 < v < math.inf for v in (d12, d13, d23)):
+def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
+    """The float core of :func:`zero_limit`."""
+    if not (0.0 < d12 < math.inf and 0.0 < d13 < math.inf and 0.0 < d23 < math.inf):
         raise DomainError(
             f"zero_limit requires finite positive distances, got ({d12}, {d13}, {d23})"
         )
@@ -128,11 +160,20 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     s13 = u13 * u13
     s23 = u23 * u23
     total = s12 + s13 + s23
-    return Couplings(
-        (s13 + s23 - s12) / total,
-        (s12 + s23 - s13) / total,
-        (s12 + s13 - s23) / total,
-    )
+    p12 = (s13 + s23 - s12) / total
+    p13 = (s12 + s23 - s13) / total
+    p23 = (s12 + s13 - s23) / total
+    _finite_sum(p12, p13, p23)
+    return (p12, p13, p23)
+
+
+def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
+    """Singlet weights in the vanishing-size limit; only ratios matter.
+
+    Dimension independent.  Requires finite positive distances forming
+    a (possibly degenerate) triangle; the equilateral shape is rejected.
+    """
+    return Couplings(*_limit_weights(d12, d13, d23))
 
 
 def validate(c: Couplings) -> list[str]:

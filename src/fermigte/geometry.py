@@ -31,6 +31,17 @@ def check_triangle(d: Shape, slack: float) -> None:
         raise DomainError(f"triangle inequality violated for {d}")
 
 
+def _check_distances(d12: float, d13: float, d23: float) -> None:
+    """DomainError unless the triple is a :class:`TriangleConfig`'s: finite
+    and nonnegative, at most one zero, realizable up to the 1e-12 slack."""
+    d = (d12, d13, d23)
+    if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
+        raise DomainError(f"distances must be finite and nonnegative, got {d}")
+    if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
+        raise DomainError("at most one pairwise distance may vanish")
+    check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
+
+
 @dataclass(frozen=True)
 class TriangleConfig:
     """Pairwise distances k_F*r_ij of three localized fermions.
@@ -46,12 +57,7 @@ class TriangleConfig:
     dim: Dimensionality
 
     def __post_init__(self) -> None:
-        d12, d13, d23 = d = (self.d12, self.d13, self.d23)
-        if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
-            raise DomainError(f"distances must be finite and nonnegative, got {d}")
-        if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
-            raise DomainError("at most one pairwise distance may vanish")
-        check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
+        _check_distances(self.d12, self.d13, self.d23)
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)
@@ -62,11 +68,17 @@ def _check_kfr(kfr: float) -> None:
         raise DomainError(f"kfr must be positive, got {kfr}")
 
 
-def scaled(kfr: float, shape: Shape, dim: Dimensionality) -> TriangleConfig:
-    """The configuration of a unit-separation shape at separation kfr > 0."""
+def _scale(kfr: float, shape: Shape) -> Shape:
+    """The distances of a unit-separation shape at separation kfr > 0,
+    before the :class:`TriangleConfig` checks."""
     _check_kfr(kfr)
     d12, d13, d23 = shape
-    return TriangleConfig(kfr * d12, kfr * d13, kfr * d23, dim)
+    return (kfr * d12, kfr * d13, kfr * d23)
+
+
+def scaled(kfr: float, shape: Shape, dim: Dimensionality) -> TriangleConfig:
+    """The configuration of a unit-separation shape at separation kfr > 0."""
+    return TriangleConfig(*_scale(kfr, shape), dim)
 
 
 def collinear_shape(x_over_r: float) -> Shape:
@@ -93,15 +105,26 @@ def polar_shape(theta: float, q_over_r: float) -> Shape:
     theta is measured from the 1-3 axis; the physically distinct range is
     [0, pi/2] but any |theta| <= pi is accepted (mirror symmetry).
     """
+    return _polar_at(_polar_direction(theta), q_over_r)
+
+
+def _polar_direction(theta: float) -> tuple[float, float]:
+    """The (cosine, sine) of theta that :func:`polar_shape` scales by q_over_r."""
     if not abs(theta) <= math.pi:
         raise DomainError(f"theta must lie in [-pi, pi], got {theta}")
-    if not 0.0 <= q_over_r <= 0.5:
-        raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
     # cosine via the complement of |theta| so that the quarter turn lands
     # exactly on the isosceles shape (sin(pi/2 - pi/2) is 0 while
     # cos(pi/2) is not) and the axis mirror theta -> -theta is bit-exact
-    px = q_over_r * math.sin(math.pi / 2.0 - abs(theta))
-    py = q_over_r * math.sin(theta)
+    return math.sin(math.pi / 2.0 - abs(theta)), math.sin(theta)
+
+
+def _polar_at(direction: tuple[float, float], q_over_r: float) -> Shape:
+    """:func:`polar_shape` at radius q_over_r along a :func:`_polar_direction`."""
+    if not 0.0 <= q_over_r <= 0.5:
+        raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
+    cos_theta, sin_theta = direction
+    px = q_over_r * cos_theta
+    py = q_over_r * sin_theta
     return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
 
 

@@ -2,11 +2,15 @@
 
 Sweeps tabulate the robustness lower bound along the standard
 configuration families, each given by its unit-separation shape in
-:mod:`geometry`.  Every sweep point goes through
+:mod:`geometry`.  Every sweep point goes through the float core of
 :func:`couplings.from_shape`, so a separation value of 0 selects the
 exact vanishing-size limit (shape-only couplings) instead of a
-small-distance proxy, with the same shape checks as any finite
-separation.  Sweeps run serially, because the work holds the interpreter
+small-distance proxy, with the same checks as any finite separation; the
+point runs from shape to weights to bound on bare floats and builds no
+configuration or coupling object.  Every figure shape puts fermions 1
+and 3 at unit separation, so d13 = kfr * 1.0 == kfr exactly, and each
+collinear, isosceles or polar row at one kfr evaluates the kernel f(kfr)
+once.  Sweeps run serially, because the work holds the interpreter
 lock.  Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`)
 is one bracket-then-bisect solve: :func:`first_switch` finds the first
 pre-scan grid step where a predicate stops holding, which keeps the
@@ -23,7 +27,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, pairwise
 from typing import Callable, Iterable, Sequence, TextIO
 
@@ -32,8 +35,8 @@ import numpy as np
 from . import couplings as cpl
 from . import geometry
 from .errors import BracketError, ConvergenceFailure, DomainError
-from .specfun import X_MAX, Dimensionality
-from .witnesses import GTE_THRESHOLD, er_lower_bound
+from .specfun import X_MAX, Dimensionality, f_factor
+from .witnesses import GTE_THRESHOLD, _er_bound
 
 SWEEP_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
 
@@ -96,16 +99,40 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
     raise ConvergenceFailure("bisection failed to reach tolerance")
 
 
-def _row(indep: tuple[tuple[str, object], ...], c: cpl.Couplings) -> SweepRow:
-    sums = (c.p12 + c.p13, c.p12 + c.p23, c.p13 + c.p23)
+def _row(indep: tuple[tuple[str, object], ...], w: cpl.Weights) -> SweepRow:
+    p12, p13, p23 = w
     return SweepRow(
         indep=indep,
-        er=er_lower_bound(c),
-        witness_value=3.0 * max(sums),
-        p12=c.p12,
-        p13=c.p13,
-        p23=c.p23,
+        er=_er_bound(p12, p13, p23),
+        witness_value=3.0 * max(p12 + p13, p12 + p23, p13 + p23),
+        p12=p12,
+        p13=p13,
+        p23=p23,
     )
+
+
+def _unit_kernel(dim: Dimensionality, kfr: float) -> float | None:
+    """f(kfr): the kernel at the 1-3 distance of every figure shape, which
+    sits at unit separation, so that d13 = kfr * 1.0 == kfr exactly.  None
+    where f_factor would raise, leaving the error to the point that meets it."""
+    return f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
+
+
+def _shape_sweep(
+    dim: Dimensionality,
+    kfr_values: Sequence[float],
+    grid: Sequence[float],
+    name: str,
+    shape_of: Callable[[float], geometry.Shape],
+) -> list[SweepRow]:
+    rows = []
+    for kfr in kfr_values:
+        f13 = _unit_kernel(dim, kfr)
+        rows += [
+            _row((("kfr", kfr), (name, v)), cpl._shape_weights(shape_of(v), kfr, dim, f13))
+            for v in grid
+        ]
+    return rows
 
 
 def sweep_collinear(
@@ -113,14 +140,7 @@ def sweep_collinear(
     kfr_values: Sequence[float],
     x_over_r_grid: Sequence[float],
 ) -> list[SweepRow]:
-    return [
-        _row(
-            (("kfr", kfr), ("x_over_r", x)),
-            cpl.from_shape(geometry.collinear_shape(x), kfr, dim),
-        )
-        for kfr in kfr_values
-        for x in x_over_r_grid
-    ]
+    return _shape_sweep(dim, kfr_values, x_over_r_grid, "x_over_r", geometry.collinear_shape)
 
 
 def sweep_isosceles(
@@ -128,23 +148,26 @@ def sweep_isosceles(
     kfr_values: Sequence[float],
     y_over_r_grid: Sequence[float],
 ) -> list[SweepRow]:
-    return [
-        _row(
-            (("kfr", kfr), ("y_over_r", y)),
-            cpl.from_shape(geometry.isosceles_shape(y), kfr, dim),
-        )
-        for kfr in kfr_values
-        for y in y_over_r_grid
-    ]
+    return _shape_sweep(dim, kfr_values, y_over_r_grid, "y_over_r", geometry.isosceles_shape)
 
 
-def _polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:
-    shape = geometry.polar_shape(theta, q)
-    if min(shape) == 0.0:
-        # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1) at
-        # every kfr, whose best witness value 3 stays below 1 + sqrt(5).
-        return False
-    return er_lower_bound(cpl.from_shape(shape, kfr, dim)) > 0.0
+def _polar_row(dim: Dimensionality, kfr: float, theta: float) -> Callable[[float], bool]:
+    """The q* predicate of one polar row: witnessed GTE at radius q.
+
+    The row's direction (cos, sin of theta) and f(kfr) are evaluated once,
+    here; each q costs the shape, two kernels, the weights and the bound."""
+    direction = geometry._polar_direction(theta)
+    f13 = _unit_kernel(dim, kfr)
+
+    def gte(q: float) -> bool:
+        shape = geometry._polar_at(direction, q)
+        if min(shape) == 0.0:
+            # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1)
+            # at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
+            return False
+        return _er_bound(*cpl._shape_weights(shape, kfr, dim, f13)) > 0.0
+
+    return gte
 
 
 def sweep_polar_boundary(
@@ -157,18 +180,25 @@ def sweep_polar_boundary(
 
     Rows where GTE holds on the whole radius report q* = 1/2 and rows
     where it holds nowhere report q* = 0, keeping the table rectangular.
+
+    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
+    (None when there is none) and the number of pre-scan points evaluated
+    (1 when the centre shows no GTE, all of them when the whole radius does).
     """
     check_tol(q_tol, "q_tol")
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
 
     def q_star(kfr: float, theta: float) -> float:
-        gte = partial(_polar_gte, dim, kfr, theta)
-        if not gte(qs[0]):
-            return 0.0
-        i = first_switch(chain([True], (gte(q) for q in qs[1:])))
-        if i is None:
-            return 0.5
-        return bisect_switch(gte, qs[i], qs[i + 1], q_tol)
+        gte = _polar_row(dim, kfr, theta)
+        centre = gte(qs[0])
+        i = first_switch(chain([True], (gte(q) for q in qs[1:]))) if centre else None
+        read = 1 if not centre else len(qs) if i is None else i + 2
+        _log.debug(
+            "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d", kfr, theta, i, read
+        )
+        if i is not None:
+            return bisect_switch(gte, qs[i], qs[i + 1], q_tol)
+        return 0.5 if centre else 0.0
 
     rows = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
     return [PolarBoundaryRow(kfr, theta, q_star(kfr, theta)) for kfr, theta in rows]
@@ -181,7 +211,7 @@ def sweep_distance(
     """Robustness bound of the symmetric collinear family versus separation."""
     shape = geometry.collinear_shape(0.5)
     return [
-        _row((("dim", dim.value), ("kfr", kfr)), cpl.from_shape(shape, kfr, dim))
+        _row((("dim", dim.value), ("kfr", kfr)), cpl._shape_weights(shape, kfr, dim))
         for dim in dims
         for kfr in kfr_grid
     ]

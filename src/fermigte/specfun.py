@@ -30,6 +30,10 @@ X_MAX = 50.0
 # removable singularity at x = 0 is exact and smooth.
 _SERIES_SWITCH = 1e-3
 
+# Ratio denominators 2m(2m+3), m = 1, 2, ..., of the series of
+# spherical_j1; below x = 0.5 its terms fall under 1e-20 by m = 8.
+_J1_SERIES_DENOMS = tuple(2.0 * m * (2.0 * m + 3.0) for m in range(1, 11))
+
 
 class Dimensionality(Enum):
     """Spatial dimension of the gas; selects which kernel applies."""
@@ -58,10 +62,11 @@ def spherical_j1(x: float) -> float:
         # j1(x) = sum_m (-1)^m x^(2m+1) / (2^m m! (2m+3)!!)
         term = x / 3.0
         total = term
-        m = 0
-        while abs(term) > 1e-20:
-            m += 1
-            term *= -x * x / (2.0 * m * (2.0 * m + 3.0))
+        neg_x2 = -x * x
+        for denom in _J1_SERIES_DENOMS:
+            if abs(term) <= 1e-20:
+                break
+            term *= neg_x2 / denom
             total += term
         return total
     return math.sin(x) / (x * x) - math.cos(x) / x

@@ -216,7 +216,11 @@ def er_lower_bound(c: Couplings) -> float:
     members and both observable signs; agrees with the matrix path
     :func:`er_lower_bound_matrix` to machine precision.
     """
-    p12, p13, p23 = c.p12, c.p13, c.p23
+    return _er_bound(c.p12, c.p13, c.p23)
+
+
+def _er_bound(p12: float, p13: float, p23: float) -> float:
+    """The float core of :func:`er_lower_bound`."""
     return max(
         0.0,
         (3.0 * abs(p12 + p13) - GTE_THRESHOLD) / _NORM,  # middle spin 1

@@ -269,6 +269,30 @@ class TestHullMargin:
         assert hull_margin(hexagon, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
 
 
+class TestNonFinitePoint:
+    """A point with a NaN or infinite coordinate has a NaN margin: never inside."""
+
+    @pytest.fixture(params=[(b, slot) for b in (math.nan, math.inf, -math.inf) for slot in (0, 1)])
+    def point(self, request):
+        bad, slot = request.param
+        point = [0.0, 0.0]  # inside the hexagon
+        point[slot] = bad
+        return tuple(point)
+
+    def test_margin_is_nan(self, point):
+        hexagon = corner_hexagon(SEC)
+        assert point_in_hull(hexagon, 0.0, 0.0)
+        assert math.isnan(hull_margin(hexagon, *point))
+        assert math.isnan(_margin(hexagon.vertices, *point))
+        assert not point_in_hull(hexagon, *point)
+
+    def test_solver_predicate_counts_it_outside(self, monkeypatch, point):
+        import fermigte.bisep as bisep_module
+
+        monkeypatch.setattr(bisep_module, "_symmetric_point", lambda dim, r: (SEC, point))
+        assert bisep_module._outside(D3, 2.0) is True
+
+
 class TestRMaxSolver:
     def test_three_d_threshold(self):
         value = r_max_solver(D3, tol=1e-5)

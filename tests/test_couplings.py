@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,11 +15,24 @@ from fermigte import (
     couplings_from_config,
     couplings_zero_limit,
     equilateral,
+    f_factor,
     validate_couplings,
 )
-from fermigte.couplings import from_shape
-from fermigte.errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from fermigte.geometry import collinear_shape, equilateral_shape, scaled
+from fermigte.couplings import LIMIT_SWITCH, _shape_weights, from_shape
+from fermigte.errors import (
+    DegenerateDenominatorError,
+    DomainError,
+    FermiGteError,
+    InvalidCouplingsError,
+)
+from fermigte.geometry import (
+    collinear_shape,
+    equilateral_shape,
+    isosceles_shape,
+    polar_shape,
+    scaled,
+)
+from fermigte.scan import _unit_kernel
 
 from conftest import random_config
 
@@ -172,6 +186,58 @@ class TestFromShape:
     def test_equilateral_has_no_limit(self):
         with pytest.raises(DegenerateDenominatorError):
             from_shape(equilateral_shape(), 0.0, D3)
+
+
+def _outcome(fn):
+    """fn()'s value, or the type and message of the package error it raises."""
+    try:
+        return fn()
+    except FermiGteError as exc:
+        return type(exc), str(exc)
+
+
+class TestFloatCore:
+    """The sweeps' float path gives from_config's weights and errors, bit for bit."""
+
+    # straddles LIMIT_SWITCH, where shrinking shapes leave the shape-only
+    # limit and the direct formula's denominator is still numerically zero
+    KFRS = [0.0, 2e-4, 5e-4, 9.99e-4, 1e-3, 1.0005e-3, 1.5e-3, 3e-3, 0.02, 0.5]
+    KFRS += [1.0, 2.59, 7.3, 49.0, 50.0, 60.0, -1.0, math.nan, math.inf]
+    SHAPES = [collinear_shape(x) for x in (0.0, 0.1, 0.5, 0.77, 1.0)]
+    SHAPES += [isosceles_shape(y) for y in (0.0, 0.3, math.sqrt(3.0) / 2.0, 1.2)]
+    SHAPES += [polar_shape(t, q) for t in (0.0, 0.7, math.pi / 2.0) for q in (0.0, 0.21, 0.5)]
+    SHAPES += [equilateral_shape()]
+
+    @staticmethod
+    def _public(shape, kfr, dim):
+        if kfr == 0.0:
+            return couplings_zero_limit(*shape).as_tuple()
+        return couplings_from_config(scaled(kfr, shape, dim)).as_tuple()
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_sweep_path_equals_from_config(self, dim):
+        kinds = Counter()
+        for shape in self.SHAPES:
+            for kfr in self.KFRS:
+                f13 = _unit_kernel(dim, kfr)
+                got = _outcome(lambda: _shape_weights(shape, kfr, dim, f13))
+                assert got == _outcome(lambda: self._public(shape, kfr, dim)), (shape, kfr)
+                assert got == _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
+                if isinstance(got[0], type):
+                    kinds[got[0]] += 1
+                else:
+                    kinds["limit" if max(shape) * abs(kfr) < LIMIT_SWITCH else "direct"] += 1
+        assert set(kinds) == {"limit", "direct", DegenerateDenominatorError, DomainError}
+
+    def test_unit_kernel_is_the_kernel_at_d13(self):
+        for dim in (D2, D3):
+            for kfr in self.KFRS:
+                shape = collinear_shape(0.3)
+                if not (0.0 <= kfr <= 50.0):
+                    assert _unit_kernel(dim, kfr) is None
+                elif kfr > 0.0:
+                    assert scaled(kfr, shape, dim).d13 == kfr
+                    assert _unit_kernel(dim, kfr) == f_factor(dim, kfr)
 
 
 @pytest.mark.parametrize("slot", range(3))

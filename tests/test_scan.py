@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import logging
 import math
 
@@ -15,13 +16,16 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
     find_rmin,
+    polar,
     r_max_solver,
     sweep_collinear,
     sweep_distance,
     sweep_isosceles,
     sweep_polar_boundary,
 )
+from fermigte.cli import _FIG2_KFR
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
+from fermigte.geometry import polar_shape
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
     bisect_switch,
@@ -189,10 +193,10 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: True)
+        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: True)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: False)
+        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: False)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
 
@@ -329,37 +333,43 @@ class TestBracketThenBisect:
         import fermigte.scan as scan_module
 
         # the polar pre-scan must not start
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: pytest.fail("pre-scan ran"))
+        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: pytest.fail("pre-scan ran"))
         with pytest.raises(DomainError):
             solve(tol)
 
 
-class TestLazyPrescan:
-    @pytest.fixture
-    def polar_calls(self, monkeypatch):
-        # q of every _polar_gte evaluation a sweep makes
-        import fermigte.scan as scan_module
+@pytest.fixture
+def polar_calls(monkeypatch):
+    # q of every row-predicate evaluation a sweep makes
+    import fermigte.scan as scan_module
 
-        calls = []
-        real = scan_module._polar_gte
+    calls = []
+    real = scan_module._polar_row
 
-        def counting(dim, kfr, theta, q):
+    def counting(dim, kfr, theta):
+        gte = real(dim, kfr, theta)
+
+        def count(q):
             calls.append(q)
-            return real(dim, kfr, theta, q)
+            return gte(q)
 
-        monkeypatch.setattr(scan_module, "_polar_gte", counting)
-        return calls, real
+        return count
 
+    monkeypatch.setattr(scan_module, "_polar_row", counting)
+    return calls, real
+
+
+class TestLazyPrescan:
     @pytest.mark.parametrize("kfr, theta", [(2.0, math.pi / 2.0), (1.0, 0.3)])
     def test_polar_row_stops_at_the_first_switch(self, polar_calls, caplog, kfr, theta):
         calls, real = polar_calls
         qs = [float(q) for q in np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)]
-        flags = [real(D3, kfr, theta, q) for q in qs]
+        flags = [real(D3, kfr, theta)(q) for q in qs]
         i = next(k for k in range(len(qs) - 1) if flags[k] and not flags[k + 1])
         assert i + 2 < POLAR_PRESCAN_POINTS
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             (row,) = sweep_polar_boundary(D3, [kfr], [theta], q_tol=1e-6)
-        (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
+        (record,) = [r for r in caplog.records if r.msg.startswith("bisect_switch")]
         steps = record.args[1]
         assert len(calls) == i + 2 + steps
         assert calls[: i + 2] == qs[: i + 2]
@@ -383,6 +393,101 @@ class TestLazyPrescan:
         with pytest.raises(BracketError):
             r_max_solver(D3, tol=1e-5)
         assert next(flags, None) is None
+
+
+def _reference_q_star(dim, kfr, theta, tol, calls):
+    """q* of one polar row through the public configuration, coupling and
+    bound, appending the q of every predicate evaluation to calls."""
+
+    def gte(q):
+        calls.append(q)
+        if kfr == 0.0:
+            d = polar_shape(theta, q)
+            if min(d) == 0.0:
+                return False
+            return er_lower_bound(couplings_zero_limit(*d)) > 0.0
+        cfg = polar(kfr, theta, q, dim)
+        if min(cfg.distances()) == 0.0:
+            return False
+        return er_lower_bound(couplings_from_config(cfg)) > 0.0
+
+    qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+    if not gte(qs[0]):
+        return 0.0
+    i = first_switch(itertools.chain([True], (gte(q) for q in qs[1:])))
+    if i is None:
+        return 0.5
+    return bisect_switch(gte, qs[i], qs[i + 1], tol)
+
+
+class TestPolarFloatPath:
+    """Figure 2's rows equal a solver on the public objects, evaluation for evaluation."""
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_figure_rows_equal_the_public_path(self, dim, polar_calls):
+        calls, _ = polar_calls
+        # the theta grid of `sweep --figure 2 --points 201`
+        thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
+        rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        ref_calls = []
+        ref = [
+            (kfr, theta, _reference_q_star(dim, kfr, theta, 1e-6, ref_calls))
+            for kfr in _FIG2_KFR
+            for theta in thetas
+        ]
+        assert [(r.kfr, r.theta, r.q_star) for r in rows] == ref
+        assert calls == ref_calls
+
+    def test_rows_log_their_prescan(self, monkeypatch, caplog):
+        import fermigte.scan as scan_module
+
+        # q of every evaluation, per row
+        calls = {}
+        real = scan_module._polar_row
+
+        def counting(dim, kfr, theta):
+            gte = real(dim, kfr, theta)
+            seen = calls.setdefault((kfr, theta), [])
+            return lambda q: seen.append(q) or gte(q)
+
+        monkeypatch.setattr(scan_module, "_polar_row", counting)
+        kfrs, thetas = [0.0, 1.0, 2.7], [0.0, 0.3, math.pi / 2.0]
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            sweep_polar_boundary(D3, kfrs, thetas)
+        records = [r for r in caplog.records if r.name == "fermigte.scan"]
+        assert all(r.levelno == logging.DEBUG for r in records)
+        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+        for kfr, theta in itertools.product(kfrs, thetas):
+            (k,) = [k for k, r in enumerate(records) if r.args[:2] == (kfr, theta)]
+            assert records[k].msg.startswith("sweep_polar_boundary")
+            _, _, i, read = records[k].args
+            flags = [real(D3, kfr, theta)(q) for q in qs]
+            assert calls[(kfr, theta)][:read] == qs[:read]
+            if not flags[0]:
+                assert (i, read) == (None, 1)
+                assert len(calls[(kfr, theta)]) == 1
+            else:
+                assert i == first_switch(flags) is not None
+                assert read == i + 2
+                bisection = records[k + 1]
+                assert bisection.msg.startswith("bisect_switch")
+                assert len(calls[(kfr, theta)]) == read + bisection.args[1]
+
+    def test_saturated_row_logs_every_prescan_point(self, monkeypatch, caplog):
+        import fermigte.scan as scan_module
+
+        calls = []
+        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: calls.append(q) or True)
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            sweep_polar_boundary(D3, [1.0], [0.3])
+        (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
+        assert record.args == (1.0, 0.3, None, POLAR_PRESCAN_POINTS)
+        assert len(calls) == POLAR_PRESCAN_POINTS
+
+    def test_row_records_are_silent_by_default(self, caplog):
+        assert not logging.getLogger("fermigte").isEnabledFor(logging.DEBUG)
+        sweep_polar_boundary(D3, [1.0, 2.7], [0.0, 0.3])
+        assert [r for r in caplog.records if r.name.startswith("fermigte")] == []
 
 
 class TestSweepDistance:

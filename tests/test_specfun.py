@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from fermigte import Dimensionality, bessel_j1, f_factor, spherical_j1
 from fermigte.errors import DomainError
-from fermigte.specfun import X_MAX, _f_small_x
+from fermigte.specfun import _J1_SERIES_DENOMS, X_MAX, _f_small_x
 
 from conftest import bisect_root, j1_series
 
@@ -61,6 +62,40 @@ class TestSphericalJ1:
     def test_domain(self):
         with pytest.raises(DomainError):
             spherical_j1(-0.1)
+
+
+def _series_while(x):
+    """The series branch of spherical_j1 as a while loop over m: (value, terms)."""
+    term = x / 3.0
+    total = term
+    m = 0
+    while abs(term) > 1e-20:
+        m += 1
+        term *= -x * x / (2.0 * m * (2.0 * m + 3.0))
+        total += term
+    return total, m
+
+
+class TestSphericalJ1Series:
+    """The bounded series loop over _J1_SERIES_DENOMS is the while loop, bit for bit."""
+
+    EDGES = [0.0, 5e-324, 1e-300, 1e-160, 1e-20, 1e-10, 1e-3, 0.1, 0.25, 0.4999]
+    EDGES += [math.nextafter(0.5, 0.0)]
+
+    def sample(self):
+        rng = random.Random(20261018)
+        return [0.5 * rng.random() for _ in range(100_000)] + self.EDGES
+
+    def test_equals_the_while_loop(self):
+        for x in self.sample():
+            assert spherical_j1(x) == _series_while(x)[0], x
+
+    def test_denominator_table_is_never_exhausted(self):
+        assert _J1_SERIES_DENOMS == tuple(2.0 * m * (2.0 * m + 3.0) for m in range(1, 11))
+        # the terms grow with x, so the largest x below 0.5 needs the most
+        worst = _series_while(math.nextafter(0.5, 0.0))[1]
+        assert max(_series_while(x)[1] for x in self.sample()) == worst
+        assert worst < len(_J1_SERIES_DENOMS)
 
 
 class TestFFactor:
