@@ -25,6 +25,8 @@ _FIG2_KFR = [0.0, 1.0, 2.0, 2.5, 2.59]
 # Limit-mode rows cannot sit exactly on a coincident-pair endpoint; the
 # default grid insets those two points by half a grid step.
 _LIMIT_INSET = 0.0025
+# grid points per sweep axis; figure 1a at the maximum is 70,000 rows
+MAX_POINTS = 10_000
 
 
 def _dim(value: str) -> Dimensionality:
@@ -150,7 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--figure", choices=["1a", "1b", "2", "3"], required=True)
     p.add_argument("--dim", choices=["2d", "3d"], default="3d")
-    p.add_argument("--points", type=int, default=201, help="grid points per axis")
+    p.add_argument(
+        "--points", type=int, default=201, help=f"grid points per axis, 2 to {MAX_POINTS}"
+    )
 
     p = sub.add_parser(
         "polygon",
@@ -173,8 +177,8 @@ def _run_sweep(args: argparse.Namespace) -> str:
 
     dim = _dim(args.dim)
     n = args.points
-    if n < 2:
-        raise DomainError(f"--points must be at least 2, got {n}")
+    if not 2 <= n <= MAX_POINTS:
+        raise DomainError(f"--points must lie in [2, {MAX_POINTS}], got {n}")
     buf = io.StringIO()
     if args.figure == "1a":
         grid = np.linspace(0.0, 1.0, n).tolist()

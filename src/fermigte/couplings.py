@@ -32,9 +32,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
 from .geometry import Shape, TriangleConfig, _TRI_TOL, _check_distances, _scale, check_triangle
-from .specfun import Dimensionality, f_factor
+from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
 # noise (|D| falls under ~1e-12) and the shape-only limit takes over.
@@ -165,6 +167,67 @@ def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
     p23 = (s12 + s13 - s23) / total
     _finite_sum(p12, p13, p23)
     return (p12, p13, p23)
+
+
+def _weights_array(
+    dim: Dimensionality,
+    d12: np.ndarray,
+    d13: np.ndarray,
+    d23: np.ndarray,
+    f13: np.ndarray,
+    limit: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_weights` element for element over arrays of checked
+    distances, with the same branches, checks and operation order.
+
+    Elements marked in ``limit`` take :func:`_limit_weights` at any scale
+    (a sweep's kfr = 0 rows, whose distances are the unit shape); the
+    others take it below LIMIT_SWITCH, as in :func:`_weights`, and f13 must
+    be f_factor(dim, d13) there.  Every element that a check rejects is
+    recomputed by the scalar core, which raises its error.
+    """
+    limit = limit | (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH)
+    p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
+    ok = np.zeros(d12.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the limit branch: _limit_weights' checks, then its scaled squares
+        i = np.flatnonzero(limit)
+        if i.size:
+            e12, e13, e23 = d12[i], d13[i], d23[i]
+            dmax = np.maximum(np.maximum(e12, e13), e23)
+            tol = _TRI_TOL * dmax
+            ok[i] = (
+                (0.0 < e12) & (e12 < math.inf) & (0.0 < e13) & (e13 < math.inf)
+                & (0.0 < e23) & (e23 < math.inf)
+                & ~(e12 > e13 + e23 + tol) & ~(e13 > e12 + e23 + tol) & ~(e23 > e12 + e13 + tol)
+                & ~(dmax - np.minimum(np.minimum(e12, e13), e23) <= tol)
+            )
+            e = -np.frexp(dmax)[1]
+            u12, u13, u23 = np.ldexp(e12, e), np.ldexp(e13, e), np.ldexp(e23, e)
+            s12 = u12 * u12
+            s13 = u13 * u13
+            s23 = u23 * u23
+            total = s12 + s13 + s23
+            p12[i] = (s13 + s23 - s12) / total
+            p13[i] = (s12 + s23 - s13) / total
+            p23[i] = (s12 + s13 - s23) / total
+        # the kernel branch, on the elements whose kernels f_factor accepts
+        in_range = (d12 >= 0.0) & (d12 <= X_MAX) & (d23 >= 0.0) & (d23 <= X_MAX)
+        i = np.flatnonzero(~limit & in_range)
+        if i.size:
+            f12, g13, f23 = _f_array(dim, d12[i]), f13[i], _f_array(dim, d23[i])
+            prod = f12 * g13 * f23
+            denom = -2.0 + f12 * f12 + g13 * g13 + f23 * f23 - prod
+            p12[i] = (-f12 * f12 + prod) / denom
+            p13[i] = (-g13 * g13 + prod) / denom
+            p23[i] = (-f23 * f23 + prod) / denom
+            ok[i] = ~(np.abs(denom) <= DENOM_FLOOR)
+        ok &= np.isfinite(p12 + p13 + p23)
+    for k in np.flatnonzero(~ok):
+        d = (float(d12[k]), float(d13[k]), float(d23[k]))
+        w = _limit_weights(*d) if limit[k] else _weights(dim, *d, float(f13[k]))
+        p12[k], p13[k], p23[k] = w
+    return p12, p13, p23
 
 
 def zero_limit(d12: float, d13: float, d23: float) -> Couplings:

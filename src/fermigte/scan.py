@@ -10,16 +10,29 @@ point runs from shape to weights to bound on bare floats and builds no
 configuration or coupling object.  Every figure shape puts fermions 1
 and 3 at unit separation, so d13 = kfr * 1.0 == kfr exactly, and each
 collinear, isosceles or polar row at one kfr evaluates the kernel f(kfr)
-once.  Sweeps run serially, because the work holds the interpreter
-lock.  Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`)
-is one bracket-then-bisect solve: :func:`first_switch` finds the first
-pre-scan grid step where a predicate stops holding, which keeps the
-oscillating kernel tails' later crossings out of play, and
-:func:`bisect_switch` narrows that step to the tolerance.  The r_min and
-q* pre-scans hand :func:`first_switch` a generator, so they stop
-evaluating at the first switch (the q grid is built once per sweep and
-shared by its rows); r_max evaluates its whole pre-scan, because it also
-checks that there is no second switch.
+once.  Sweeps run serially, because the work holds the interpreter lock.
+
+Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
+bracket-then-bisect solve: a pre-scan finds the first grid step where a
+predicate stops holding, which keeps the oscillating kernel tails' later
+crossings out of play, and a bisection narrows that step to the
+tolerance.  r_min and r_max are single solves through
+:func:`first_switch` and :func:`bisect_switch`; the r_min pre-scan stops
+at the first switch, while r_max evaluates its whole pre-scan, because
+it also checks that there is no second switch.
+
+The polar table solves all its q* rows in lock step on numpy arrays:
+pre-scan grid point j is evaluated at once on every row whose flags are
+all True so far, and the switched rows are bisected together, each on
+its own one-step bracket.  The row-array predicate :func:`_polar_gte`
+keeps the scalar point chain's checks and operation order (through the
+array forms :func:`specfun._f_array` and :func:`couplings._weights_array`),
+so each row reads the same points as its own solve would.  The table
+depends only on the signs of the bound, never on its printed digits,
+which is why it alone takes the array path: np.hypot may differ from
+math.hypot in the last bit.  An error is the one that the first failing
+row's own solve raises: an out-of-domain kfr or theta, a point that a
+check rejects, or a bisection that does not converge.
 """
 
 from __future__ import annotations
@@ -27,14 +40,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import chain, pairwise
+from itertools import pairwise
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
 from . import couplings as cpl
 from . import geometry
-from .errors import BracketError, ConvergenceFailure, DomainError
+from .errors import BracketError, ConvergenceFailure, DomainError, FermiGteError
+from .geometry import _TRI_TOL
 from .specfun import X_MAX, Dimensionality, f_factor
 from .witnesses import GTE_THRESHOLD, _er_bound
 
@@ -151,22 +165,107 @@ def sweep_isosceles(
     return _shape_sweep(dim, kfr_values, y_over_r_grid, "y_over_r", geometry.isosceles_shape)
 
 
-def _polar_row(dim: Dimensionality, kfr: float, theta: float) -> Callable[[float], bool]:
-    """The q* predicate of one polar row: witnessed GTE at radius q.
+class _PolarRows:
+    """The rows of one polar sweep, kfr-major, as arrays (kfr, the direction
+    of theta, f(kfr)), and the first of them known to fail.
 
-    The row's direction (cos, sin of theta) and f(kfr) are evaluated once,
-    here; each q costs the shape, two kernels, the weights and the bound."""
-    direction = geometry._polar_direction(theta)
-    f13 = _unit_kernel(dim, kfr)
+    A row fails where its scalar solve raises: at a theta outside
+    [-pi, pi], at a point that a check rejects, or in a bisection that does
+    not converge.  The sweep raises the error of the first failing row, as
+    the scalar sweep would, so no row after it is evaluated again.
+    """
 
-    def gte(q: float) -> bool:
-        shape = geometry._polar_at(direction, q)
-        if min(shape) == 0.0:
-            # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1)
-            # at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
-            return False
-        return _er_bound(*cpl._shape_weights(shape, kfr, dim, f13)) > 0.0
+    def __init__(
+        self, dim: Dimensionality, kfr_values: Sequence[float], theta_grid: Sequence[float]
+    ):
+        self.dim = dim
+        self.pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
+        self.failed, self.error = len(self.pairs), None
+        direction = np.full((len(theta_grid), 2), math.nan)
+        for j, theta in enumerate(theta_grid):
+            try:
+                direction[j] = geometry._polar_direction(theta)
+            except DomainError as exc:
+                self.fail(j, exc)  # row j is the first with this theta
+                break
+        self.cos, self.sin = np.tile(direction, (len(kfr_values), 1)).T
+        self.kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
+        f13 = [_unit_kernel(dim, kfr) for kfr in kfr_values]
+        self.f13 = np.repeat([math.nan if f is None else f for f in f13], len(theta_grid))
 
+    def fail(self, row: int, error: Exception) -> None:
+        if row < self.failed:
+            self.failed, self.error = row, error
+
+    def flags(self, idx: np.ndarray, q: float | np.ndarray) -> np.ndarray:
+        """:func:`_polar_gte` on the rows idx (increasing) that come before
+        the first failing row.  Where a row raises, the rows are evaluated
+        one by one up to the first that does, which becomes the failing
+        row; the flags then cover only the rows before it."""
+        idx = idx[idx < self.failed]
+        try:
+            return _polar_gte(self.dim, self, idx, q)
+        except FermiGteError:
+            pass
+        q = np.broadcast_to(q, idx.shape)
+        flags = []
+        for m in range(idx.size):
+            try:
+                flags.append(_polar_gte(self.dim, self, idx[m : m + 1], q[m : m + 1])[0])
+            except FermiGteError as exc:
+                self.fail(int(idx[m]), exc)
+                break
+        return np.array(flags, dtype=bool)
+
+
+def _polar_gte(
+    dim: Dimensionality, rows: _PolarRows, idx: np.ndarray, q: float | np.ndarray
+) -> np.ndarray:
+    """Witnessed GTE at radius q (one for all rows, or one per row) on the
+    rows idx of a polar sweep: the point chain shape -> weights -> bound on
+    arrays, with the scalar chain's checks and operation order.
+
+    The array path takes kfr = 0 (the limit of the unit shape) and kfr in
+    (0, X_MAX] at points whose scaled distances pass _check_distances
+    (none zero, triangle inequality); every other point goes through the
+    scalar chain, on the kfr as given, which raises its error there.
+    """
+    kfr, f13 = rows.kfr[idx], rows.f13[idx]
+    px = q * rows.cos[idx]
+    py = q * rows.sin[idx]
+    s12 = np.hypot(px + 0.5, py)
+    s23 = np.hypot(px - 0.5, py)
+    # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1) at
+    # every kfr, whose best witness value 3 stays below 1 + sqrt(5).
+    apart = (s12 != 0.0) & (s23 != 0.0)
+    limit = kfr == 0.0
+    with np.errstate(invalid="ignore", over="ignore"):
+        # _scale: d13 = kfr * 1.0 == kfr
+        d12 = np.where(limit, s12, kfr * s12)
+        d13 = np.where(limit, 1.0, kfr)
+        d23 = np.where(limit, s23, kfr * s23)
+    slack = _TRI_TOL * np.maximum(np.maximum(np.maximum(1.0, d12), d13), d23)
+    scaled = (
+        (kfr > 0.0) & (kfr <= X_MAX) & (d12 != 0.0) & (d23 != 0.0)
+        & ~(d12 > d13 + d23 + slack) & ~(d13 > d12 + d23 + slack) & ~(d23 > d12 + d13 + slack)
+    )
+    covered = limit | scaled
+    fast = np.flatnonzero(apart & covered)
+    p12, p13, p23 = cpl._weights_array(
+        dim, d12[fast], d13[fast], d23[fast], f13[fast], limit[fast]
+    )
+    gte = np.zeros(idx.shape, dtype=bool)
+    # _er_bound > 0 exactly where some 3|p_im + p_mk| exceeds 1 + sqrt(5)
+    best = np.maximum(np.maximum(np.abs(p12 + p13), np.abs(p12 + p23)), np.abs(p13 + p23))
+    gte[fast] = 3.0 * best > GTE_THRESHOLD
+    q = np.broadcast_to(q, idx.shape)
+    for k in np.flatnonzero(apart & ~covered):
+        # the scalar chain on the row's own kfr and theta direction
+        row = int(idx[k])
+        direction = (float(rows.cos[row]), float(rows.sin[row]))
+        kfr_in = rows.pairs[row][0]
+        shape = geometry._polar_at(direction, float(q[k]))
+        gte[k] = _er_bound(*cpl._shape_weights(shape, kfr_in, dim, _unit_kernel(dim, kfr_in))) > 0.0
     return gte
 
 
@@ -180,28 +279,79 @@ def sweep_polar_boundary(
 
     Rows where GTE holds on the whole radius report q* = 1/2 and rows
     where it holds nowhere report q* = 0, keeping the table rectangular.
+    All rows are solved in lock step, each reading the same points as its
+    own bracket-then-bisect solve (:func:`first_switch`, then
+    :func:`bisect_switch`): pre-scan grid point j is evaluated on the rows
+    whose flags are all True so far, and the switched rows are bisected
+    together.  An error is the one the first failing row raises.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
     (None when there is none) and the number of pre-scan points evaluated
-    (1 when the centre shows no GTE, all of them when the whole radius does).
+    (1 when the centre shows no GTE, all of them when the whole radius does);
+    each bisected row follows with its bisect_switch record.
     """
     check_tol(q_tol, "q_tol")
-    qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+    qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
+    grid = qs.tolist()
+    rows = _PolarRows(dim, kfr_values, theta_grid)
+    n = len(rows.pairs)
+    read = np.zeros(n, dtype=int)
+    switch = np.full(n, -1)
+    live = np.arange(n)
+    for j, q in enumerate(grid):
+        if not live.size:
+            break
+        flags = rows.flags(live, q)
+        live = live[: flags.size]
+        read[live] = j + 1
+        if j:
+            switch[live[~flags]] = j - 1
+        live = live[flags]
+    # live: the rows with GTE on the whole radius
 
-    def q_star(kfr: float, theta: float) -> float:
-        gte = _polar_row(dim, kfr, theta)
-        centre = gte(qs[0])
-        i = first_switch(chain([True], (gte(q) for q in qs[1:]))) if centre else None
-        read = 1 if not centre else len(qs) if i is None else i + 2
-        _log.debug(
-            "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d", kfr, theta, i, read
-        )
-        if i is not None:
-            return bisect_switch(gte, qs[i], qs[i + 1], q_tol)
-        return 0.5 if centre else 0.0
+    bis = np.flatnonzero(switch >= 0)
+    a, b = qs[switch[bis]], qs[switch[bis] + 1]
+    steps = np.zeros(n, dtype=int)
+    active = np.arange(bis.size)
+    for _ in range(200):
+        active = active[b[active] - a[active] > q_tol]
+        if not active.size:
+            break
+        mid = 0.5 * (a[active] + b[active])
+        flags = rows.flags(bis[active], mid)
+        active, mid = active[: flags.size], mid[: flags.size]
+        a[active] = np.where(flags, mid, a[active])
+        b[active] = np.where(flags, b[active], mid)
+        steps[bis[active]] += 1
+    if active.size:  # still open after 200 steps
+        rows.fail(int(bis[active[0]]), ConvergenceFailure("bisection failed to reach tolerance"))
 
-    rows = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-    return [PolarBoundaryRow(kfr, theta, q_star(kfr, theta)) for kfr, theta in rows]
+    q_star = np.zeros(n)
+    q_star[live] = 0.5
+    q_star[bis] = 0.5 * (a + b)
+    width = np.zeros(n)
+    width[bis] = b - a
+    switch, read, steps, q_star, width = (
+        v.tolist() for v in (switch, read, steps, q_star, width)
+    )
+
+    # the failing row logged its pre-scan if it failed in its bisection
+    logged = rows.failed + (rows.error is not None and switch[rows.failed] >= 0)
+    if _log.isEnabledFor(logging.DEBUG):
+        for k in range(logged):
+            i = switch[k]
+            _log.debug(
+                "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
+                *rows.pairs[k], None if i < 0 else i, read[k],
+            )
+            if i >= 0 and k < rows.failed:
+                _log.debug(
+                    "bisect_switch bracket=%r steps=%d width=%r",
+                    (grid[i], grid[i + 1]), steps[k], width[k],
+                )
+    if rows.error is not None:
+        raise rows.error
+    return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(rows.pairs, q_star)]
 
 
 def sweep_distance(

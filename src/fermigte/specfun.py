@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from enum import Enum
 
+import numpy as np
 from scipy.special import j1 as _j1
 
 from .errors import DomainError
@@ -93,3 +94,46 @@ def f_factor(dim: Dimensionality, x: float) -> float:
     if dim is Dimensionality.THREE_D:
         return 3.0 * spherical_j1(x) / x
     return 2.0 * bessel_j1(x) / x
+
+
+def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
+    """:func:`f_factor` element for element on a float array.
+
+    The same branches, constants and operation order as the scalar chain
+    (:func:`_f_small_x`, the series and closed form of
+    :func:`spherical_j1`, :func:`bessel_j1`), so each value is the scalar
+    one wherever numpy's sin and cos round as the math module's do.  An x
+    outside [0, X_MAX] raises f_factor's DomainError for the first one.
+    """
+    inside = (x >= 0.0) & (x <= X_MAX)
+    if not inside.all():
+        f_factor(dim, float(x[np.argmin(inside)]))
+    out = np.empty_like(x)
+    small = x < _SERIES_SWITCH
+    x2 = x[small] * x[small]
+    if dim is Dimensionality.THREE_D:
+        out[small] = 1.0 - x2 / 10.0 + x2 * x2 / 280.0
+    else:
+        out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
+    rest = ~small
+    if dim is Dimensionality.TWO_D:
+        xr = x[rest]
+        out[rest] = 2.0 * _j1(xr) / xr
+        return out
+    series = rest & (x < 0.5)
+    xs = x[series]
+    term = xs / 3.0
+    total = term
+    neg_x2 = -xs * xs
+    for denom in _J1_SERIES_DENOMS:
+        # each element stops where its scalar loop breaks
+        live = np.abs(term) > 1e-20
+        if not live.any():
+            break
+        term = np.where(live, term * (neg_x2 / denom), term)
+        total = np.where(live, total + term, total)
+    out[series] = 3.0 * total / xs
+    closed = rest & ~series
+    xc = x[closed]
+    out[closed] = 3.0 * (np.sin(xc) / (xc * xc) - np.cos(xc) / xc) / xc
+    return out

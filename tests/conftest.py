@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the code paths they check: Bessel
 values come from a truncated power series, the minimum eigenvalue from a
 cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
-biseparability hull from sampled lens boundaries and qhull, and random
-states from direct Haar sampling.
+biseparability hull from sampled lens boundaries and qhull, random
+states from direct Haar sampling, and polar q* rows from the public
+configuration, coupling and bound objects solved one row at a time.
 """
 
 import math
@@ -13,7 +14,15 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from fermigte import Dimensionality, TriangleConfig
+from fermigte import (
+    Dimensionality,
+    TriangleConfig,
+    couplings_from_config,
+    couplings_zero_limit,
+    er_lower_bound,
+    polar,
+)
+from fermigte.geometry import polar_shape
 
 
 def j1_series(x: float, terms: int = 30) -> float:
@@ -35,6 +44,47 @@ def bisect_root(f, a: float, b: float, iters: int = 200) -> float:
         else:
             a, fa = mid, f(mid)
     return 0.5 * (a + b)
+
+
+def polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:
+    """Witnessed GTE at one polar point, through the public objects; a
+    coincident pair (theta = 0, q = 1/2) shows none."""
+    if kfr == 0.0:
+        d = polar_shape(theta, q)
+        return min(d) > 0.0 and er_lower_bound(couplings_zero_limit(*d)) > 0.0
+    cfg = polar(kfr, theta, q, dim)
+    return min(cfg.distances()) > 0.0 and er_lower_bound(couplings_from_config(cfg)) > 0.0
+
+
+def polar_q_star(dim, kfr, theta, tol=1e-6, calls=None):
+    """q* of one polar row, solved on its own: a 33-point pre-scan of
+    [0, 1/2] up to the first True -> False step, then bisection of that step
+    to width tol (at most 200 steps).  Appends the q of every evaluation to
+    calls when given."""
+
+    def gte(q):
+        if calls is not None:
+            calls.append(q)
+        return polar_gte(dim, kfr, theta, q)
+
+    qs = [j / 64.0 for j in range(33)]
+    if not gte(qs[0]):
+        return 0.0
+    for j in range(1, len(qs)):
+        if not gte(qs[j]):
+            a, b = qs[j - 1], qs[j]
+            break
+    else:
+        return 0.5
+    for _ in range(200):
+        if b - a <= tol:
+            return 0.5 * (a + b)
+        mid = 0.5 * (a + b)
+        if gte(mid):
+            a = mid
+        else:
+            b = mid
+    raise AssertionError("bisection did not converge")
 
 
 def jacobi_min_eig(h: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> float:

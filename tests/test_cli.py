@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermigte import Dimensionality, matrix_from_text, scan
-from fermigte.cli import main
+from fermigte.cli import MAX_POINTS, main
 
 from conftest import lens_hull
 
@@ -205,6 +205,9 @@ class TestExitCodes:
             ["couplings", "--d12", "nan", "--d13", "1", "--d23", "1"],
             ["couplings", "--d12", "nan", "--d13", "1", "--d23", "1", "--limit"],
             ["sweep", "--figure", "1a", "--points", "0"],
+            ["sweep", "--figure", "1a", "--points", "100000000000000000000"],
+            ["sweep", "--figure", "2", "--points", "100000000000000000000"],
+            ["sweep", "--figure", "2", "--points", str(MAX_POINTS + 1)],
             ["polygon", "--rplus", "nan"],
             ["gte-distance", "--dim", "3d", "--method", "polygon", "--bracket", "2", "inf"],
             ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "4", "3"],
@@ -221,6 +224,9 @@ class TestExitCodes:
             "couplings-nan",
             "limit-nan",
             "points-0",
+            "points-1e20-figure-1a",
+            "points-1e20-figure-2",
+            "points-above-max",
             "rplus-nan",
             "bracket-inf",
             "witness-bracket-decreasing",
@@ -251,6 +257,17 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_polar_tolerance_below_float_spacing(self, capsys, monkeypatch):
+        # the sweep has no tolerance flag; the lock-step solve must still exit 3
+        real = scan.sweep_polar_boundary
+        monkeypatch.setattr(
+            scan, "sweep_polar_boundary", lambda *a: real(*a, q_tol=1e-300)
+        )
+        code, out, err = run(capsys, ["sweep", "--figure", "2", "--points", "6"])
+        assert code == 3
+        assert out == ""
+        assert err == "error: bisection failed to reach tolerance\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -372,7 +389,9 @@ def _number(lo, hi, *typical):
 
 
 _DISTANCE = _number(0.0, 3.0)
-_COUNT = st.integers(min_value=-3, max_value=300).map(str)
+_COUNT = st.one_of(
+    st.integers(min_value=-3, max_value=300), st.sampled_from([MAX_POINTS + 1, 10**20])
+).map(str)
 _DIM = st.sampled_from(["2d", "3d", "4d"])
 _TRIANGLE = {
     "--dim": _DIM,

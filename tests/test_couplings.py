@@ -18,7 +18,14 @@ from fermigte import (
     f_factor,
     validate_couplings,
 )
-from fermigte.couplings import LIMIT_SWITCH, _shape_weights, from_shape
+from fermigte.couplings import (
+    LIMIT_SWITCH,
+    _limit_weights,
+    _shape_weights,
+    _weights,
+    _weights_array,
+    from_shape,
+)
 from fermigte.errors import (
     DegenerateDenominatorError,
     DomainError,
@@ -228,6 +235,57 @@ class TestFloatCore:
                 else:
                     kinds["limit" if max(shape) * abs(kfr) < LIMIT_SWITCH else "direct"] += 1
         assert set(kinds) == {"limit", "direct", DegenerateDenominatorError, DomainError}
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_array_form_equals_the_float_core(self, dim):
+        # every scaled triple that passes the distance checks, and every
+        # unit shape in limit mode (kfr = 0), one element at a time
+        cases = []
+        for shape in self.SHAPES:
+            for kfr in self.KFRS:
+                if kfr == 0.0:
+                    cases.append((shape, True, 1.0))
+                elif _unit_kernel(dim, kfr) is not None:
+                    cfg = _outcome(lambda: scaled(kfr, shape, dim))
+                    if isinstance(cfg, TriangleConfig):
+                        cases.append((cfg.distances(), False, _unit_kernel(dim, kfr)))
+
+        def array(d, limit, f13):
+            cols = [np.array(v, dtype=float) for v in (*zip(*d), f13)]
+            return _weights_array(dim, *cols, np.array(limit))
+
+        kinds = Counter()
+        good, good_weights = [], []
+        for d, limit, f13 in cases:
+            want = _outcome(lambda: _limit_weights(*d) if limit else _weights(dim, *d, f13))
+            got = _outcome(lambda: tuple(v.item() for v in array([d], [limit], [f13])))
+            assert got == want, (d, limit)
+            if isinstance(want[0], type):
+                kinds[want[0]] += 1
+            else:
+                kinds[limit or max(d) < LIMIT_SWITCH] += 1
+                good.append((d, limit, f13))
+                good_weights.append(want)
+        assert set(kinds) == {True, False, DegenerateDenominatorError, DomainError}
+        # the accepted triples as one array, in any mix of branches
+        p12, p13, p23 = array(*zip(*good))
+        assert list(zip(p12.tolist(), p13.tolist(), p23.tolist())) == good_weights
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("error", [DegenerateDenominatorError, InvalidCouplingsError])
+    def test_array_form_raises_the_float_core_error(self, dim, error):
+        # f13 is the caller's: pick one that zeroes the denominator, or a NaN
+        d = (0.5, 0.9, 0.5)
+        f = f_factor(dim, 0.5)
+        f13 = (f * f - math.sqrt(f**4 - 8.0 * f * f + 8.0)) / 2.0
+        if error is InvalidCouplingsError:
+            f13 = math.nan
+        want = _outcome(lambda: _weights(dim, *d, f13))
+        assert want[0] is error
+        cols = [np.array([1.0, v]) for v in d]
+        f13s = np.array([f_factor(dim, 1.0), f13])
+        got = _outcome(lambda: _weights_array(dim, *cols, f13s, np.zeros(2, bool)))
+        assert got == want
 
     def test_unit_kernel_is_the_kernel_at_d13(self):
         for dim in (D2, D3):

@@ -16,7 +16,6 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
     find_rmin,
-    polar,
     r_max_solver,
     sweep_collinear,
     sweep_distance,
@@ -25,7 +24,6 @@ from fermigte import (
 )
 from fermigte.cli import _FIG2_KFR
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
-from fermigte.geometry import polar_shape
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
     bisect_switch,
@@ -34,6 +32,8 @@ from fermigte.scan import (
     sweep_table,
     write_csv,
 )
+
+from conftest import polar_gte, polar_q_star
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -193,10 +193,10 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: True)
+        monkeypatch.setattr(scan_module, "_polar_gte", lambda d, r, idx, q: np.ones(idx.size, bool))
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
-        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: False)
+        monkeypatch.setattr(scan_module, "_polar_gte", lambda d, r, idx, q: np.zeros(idx.size, bool))
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
 
@@ -333,54 +333,49 @@ class TestBracketThenBisect:
         import fermigte.scan as scan_module
 
         # the polar pre-scan must not start
-        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: pytest.fail("pre-scan ran"))
+        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: pytest.fail("pre-scan ran"))
         with pytest.raises(DomainError):
             solve(tol)
 
 
 @pytest.fixture
 def polar_calls(monkeypatch):
-    # q of every row-predicate evaluation a sweep makes
+    # (kfr, theta) -> q of every row-predicate evaluation on that row
     import fermigte.scan as scan_module
 
-    calls = []
-    real = scan_module._polar_row
+    calls = {}
+    real = scan_module._polar_gte
 
-    def counting(dim, kfr, theta):
-        gte = real(dim, kfr, theta)
+    def counting(dim, rows, idx, q):
+        for k, qk in zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist()):
+            calls.setdefault(rows.pairs[k], []).append(qk)
+        return real(dim, rows, idx, q)
 
-        def count(q):
-            calls.append(q)
-            return gte(q)
-
-        return count
-
-    monkeypatch.setattr(scan_module, "_polar_row", counting)
-    return calls, real
+    monkeypatch.setattr(scan_module, "_polar_gte", counting)
+    return calls
 
 
 class TestLazyPrescan:
     @pytest.mark.parametrize("kfr, theta", [(2.0, math.pi / 2.0), (1.0, 0.3)])
     def test_polar_row_stops_at_the_first_switch(self, polar_calls, caplog, kfr, theta):
-        calls, real = polar_calls
         qs = [float(q) for q in np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)]
-        flags = [real(D3, kfr, theta)(q) for q in qs]
+        flags = [polar_gte(D3, kfr, theta, q) for q in qs]
         i = next(k for k in range(len(qs) - 1) if flags[k] and not flags[k + 1])
         assert i + 2 < POLAR_PRESCAN_POINTS
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             (row,) = sweep_polar_boundary(D3, [kfr], [theta], q_tol=1e-6)
         (record,) = [r for r in caplog.records if r.msg.startswith("bisect_switch")]
         steps = record.args[1]
+        calls = polar_calls[(kfr, theta)]
         assert len(calls) == i + 2 + steps
         assert calls[: i + 2] == qs[: i + 2]
         assert all(qs[i] < q < qs[i + 1] for q in calls[i + 2 :])
         assert qs[i] < row.q_star < qs[i + 1]
 
     def test_polar_row_without_gte_at_the_centre_makes_one_evaluation(self, polar_calls):
-        calls, _ = polar_calls
         (row,) = sweep_polar_boundary(D3, [2.7], [0.3])
         assert row.q_star == 0.0
-        assert calls == [0.0]
+        assert polar_calls == {(2.7, 0.3): [0.0]}
 
     def test_r_max_prescan_still_checks_for_a_second_switch(self, monkeypatch):
         import fermigte.bisep as bisep_module
@@ -395,62 +390,23 @@ class TestLazyPrescan:
         assert next(flags, None) is None
 
 
-def _reference_q_star(dim, kfr, theta, tol, calls):
-    """q* of one polar row through the public configuration, coupling and
-    bound, appending the q of every predicate evaluation to calls."""
-
-    def gte(q):
-        calls.append(q)
-        if kfr == 0.0:
-            d = polar_shape(theta, q)
-            if min(d) == 0.0:
-                return False
-            return er_lower_bound(couplings_zero_limit(*d)) > 0.0
-        cfg = polar(kfr, theta, q, dim)
-        if min(cfg.distances()) == 0.0:
-            return False
-        return er_lower_bound(couplings_from_config(cfg)) > 0.0
-
-    qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
-    if not gte(qs[0]):
-        return 0.0
-    i = first_switch(itertools.chain([True], (gte(q) for q in qs[1:])))
-    if i is None:
-        return 0.5
-    return bisect_switch(gte, qs[i], qs[i + 1], tol)
-
-
 class TestPolarFloatPath:
-    """Figure 2's rows equal a solver on the public objects, evaluation for evaluation."""
+    """Figure 2's rows equal a per-row solver on the public objects, evaluation for evaluation."""
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_figure_rows_equal_the_public_path(self, dim, polar_calls):
-        calls, _ = polar_calls
         # the theta grid of `sweep --figure 2 --points 201`
         thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
         rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
-        ref_calls = []
+        ref_calls = {(kfr, theta): [] for kfr in _FIG2_KFR for theta in thetas}
         ref = [
-            (kfr, theta, _reference_q_star(dim, kfr, theta, 1e-6, ref_calls))
-            for kfr in _FIG2_KFR
-            for theta in thetas
+            (kfr, theta, polar_q_star(dim, kfr, theta, 1e-6, calls))
+            for (kfr, theta), calls in ref_calls.items()
         ]
         assert [(r.kfr, r.theta, r.q_star) for r in rows] == ref
-        assert calls == ref_calls
+        assert polar_calls == ref_calls
 
-    def test_rows_log_their_prescan(self, monkeypatch, caplog):
-        import fermigte.scan as scan_module
-
-        # q of every evaluation, per row
-        calls = {}
-        real = scan_module._polar_row
-
-        def counting(dim, kfr, theta):
-            gte = real(dim, kfr, theta)
-            seen = calls.setdefault((kfr, theta), [])
-            return lambda q: seen.append(q) or gte(q)
-
-        monkeypatch.setattr(scan_module, "_polar_row", counting)
+    def test_rows_log_their_prescan(self, polar_calls, caplog):
         kfrs, thetas = [0.0, 1.0, 2.7], [0.0, 0.3, math.pi / 2.0]
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             sweep_polar_boundary(D3, kfrs, thetas)
@@ -461,23 +417,29 @@ class TestPolarFloatPath:
             (k,) = [k for k, r in enumerate(records) if r.args[:2] == (kfr, theta)]
             assert records[k].msg.startswith("sweep_polar_boundary")
             _, _, i, read = records[k].args
-            flags = [real(D3, kfr, theta)(q) for q in qs]
-            assert calls[(kfr, theta)][:read] == qs[:read]
+            flags = [polar_gte(D3, kfr, theta, q) for q in qs]
+            calls = polar_calls[(kfr, theta)]
+            assert calls[:read] == qs[:read]
             if not flags[0]:
                 assert (i, read) == (None, 1)
-                assert len(calls[(kfr, theta)]) == 1
+                assert len(calls) == 1
             else:
                 assert i == first_switch(flags) is not None
                 assert read == i + 2
                 bisection = records[k + 1]
                 assert bisection.msg.startswith("bisect_switch")
-                assert len(calls[(kfr, theta)]) == read + bisection.args[1]
+                assert len(calls) == read + bisection.args[1]
 
     def test_saturated_row_logs_every_prescan_point(self, monkeypatch, caplog):
         import fermigte.scan as scan_module
 
         calls = []
-        monkeypatch.setattr(scan_module, "_polar_row", lambda *a: lambda q: calls.append(q) or True)
+
+        def always(dim, rows, idx, q):
+            calls.extend(np.broadcast_to(q, idx.shape).tolist())
+            return np.ones(idx.size, bool)
+
+        monkeypatch.setattr(scan_module, "_polar_gte", always)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             sweep_polar_boundary(D3, [1.0], [0.3])
         (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
@@ -488,6 +450,83 @@ class TestPolarFloatPath:
         assert not logging.getLogger("fermigte").isEnabledFor(logging.DEBUG)
         sweep_polar_boundary(D3, [1.0, 2.7], [0.0, 0.3])
         assert [r for r in caplog.records if r.name.startswith("fermigte")] == []
+
+
+def _error(call):
+    """(type, message) of the error call raises; fails if it returns."""
+    with pytest.raises(Exception) as info:
+        call()
+    return type(info.value), str(info.value)
+
+
+class TestLockStep:
+    """All rows of a sweep are solved together; each row reads what its own solve reads."""
+
+    KFRS = [0.0, 1.0, 2.59, 2.7]
+    # theta = 0 meets the coincident pair at q = 1/2
+    THETAS = [0.0, 1e-3, 0.7, math.pi / 2.0]
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_rows_equal_the_per_row_oracle(self, dim, polar_calls):
+        rows = sweep_polar_boundary(dim, self.KFRS, self.THETAS)
+        ref_calls = {}
+        for row in rows:
+            calls = ref_calls.setdefault((row.kfr, row.theta), [])
+            assert row.q_star == polar_q_star(dim, row.kfr, row.theta, 1e-6, calls), row
+        assert [(r.kfr, r.theta) for r in rows] == list(itertools.product(self.KFRS, self.THETAS))
+        assert polar_calls == ref_calls
+        reads = {len(c) for c in polar_calls.values()}
+        assert 1 in reads and any(n > POLAR_PRESCAN_POINTS for n in reads)
+
+    @pytest.mark.parametrize(
+        "kfrs, thetas, point",
+        [
+            ([60.0], [0.3], (60.0, 0.3, 0.0)),
+            ([1.0, -1.0], [0.3, 0.7], (-1.0, 0.3, 0.0)),
+            ([1.0], [0.3, 4.0, 5.0], (1.0, 4.0, 0.0)),
+            ([60.0, 1.0], [0.3, 4.0], (60.0, 0.3, 0.0)),
+            ([math.nan], [0.3], (math.nan, 0.3, 0.0)),
+            ([1.0, -1], [0.3], (-1, 0.3, 0.0)),
+        ],
+        ids=[
+            "kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int"
+        ],
+    )
+    def test_domain_errors_are_the_scalar_errors(self, kfrs, thetas, point):
+        # the error of the first failing row, at the first point it reads
+        want = _error(lambda: polar_gte(D3, *point))
+        assert want[0] is not AssertionError
+        assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
+
+    def test_the_first_failing_row_wins(self, monkeypatch):
+        # row (1.0, 0.3) fails in its bisection, row (1.0, 0.7) at its centre,
+        # which the lock step reaches first; a row-by-row sweep raises the former
+        import fermigte.scan as scan_module
+
+        real = scan_module._polar_gte
+
+        def failing(dim, rows, idx, q):
+            for k, qk in zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist()):
+                theta = rows.pairs[k][1]
+                if theta == 0.7 or (theta == 0.3 and qk * 64.0 != int(qk * 64.0)):
+                    raise DomainError(f"row {theta}")
+            return real(dim, rows, idx, q)
+
+        monkeypatch.setattr(scan_module, "_polar_gte", failing)
+        with pytest.raises(DomainError, match=r"^row 0\.3$"):
+            sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
+        with pytest.raises(DomainError, match=r"^row 0\.7$"):
+            sweep_polar_boundary(D3, [1.0], [0.7, 0.3])
+
+    def test_tolerance_below_float_spacing(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            with pytest.raises(ConvergenceFailure, match="bisection failed to reach tolerance"):
+                sweep_polar_boundary(D3, [2.7, 1.0], [0.3, 0.7], q_tol=1e-300)
+        # rows without a switch, then the first bisected row's pre-scan
+        records = [r.args for r in caplog.records if r.name == "fermigte.scan"]
+        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
+        assert records == [(2.7, 0.3, None, 1), (2.7, 0.7, None, 1), (1.0, 0.3, i, i + 2)]
 
 
 class TestSweepDistance:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fermigte import Dimensionality, bessel_j1, f_factor, spherical_j1
 from fermigte.errors import DomainError
-from fermigte.specfun import _J1_SERIES_DENOMS, X_MAX, _f_small_x
+from fermigte.specfun import _J1_SERIES_DENOMS, _SERIES_SWITCH, X_MAX, _f_array, _f_small_x
 
 from conftest import bisect_root, j1_series
 
@@ -144,3 +144,39 @@ class TestFFactor:
         for dim in (D2, D3):
             with pytest.raises(DomainError):
                 f_factor(dim, x)
+
+
+class TestArrayKernel:
+    """_f_array is f_factor element for element, bit for bit, on every branch."""
+
+    def sample(self):
+        rng = random.Random(20261019)
+        edges = [0.0, 5e-324, 1e-300, 1e-8, math.nextafter(_SERIES_SWITCH, 0.0), _SERIES_SWITCH]
+        edges += [0.25, math.nextafter(0.5, 0.0), 0.5, 1.0, math.pi, 49.999, X_MAX]
+        small = [_SERIES_SWITCH * rng.random() for _ in range(5_000)]
+        series = [_SERIES_SWITCH + (0.5 - _SERIES_SWITCH) * rng.random() for _ in range(20_000)]
+        closed = [0.5 + (X_MAX - 0.5) * rng.random() for _ in range(50_000)]
+        return edges + small + series + closed
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_equals_f_factor(self, dim):
+        xs = self.sample()
+        got = _f_array(dim, np.array(xs)).tolist()
+        assert all(g == f_factor(dim, x) for g, x in zip(got, xs))
+        # x = 0, the small-x series, the j1 series (3D) and the closed form
+        branches = {(x > 0.0) + (x >= _SERIES_SWITCH) + (x >= 0.5) for x in xs}
+        assert branches == {0, 1, 2, 3}
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_empty(self, dim):
+        assert _f_array(dim, np.array([])).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-9, -1.0, 50.1, math.inf, math.nan])
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_domain_is_f_factors(self, dim, bad):
+        with pytest.raises(DomainError) as scalar:
+            f_factor(dim, bad)
+        # the first element outside the domain, as f_factor reports it
+        with pytest.raises(DomainError) as array:
+            _f_array(dim, np.array([1.0, bad, -2.0]))
+        assert str(array.value) == str(scalar.value)
