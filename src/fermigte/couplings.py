@@ -215,7 +215,9 @@ def _weights_array(
         in_range = (d12 >= 0.0) & (d12 <= X_MAX) & (d23 >= 0.0) & (d23 <= X_MAX)
         i = np.flatnonzero(~limit & in_range)
         if i.size:
-            f12, g13, f23 = _f_array(dim, d12[i]), f13[i], _f_array(dim, d23[i])
+            # one kernel call for both distances: its cost is mostly per call
+            f12, f23 = np.split(_f_array(dim, np.concatenate((d12[i], d23[i]))), 2)
+            g13 = f13[i]
             prod = f12 * g13 * f23
             denom = -2.0 + f12 * f12 + g13 * g13 + f23 * f23 - prod
             p12[i] = (-f12 * f12 + prod) / denom

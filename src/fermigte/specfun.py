@@ -11,6 +11,9 @@ function.  Both kernels equal 1 at contact, satisfy |f| <= 1 and decay
 to zero at large separation.  All lengths in this package are the
 dimensionless products k_F*r, so the Fermi momentum never appears
 explicitly.
+
+J1 is the Cephes j1 that scipy.special.j1 evaluates, ported bit for bit so
+that no run imports scipy.special, most of the package's import time.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ import math
 from enum import Enum
 
 import numpy as np
-from scipy.special import j1 as _j1
+import scipy  # noqa: F401  perfbench/run.py's metadata() reads sys.modules["scipy"]
 
 from .errors import DomainError
 
@@ -43,11 +46,60 @@ class Dimensionality(Enum):
     THREE_D = "3d"
 
 
+def _j1_near(x):
+    """Cephes j1 for 0 <= x <= 5, on a float or an array.
+
+    RP(z)/RQ(z) x (z - Z1)(z - Z2) in z = x*x, RQ monic and Z1, Z2 the
+    squares of J1's first two zeros.
+    """
+    z = x * x
+    return (
+        (((-8.99971225705559398224e8 * z + 4.52228297998194034323e11) * z
+          - 7.27494245221818276015e13) * z + 3.68295732863852883286e15)
+        / (((((((((z + 6.20836478118054335476e2) * z + 2.56987256757748830383e5) * z
+                 + 8.35146791431949253037e7) * z + 2.21511595479792499675e10) * z
+               + 4.74914122079991414898e12) * z + 7.84369607876235854894e14) * z
+             + 8.95222336184627338078e16) * z + 5.32278620332680085395e18))
+        * x * (z - 1.46819706421238932572e1) * (z - 4.92184563216946036703e1)
+    )
+
+
+def _j1_far(x, m):
+    """Cephes j1 for x > 5, on a float (m = math) or an array (m = numpy).
+
+    sqrt(2/(pi x)) (P cos(x - 3pi/4) - (5/x) Q sin(x - 3pi/4)), QQ monic.
+    """
+    w = 5.0 / x
+    z = w * w
+    p = (
+        ((((((7.62125616208173112003e-4 * z + 7.31397056940917570436e-2) * z
+             + 1.12719608129684925192e0) * z + 5.11207951146807644818e0) * z
+           + 8.42404590141772420927e0) * z + 5.21451598682361504063e0) * z
+         + 1.00000000000000000254e0)
+        / ((((((5.71323128072548699714e-4 * z + 6.88455908754495404082e-2) * z
+               + 1.10514232634061696926e0) * z + 5.07386386128601488557e0) * z
+             + 8.39985554327604159757e0) * z + 5.20982848682361821619e0) * z
+           + 9.99999999999999997461e-1)
+    )
+    q = (
+        (((((((5.10862594750176621635e-2 * z + 4.98213872951233449420e0) * z
+               + 7.58238284132545283818e1) * z + 3.66779609360150777800e2) * z
+             + 7.10856304998926107277e2) * z + 5.97489612400613639965e2) * z
+           + 2.11688757100572135698e2) * z + 2.52070205858023719784e1)
+        / (((((((z + 7.42373277035675149943e1) * z + 1.05644886038262816351e3) * z
+               + 4.98641058337653607651e3) * z + 9.56231892404756170795e3) * z
+             + 7.99704160447350683650e3) * z + 2.82619278517639096600e3) * z
+           + 3.36093607810698293419e2)
+    )
+    xn = x - 2.35619449019234492885
+    return (p * m.cos(xn) - w * q * m.sin(xn)) * 0.79788456080286535588 / m.sqrt(x)
+
+
 def bessel_j1(x: float) -> float:
     """Bessel function of the first kind J1 on the working range [0, 50]."""
     if not 0.0 <= x <= X_MAX:
         raise DomainError(f"bessel_j1 requires 0 <= x <= {X_MAX}, got {x}")
-    return float(_j1(x))
+    return float(_j1_near(x) if x <= 5.0 else _j1_far(x, math))
 
 
 def spherical_j1(x: float) -> float:
@@ -93,17 +145,17 @@ def f_factor(dim: Dimensionality, x: float) -> float:
         return _f_small_x(dim, x)
     if dim is Dimensionality.THREE_D:
         return 3.0 * spherical_j1(x) / x
-    return 2.0 * bessel_j1(x) / x
+    return 2.0 * (_j1_near(x) if x <= 5.0 else _j1_far(x, math)) / x
 
 
 def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     """:func:`f_factor` element for element on a float array.
 
     The same branches, constants and operation order as the scalar chain
-    (:func:`_f_small_x`, the series and closed form of
-    :func:`spherical_j1`, :func:`bessel_j1`), so each value is the scalar
-    one wherever numpy's sin and cos round as the math module's do.  An x
-    outside [0, X_MAX] raises f_factor's DomainError for the first one.
+    (:func:`_f_small_x`, the series and closed form of :func:`spherical_j1`,
+    and J1's branches, the scalar path's own), so each value is the scalar
+    one wherever numpy's sin, cos and sqrt round as the math module's do.
+    An x outside [0, X_MAX] raises f_factor's DomainError for the first one.
     """
     inside = (x >= 0.0) & (x <= X_MAX)
     if not inside.all():
@@ -117,8 +169,12 @@ def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
         out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
     rest = ~small
     if dim is Dimensionality.TWO_D:
-        xr = x[rest]
-        out[rest] = 2.0 * _j1(xr) / xr
+        near, far = rest & (x <= 5.0), x > 5.0
+        xn = x[near]
+        out[near] = 2.0 * _j1_near(xn) / xn
+        if far.any():  # some 60 numpy calls, each costly even on no elements
+            xf = x[far]
+            out[far] = 2.0 * _j1_far(xf, np) / xf
         return out
     series = rest & (x < 0.5)
     xs = x[series]

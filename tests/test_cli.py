@@ -3,12 +3,17 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fermigte
 from fermigte import Dimensionality, matrix_from_text, scan
 from fermigte.cli import MAX_POINTS, main
 
@@ -69,6 +74,23 @@ class TestScalarCommands:
         assert payload["quantity"] == "gte_distance_lower_bound"
         assert payload["value"] == pytest.approx(2.5964, abs=5e-4)
         assert payload["tolerance_used"] == 1e-6
+
+
+def test_2d_runs_never_import_scipy_special():
+    # a fresh interpreter: the test modules themselves import scipy.special
+    script = (
+        "import contextlib, io, sys\n"
+        "from fermigte import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.main(['f', '--dim', '2d', '--x', '7.5']),\n"
+        "             cli.main(['sweep', '--figure', '2', '--dim', '2d', '--points', '21'])]\n"
+        "print(codes, 'scipy.special' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(fermigte.__file__).parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.stdout.strip() == "[0, 0] False", done.stderr
 
 
 class TestMatrixAndTables:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import j1 as scipy_j1
 
 from fermigte import Dimensionality, bessel_j1, f_factor, spherical_j1
 from fermigte.errors import DomainError
@@ -37,6 +38,31 @@ class TestBesselJ1:
     def test_domain(self, x):
         with pytest.raises(DomainError):
             bessel_j1(x)
+
+
+class TestCephesJ1:
+    """J1 is the Cephes j1 that scipy.special.j1 evaluates, bit for bit."""
+
+    def grid(self):
+        edges = [5.0, math.nextafter(5.0, math.inf), math.nextafter(5.0, -math.inf)]
+        edges += [_SERIES_SWITCH, X_MAX]
+        # the asymptotic branch's leading coefficients weigh most just above
+        # x = 5; there the band catches a one-ulp change of PP[0] or PQ[0]
+        band = np.linspace(5.0, 5.01, 200_001)[1:]
+        return np.concatenate([np.linspace(_SERIES_SWITCH, X_MAX, 250_001), band, edges])
+
+    def test_scalar_equals_scipy(self):
+        xs = self.grid()
+        want = scipy_j1(xs).tolist()
+        assert [x for x, w in zip(xs.tolist(), want) if bessel_j1(x) != w] == []
+
+    def test_array_kernel_equals_scalar(self):
+        xs = self.grid()
+        got = _f_array(D2, xs).tolist()
+        assert [x for x, g in zip(xs.tolist(), got) if g != f_factor(D2, x)] == []
+
+    def test_returns_a_python_float(self):
+        assert type(bessel_j1(np.float64(7.5))) is float
 
 
 class TestSphericalJ1:
