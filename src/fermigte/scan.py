@@ -40,7 +40,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import chain, pairwise
 from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
@@ -415,17 +415,18 @@ def analytic_limit_thresholds() -> dict[str, float]:
     return {"x_over_r": 0.5 - y, "y_over_r": y}
 
 
-def _format_cell(value: object) -> str:
-    if isinstance(value, str):
-        return value
-    return f"{value:.12g}"
-
-
 def write_csv(columns: Sequence[str], rows: Iterable[Sequence[object]], stream: TextIO) -> None:
-    """Rectangular CSV with 12-significant-digit numeric cells."""
+    """Rectangular CSV with 12-significant-digit numeric cells.
+
+    Each column keeps the type of its first cell: a str column prints its
+    text, any other column prints "%.12g".  All rows go through one
+    %-template built from those types."""
     stream.write(",".join(columns) + "\n")
-    for row in rows:
-        stream.write(",".join(_format_cell(v) for v in row) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        template = ",".join("%s" if isinstance(v, str) else "%.12g" for v in first) + "\n"
+        stream.writelines(template % tuple(row) for row in chain([first], rows))
 
 
 def sweep_table(rows: Sequence[SweepRow]) -> tuple[list[str], list[list[object]]]:

@@ -19,16 +19,22 @@ lower bound
 
     E_R >= max_m max(0, (3*|p_im + p_mk| - 1 - sqrt(5)) / (5 + sqrt(5))).
 
-Both signs of the observable are carried so the bound is insensitive to
-the sign convention of the singlet expectation.
+Both signs of the observable are carried, but only sign +1 can detect
+GTE: every sign -1 operator ((1+sqrt(5))*I - W_m) / (5+sqrt(5)) is
+positive definite, with smallest eigenvalue (sqrt(5)-1)/(5+sqrt(5)) ~
+0.1708 for each member, so its mean value is positive on every state.
+Its term in the closed bound (the negative pair sum under the abs) can be
+positive only where p_im + p_mk < -(1+sqrt(5))/3, which no state reaches.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
@@ -47,6 +53,8 @@ W_OVERLAP = 2.0 / 3.0
 # "132" denotes the remaining distinct observable (middle spin 1): its
 # literal digit reading would duplicate "231".
 PERM_MIDDLE = {"123": 2, "231": 3, "132": 1}
+
+_log = logging.getLogger(__name__)
 
 _PAULI = (
     np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
@@ -197,9 +205,11 @@ def energy_gte_test(c: Couplings, perm: str | int) -> bool:
 def bounded_energy_witness(perm: str | int, sign: int) -> WitnessOperator:
     """((1+sqrt(5))*I + sign*W_perm) / (5+sqrt(5)), sign in {+1, -1}.
 
-    Both signs are valid GTE witnesses with largest eigenvalue <= 1, so
-    both are feasible for the dual form of the generalized robustness;
-    sign -1 saturates the eigenvalue bound exactly.
+    Both signs have largest eigenvalue <= 1 (sign -1 saturates it), so
+    both are feasible for the dual form of the generalized robustness.
+    Only sign +1 can detect GTE: the sign -1 operator is positive definite,
+    with smallest eigenvalue (sqrt(5)-1)/(5+sqrt(5)) ~ 0.1708 for every
+    perm, so it never detects GTE.
     """
     if sign not in (1, -1):
         raise DomainError(f"sign must be +1 or -1, got {sign}")
@@ -243,6 +253,16 @@ def er_lower_bound_matrix(c: Couplings) -> float:
 _GRID = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
 # the eight vertex states' singlet weights (p12, p13, p23)
 _VERTICES = tuple(itertools.product((-1.0, 1.0), repeat=3))
+# Scan order: basis triple (theta2, theta3, phi3), then its 4 GHZ kets
+# (alpha) and 16 W kets (beta, gamma), then the vertex states.
+_TRIPLES = tuple(itertools.product(_GRID, repeat=3))
+_KETS = tuple(("ghz", {"alpha": a}) for a in _GRID) + tuple(
+    ("w", {"beta": b, "gamma": g}) for b, g in itertools.product(_GRID, repeat=2)
+)
+# A ket is evaluated exactly when its screened minimum lies within this of
+# the screened minimum it competes for; the screen's rounding error is
+# below 1e-13 (see _screen), so every exactly minimal node is confirmed.
+_CONFIRM_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -265,10 +285,17 @@ class GridScanReport:
         return out
 
 
-def _grid_kets():
-    """Per grid ket in scan order: family, phases, angles, node values over _VERTICES."""
-    rhos = np.stack([_assemble(*v) for v in _VERTICES])
-    for theta2, theta3, phi3 in itertools.product(_GRID, repeat=3):
+def _vertex_rhos() -> np.ndarray:
+    return np.stack([_assemble(*v) for v in _VERTICES])
+
+
+def _grid_kets(rhos: np.ndarray, picked: Iterable[int]):
+    """Per grid ket whose scan-order index is in picked (ascending): the
+    index, family, phases, angles and exact node values over _VERTICES, each
+    rounded as lam - Re np.vdot(psi, rho @ psi).  A basis triple's product
+    kets are built once, and only when one of its kets is picked."""
+    for t, indices in itertools.groupby(picked, lambda k: k // len(_KETS)):
+        theta2, theta3, phi3 = _TRIPLES[t]
         bases = (LocalBasis(0.0, 0.0), LocalBasis(theta2, 0.0), LocalBasis(theta3, phi3))
         angles = {
             "theta1": 0.0,
@@ -279,16 +306,52 @@ def _grid_kets():
             "phi3": phi3,
         }
         ghz, w = _products(bases)
-        states = [("ghz", {"alpha": a}, _ghz(a, *ghz)) for a in _GRID]
-        states += [
-            ("w", {"beta": b, "gamma": g}, _w(b, g, *w))
-            for b, g in itertools.product(_GRID, repeat=2)
-        ]
-        for family, phases, psi in states:
-            lam = GHZ_OVERLAP if family == "ghz" else W_OVERLAP
+        for k in indices:
+            family, phases = _KETS[k % len(_KETS)]
+            if family == "ghz":
+                lam, psi = GHZ_OVERLAP, _ghz(phases["alpha"], *ghz)
+            else:
+                lam, psi = W_OVERLAP, _w(phases["beta"], phases["gamma"], *w)
             # one stacked product per ket, rounded per node as np.vdot(psi, rho @ psi)
             values = [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
-            yield family, phases, angles, values
+            yield k, family, phases, angles, values
+
+
+def _screen(rhos: np.ndarray) -> np.ndarray:
+    """Every node value lam - Re psi^H rho psi at once, shape (kets, vertex
+    states) in scan order.
+
+    The kets come from the same local kets and formulas as _grid_kets, by
+    broadcasting over the grid (on this grid they equal its kets bit for
+    bit), and all 10,240 quadratic forms are one batched product.  Its sums
+    run in another order than np.vdot's, so a value may differ from the
+    exact one in the last bits: psi is a unit vector and every row of a
+    vertex rho has absolute sum at most 1, so each form's 64 terms add up to
+    at most 1 in size and its rounding error is below 64 * 2**-52 < 1e-13.
+    """
+    local = [
+        np.array([(b.ket(), b.ket_flip()) for b in bases])
+        for bases in (
+            [LocalBasis(0.0, 0.0)],
+            [LocalBasis(theta, 0.0) for theta in _GRID],
+            list(itertools.starmap(LocalBasis, itertools.product(_GRID, repeat=2))),
+        )
+    ]
+    # products[t, s1, s2, s3] = |s1> (x) |s2> (x) |s3> on triple t, s = 0 for |n>, 1 for |-n>
+    products = np.einsum("uai,xbj,yck->xyabcijk", *local).reshape(len(_TRIPLES), 2, 2, 2, 8)
+    alpha = np.array(_GRID)[:, None]
+    beta, gamma = np.array(list(itertools.product(_GRID, repeat=2))).T[:, :, None]
+    ghz = _ghz(alpha, products[:, None, 0, 0, 0], products[:, None, 1, 1, 1])
+    w = _w(
+        beta, gamma, products[:, None, 0, 0, 1], products[:, None, 0, 1, 0], products[:, None, 1, 0, 0]
+    )
+    psis = np.concatenate([ghz, w], axis=1).reshape(-1, 8)
+    lam = np.tile([GHZ_OVERLAP if family == "ghz" else W_OVERLAP for family, _ in _KETS], len(_TRIPLES))
+    # column v, row k: np.vdot(psis[k], rho_v @ psis[k]), one vertex at a time
+    # so that no (vertex, 8, ket) product array is held
+    bras = psis.conj()
+    forms = [np.einsum("kn,nk->k", bras, rho @ psis.T).real for rho in rhos]
+    return lam[:, None] - np.stack(forms, axis=1)
 
 
 def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
@@ -301,26 +364,52 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
     (the vertex states need not be positive semidefinite) and returns the
     global minimum; a nonnegative result means neither family can detect
     GTE anywhere in the admissible parameter range.
+
+    All nodes are screened in one batched product (:func:`_screen`); the
+    kets within _CONFIRM_MARGIN of the screened minimum (with detail, of
+    their own family's) are evaluated again in the exact per-node
+    arithmetic, in scan order, and the report comes from those values, so
+    ties resolve to the first node as a node-by-node scan would.
+
+    Logs one DEBUG record per call: the nodes screened, the kets and basis
+    triples evaluated again, and the largest |screen - exact| among them.
     """
+    rhos = _vertex_rhos()
+    screen = _screen(rhos)
+    low = screen.min(axis=1)
+    families = np.array([family for family, _ in _KETS] * len(_TRIPLES))
+    cut = np.full(len(low), low.min())
+    if detail:  # a family's own minimum is never below the global one
+        for family in ("ghz", "w"):
+            mine = families == family
+            cut[mine] = low[mine].min()
+    picked = np.flatnonzero(low <= cut + _CONFIRM_MARGIN)
     best = math.inf
     best_node: dict = {}
-    nodes = 0
     family_min = {"ghz": math.inf, "w": math.inf}
-    for family, phases, angles, values in _grid_kets():
-        nodes += len(values)
-        low = min(values)  # the first of equal minima, as a node-by-node scan keeps
-        family_min[family] = min(family_min[family], low)
-        if low < best:
-            best = low
+    error = 0.0
+    for k, family, phases, angles, values in _grid_kets(rhos, picked):
+        error = max(error, float(np.abs(screen[k] - values).max()))
+        low_k = min(values)  # the first of equal minima, as a node-by-node scan keeps
+        family_min[family] = min(family_min[family], low_k)
+        if low_k < best:
+            best = low_k
             best_node = {
                 "family": family,
-                "p": list(_VERTICES[values.index(low)]),
+                "p": list(_VERTICES[values.index(low_k)]),
                 "angles": dict(angles),
                 "phases": dict(phases),
             }
+    _log.debug(
+        "grid_scan_ghz_w nodes=%d kets=%d triples=%d screen_error=%r",
+        screen.size,
+        len(picked),
+        len(set(picked // len(_KETS))),
+        error,
+    )
     return GridScanReport(
         min_value=best,
         argmin=best_node,
-        nodes_evaluated=nodes,
+        nodes_evaluated=screen.size,
         per_family=family_min if detail else None,
     )

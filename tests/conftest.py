@@ -4,10 +4,13 @@ The oracles here deliberately avoid the code paths they check: Bessel
 values come from a truncated power series, the minimum eigenvalue from a
 cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
 biseparability hull from sampled lens boundaries and qhull, random
-states from direct Haar sampling, and polar q* rows from the public
-configuration, coupling and bound objects solved one row at a time.
+states from direct Haar sampling, polar q* rows from the public
+configuration, coupling and bound objects solved one row at a time, and
+the GHZ/W grid scan from kets built with their own np.kron products,
+evaluated and compared one node at a time.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,6 +19,7 @@ from scipy.spatial import ConvexHull
 
 from fermigte import (
     Dimensionality,
+    LocalBasis,
     TriangleConfig,
     couplings_from_config,
     couplings_zero_limit,
@@ -23,6 +27,7 @@ from fermigte import (
     polar,
 )
 from fermigte.geometry import polar_shape
+from fermigte.tristate import _assemble
 
 
 def j1_series(x: float, terms: int = 30) -> float:
@@ -196,6 +201,70 @@ def random_biseparable(rng: np.random.Generator) -> np.ndarray:
         return np.kron(pair, single)
     # 13|2: pair on qubits (1, 3), single on qubit 2
     return np.einsum("ik,j->ijk", pair.reshape(2, 2), single).reshape(8)
+
+
+GRID = (0.0, math.pi / 2.0, math.pi, 3.0 * math.pi / 2.0)
+VERTICES = list(itertools.product((-1.0, 1.0), repeat=3))
+GHZ_OVERLAP, W_OVERLAP = 0.5, 2.0 / 3.0
+
+
+def reference_grid_kets():
+    """Every grid ket from its own np.kron products, in the operand order of
+    the GHZ and W definitions."""
+
+    def kron3(a, b, c):
+        return np.kron(np.kron(a, b), c)
+
+    ghz, w = [], []
+    for t2, t3, f3 in itertools.product(GRID, repeat=3):
+        bases = (LocalBasis(0.0, 0.0), LocalBasis(t2, 0.0), LocalBasis(t3, f3))
+        (k1, x1), (k2, x2), (k3, x3) = ((b.ket(), b.ket_flip()) for b in bases)
+        for a in GRID:
+            ghz.append((kron3(k1, k2, k3) + np.exp(1.0j * a) * kron3(x1, x2, x3)) / math.sqrt(2.0))
+        for b, g in itertools.product(GRID, repeat=2):
+            w.append(
+                (
+                    kron3(k1, k2, x3)
+                    + np.exp(1.0j * b) * kron3(k1, x2, k3)
+                    + np.exp(1.0j * g) * kron3(x1, k2, k3)
+                )
+                / math.sqrt(3.0)
+            )
+    return np.array(ghz), np.array(w)
+
+
+def reference_node_values():
+    """Every grid-scan node value in scan order (basis triple, then the 4 GHZ
+    and 16 W kets, then the 8 vertex states), one rho @ psi product per node."""
+    rhos = [_assemble(*v) for v in VERTICES]
+    ghz, w = reference_grid_kets()
+    values = []
+    for t in range(64):
+        kets = [(GHZ_OVERLAP, psi) for psi in ghz[4 * t : 4 * t + 4]]
+        kets += [(W_OVERLAP, psi) for psi in w[16 * t : 16 * t + 16]]
+        for lam, psi in kets:
+            values += [lam - float(np.real(np.vdot(psi, rho @ psi))) for rho in rhos]
+    return np.array(values)
+
+
+def grid_scan_oracle():
+    """(min_value, argmin, per_family) of the GHZ/W grid scan, one node at a
+    time in scan order; a strict < keeps the first of equal minima."""
+    values = iter(reference_node_values().tolist())
+    best, argmin = math.inf, None
+    per_family = {"ghz": math.inf, "w": math.inf}
+    for t2, t3, f3 in itertools.product(GRID, repeat=3):
+        angles = {"theta1": 0.0, "phi1": 0.0, "phi2": 0.0, "theta2": t2, "theta3": t3, "phi3": f3}
+        kets = [("ghz", {"alpha": a}) for a in GRID]
+        kets += [("w", {"beta": b, "gamma": g}) for b, g in itertools.product(GRID, repeat=2)]
+        for family, phases in kets:
+            for p in VERTICES:
+                value = next(values)
+                per_family[family] = min(per_family[family], value)
+                if value < best:
+                    best = value
+                    argmin = {"family": family, "p": list(p), "angles": angles, "phases": phases}
+    return best, argmin, per_family
 
 
 @pytest.fixture

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fermigte import (
     Couplings,
@@ -36,6 +38,9 @@ from fermigte.scan import (
 from conftest import polar_gte, polar_q_star
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
+
+# every float (signed zeros, infinities, nan, subnormals) and Python ints
+csv_numbers = st.floats(allow_subnormal=True) | st.integers(min_value=-(10**300), max_value=10**300)
 
 # closed-form thresholds, digits pinned against a 40-digit evaluation of
 # x = (1 - sqrt(3*(sqrt(5)-2)))/2 and y = sqrt(3*(sqrt(5)-2))/2
@@ -575,6 +580,27 @@ class TestCsvOutput:
         lines = buf.getvalue().splitlines()
         assert lines[0] == "a,b"
         assert lines[1] == "0.333333333333,2d"
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.text(alphabet=st.characters(blacklist_characters=",\n\r"), max_size=8),
+                csv_numbers,
+                csv_numbers,
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @example([])  # the header only
+    @example([("2d", 0.0, -0.0), ("3d", math.inf, -math.inf), ("%s", math.nan, 5e-324)])
+    @example([("", 1e300, -1e-300), ("x", 7, -(10**20)), ("y", True, 2.2250738585072014e-308)])
+    def test_write_csv_matches_the_per_cell_formatter(self, rows):
+        # the rows arrive as a generator, read once
+        buf = io.StringIO()
+        write_csv(["dim", "a", "b"], (row for row in rows), buf)
+        expect = "dim,a,b\n" + "".join(f"{d},{a:.12g},{b:.12g}\n" for d, a, b in rows)
+        assert buf.getvalue() == expect
 
     def test_polar_table(self):
         rows = sweep_polar_boundary(D3, [2.7], [0.0, 0.5], q_tol=1e-4)

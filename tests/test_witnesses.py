@@ -1,4 +1,5 @@
 import itertools
+import logging
 import math
 
 import numpy as np
@@ -23,11 +24,27 @@ from fermigte import (
     rho3,
     w_state,
 )
+import fermigte.witnesses as witnesses_module
 from fermigte.errors import DomainError
-from fermigte.tristate import _assemble
-from fermigte.witnesses import _GRID, _NORM, GHZ_OVERLAP, W_OVERLAP, _grid_kets
+from fermigte.witnesses import (
+    _GRID,
+    _KETS,
+    _NORM,
+    _TRIPLES,
+    GHZ_OVERLAP,
+    W_OVERLAP,
+    _grid_kets,
+    _screen,
+    _vertex_rhos,
+)
 
-from conftest import jacobi_min_eig, random_biseparable
+from conftest import (
+    grid_scan_oracle,
+    jacobi_min_eig,
+    random_biseparable,
+    reference_grid_kets,
+    reference_node_values,
+)
 
 LIMIT = couplings_zero_limit(0.5, 1.0, 0.5)
 STD = (LocalBasis(), LocalBasis(), LocalBasis())
@@ -45,45 +62,6 @@ def all_grid_states():
         ghz += [ghz_state(a, bases) for a in _GRID]
         w += [w_state(b, g, bases) for b, g in itertools.product(_GRID, repeat=2)]
     return np.array(ghz), np.array(w)
-
-
-def reference_grid_kets():
-    """Every grid ket from its own np.kron products, in the operand order of
-    the GHZ and W definitions."""
-
-    def kron3(a, b, c):
-        return np.kron(np.kron(a, b), c)
-
-    ghz, w = [], []
-    for t2, t3, f3 in itertools.product(_GRID, repeat=3):
-        bases = (LocalBasis(0.0, 0.0), LocalBasis(t2, 0.0), LocalBasis(t3, f3))
-        (k1, x1), (k2, x2), (k3, x3) = ((b.ket(), b.ket_flip()) for b in bases)
-        for a in _GRID:
-            ghz.append((kron3(k1, k2, k3) + np.exp(1.0j * a) * kron3(x1, x2, x3)) / math.sqrt(2.0))
-        for b, g in itertools.product(_GRID, repeat=2):
-            w.append(
-                (
-                    kron3(k1, k2, x3)
-                    + np.exp(1.0j * b) * kron3(k1, x2, k3)
-                    + np.exp(1.0j * g) * kron3(x1, k2, k3)
-                )
-                / math.sqrt(3.0)
-            )
-    return np.array(ghz), np.array(w)
-
-
-def reference_node_values():
-    """Every grid-scan node value in scan order (basis triple, then the 4 GHZ
-    and 16 W kets, then the 8 vertex states), one rho @ psi product per node."""
-    rhos = [_assemble(*v) for v in itertools.product((-1.0, 1.0), repeat=3)]
-    ghz, w = reference_grid_kets()
-    values = []
-    for t in range(64):
-        kets = [(GHZ_OVERLAP, psi) for psi in ghz[4 * t : 4 * t + 4]]
-        kets += [(W_OVERLAP, psi) for psi in w[16 * t : 16 * t + 16]]
-        for lam, psi in kets:
-            values += [lam - float(np.real(np.vdot(psi, rho @ psi))) for rho in rhos]
-    return np.array(values)
 
 
 class TestStates:
@@ -213,6 +191,14 @@ class TestBoundedWitness:
         assert np.linalg.eigvalsh(w.matrix)[-1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("perm", PERMS)
+    def test_minus_sign_is_positive_definite(self, perm):
+        # so the sign -1 half never detects GTE
+        w = bounded_energy_witness(perm, -1)
+        expect = (SQRT5 - 1.0) / (5.0 + SQRT5)
+        assert np.linalg.eigvalsh(w.matrix)[0] == pytest.approx(expect, abs=1e-12)
+        assert expect == pytest.approx(0.1708203932, abs=1e-10)
+
+    @pytest.mark.parametrize("perm", PERMS)
     def test_plus_sign_bound(self, perm):
         w = bounded_energy_witness(perm, 1)
         expect = (3.0 + SQRT5) / (5.0 + SQRT5)
@@ -323,26 +309,72 @@ class TestGridScan:
         }
 
     def test_every_node_value_matches_a_per_node_product(self):
-        # the scan multiplies all vertex states by a ket at once; a stacked
-        # product that rounds differently from rho @ psi fails here
+        # the exact path multiplies all vertex states by a ket at once; a
+        # stacked product that rounds differently from rho @ psi fails here
         expect = reference_node_values()
-        values = np.array([v for *_, ket_values in _grid_kets() for v in ket_values])
+        kets = _grid_kets(_vertex_rhos(), range(len(_TRIPLES) * len(_KETS)))
+        values = np.array([v for *_, ket_values in kets for v in ket_values])
         assert len(values) == len(expect) == 10240
         assert np.array_equal(values, expect)
         assert grid_scan_ghz_w().min_value == expect.min()
 
-    def test_products_built_once_per_basis_triple(self, monkeypatch):
-        # 64 basis triples x 5 product kets x 2 np.kron calls each
-        calls = []
-        kron = np.kron
+    def test_screen_is_within_rounding_of_every_node(self):
+        screen = _screen(_vertex_rhos())
+        assert screen.shape == (1280, 8)
+        assert np.max(np.abs(screen.ravel() - reference_node_values())) <= 1e-12
 
-        def counting(a, b):
+    @pytest.mark.parametrize("perturbation", ["none", "noise", "ghz_far_above"])
+    def test_matches_the_node_by_node_oracle(self, monkeypatch, rng, perturbation):
+        # the confirmation recovers every reported value exactly from the
+        # screen, from one off by up to 1e-11 per node (far above its
+        # rounding, far below the margin), and from one that puts every GHZ
+        # ket far above the W minimum (with detail, each family's own
+        # minimum is confirmed)
+        offset = {
+            "none": 0.0,
+            "noise": rng.uniform(-1e-11, 1e-11, size=(len(_TRIPLES) * len(_KETS), 8)),
+            "ghz_far_above": np.array([[family == "ghz"] for family, _ in _KETS] * len(_TRIPLES), dtype=float),
+        }[perturbation]
+        screen = witnesses_module._screen
+        monkeypatch.setattr(witnesses_module, "_screen", lambda rhos: screen(rhos) + offset)
+        min_value, argmin, per_family = grid_scan_oracle()
+        report = grid_scan_ghz_w(detail=True)
+        assert report.min_value == min_value
+        assert report.argmin == argmin
+        assert report.per_family == per_family
+
+    def test_products_built_once_per_basis_triple(self, monkeypatch):
+        # at most 64 basis triples x 5 product kets x 2 np.kron calls each
+        calls, triples = [], []
+        kron, products = np.kron, witnesses_module._products
+
+        def counting_kron(a, b):
             calls.append(None)
             return kron(a, b)
 
-        monkeypatch.setattr(np, "kron", counting)
+        def recording(bases):
+            triples.append(bases)
+            return products(bases)
+
+        monkeypatch.setattr(np, "kron", counting_kron)
+        monkeypatch.setattr(witnesses_module, "_products", recording)
+        grid_scan_ghz_w(detail=True)
+        assert 0 < len(triples) == len(set(triples))
+        assert len(calls) == 10 * len(triples) <= 640
+
+    def test_logs_one_record_per_scan(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            grid_scan_ghz_w()
+        (record,) = [r for r in caplog.records if r.name == "fermigte.witnesses"]
+        assert record.levelno == logging.DEBUG
+        nodes, kets, triples, error = record.args
+        assert nodes == 10240
+        assert 0 < triples <= kets <= 20 * triples <= 1280
+        assert 0.0 <= error <= 1e-12
+
+    def test_silent_by_default(self, caplog):
         grid_scan_ghz_w()
-        assert len(calls) == 640
+        assert not [r for r in caplog.records if r.name.startswith("fermigte")]
 
     def test_ghz_value_at_limit_couplings(self):
         # with p = 1 the GHZ overlap vanishes, so Tr(rho Pi) = 1/2
