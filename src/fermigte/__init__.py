@@ -58,7 +58,6 @@ from .witnesses import (
     LocalBasis,
     WitnessOperator,
     bounded_energy_witness,
-    energy_gte_test,
     energy_observable,
     er_lower_bound,
     er_lower_bound_matrix,
@@ -98,7 +97,6 @@ __all__ = [
     "corner_hexagon",
     "couplings_from_config",
     "couplings_zero_limit",
-    "energy_gte_test",
     "energy_observable",
     "equilateral",
     "er_lower_bound",

@@ -54,6 +54,9 @@ DEFAULT_TOL = 1e-5
 MEMBERSHIP_TOL = 1e-9
 PRESCAN_POINTS = 32
 _BRACKETS = {Dimensionality.THREE_D: (2.0, 3.2), Dimensionality.TWO_D: (1.8, 3.0)}
+# the symmetric collinear lens corners first overlap at 5.137 (3D) and 4.646
+# (2D) (a 1e-3-step scan up to 12), each rounded down
+_HI_LIMITS = {Dimensionality.THREE_D: 5.13, Dimensionality.TWO_D: 4.64}
 
 _SQRT3 = math.sqrt(3.0)
 _THIRD = 2.0 * math.pi / 3.0  # 12|3 is +third, 13|2 is -third
@@ -212,7 +215,8 @@ def r_max_solver(
     empty section (the weights round past their bounds at separations
     below ~5e-3) holds no biseparable state and counts as outside.  A
     PRESCAN_POINTS grid over the bracket must show a single
-    outside-to-inside switch.
+    outside-to-inside switch.  The bracket must end at or below
+    _HI_LIMITS[dim], beyond which the lens corners overlap.
 
     Logs one DEBUG record per solve: the pre-scan's switch index (None
     when there is none) and its PRESCAN_POINTS outside flags.
@@ -221,6 +225,11 @@ def r_max_solver(
     lo, hi = bracket if bracket is not None else _BRACKETS[dim]
     if not -math.inf < lo < hi < math.inf:
         raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
+    if hi > _HI_LIMITS[dim]:
+        raise DomainError(
+            f"bracket end {hi} is above {_HI_LIMITS[dim]}, where the {dim.value} "
+            "symmetric collinear lens corners start to overlap"
+        )
 
     outside = partial(_outside, dim)
     grid = np.linspace(lo, hi, PRESCAN_POINTS).tolist()

@@ -255,8 +255,8 @@ def _polar_gte(
         dim, d12[fast], d13[fast], d23[fast], f13[fast], limit[fast]
     )
     gte = np.zeros(idx.shape, dtype=bool)
-    # _er_bound > 0 exactly where some 3|p_im + p_mk| exceeds 1 + sqrt(5)
-    best = np.maximum(np.maximum(np.abs(p12 + p13), np.abs(p12 + p23)), np.abs(p13 + p23))
+    # _er_bound > 0 exactly where some 3*(p_im + p_mk) exceeds 1 + sqrt(5)
+    best = np.maximum(np.maximum(p12 + p13, p12 + p23), p13 + p23)
     gte[fast] = 3.0 * best > GTE_THRESHOLD
     q = np.broadcast_to(q, idx.shape)
     for k in np.flatnonzero(apart & ~covered):

@@ -12,19 +12,20 @@ Energy witnesses: the pair-correlation observable
 
     W_m = sigma_i . sigma_m + sigma_m . sigma_k
 
-(middle spin m, outer spins i, k) detects GTE whenever |<W_m>| exceeds
-1 + sqrt(5).  Rescaled to have largest eigenvalue at most 1, it feeds the
-dual representation of the generalized robustness and yields a closed
-lower bound
+(middle spin m, outer spins i, k) has mean value -3*(p_im + p_mk) on
+rho3 and certifies GTE below -(1 + sqrt(5)).  Rescaled to
+((1 + sqrt(5))*I + W_m) / (5 + sqrt(5)), whose largest eigenvalue is
+below 1, it feeds the dual representation of the generalized robustness
+and yields a closed lower bound on the couplings of a state (rho3
+positive semidefinite)
 
-    E_R >= max_m max(0, (3*|p_im + p_mk| - 1 - sqrt(5)) / (5 + sqrt(5))).
+    E_R >= max_m max(0, (3*(p_im + p_mk) - 1 - sqrt(5)) / (5 + sqrt(5))).
 
-Both signs of the observable are carried, but only sign +1 can detect
-GTE: every sign -1 operator ((1+sqrt(5))*I - W_m) / (5+sqrt(5)) is
-positive definite, with smallest eigenvalue (sqrt(5)-1)/(5+sqrt(5)) ~
-0.1708 for each member, so its mean value is positive on every state.
-Its term in the closed bound (the negative pair sum under the abs) can be
-positive only where p_im + p_mk < -(1+sqrt(5))/3, which no state reaches.
+The opposite sign ((1 + sqrt(5))*I - W_m) / (5 + sqrt(5)) is positive
+definite (smallest eigenvalue (sqrt(5) - 1)/(5 + sqrt(5)) ~ 0.1708), so
+it detects nothing and is not carried: it would enter the closed bound
+only below p_im + p_mk = -(1 + sqrt(5))/3, and every state has
+p_im + p_mk >= -2/3.
 """
 
 from __future__ import annotations
@@ -181,50 +182,33 @@ def _middle(perm: str | int) -> int:
 def energy_observable(perm: str | int) -> np.ndarray:
     """Pair-correlation observable of the labeled family member.
 
-    Its spectrum is {2, -4, 0}; a mean value beyond 1 + sqrt(5) in
-    magnitude certifies GTE.
+    Its spectrum is {2, -4, 0}; a mean value below -(1 + sqrt(5))
+    certifies GTE.
     """
     m = _middle(perm)
     a, b = sorted({1, 2, 3} - {m})
     return pauli_dot(a, m) + pauli_dot(m, b)
 
 
-def _pair_sum(c: Couplings, middle: int) -> float:
-    if middle == 1:
-        return c.p12 + c.p13
-    if middle == 2:
-        return c.p12 + c.p23
-    return c.p13 + c.p23
+def bounded_energy_witness(perm: str | int) -> WitnessOperator:
+    """((1+sqrt(5))*I + W_perm) / (5+sqrt(5)), the rescaled energy witness.
 
-
-def energy_gte_test(c: Couplings, perm: str | int) -> bool:
-    """True when the labeled energy witness certifies GTE for c."""
-    return 3.0 * abs(_pair_sum(c, _middle(perm))) > GTE_THRESHOLD
-
-
-def bounded_energy_witness(perm: str | int, sign: int) -> WitnessOperator:
-    """((1+sqrt(5))*I + sign*W_perm) / (5+sqrt(5)), sign in {+1, -1}.
-
-    Both signs have largest eigenvalue <= 1 (sign -1 saturates it), so
-    both are feasible for the dual form of the generalized robustness.
-    Only sign +1 can detect GTE: the sign -1 operator is positive definite,
-    with smallest eigenvalue (sqrt(5)-1)/(5+sqrt(5)) ~ 0.1708 for every
-    perm, so it never detects GTE.
+    Its largest eigenvalue is (3+sqrt(5))/(5+sqrt(5)) < 1, so it is
+    feasible for the dual form of the generalized robustness; its mean
+    value on rho3 is (1 + sqrt(5) - 3*(p_im + p_mk)) / (5+sqrt(5)),
+    negative exactly when the labeled member certifies GTE.
     """
-    if sign not in (1, -1):
-        raise DomainError(f"sign must be +1 or -1, got {sign}")
     w = energy_observable(perm)
-    matrix = (GTE_THRESHOLD * np.eye(8, dtype=complex) + sign * w) / _NORM
-    bound = 1.0 if sign == -1 else (3.0 + math.sqrt(5.0)) / _NORM
-    return WitnessOperator(matrix, bound)
+    matrix = (GTE_THRESHOLD * np.eye(8, dtype=complex) + w) / _NORM
+    return WitnessOperator(matrix, (3.0 + math.sqrt(5.0)) / _NORM)
 
 
 def er_lower_bound(c: Couplings) -> float:
     """Closed-form lower bound on the generalized robustness of GTE.
 
     Maximizes the rescaled energy-witness violation over the three family
-    members and both observable signs; agrees with the matrix path
-    :func:`er_lower_bound_matrix` to machine precision.
+    members; agrees with the matrix path :func:`er_lower_bound_matrix` to
+    machine precision.  Its domain is the couplings of a state.
     """
     return _er_bound(c.p12, c.p13, c.p23)
 
@@ -233,20 +217,18 @@ def _er_bound(p12: float, p13: float, p23: float) -> float:
     """The float core of :func:`er_lower_bound`."""
     return max(
         0.0,
-        (3.0 * abs(p12 + p13) - GTE_THRESHOLD) / _NORM,  # middle spin 1
-        (3.0 * abs(p12 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 2
-        (3.0 * abs(p13 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 3
+        (3.0 * (p12 + p13) - GTE_THRESHOLD) / _NORM,  # middle spin 1
+        (3.0 * (p12 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 2
+        (3.0 * (p13 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 3
     )
 
 
 def er_lower_bound_matrix(c: Couplings) -> float:
-    """Same bound evaluated through the explicit 8x8 operators."""
+    """Same bound evaluated through the three explicit 8x8 operators."""
     rho = rho3(c)
     best = 0.0
     for perm in PERM_MIDDLE:
-        for sign in (1, -1):
-            w = bounded_energy_witness(perm, sign)
-            best = max(best, -expectation(rho, w.matrix))
+        best = max(best, -expectation(rho, bounded_energy_witness(perm).matrix))
     return best
 
 

@@ -7,7 +7,9 @@ biseparability hull from sampled lens boundaries and qhull, random
 states from direct Haar sampling, polar q* rows from the public
 configuration, coupling and bound objects solved one row at a time, and
 the GHZ/W grid scan from kets built with their own np.kron products,
-evaluated and compared one node at a time.
+evaluated and compared one node at a time, the energy-witness verdict and
+the closed E_R bound of both observable signs straight from the weights,
+and states of the Werner family from singlet terms built as (I - SWAP)/4.
 """
 
 import itertools
@@ -38,6 +40,60 @@ def j1_series(x: float, terms: int = 30) -> float:
             math.factorial(m) * math.factorial(m + 1)
         )
     return total
+
+
+SQRT5 = math.sqrt(5.0)
+
+# outer pairs of each energy-witness label's middle spin (2, 3 and 1)
+ENERGY_PAIRS = {"123": ("p12", "p23"), "231": ("p13", "p23"), "132": ("p12", "p13")}
+
+
+def energy_gte_test(c, perm) -> bool:
+    """True when the labeled energy witness certifies GTE for c:
+    3*(p_im + p_mk) > 1 + sqrt(5) on the middle spin's two pairs."""
+    a, b = ENERGY_PAIRS[str(perm)]
+    return 3.0 * (getattr(c, a) + getattr(c, b)) > 1.0 + SQRT5
+
+
+def er_two_sign_oracle(p12: float, p13: float, p23: float) -> float:
+    """The closed E_R bound over both signs of every energy witness:
+    (3*|p_im + p_mk| - 1 - sqrt(5)) / (5 + sqrt(5)) per middle spin,
+    maximized with 0."""
+    sums = (p12 + p13, p12 + p23, p13 + p23)
+    return max([0.0] + [(3.0 * abs(s) - (1.0 + SQRT5)) / (5.0 + SQRT5) for s in sums])
+
+
+def singlet_term(i: int, j: int) -> np.ndarray:
+    """|S_ij><S_ij| (x) I/2 as (I - SWAP_ij)/4, the swap permuting the bits
+    of the basis index b = 4*b1 + 2*b2 + b3."""
+    swap = np.zeros((8, 8))
+    for b in range(8):
+        bits = [(b >> (3 - q)) & 1 for q in (1, 2, 3)]
+        bits[i - 1], bits[j - 1] = bits[j - 1], bits[i - 1]
+        swap[4 * bits[0] + 2 * bits[1] + bits[2], b] = 1.0
+    return (np.eye(8) - swap) / 4.0
+
+
+SINGLET_TERMS = np.stack([singlet_term(1, 2), singlet_term(1, 3), singlet_term(2, 3)])
+
+
+def werner_states(p: np.ndarray) -> np.ndarray:
+    """(1 - p)/8 * I + sum_ij p_ij |S_ij><S_ij| (x) I/2 for each row
+    (p12, p13, p23) of p."""
+    p = np.asarray(p, dtype=float)
+    return np.eye(8) / 8.0 + np.einsum("nk,kab->nab", p, SINGLET_TERMS - np.eye(8) / 8.0)
+
+
+def psd_werner_weights(rng: np.random.Generator, n: int) -> np.ndarray:
+    """n weight triples of positive semidefinite Werner states: random
+    directions from the maximally mixed state, taken to the boundary of the
+    state set (where the smallest eigenvalue, linear along the ray, reaches
+    0) and, for the second half, shrunk by a uniform factor into its inside."""
+    d = rng.normal(size=(n, 3))
+    lam = np.linalg.eigvalsh(werner_states(d) - np.eye(8) / 8.0)[:, 0]
+    p = d * (-1.0 / (8.0 * lam))[:, None]
+    p[n // 2 :] *= rng.uniform(0.0, 1.0, size=(n - n // 2, 1))
+    return p
 
 
 def bisect_root(f, a: float, b: float, iters: int = 200) -> float:

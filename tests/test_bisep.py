@@ -21,6 +21,7 @@ from fermigte import (
 )
 from fermigte.bisep import (
     _BRACKETS,
+    _HI_LIMITS,
     PRESCAN_POINTS,
     ConvexRegion,
     _corners,
@@ -315,6 +316,28 @@ class TestRMaxSolver:
         assert in_lens_hull(sec.r_plus, sec.r3, point, 2048)
         sec, point = _symmetric_point(D3, value - 1e-3)
         assert not in_lens_hull(sec.r_plus, sec.r3, point, 2048)
+
+    @pytest.mark.parametrize("dim", [D3, D2])
+    def test_every_separation_up_to_the_limit_has_a_hexagon(self, dim):
+        # from above the empty sections (below ~7e-3) to the limit, in 1e-3 steps
+        hi = _HI_LIMITS[dim]
+        for r in np.append(np.arange(0.01, hi, 1e-3), hi).tolist():
+            sec, _ = _symmetric_point(dim, r)
+            assert len(corner_hexagon(sec).vertices) == 6
+
+    @pytest.mark.parametrize("dim, first_overlap", [(D3, 5.137), (D2, 4.646)])
+    def test_limit_rounds_down_the_first_overlap(self, dim, first_overlap):
+        assert first_overlap - 0.01 < _HI_LIMITS[dim] < first_overlap
+        with pytest.raises(DomainError):
+            corner_hexagon(_symmetric_point(dim, first_overlap)[0])
+
+    @pytest.mark.parametrize("dim", [D3, D2])
+    def test_rejects_a_bracket_past_the_limit(self, dim):
+        lo = _BRACKETS[dim][0]
+        with pytest.raises(DomainError, match=f"above {_HI_LIMITS[dim]}"):
+            r_max_solver(dim, bracket=(lo, math.nextafter(_HI_LIMITS[dim], math.inf)))
+        default = r_max_solver(dim)
+        assert r_max_solver(dim, bracket=(lo, _HI_LIMITS[dim])) == pytest.approx(default, abs=2e-5)
 
     def test_bracket_without_crossing(self):
         with pytest.raises(BracketError):

@@ -304,6 +304,17 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("dim, limit", [("3d", "5.13"), ("2d", "4.64")])
+    def test_polygon_bracket_past_the_corner_overlap(self, capsys, dim, limit):
+        args = ["gte-distance", "--dim", dim, "--method", "polygon", "--bracket", "2.5", "6"]
+        code, out, err = run(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: bracket end 6.0 is above {limit}, where the {dim} "
+            "symmetric collinear lens corners start to overlap\n"
+        )
+
     def test_witness_bracket_without_crossing(self, capsys):
         args = ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "3", "4"]
         code, out, err = run(capsys, args)

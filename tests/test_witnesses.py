@@ -12,8 +12,8 @@ from fermigte import (
     GTE_THRESHOLD,
     LocalBasis,
     bounded_energy_witness,
+    couplings_from_config,
     couplings_zero_limit,
-    energy_gte_test,
     energy_observable,
     er_lower_bound,
     er_lower_bound_matrix,
@@ -25,7 +25,9 @@ from fermigte import (
     w_state,
 )
 import fermigte.witnesses as witnesses_module
+from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import DomainError
+from fermigte.geometry import TriangleConfig
 from fermigte.witnesses import (
     _GRID,
     _KETS,
@@ -39,11 +41,16 @@ from fermigte.witnesses import (
 )
 
 from conftest import (
+    energy_gte_test,
+    er_two_sign_oracle,
     grid_scan_oracle,
     jacobi_min_eig,
+    psd_werner_weights,
     random_biseparable,
+    random_config,
     reference_grid_kets,
     reference_node_values,
+    werner_states,
 )
 
 LIMIT = couplings_zero_limit(0.5, 1.0, 0.5)
@@ -171,9 +178,17 @@ class TestEnergyObservable:
             energy_observable("213")
 
 
+def minus_sign_operator(perm):
+    """((1+sqrt(5))*I - W_perm) / (5+sqrt(5)), the opposite-sign partner of
+    the bounded energy witness, which the package does not carry."""
+    return ((1.0 + SQRT5) * np.eye(8) - energy_observable(perm)) / (5.0 + SQRT5)
+
+
 class TestEnergyGteTest:
+    # energy_gte_test is the test oracle; these pin it to the operators
     def test_limit_state(self):
         assert energy_gte_test(LIMIT, "123") is True
+        assert expectation(rho3(LIMIT), bounded_energy_witness("123").matrix) < 0.0
 
     def test_equilateral_below_threshold(self):
         for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0):
@@ -183,51 +198,73 @@ class TestEnergyGteTest:
     def test_uncorrelated(self):
         assert energy_gte_test(Couplings(0.0, 0.0, 0.0), "123") is False
 
+    def test_agrees_with_the_witness_operator(self, rng):
+        for p in psd_werner_weights(rng, 100).tolist():
+            c = Couplings(*p)
+            for perm in PERMS:
+                value = expectation(rho3(c), bounded_energy_witness(perm).matrix)
+                if abs(value) > 1e-9:
+                    assert energy_gte_test(c, perm) is (value < 0.0)
+
 
 class TestBoundedWitness:
     @pytest.mark.parametrize("perm", PERMS)
+    def test_is_the_plus_sign_operator(self, perm):
+        w = bounded_energy_witness(perm)
+        expect = ((1.0 + SQRT5) * np.eye(8, dtype=complex) + energy_observable(perm)) / (5.0 + SQRT5)
+        assert np.array_equal(w.matrix, expect)
+        assert w.lambda_max_bound == (3.0 + SQRT5) / (5.0 + SQRT5)
+
+    def test_takes_no_sign(self):
+        with pytest.raises(TypeError):
+            bounded_energy_witness("123", 1)
+
+    @pytest.mark.parametrize("perm", PERMS)
     def test_minus_sign_saturates_unity(self, perm):
-        w = bounded_energy_witness(perm, -1)
-        assert np.linalg.eigvalsh(w.matrix)[-1] == pytest.approx(1.0, abs=1e-12)
+        w = minus_sign_operator(perm)
+        assert np.linalg.eigvalsh(w)[-1] == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("perm", PERMS)
     def test_minus_sign_is_positive_definite(self, perm):
-        # so the sign -1 half never detects GTE
-        w = bounded_energy_witness(perm, -1)
+        # so the sign -1 half never detects GTE, and is not carried
+        w = minus_sign_operator(perm)
         expect = (SQRT5 - 1.0) / (5.0 + SQRT5)
-        assert np.linalg.eigvalsh(w.matrix)[0] == pytest.approx(expect, abs=1e-12)
+        assert np.linalg.eigvalsh(w)[0] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.1708203932, abs=1e-10)
 
     @pytest.mark.parametrize("perm", PERMS)
     def test_plus_sign_bound(self, perm):
-        w = bounded_energy_witness(perm, 1)
+        w = bounded_energy_witness(perm)
         expect = (3.0 + SQRT5) / (5.0 + SQRT5)
         assert np.linalg.eigvalsh(w.matrix)[-1] == pytest.approx(expect, abs=1e-12)
 
     def test_dual_feasibility(self):
         for perm in PERMS:
-            for sign in (1, -1):
-                w = bounded_energy_witness(perm, sign)
-                assert np.linalg.eigvalsh(w.matrix)[-1] <= 1.0 + 1e-10
-                assert w.lambda_max_bound <= 1.0 + 1e-10
+            w = bounded_energy_witness(perm)
+            assert np.linalg.eigvalsh(w.matrix)[-1] <= 1.0 + 1e-10
+            assert w.lambda_max_bound <= 1.0 + 1e-10
 
     def test_detecting_sign_on_limit_state(self):
-        values = [
-            expectation(rho3(LIMIT), bounded_energy_witness("123", s).matrix)
-            for s in (1, -1)
-        ]
-        assert min(values) == pytest.approx((1.0 + SQRT5 - 4.0) / (5.0 + SQRT5), abs=1e-12)
+        value = expectation(rho3(LIMIT), bounded_energy_witness("123").matrix)
+        assert value == pytest.approx((1.0 + SQRT5 - 4.0) / (5.0 + SQRT5), abs=1e-12)
 
     def test_nonnegative_on_biseparable(self, rng):
-        wits = [
-            bounded_energy_witness(perm, sign).matrix
-            for perm in PERMS
-            for sign in (1, -1)
-        ]
+        wits = [bounded_energy_witness(perm).matrix for perm in PERMS]
         for _ in range(1000):
             v = random_biseparable(rng)
             for w in wits:
                 assert float(np.real(np.vdot(v, w @ v))) >= -1e-10
+
+    def test_three_operators_per_matrix_bound(self, monkeypatch):
+        built = []
+
+        def counting(perm):
+            built.append(perm)
+            return bounded_energy_witness(perm)
+
+        monkeypatch.setattr(witnesses_module, "bounded_energy_witness", counting)
+        er_lower_bound_matrix(LIMIT)
+        assert sorted(built) == sorted(PERMS)
 
 
 class TestErLowerBound:
@@ -267,12 +304,43 @@ class TestErLowerBound:
 
     @given(p_st, p_st, p_st)
     @settings(max_examples=300, deadline=None)
-    @example(-1.0, -0.5, -0.5)  # pair sums -1.5, -1.5, -1.0: the abs decides
+    # pair sums -1.5, -1.5, -1.0: no state has them; the sign +1 formula gives 0
+    @example(-1.0, -0.5, -0.5)
     def test_equals_the_per_middle_formula(self, p12, p13, p23):
-        # exact: the closed form is one formula per middle spin, maximized with 0
+        # exact: the closed form is one sign +1 formula per middle spin,
+        # maximized with 0
         sums = (p12 + p13, p12 + p23, p13 + p23)
-        expect = max([0.0] + [(3.0 * abs(s) - GTE_THRESHOLD) / _NORM for s in sums])
+        expect = max([0.0] + [(3.0 * s - GTE_THRESHOLD) / _NORM for s in sums])
         assert er_lower_bound(Couplings(p12, p13, p23)) == expect
+
+    def test_non_state_weights_take_the_sign_plus_formula(self):
+        c = Couplings(-1.0, -0.5, -0.5)
+        assert min(np.linalg.eigvalsh(werner_states([[-1.0, -0.5, -0.5]])[0])) < 0.0
+        assert er_two_sign_oracle(c.p12, c.p13, c.p23) > 0.0
+        assert er_lower_bound(c) == 0.0
+
+    def test_equals_the_two_sign_oracle_on_states(self, rng):
+        # every state's bound is unchanged by dropping the sign -1 half
+        seen = set()
+        for k in range(2000):
+            cfg = random_config(rng)
+            if k % 4 == 0:  # shrink below LIMIT_SWITCH: the limit branch
+                scale = 10.0 ** rng.uniform(-8.0, -5.0)
+                cfg = TriangleConfig(cfg.d12 * scale, cfg.d13 * scale, cfg.d23 * scale, cfg.dim)
+            limit = max(cfg.d12, cfg.d13, cfg.d23) < LIMIT_SWITCH
+            seen.add((cfg.dim, limit))
+            c = couplings_from_config(cfg)
+            assert er_lower_bound(c) == er_two_sign_oracle(c.p12, c.p13, c.p23)
+        assert len(seen) == 4
+
+    def test_pair_sums_of_states_are_at_least_minus_two_thirds(self, rng):
+        p = psd_werner_weights(rng, 20000)
+        assert np.linalg.eigvalsh(werner_states(p))[:, 0].min() >= -1e-12
+        sums = np.concatenate([p[:, 0] + p[:, 1], p[:, 0] + p[:, 2], p[:, 1] + p[:, 2]])
+        assert sums.min() >= -2.0 / 3.0 - 1e-12
+        # attained at p_ij = -1/3, a state on the boundary of the state set
+        corner = werner_states([[-1.0 / 3.0] * 3])[0]
+        assert min(np.linalg.eigvalsh(corner)) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestGridScan:
