@@ -13,8 +13,6 @@ from .bisep import (
     ConvexRegion,
     SectionSpec,
     corner_hexagon,
-    hull_margin,
-    point_in_hull,
     r_max_solver,
 )
 from .couplings import Couplings
@@ -106,13 +104,11 @@ __all__ = [
     "find_rmin",
     "ghz_state",
     "grid_scan_ghz_w",
-    "hull_margin",
     "isosceles",
     "matrix_from_text",
     "matrix_to_text",
     "min_eigenvalue",
     "pauli_dot",
-    "point_in_hull",
     "polar",
     "projective_witness",
     "r_max_solver",

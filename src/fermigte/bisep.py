@@ -28,8 +28,8 @@ on the bare corner margin: the sign of the point's signed distance to the
 nearest edge of the closed-form corners, computed straight from their
 vertex tuple.  Only the public :func:`corner_hexagon`, whose vertices the
 dump prints, wraps the corners in a :class:`ConvexRegion` and runs its
-convexity check; both share one corner and one margin computation, so the
-solver sees the same numbers as :func:`hull_margin` on that hexagon.  Once
+convexity check; both share one corner computation, so the solver sees the
+vertices of that hexagon.  Once
 the corners overlap (r_plus >= 1/3 at r3 = 0) the hull has curved sides;
 no threshold or figure visits those sections and they are rejected.
 """
@@ -143,7 +143,13 @@ def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
 
 
 def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> float:
-    """:func:`hull_margin` of the polygon with these vertices."""
+    """Signed distance from (r1, r2) to the nearest edge line of the convex
+    polygon with these vertices (counterclockwise), positive inside.
+
+    Inside the polygon this is the distance to its boundary; outside it is
+    negative and no larger in magnitude than that distance.  A non-finite
+    point has a NaN margin, so it is never inside.
+    """
     if not (math.isfinite(r1) and math.isfinite(r2)):
         return math.nan
     margin = math.inf
@@ -151,23 +157,6 @@ def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> 
         ex, ey = bx - ax, by - ay
         margin = min(margin, (ex * (r2 - ay) - ey * (r1 - ax)) / math.hypot(ex, ey))
     return margin
-
-
-def hull_margin(region: ConvexRegion, r1: float, r2: float) -> float:
-    """Signed distance from (r1, r2) to the nearest edge line, positive inside.
-
-    Inside the polygon this is the distance to its boundary; outside it is
-    negative and no larger in magnitude than that distance.  A non-finite
-    point has a NaN margin, so it is never inside.
-    """
-    return _margin(region.vertices, r1, r2)
-
-
-def point_in_hull(
-    region: ConvexRegion, r1: float, r2: float, tol: float = MEMBERSHIP_TOL
-) -> bool:
-    """True when (r1, r2) lies inside the hull or within tol of its boundary."""
-    return hull_margin(region, r1, r2) >= -tol
 
 
 def polygon_to_csv(region: ConvexRegion) -> str:

@@ -61,9 +61,10 @@ def _finite_sum(p12: float, p13: float, p23: float) -> float:
 class Couplings:
     """Singlet weights (p12, p13, p23) and their sum p.
 
-    Physical states satisfy |p_ij| <= 1 for each pair and |p| <= 1; use
-    :func:`validate` to check both within a 1e-9 slack.  Non-finite
-    weights raise InvalidCouplingsError.
+    The weights of a state satisfy |p_ij| <= 1 for each pair and |p| <= 1,
+    and make rho3 positive semidefinite; use :func:`validate` to check all
+    three within a 1e-9 slack.  Non-finite weights raise
+    InvalidCouplingsError.
     """
 
     p12: float
@@ -170,23 +171,17 @@ def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
 
 
 def _weights_array(
-    dim: Dimensionality,
-    d12: np.ndarray,
-    d13: np.ndarray,
-    d23: np.ndarray,
-    f13: np.ndarray,
-    limit: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_weights` element for element over arrays of checked
-    distances, with the same branches, checks and operation order.
+    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`_weights` element for element over arrays of finite,
+    nonnegative distances, with the same branches and operation order,
+    and the mask ``ok`` of the elements whose checks pass.
 
-    Elements marked in ``limit`` take :func:`_limit_weights` at any scale
-    (a sweep's kfr = 0 rows, whose distances are the unit shape); the
-    others take it below LIMIT_SWITCH, as in :func:`_weights`, and f13 must
-    be f_factor(dim, d13) there.  Every element that a check rejects is
-    recomputed by the scalar core, which raises its error.
+    f13 must be f_factor(dim, d13) wherever some distance reaches
+    LIMIT_SWITCH.  ok is False exactly where :func:`_weights` raises, and
+    the weights there mean nothing; nothing raises here.
     """
-    limit = limit | (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH)
+    limit = np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
     ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -211,25 +206,21 @@ def _weights_array(
             p12[i] = (s13 + s23 - s12) / total
             p13[i] = (s12 + s23 - s13) / total
             p23[i] = (s12 + s13 - s23) / total
-        # the kernel branch, on the elements whose kernels f_factor accepts
-        in_range = (d12 >= 0.0) & (d12 <= X_MAX) & (d23 >= 0.0) & (d23 <= X_MAX)
-        i = np.flatnonzero(~limit & in_range)
+        # the kernel branch; f_factor rejects a d12 or d23 above X_MAX
+        i = np.flatnonzero(~limit)
         if i.size:
+            e12, e23 = d12[i], d23[i]
             # one kernel call for both distances: its cost is mostly per call
-            f12, f23 = np.split(_f_array(dim, np.concatenate((d12[i], d23[i]))), 2)
+            f12, f23 = np.split(_f_array(dim, np.concatenate((e12, e23))), 2)
             g13 = f13[i]
             prod = f12 * g13 * f23
             denom = -2.0 + f12 * f12 + g13 * g13 + f23 * f23 - prod
             p12[i] = (-f12 * f12 + prod) / denom
             p13[i] = (-g13 * g13 + prod) / denom
             p23[i] = (-f23 * f23 + prod) / denom
-            ok[i] = ~(np.abs(denom) <= DENOM_FLOOR)
+            ok[i] = (e12 <= X_MAX) & (e23 <= X_MAX) & ~(np.abs(denom) <= DENOM_FLOOR)
         ok &= np.isfinite(p12 + p13 + p23)
-    for k in np.flatnonzero(~ok):
-        d = (float(d12[k]), float(d13[k]), float(d23[k]))
-        w = _limit_weights(*d) if limit[k] else _weights(dim, *d, float(f13[k]))
-        p12[k], p13[k], p23[k] = w
-    return p12, p13, p23
+    return p12, p13, p23, ok
 
 
 def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
@@ -241,11 +232,21 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     return Couplings(*_limit_weights(d12, d13, d23))
 
 
+def _min_eigenvalue(c: Couplings) -> float:
+    """Smallest eigenvalue of the state with these weights (tristate.rho3):
+    (1 - p)/8 on the spin-3/2 quartet and (1 + p)/8 - s/4 on the two
+    spin-1/2 doublets, with s**2 = sum p_ij**2 - sum over pairs of p_ij*p_kl."""
+    s = math.sqrt(((c.p12 - c.p13) ** 2 + (c.p12 - c.p23) ** 2 + (c.p13 - c.p23) ** 2) / 2.0)
+    return min((1.0 - c.p) / 8.0, (1.0 + c.p) / 8.0 - s / 4.0)
+
+
 def validate(c: Couplings) -> list[str]:
     """Names of the violated physical bounds, empty when all hold.
 
     Each pair weight must satisfy |p_ij| <= 1; when all pair bounds hold
-    the sum must satisfy |p| <= 1.  All checks carry a 1e-9 slack.
+    the sum must satisfy |p| <= 1, and when that holds too the weights
+    must be a state's (rho3 >= 0, its smallest eigenvalue in closed form).
+    All checks carry a 1e-9 slack.
     """
     out = []
     for name in ("p12", "p13", "p23"):
@@ -253,12 +254,15 @@ def validate(c: Couplings) -> list[str]:
             out.append(f"|{name}| ≤ 1 violated")
     if not out and abs(c.p) > 1.0 + BOUND_TOL:
         out.append("|p| ≤ 1 violated")
+    if not out and _min_eigenvalue(c) < -BOUND_TOL:
+        out.append("rho3 ≥ 0 violated")
     return out
 
 
 def bound_excess(c: Couplings) -> float:
-    """Largest amount by which any physical bound is exceeded (0 if none)."""
-    worst = 0.0
+    """Largest amount by which any physical bound is exceeded (0 if none);
+    positivity is exceeded by minus rho3's smallest eigenvalue."""
+    worst = -_min_eigenvalue(c)
     for v in (c.p12, c.p13, c.p23, c.p):
         worst = max(worst, abs(v) - 1.0)
     return max(0.0, worst)

@@ -25,14 +25,16 @@ The polar table solves all its q* rows in lock step on numpy arrays:
 pre-scan grid point j is evaluated at once on every row whose flags are
 all True so far, and the switched rows are bisected together, each on
 its own one-step bracket.  The row-array predicate :func:`_polar_gte`
-keeps the scalar point chain's checks and operation order (through the
-array forms :func:`specfun._f_array` and :func:`couplings._weights_array`),
-so each row reads the same points as its own solve would.  The table
-depends only on the signs of the bound, never on its printed digits,
-which is why it alone takes the array path: np.hypot may differ from
-math.hypot in the last bit.  An error is the one that the first failing
-row's own solve raises: an out-of-domain kfr or theta, a point that a
-check rejects, or a bisection that does not converge.
+keeps the scalar point chain's operation order (through the array forms
+:func:`specfun._f_array` and :func:`couplings._weights_array`), so each
+row reads the same points as its own solve would.  The table depends
+only on the signs of the bound, never on its printed digits, which is
+why it alone takes the array path: np.hypot may differ from math.hypot
+in the last bit.  Every row's kfr and theta are checked up front, and the
+array path never raises: it marks the points that a scalar check rejects.
+The sweep raises once, at its end, the error of the first failing row's
+own solve: an invalid kfr or theta, a rejected point, or a bisection
+that does not converge.
 """
 
 from __future__ import annotations
@@ -47,8 +49,7 @@ import numpy as np
 
 from . import couplings as cpl
 from . import geometry
-from .errors import BracketError, ConvergenceFailure, DomainError, FermiGteError
-from .geometry import _TRI_TOL
+from .errors import BracketError, ConvergenceFailure, DomainError
 from .specfun import X_MAX, Dimensionality, f_factor
 from .witnesses import GTE_THRESHOLD, _er_bound
 
@@ -169,10 +170,10 @@ class _PolarRows:
     """The rows of one polar sweep, kfr-major, as arrays (kfr, the direction
     of theta, f(kfr)), and the first of them known to fail.
 
-    A row fails where its scalar solve raises: at a theta outside
-    [-pi, pi], at a point that a check rejects, or in a bisection that does
-    not converge.  The sweep raises the error of the first failing row, as
-    the scalar sweep would, so no row after it is evaluated again.
+    A row is valid when 0 <= kfr <= X_MAX and |theta| <= pi.  The first
+    invalid row fails at q = 0; a valid row fails at a rejected point, or,
+    at q = None, in a bisection that does not converge.  No row after the
+    failing row is evaluated.
     """
 
     def __init__(
@@ -180,93 +181,77 @@ class _PolarRows:
     ):
         self.dim = dim
         self.pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-        self.failed, self.error = len(self.pairs), None
-        direction = np.full((len(theta_grid), 2), math.nan)
-        for j, theta in enumerate(theta_grid):
-            try:
-                direction[j] = geometry._polar_direction(theta)
-            except DomainError as exc:
-                self.fail(j, exc)  # row j is the first with this theta
-                break
-        self.cos, self.sin = np.tile(direction, (len(kfr_values), 1)).T
+        invalid = (k for k, (kfr, theta) in enumerate(self.pairs)
+                   if not (0.0 <= kfr <= X_MAX and abs(theta) <= math.pi))
+        self.valid = next(invalid, len(self.pairs))  # the rows before the first invalid one
+        self.failed, self.failed_at = self.valid, 0.0
+        nan = (math.nan, math.nan)
+        direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
+        self.cos, self.sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
         self.kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
-        f13 = [_unit_kernel(dim, kfr) for kfr in kfr_values]
-        self.f13 = np.repeat([math.nan if f is None else f for f in f13], len(theta_grid))
-
-    def fail(self, row: int, error: Exception) -> None:
-        if row < self.failed:
-            self.failed, self.error = row, error
+        f13 = np.array([_unit_kernel(dim, kfr) for kfr in kfr_values], dtype=float)  # None: nan
+        self.f13 = np.repeat(f13, len(theta_grid))
 
     def flags(self, idx: np.ndarray, q: float | np.ndarray) -> np.ndarray:
-        """:func:`_polar_gte` on the rows idx (increasing) that come before
-        the first failing row.  Where a row raises, the rows are evaluated
-        one by one up to the first that does, which becomes the failing
-        row; the flags then cover only the rows before it."""
-        idx = idx[idx < self.failed]
-        try:
-            return _polar_gte(self.dim, self, idx, q)
-        except FermiGteError:
-            pass
-        q = np.broadcast_to(q, idx.shape)
-        flags = []
-        for m in range(idx.size):
-            try:
-                flags.append(_polar_gte(self.dim, self, idx[m : m + 1], q[m : m + 1])[0])
-            except FermiGteError as exc:
-                self.fail(int(idx[m]), exc)
-                break
-        return np.array(flags, dtype=bool)
+        """:func:`_polar_gte` on the rows idx (increasing, all before the
+        failing row), up to the first with a rejected point, which fails."""
+        gte, bad = _polar_gte(self.dim, self, idx, q)
+        if not bad.any():
+            return gte
+        k = int(np.argmax(bad))
+        self.failed, self.failed_at = int(idx[k]), float(np.broadcast_to(q, idx.shape)[k])
+        return gte[:k]
+
+
+def _unit_distances(
+    rows: _PolarRows, idx: np.ndarray, q: float | np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """d12 and d23 of the unit shapes at radius q on the rows idx (d13 = 1)."""
+    px, py = q * rows.cos[idx], q * rows.sin[idx]
+    return np.hypot(px + 0.5, py), np.hypot(px - 0.5, py)
 
 
 def _polar_gte(
     dim: Dimensionality, rows: _PolarRows, idx: np.ndarray, q: float | np.ndarray
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Witnessed GTE at radius q (one for all rows, or one per row) on the
-    rows idx of a polar sweep: the point chain shape -> weights -> bound on
-    arrays, with the scalar chain's checks and operation order.
+    rows idx of a polar sweep, and the mask of the points that a check of
+    the scalar chain rejects (where the GTE flag means nothing).
 
-    The array path takes kfr = 0 (the limit of the unit shape) and kfr in
-    (0, X_MAX] at points whose scaled distances pass _check_distances
-    (none zero, triangle inequality); every other point goes through the
-    scalar chain, on the kfr as given, which raises its error there.
+    The point chain shape -> weights -> bound runs on arrays in the scalar
+    chain's operation order, and nothing raises.  The rows must be valid
+    (0 <= kfr <= X_MAX, |theta| <= pi), so every distance is finite and
+    nonnegative.
     """
-    kfr, f13 = rows.kfr[idx], rows.f13[idx]
-    px = q * rows.cos[idx]
-    py = q * rows.sin[idx]
-    s12 = np.hypot(px + 0.5, py)
-    s23 = np.hypot(px - 0.5, py)
-    # Coincident pair (theta = 0, q = 1/2): the weights are (0, 0, 1) at
-    # every kfr, whose best witness value 3 stays below 1 + sqrt(5).
-    apart = (s12 != 0.0) & (s23 != 0.0)
-    limit = kfr == 0.0
-    with np.errstate(invalid="ignore", over="ignore"):
-        # _scale: d13 = kfr * 1.0 == kfr
-        d12 = np.where(limit, s12, kfr * s12)
-        d13 = np.where(limit, 1.0, kfr)
-        d23 = np.where(limit, s23, kfr * s23)
-    slack = _TRI_TOL * np.maximum(np.maximum(np.maximum(1.0, d12), d13), d23)
-    scaled = (
-        (kfr > 0.0) & (kfr <= X_MAX) & (d12 != 0.0) & (d23 != 0.0)
-        & ~(d12 > d13 + d23 + slack) & ~(d13 > d12 + d23 + slack) & ~(d23 > d12 + d13 + slack)
-    )
-    covered = limit | scaled
-    fast = np.flatnonzero(apart & covered)
-    p12, p13, p23 = cpl._weights_array(
-        dim, d12[fast], d13[fast], d23[fast], f13[fast], limit[fast]
-    )
-    gte = np.zeros(idx.shape, dtype=bool)
+    s12, s23 = _unit_distances(rows, idx, q)
+    # _scale (d13 = kfr * 1.0 == kfr).  A kfr = 0 row takes the limit of its
+    # unit shape, scaled below LIMIT_SWITCH by a power of two: that is exact,
+    # and the limit weights and their checks see only the distances' ratios.
+    scale = np.where(rows.kfr[idx] == 0.0, 2.0**-20, rows.kfr[idx])
+    p12, p13, p23, ok = cpl._weights_array(dim, scale * s12, scale, scale * s23, rows.f13[idx])
     # _er_bound > 0 exactly where some 3*(p_im + p_mk) exceeds 1 + sqrt(5)
     best = np.maximum(np.maximum(p12 + p13, p12 + p23), p13 + p23)
-    gte[fast] = 3.0 * best > GTE_THRESHOLD
-    q = np.broadcast_to(q, idx.shape)
-    for k in np.flatnonzero(apart & ~covered):
-        # the scalar chain on the row's own kfr and theta direction
-        row = int(idx[k])
-        direction = (float(rows.cos[row]), float(rows.sin[row]))
-        kfr_in = rows.pairs[row][0]
-        shape = geometry._polar_at(direction, float(q[k]))
-        gte[k] = _er_bound(*cpl._shape_weights(shape, kfr_in, dim, _unit_kernel(dim, kfr_in))) > 0.0
-    return gte
+    # Coincident pair (theta = 0, q = 1/2): no GTE and no error.  The weights
+    # are (0, 0, 1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
+    apart = (s12 != 0.0) & (s23 != 0.0)
+    return apart & (3.0 * best > GTE_THRESHOLD), apart & ~ok
+
+
+def _raise_row_error(dim: Dimensionality, rows: _PolarRows) -> None:
+    """Raise the first failing row's error, the one its own solve raises:
+    ConvergenceFailure from a bisection, else the scalar point chain's at
+    the failing point, from polar_shape for an invalid row and from the
+    element's own unit distances for a rejected point."""
+    row, q = rows.failed, rows.failed_at
+    if q is None:
+        raise ConvergenceFailure("bisection failed to reach tolerance")
+    kfr, theta = rows.pairs[row]
+    if row == rows.valid:
+        shape = geometry.polar_shape(theta, q)
+    else:
+        s12, s23 = _unit_distances(rows, np.array([row]), q)
+        shape = (s12.item(), 1.0, s23.item())
+    cpl._shape_weights(shape, kfr, dim, _unit_kernel(dim, kfr))
 
 
 def sweep_polar_boundary(
@@ -297,7 +282,7 @@ def sweep_polar_boundary(
     n = len(rows.pairs)
     read = np.zeros(n, dtype=int)
     switch = np.full(n, -1)
-    live = np.arange(n)
+    live = np.arange(rows.failed)
     for j, q in enumerate(grid):
         if not live.size:
             break
@@ -309,34 +294,30 @@ def sweep_polar_boundary(
         live = live[flags]
     # live: the rows with GTE on the whole radius
 
-    bis = np.flatnonzero(switch >= 0)
-    a, b = qs[switch[bis]], qs[switch[bis] + 1]
+    # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE
+    a, b = np.zeros(n), np.zeros(n)
+    a[live] = b[live] = 0.5
+    active = np.flatnonzero(switch[: rows.failed] >= 0)
+    a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
     steps = np.zeros(n, dtype=int)
-    active = np.arange(bis.size)
     for _ in range(200):
         active = active[b[active] - a[active] > q_tol]
         if not active.size:
             break
         mid = 0.5 * (a[active] + b[active])
-        flags = rows.flags(bis[active], mid)
+        flags = rows.flags(active, mid)
         active, mid = active[: flags.size], mid[: flags.size]
         a[active] = np.where(flags, mid, a[active])
         b[active] = np.where(flags, b[active], mid)
-        steps[bis[active]] += 1
+        steps[active] += 1
     if active.size:  # still open after 200 steps
-        rows.fail(int(bis[active[0]]), ConvergenceFailure("bisection failed to reach tolerance"))
-
-    q_star = np.zeros(n)
-    q_star[live] = 0.5
-    q_star[bis] = 0.5 * (a + b)
-    width = np.zeros(n)
-    width[bis] = b - a
+        rows.failed, rows.failed_at = int(active[0]), None
     switch, read, steps, q_star, width = (
-        v.tolist() for v in (switch, read, steps, q_star, width)
+        v.tolist() for v in (switch, read, steps, 0.5 * (a + b), b - a)
     )
 
     # the failing row logged its pre-scan if it failed in its bisection
-    logged = rows.failed + (rows.error is not None and switch[rows.failed] >= 0)
+    logged = rows.failed + (rows.failed < n and switch[rows.failed] >= 0)
     if _log.isEnabledFor(logging.DEBUG):
         for k in range(logged):
             i = switch[k]
@@ -349,8 +330,8 @@ def sweep_polar_boundary(
                     "bisect_switch bracket=%r steps=%d width=%r",
                     (grid[i], grid[i + 1]), steps[k], width[k],
                 )
-    if rows.error is not None:
-        raise rows.error
+    if rows.failed < n:
+        _raise_row_error(dim, rows)
     return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(rows.pairs, q_star)]
 
 

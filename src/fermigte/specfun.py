@@ -155,11 +155,10 @@ def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     (:func:`_f_small_x`, the series and closed form of :func:`spherical_j1`,
     and J1's branches, the scalar path's own), so each value is the scalar
     one wherever numpy's sin, cos and sqrt round as the math module's do.
-    An x outside [0, X_MAX] raises f_factor's DomainError for the first one.
+    Nothing is checked and nothing raises: every x must be finite and
+    nonnegative, and only the values on f_factor's domain [0, X_MAX] are
+    f_factor's.
     """
-    inside = (x >= 0.0) & (x <= X_MAX)
-    if not inside.all():
-        f_factor(dim, float(x[np.argmin(inside)]))
     out = np.empty_like(x)
     small = x < _SERIES_SWITCH
     x2 = x[small] * x[small]

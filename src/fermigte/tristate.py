@@ -76,9 +76,10 @@ def _assemble(p12: float, p13: float, p23: float) -> np.ndarray:
 def rho3(c: Couplings) -> np.ndarray:
     """8x8 reduced density matrix for the given singlet weights.
 
-    Raises InvalidCouplingsError when a bound is exceeded by more than
-    1e-6; smaller excesses (rounding from the kernel evaluation) only
-    warn.
+    Raises InvalidCouplingsError when a bound of :func:`couplings.validate`
+    is exceeded by more than 1e-6 (|p_ij| <= 1, |p| <= 1, or a smallest
+    eigenvalue above -1e-6); smaller excesses (rounding from the kernel
+    evaluation) only warn.
     """
     excess = bound_excess(c)
     if excess > 1e-6:

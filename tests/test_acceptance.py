@@ -35,7 +35,13 @@ from fermigte.bisep import _symmetric_point
 from fermigte.cli import main
 from fermigte.witnesses import PERM_MIDDLE
 
-from conftest import in_lens_hull, random_biseparable, random_config, random_su2
+from conftest import (
+    in_lens_hull,
+    psd_werner_weights,
+    random_biseparable,
+    random_config,
+    random_su2,
+)
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 SQRT5 = math.sqrt(5.0)
@@ -271,11 +277,7 @@ def test_criterion_11_dual_feasibility_and_paths(rng):
         for perm in PERM_MIDDLE
     )
     worst_gap = 0.0
-    for _ in range(1000):
-        while True:
-            p = rng.uniform(-1.0, 1.0, 3)
-            if abs(p.sum()) <= 1.0:
-                break
+    for p in psd_werner_weights(rng, 1000).tolist():
         c = Couplings(*p)
         worst_gap = max(worst_gap, abs(er_lower_bound(c) - er_lower_bound_matrix(c)))
     wits = [bounded_energy_witness(perm).matrix for perm in PERM_MIDDLE]

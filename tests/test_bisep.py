@@ -14,14 +14,13 @@ from fermigte import (
     corner_hexagon,
     couplings_from_config,
     find_rmin,
-    hull_margin,
-    point_in_hull,
     r_max_solver,
     werner_coords,
 )
 from fermigte.bisep import (
     _BRACKETS,
     _HI_LIMITS,
+    MEMBERSHIP_TOL,
     PRESCAN_POINTS,
     ConvexRegion,
     _corners,
@@ -44,6 +43,11 @@ D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
 SEC = SectionSpec(0.041, 0.0)
 SQRT3 = math.sqrt(3.0)
+
+
+def _inside(region, r1, r2, tol=MEMBERSHIP_TOL):
+    """The solver's membership test: inside, or within tol of the boundary."""
+    return _margin(region.vertices, r1, r2) >= -tol
 
 
 class TestRegionBoundary:
@@ -90,12 +94,12 @@ class TestRegionBoundary:
 
 class TestHull:
     def test_contains_origin(self):
-        assert point_in_hull(corner_hexagon(SEC), 0.0, 0.0)
+        assert _inside(corner_hexagon(SEC), 0.0, 0.0)
 
     def test_threshold_point_outside(self):
         hull = corner_hexagon(SEC)
-        assert not point_in_hull(hull, -0.35, SQRT3 * -0.35)
-        assert not point_in_hull(hull, -0.35, -0.6062)
+        assert not _inside(hull, -0.35, SQRT3 * -0.35)
+        assert not _inside(hull, -0.35, -0.6062)
 
     def test_rotation_symmetric(self):
         hull = corner_hexagon(SEC).as_array()
@@ -110,7 +114,7 @@ class TestHull:
     def test_vertices_inside_with_tolerance(self):
         hull = corner_hexagon(SEC)
         for x, y in hull.vertices:
-            assert point_in_hull(hull, x, y, tol=1e-9)
+            assert _inside(hull, x, y, tol=1e-9)
 
     def test_csv_dump(self):
         text = polygon_to_csv(corner_hexagon(SEC))
@@ -215,7 +219,7 @@ class TestBareCorners:
             region = corner_hexagon(sec)
             for r1, r2 in PROBES + vertices:
                 margin = _margin(vertices, r1, r2)
-                assert margin == hull_margin(region, r1, r2)
+                assert margin == _margin(region.vertices, r1, r2)
                 assert margin == _reference_margin(vertices, r1, r2)
 
 
@@ -230,7 +234,7 @@ def _reference_r_max(dim, bracket, tol):
             hexagon = corner_hexagon(sec)
         except EmptyRegionError:
             return True
-        return not point_in_hull(hexagon, *point)
+        return not _inside(hexagon, *point)
 
     grid = np.linspace(lo, hi, PRESCAN_POINTS)
     flags = [outside(r) for r in grid]
@@ -253,21 +257,21 @@ class TestHullMargin:
     SQUARE = ConvexRegion(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
 
     def test_distance_to_nearest_edge(self):
-        assert hull_margin(self.SQUARE, 1.0, 0.25) == 0.25
-        assert hull_margin(self.SQUARE, 1.75, 1.0) == 0.25
-        assert hull_margin(self.SQUARE, 1.0, 1.0) == 1.0
+        assert _margin(self.SQUARE.vertices, 1.0, 0.25) == 0.25
+        assert _margin(self.SQUARE.vertices, 1.75, 1.0) == 0.25
+        assert _margin(self.SQUARE.vertices, 1.0, 1.0) == 1.0
 
     def test_sign(self):
-        assert hull_margin(self.SQUARE, 1.0, -0.5) == -0.5
-        assert hull_margin(self.SQUARE, 2.0, 1.0) == 0.0
-        assert hull_margin(self.SQUARE, 3.0, 3.0) < 0.0
+        assert _margin(self.SQUARE.vertices, 1.0, -0.5) == -0.5
+        assert _margin(self.SQUARE.vertices, 2.0, 1.0) == 0.0
+        assert _margin(self.SQUARE.vertices, 3.0, 3.0) < 0.0
 
     def test_straight_side_of_hexagon(self):
         # the 1|23 straight side r1 = 2*r_plus - 1 is the nearest edge here
         hexagon = corner_hexagon(SEC)
         edge = 2.0 * 0.041 - 1.0
-        assert hull_margin(hexagon, edge + 0.01, 0.0) == pytest.approx(0.01, abs=1e-15)
-        assert hull_margin(hexagon, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
+        assert _margin(hexagon.vertices, edge + 0.01, 0.0) == pytest.approx(0.01, abs=1e-15)
+        assert _margin(hexagon.vertices, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
 
 
 class TestNonFinitePoint:
@@ -282,10 +286,9 @@ class TestNonFinitePoint:
 
     def test_margin_is_nan(self, point):
         hexagon = corner_hexagon(SEC)
-        assert point_in_hull(hexagon, 0.0, 0.0)
-        assert math.isnan(hull_margin(hexagon, *point))
+        assert _inside(hexagon, 0.0, 0.0)
         assert math.isnan(_margin(hexagon.vertices, *point))
-        assert not point_in_hull(hexagon, *point)
+        assert not _inside(hexagon, *point)
 
     def test_solver_predicate_counts_it_outside(self, monkeypatch, point):
         import fermigte.bisep as bisep_module

@@ -21,6 +21,7 @@ from fermigte import (
 from fermigte.couplings import (
     LIMIT_SWITCH,
     _limit_weights,
+    _min_eigenvalue,
     _shape_weights,
     _weights,
     _weights_array,
@@ -41,7 +42,7 @@ from fermigte.geometry import (
 )
 from fermigte.scan import _unit_kernel
 
-from conftest import random_config
+from conftest import psd_werner_weights, random_config, werner_states
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -238,54 +239,61 @@ class TestFloatCore:
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_the_float_core(self, dim):
-        # every scaled triple that passes the distance checks, and every
-        # unit shape in limit mode (kfr = 0), one element at a time
+        # every scaled triple that passes the distance checks, one element at
+        # a time, and every unit shape scaled by 2**-20 into limit mode, as
+        # the polar sweep passes its kfr = 0 rows
         cases = []
         for shape in self.SHAPES:
             for kfr in self.KFRS:
                 if kfr == 0.0:
-                    cases.append((shape, True, 1.0))
+                    cases.append((tuple(2.0**-20 * d for d in shape), 1.0, shape))
                 elif _unit_kernel(dim, kfr) is not None:
                     cfg = _outcome(lambda: scaled(kfr, shape, dim))
                     if isinstance(cfg, TriangleConfig):
-                        cases.append((cfg.distances(), False, _unit_kernel(dim, kfr)))
+                        cases.append((cfg.distances(), _unit_kernel(dim, kfr), None))
 
-        def array(d, limit, f13):
-            cols = [np.array(v, dtype=float) for v in (*zip(*d), f13)]
-            return _weights_array(dim, *cols, np.array(limit))
+        def array(d, f13):
+            return _weights_array(dim, *(np.array(v, dtype=float) for v in (*zip(*d), f13)))
 
         kinds = Counter()
-        good, good_weights = [], []
-        for d, limit, f13 in cases:
-            want = _outcome(lambda: _limit_weights(*d) if limit else _weights(dim, *d, f13))
-            got = _outcome(lambda: tuple(v.item() for v in array([d], [limit], [f13])))
-            assert got == want, (d, limit)
-            if isinstance(want[0], type):
-                kinds[want[0]] += 1
+        oks, good = [], []
+        for d, f13, unit in cases:
+            want = _outcome(lambda: _weights(dim, *d, f13))
+            *weights, (ok,) = (v.tolist() for v in array([d], [f13]))
+            # the mask rejects exactly the triples that the float core rejects
+            assert ok is not isinstance(want[0], type), (d, want)
+            oks.append(ok)
+            if unit is not None:  # the power of two changes no limit weight or check
+                at_unit = _outcome(lambda: _limit_weights(*unit))
+                assert (at_unit if ok else at_unit[0]) == (want if ok else want[0]), unit
+            if ok:
+                assert tuple(w for (w,) in weights) == want, d
+                kinds[max(d) < LIMIT_SWITCH] += 1
+                good.append(want)
             else:
-                kinds[limit or max(d) < LIMIT_SWITCH] += 1
-                good.append((d, limit, f13))
-                good_weights.append(want)
+                kinds[want[0]] += 1
         assert set(kinds) == {True, False, DegenerateDenominatorError, DomainError}
-        # the accepted triples as one array, in any mix of branches
-        p12, p13, p23 = array(*zip(*good))
-        assert list(zip(p12.tolist(), p13.tolist(), p23.tolist())) == good_weights
+        # all cases as one array, in any mix of branches
+        p12, p13, p23, ok = array(*list(zip(*cases))[:2])
+        assert ok.tolist() == oks
+        assert list(zip(p12[ok].tolist(), p13[ok].tolist(), p23[ok].tolist())) == good
 
     @pytest.mark.parametrize("dim", [D2, D3])
     @pytest.mark.parametrize("error", [DegenerateDenominatorError, InvalidCouplingsError])
     def test_array_form_raises_the_float_core_error(self, dim, error):
-        # f13 is the caller's: pick one that zeroes the denominator, or a NaN
+        # the array form never raises: its mask rejects the element where
+        # the float core raises.  f13 is the caller's: pick one that zeroes
+        # the denominator, or a NaN
         d = (0.5, 0.9, 0.5)
         f = f_factor(dim, 0.5)
         f13 = (f * f - math.sqrt(f**4 - 8.0 * f * f + 8.0)) / 2.0
         if error is InvalidCouplingsError:
             f13 = math.nan
-        want = _outcome(lambda: _weights(dim, *d, f13))
-        assert want[0] is error
+        assert _outcome(lambda: _weights(dim, *d, f13))[0] is error
         cols = [np.array([1.0, v]) for v in d]
         f13s = np.array([f_factor(dim, 1.0), f13])
-        got = _outcome(lambda: _weights_array(dim, *cols, f13s, np.zeros(2, bool)))
-        assert got == want
+        *_, ok = _weights_array(dim, *cols, f13s)
+        assert ok.tolist() == [True, False]
 
     def test_unit_kernel_is_the_kernel_at_d13(self):
         for dim in (D2, D3):
@@ -321,6 +329,25 @@ class TestValidate:
         for _ in range(300):
             c = couplings_from_config(random_config(rng))
             assert validate_couplings(c) == []
+
+    def test_weights_of_no_state(self):
+        # every pair and sum bound holds, yet rho3's smallest eigenvalue is -0.2125
+        c = Couplings(-0.9, 0.9, 0.9)
+        assert _min_eigenvalue(c) == pytest.approx(-0.2125, abs=1e-15)
+        assert validate_couplings(c) == ["rho3 ≥ 0 violated"]
+
+    def test_state_boundary(self, rng):
+        # on the boundary of the state set within the slack, past it outside
+        p = psd_werner_weights(rng, 2000)[:1000]
+        assert all(validate_couplings(Couplings(*w)) == [] for w in p.tolist())
+        assert all(validate_couplings(Couplings(*w)) for w in ((1.0 + 1e-6) * p).tolist())
+
+    def test_min_eigenvalue_is_rho3s(self, rng):
+        # states and weights of no state alike, against an independent 8x8 build
+        p = np.concatenate([psd_werner_weights(rng, 2000), rng.uniform(-1.0, 1.0, (2000, 3))])
+        want = np.linalg.eigvalsh(werner_states(p))[:, 0]
+        got = [_min_eigenvalue(Couplings(*w)) for w in p.tolist()]
+        assert np.max(np.abs(np.array(got) - want)) <= 1e-14
 
 
 def _permute(cfg: TriangleConfig, perm: tuple[int, int, int]) -> TriangleConfig:

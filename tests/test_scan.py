@@ -198,10 +198,13 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda d, r, idx, q: np.ones(idx.size, bool))
+        def constant(gte):  # no point is rejected
+            return lambda d, r, idx, q: (np.full(idx.size, gte), np.zeros(idx.size, bool))
+
+        monkeypatch.setattr(scan_module, "_polar_gte", constant(True))
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda d, r, idx, q: np.zeros(idx.size, bool))
+        monkeypatch.setattr(scan_module, "_polar_gte", constant(False))
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
 
@@ -442,7 +445,7 @@ class TestPolarFloatPath:
 
         def always(dim, rows, idx, q):
             calls.extend(np.broadcast_to(q, idx.shape).tolist())
-            return np.ones(idx.size, bool)
+            return np.ones(idx.size, bool), np.zeros(idx.size, bool)
 
         monkeypatch.setattr(scan_module, "_polar_gte", always)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
@@ -492,36 +495,97 @@ class TestLockStep:
             ([60.0, 1.0], [0.3, 4.0], (60.0, 0.3, 0.0)),
             ([math.nan], [0.3], (math.nan, 0.3, 0.0)),
             ([1.0, -1], [0.3], (-1, 0.3, 0.0)),
+            # a subnormal kfr scales d12 and d23 to 0: a rejected point
+            ([1.0, 5e-324], [0.3], (5e-324, 0.3, 0.0)),
         ],
         ids=[
-            "kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int"
+            "kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int",
+            "kfr-subnormal",
         ],
     )
-    def test_domain_errors_are_the_scalar_errors(self, kfrs, thetas, point):
+    def test_domain_errors_are_the_scalar_errors(self, kfrs, thetas, point, polar_calls):
         # the error of the first failing row, at the first point it reads
         want = _error(lambda: polar_gte(D3, *point))
         assert want[0] is not AssertionError
         assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
+        # a row that the up-front check rejects never reaches the array path
+        kfr, theta, _ = point
+        assert (0.0 <= kfr <= 50.0 and abs(theta) <= math.pi) == (point[:2] in polar_calls)
+
+    def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
+        import fermigte.scan as scan_module
+
+        rows = scan_module._PolarRows(D3, [5e-324], [0.3])
+        rows.failed, rows.failed_at = 0, 0.0
+        monkeypatch.setattr(scan_module.geometry, "polar_shape", lambda *a: pytest.fail("rebuilt"))
+        with pytest.raises(DomainError, match="at most one pairwise distance may vanish"):
+            scan_module._raise_row_error(D3, rows)
+
+    @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
+    def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
+        # theta = 0, q = 1/2 puts fermion 2 on fermion 3, as in the per-row oracle
+        import fermigte.scan as scan_module
+
+        rows = scan_module._PolarRows(D3, [kfr], [0.0])
+        gte, bad = scan_module._polar_gte(D3, rows, np.array([0]), 0.5)
+        assert (gte.tolist(), bad.tolist()) == ([False], [False])
+        assert polar_gte(D3, kfr, 0.0, 0.5) is False
 
     def test_the_first_failing_row_wins(self, monkeypatch):
-        # row (1.0, 0.3) fails in its bisection, row (1.0, 0.7) at its centre,
-        # which the lock step reaches first; a row-by-row sweep raises the former
+        # row (1.0, 0.3) has a rejected point in its bisection, row (1.0, 0.7)
+        # at its centre, which the lock step reaches first; a row-by-row
+        # sweep raises the former
         import fermigte.scan as scan_module
 
         real = scan_module._polar_gte
+        failing_at = []
 
-        def failing(dim, rows, idx, q):
-            for k, qk in zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist()):
+        def rejecting(dim, rows, idx, q):
+            gte, bad = real(dim, rows, idx, q)
+            assert not bad.any()
+            for m, (k, qk) in enumerate(zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist())):
                 theta = rows.pairs[k][1]
-                if theta == 0.7 or (theta == 0.3 and qk * 64.0 != int(qk * 64.0)):
-                    raise DomainError(f"row {theta}")
-            return real(dim, rows, idx, q)
+                bad[m] = theta == 0.7 or (theta == 0.3 and qk * 64.0 != int(qk * 64.0))
+            return gte, bad
 
-        monkeypatch.setattr(scan_module, "_polar_gte", failing)
+        def raising(dim, rows):
+            failing_at.append(rows.failed_at)
+            raise DomainError(f"row {rows.pairs[rows.failed][1]}")
+
+        monkeypatch.setattr(scan_module, "_polar_gte", rejecting)
+        monkeypatch.setattr(scan_module, "_raise_row_error", raising)
         with pytest.raises(DomainError, match=r"^row 0\.3$"):
             sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
         with pytest.raises(DomainError, match=r"^row 0\.7$"):
             sweep_polar_boundary(D3, [1.0], [0.7, 0.3])
+        # the first bisection point of row 0.3, then the centre of row 0.7
+        assert failing_at[0] * 64.0 != int(failing_at[0] * 64.0)
+        assert failing_at[1] == 0.0
+
+    def test_no_row_after_the_failing_row_is_bisected(self, monkeypatch):
+        # row 0.7 switches at pre-scan point 2; row 0.3, before it, fails at
+        # point 5, so row 0.7's bisection, where every point is rejected, never runs
+        import fermigte.scan as scan_module
+
+        read = []
+
+        def synthetic(dim, rows, idx, q):
+            thetas = [rows.pairs[k][1] for k in idx.tolist()]
+            qs = np.broadcast_to(q, idx.shape).tolist()
+            read.extend(zip(thetas, qs))
+            gte = [t == 0.3 or qk < 2.5 / 64.0 for t, qk in zip(thetas, qs)]
+            bad = [qk == 5.0 / 64.0 if t == 0.3 else qk * 64.0 != int(qk * 64.0)
+                   for t, qk in zip(thetas, qs)]
+            return np.array(gte), np.array(bad)
+
+        def raising(dim, rows):
+            raise DomainError(f"row {rows.pairs[rows.failed][1]} at {rows.failed_at}")
+
+        monkeypatch.setattr(scan_module, "_polar_gte", synthetic)
+        monkeypatch.setattr(scan_module, "_raise_row_error", raising)
+        with pytest.raises(DomainError, match=r"^row 0\.3 at 0\.078125$"):
+            sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
+        assert [q for t, q in read if t == 0.7] == [j / 64.0 for j in range(4)]
 
     def test_tolerance_below_float_spacing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermigte"):

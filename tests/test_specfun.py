@@ -196,13 +196,3 @@ class TestArrayKernel:
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_empty(self, dim):
         assert _f_array(dim, np.array([])).shape == (0,)
-
-    @pytest.mark.parametrize("bad", [-1e-9, -1.0, 50.1, math.inf, math.nan])
-    @pytest.mark.parametrize("dim", [D2, D3])
-    def test_domain_is_f_factors(self, dim, bad):
-        with pytest.raises(DomainError) as scalar:
-            f_factor(dim, bad)
-        # the first element outside the domain, as f_factor reports it
-        with pytest.raises(DomainError) as array:
-            _f_array(dim, np.array([1.0, bad, -2.0]))
-        assert str(array.value) == str(scalar.value)

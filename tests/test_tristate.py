@@ -52,10 +52,15 @@ class TestRho3:
         with pytest.raises(InvalidCouplingsError):
             rho3(Couplings(1.0 + 1e-5, 0.0, 0.0))
 
+    def test_rejects_weights_of_no_state(self):
+        with pytest.raises(InvalidCouplingsError, match=r"rho3 ≥ 0 violated"):
+            rho3(Couplings(-0.9, 0.9, 0.9))
+
     def test_warns_on_rounding_excess(self):
         with warnings.catch_warnings(record=True) as rec:
             warnings.simplefilter("always")
-            rho3(Couplings(1.0 + 5e-7, 0.0, -1.0))
+            # p12 and p exceed 1 by 5e-7; the smallest eigenvalue is -6.25e-8
+            rho3(Couplings(1.0 + 5e-7, 0.0, 0.0))
         assert len(rec) == 1
 
     def test_physicality_over_random_configs(self, rng):

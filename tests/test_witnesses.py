@@ -282,11 +282,7 @@ class TestErLowerBound:
         assert er_lower_bound(c) == pytest.approx(0.0, abs=1e-4)
 
     def test_matrix_path_agreement(self, rng):
-        for _ in range(200):
-            while True:
-                p = rng.uniform(-1.0, 1.0, 3)
-                if abs(p.sum()) <= 1.0:
-                    break
+        for p in psd_werner_weights(rng, 200).tolist():
             c = Couplings(*p)
             assert abs(er_lower_bound(c) - er_lower_bound_matrix(c)) <= 1e-12
 
