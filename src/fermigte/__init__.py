@@ -9,12 +9,7 @@ import logging
 # silent unless the application configures the "fermigte" logger
 logging.getLogger(__name__).addHandler(logging.NullHandler())
 
-from .bisep import (
-    ConvexRegion,
-    SectionSpec,
-    corner_hexagon,
-    r_max_solver,
-)
+from .bisep import corner_hexagon, r_max_solver
 from .couplings import Couplings
 from .couplings import from_config as couplings_from_config
 from .couplings import validate as validate_couplings
@@ -29,7 +24,7 @@ from .errors import (
     InvalidCouplingsError,
     NonHermitianInputError,
 )
-from .geometry import TriangleConfig, collinear, equilateral, isosceles, polar
+from .geometry import TriangleConfig
 from .scan import (
     PolarBoundaryRow,
     SweepRow,
@@ -69,7 +64,6 @@ from .witnesses import (
 __all__ = [
     "__version__",
     "BracketError",
-    "ConvexRegion",
     "ConvergenceFailure",
     "Couplings",
     "DegenerateDenominatorError",
@@ -83,7 +77,6 @@ __all__ = [
     "LocalBasis",
     "NonHermitianInputError",
     "PolarBoundaryRow",
-    "SectionSpec",
     "SweepRow",
     "TriangleConfig",
     "WernerCoords",
@@ -91,12 +84,10 @@ __all__ = [
     "analytic_limit_thresholds",
     "bessel_j1",
     "bounded_energy_witness",
-    "collinear",
     "corner_hexagon",
     "couplings_from_config",
     "couplings_zero_limit",
     "energy_observable",
-    "equilateral",
     "er_lower_bound",
     "er_lower_bound_matrix",
     "expectation",
@@ -104,12 +95,10 @@ __all__ = [
     "find_rmin",
     "ghz_state",
     "grid_scan_ghz_w",
-    "isosceles",
     "matrix_from_text",
     "matrix_to_text",
     "min_eigenvalue",
     "pauli_dot",
-    "polar",
     "projective_witness",
     "r_max_solver",
     "rho3",

@@ -24,28 +24,24 @@ i.e. r_plus < 1/3 at r3 = 0) each curved side leaves its corners on the
 inner side of the neighbouring hexagon edges, and the hexagon is the hull
 itself; sampling the lens boundaries finds no other hull vertex there.
 The threshold solver therefore bisects (with :func:`scan.bisect_switch`)
-on the bare corner margin: the sign of the point's signed distance to the
-nearest edge of the closed-form corners, computed straight from their
-vertex tuple.  Only the public :func:`corner_hexagon`, whose vertices the
-dump prints, wraps the corners in a :class:`ConvexRegion` and runs its
-convexity check; both share one corner computation, so the solver sees the
-vertices of that hexagon.  Once
-the corners overlap (r_plus >= 1/3 at r3 = 0) the hull has curved sides;
-no threshold or figure visits those sections and they are rejected.
+on the corner margin: the sign of the point's signed distance to the
+nearest edge of :func:`corner_hexagon`'s vertex tuple, the vertices that
+the polygon dump prints.  Once the corners overlap (r_plus >= 1/3 at
+r3 = 0) the hull has curved sides; no threshold or figure visits those
+sections and they are rejected.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
 from .couplings import from_config
 from .errors import BracketError, DomainError, EmptyRegionError
-from .geometry import collinear
+from .geometry import _SYMMETRIC_COLLINEAR, scaled
 from .scan import bisect_switch, check_tol, first_switch
 from .specfun import Dimensionality
 from .tristate import werner_coords
@@ -66,57 +62,28 @@ _COS_M, _SIN_M = math.cos(-_THIRD), math.sin(-_THIRD)
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SectionSpec:
-    """Section of the invariant-coordinate space at fixed (r_plus, r3)."""
+def corner_hexagon(r_plus: float, r3: float = 0.0) -> tuple[tuple[float, float], ...]:
+    """Hexagon of the six lens corners of the section (r_plus, r3),
+    counterclockwise from the lower 1|23 corner.
 
-    r_plus: float
-    r3: float = 0.0
-
-
-@dataclass(frozen=True)
-class ConvexRegion:
-    """Convex polygon in the (r1, r2) plane, vertices counterclockwise."""
-
-    vertices: tuple[tuple[float, float], ...]
-
-    def __post_init__(self) -> None:
-        v = self.vertices
-        if len(v) < 3:
-            raise DomainError(f"polygon needs at least 3 vertices, got {len(v)}")
-        n = len(v)
-        for i in range(n):
-            ax, ay = v[i]
-            bx, by = v[(i + 1) % n]
-            cx, cy = v[(i + 2) % n]
-            cross = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-            if cross < -1e-12:
-                raise DomainError("vertices are not in convex counterclockwise order")
-
-    def as_array(self) -> np.ndarray:
-        return np.array(self.vertices, dtype=float)
-
-
-def _check_section(sec: SectionSpec) -> float:
-    """Return (1 - 3*r_plus); raise when the 1|23 region is empty."""
-    c = 1.0 - 3.0 * sec.r_plus
-    if not 3.0 * sec.r3 * sec.r3 + c * c < 1.0:
+    The 1|23 corners are r1 = 2*r_plus - 1, r2 = +-sqrt((1 - c**2 -
+    3*r3**2)/3) with c = 1 - 3*r_plus; the other four are their +-2*pi/3
+    rotations.  The hexagon is always inside the hull of the lenses, and
+    is that hull while the corners keep this order, which is the only
+    case accepted (r_plus < 1/3 at r3 = 0).  EmptyRegionError where no
+    state satisfies the inequalities, DomainError where the corners overlap.
+    """
+    c = 1.0 - 3.0 * r_plus
+    if not 3.0 * r3 * r3 + c * c < 1.0:
         raise EmptyRegionError(
             f"no state satisfies the separability inequalities at "
-            f"r_plus={sec.r_plus}, r3={sec.r3}"
+            f"r_plus={r_plus}, r3={r3}"
         )
-    return c
-
-
-def _corners(sec: SectionSpec) -> tuple[tuple[float, float], ...]:
-    """The six lens corners of :func:`corner_hexagon`, without the
-    ConvexRegion check (the corners are convex whenever they are returned)."""
-    c = _check_section(sec)
-    r1 = 2.0 * sec.r_plus - 1.0
-    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
+    r1 = 2.0 * r_plus - 1.0
+    r2 = math.sqrt((1.0 - c * c - 3.0 * r3 * r3) / 3.0)
     if not r2 < -_SQRT3 * r1:
         raise DomainError(
-            f"the lens corners overlap at r_plus={sec.r_plus}, r3={sec.r3}, "
+            f"the lens corners overlap at r_plus={r_plus}, r3={r3}, "
             "so the hull has curved sides; no polygon is given there"
         )
     return (
@@ -127,19 +94,6 @@ def _corners(sec: SectionSpec) -> tuple[tuple[float, float], ...]:
         (_COS_M * r1 - _SIN_M * -r2, _SIN_M * r1 + _COS_M * -r2),
         (r1, r2),
     )
-
-
-def corner_hexagon(sec: SectionSpec) -> ConvexRegion:
-    """Hexagon of the six lens corners, counterclockwise from the lower
-    1|23 corner.
-
-    The 1|23 corners are r1 = 2*r_plus - 1, r2 = +-sqrt((1 - c**2 -
-    3*r3**2)/3) with c = 1 - 3*r_plus; the other four are their +-2*pi/3
-    rotations.  The hexagon is always inside the hull of the lenses, and
-    is that hull while the corners keep this order, which is the only
-    case accepted (r_plus < 1/3 at r3 = 0).
-    """
-    return ConvexRegion(_corners(sec))
 
 
 def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> float:
@@ -159,28 +113,28 @@ def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> 
     return margin
 
 
-def polygon_to_csv(region: ConvexRegion) -> str:
+def polygon_to_csv(vertices: tuple[tuple[float, float], ...]) -> str:
     """CSV dump of the hull vertices, counterclockwise, 12 digits."""
     lines = ["r1,r2"]
-    for x, y in region.vertices:
+    for x, y in vertices:
         lines.append(f"{x:.12g},{y:.12g}")
     return "\n".join(lines) + "\n"
 
 
 def _symmetric_point(dim: Dimensionality, separation: float):
-    """Section and (r1, r2) point of the symmetric collinear configuration."""
-    c = from_config(collinear(separation, 0.5, dim))
-    wc = werner_coords(c)
-    return SectionSpec(wc.r_plus, wc.r3), (wc.r1, wc.r2)
+    """Section (r_plus, r3) and (r1, r2) point of the symmetric collinear
+    configuration."""
+    wc = werner_coords(from_config(scaled(separation, _SYMMETRIC_COLLINEAR, dim)))
+    return (wc.r_plus, wc.r3), (wc.r1, wc.r2)
 
 
 def _outside(dim: Dimensionality, separation: float) -> bool:
     """r_max_solver's predicate: the symmetric collinear point lies outside
     its own section's corner hexagon by more than MEMBERSHIP_TOL, or the
     section is empty."""
-    sec, (r1, r2) = _symmetric_point(dim, separation)
+    section, (r1, r2) = _symmetric_point(dim, separation)
     try:
-        vertices = _corners(sec)
+        vertices = corner_hexagon(*section)
     except EmptyRegionError:
         return True
     return not _margin(vertices, r1, r2) >= -MEMBERSHIP_TOL
@@ -204,16 +158,16 @@ def r_max_solver(
     empty section (the weights round past their bounds at separations
     below ~5e-3) holds no biseparable state and counts as outside.  A
     PRESCAN_POINTS grid over the bracket must show a single
-    outside-to-inside switch.  The bracket must end at or below
-    _HI_LIMITS[dim], beyond which the lens corners overlap.
+    outside-to-inside switch.  The bracket must start above 0 and end at
+    or below _HI_LIMITS[dim], beyond which the lens corners overlap.
 
     Logs one DEBUG record per solve: the pre-scan's switch index (None
     when there is none) and its PRESCAN_POINTS outside flags.
     """
     check_tol(tol)
     lo, hi = bracket if bracket is not None else _BRACKETS[dim]
-    if not -math.inf < lo < hi < math.inf:
-        raise DomainError(f"bracket must be finite and increasing, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise DomainError(f"bracket must be finite, increasing and above 0, got ({lo}, {hi})")
     if hi > _HI_LIMITS[dim]:
         raise DomainError(
             f"bracket end {hi} is above {_HI_LIMITS[dim]}, where the {dim.value} "

@@ -250,8 +250,7 @@ def dispatch(args: argparse.Namespace) -> str:
     if cmd == "sweep":
         return _run_sweep(args)
     if cmd == "polygon":
-        sec = bisep.SectionSpec(args.rplus, args.r3)
-        return bisep.polygon_to_csv(bisep.corner_hexagon(sec))
+        return bisep.polygon_to_csv(bisep.corner_hexagon(args.rplus, args.r3))
     raise DomainError(f"unknown command {cmd!r}")
 
 

@@ -5,8 +5,8 @@ state, so configurations are stored as a distance triple rather than as
 coordinates.  Each standard arrangement (collinear, isosceles, a point
 in polar coordinates about the midpoint of a fixed pair, and the
 equilateral triangle) is a shape function that validates its arguments
-and returns the distances at unit 1-3 separation, plus a constructor
-that scales that shape to separation kfr.
+and returns the distances at unit 1-3 separation; :func:`scaled` turns
+any shape into the configuration at separation kfr > 0.
 """
 
 from __future__ import annotations
@@ -63,15 +63,11 @@ class TriangleConfig:
         return (self.d12, self.d13, self.d23)
 
 
-def _check_kfr(kfr: float) -> None:
-    if not kfr > 0.0:
-        raise DomainError(f"kfr must be positive, got {kfr}")
-
-
 def _scale(kfr: float, shape: Shape) -> Shape:
     """The distances of a unit-separation shape at separation kfr > 0,
     before the :class:`TriangleConfig` checks."""
-    _check_kfr(kfr)
+    if not kfr > 0.0:
+        raise DomainError(f"kfr must be positive, got {kfr}")
     d12, d13, d23 = shape
     return (kfr * d12, kfr * d13, kfr * d23)
 
@@ -87,6 +83,10 @@ def collinear_shape(x_over_r: float) -> Shape:
     if not 0.0 <= x_over_r <= 1.0:
         raise DomainError(f"x_over_r must lie in [0, 1], got {x_over_r}")
     return (x_over_r, 1.0, 1.0 - x_over_r)
+
+
+# fermion 2 midway between 1 and 3: the family every distance threshold follows
+_SYMMETRIC_COLLINEAR = collinear_shape(0.5)
 
 
 def isosceles_shape(y_over_r: float) -> Shape:
@@ -131,23 +131,3 @@ def _polar_at(direction: tuple[float, float], q_over_r: float) -> Shape:
 def equilateral_shape() -> Shape:
     """All three fermions mutually at unit separation."""
     return (1.0, 1.0, 1.0)
-
-
-def collinear(kfr: float, x_over_r: float, dim: Dimensionality) -> TriangleConfig:
-    """:func:`collinear_shape` at separation kfr."""
-    return scaled(kfr, collinear_shape(x_over_r), dim)
-
-
-def isosceles(kfr: float, y_over_r: float, dim: Dimensionality) -> TriangleConfig:
-    """:func:`isosceles_shape` at separation kfr."""
-    return scaled(kfr, isosceles_shape(y_over_r), dim)
-
-
-def polar(kfr: float, theta: float, q_over_r: float, dim: Dimensionality) -> TriangleConfig:
-    """:func:`polar_shape` at separation kfr."""
-    return scaled(kfr, polar_shape(theta, q_over_r), dim)
-
-
-def equilateral(kfr: float, dim: Dimensionality) -> TriangleConfig:
-    """:func:`equilateral_shape` at separation kfr."""
-    return scaled(kfr, equilateral_shape(), dim)

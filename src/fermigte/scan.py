@@ -340,7 +340,7 @@ def sweep_distance(
     kfr_grid: Sequence[float],
 ) -> list[SweepRow]:
     """Robustness bound of the symmetric collinear family versus separation."""
-    shape = geometry.collinear_shape(0.5)
+    shape = geometry._SYMMETRIC_COLLINEAR
     return [
         _row((("dim", dim.value), ("kfr", kfr)), cpl._shape_weights(shape, kfr, dim))
         for dim in dims
@@ -372,7 +372,7 @@ def find_rmin(
         )
 
     def certified(r: float) -> bool:
-        c = cpl.from_config(geometry.collinear(r, 0.5, dim))
+        c = cpl.from_config(geometry.scaled(r, geometry._SYMMETRIC_COLLINEAR, dim))
         return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD > 0.0
 
     # arange can step past hi by a rounding error; the kernels stop at X_MAX

@@ -26,9 +26,8 @@ from fermigte import (
     couplings_from_config,
     couplings_zero_limit,
     er_lower_bound,
-    polar,
 )
-from fermigte.geometry import polar_shape
+from fermigte.geometry import polar_shape, scaled
 from fermigte.tristate import _assemble
 
 
@@ -113,7 +112,7 @@ def polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:
     if kfr == 0.0:
         d = polar_shape(theta, q)
         return min(d) > 0.0 and er_lower_bound(couplings_zero_limit(*d)) > 0.0
-    cfg = polar(kfr, theta, q, dim)
+    cfg = scaled(kfr, polar_shape(theta, q), dim)
     return min(cfg.distances()) > 0.0 and er_lower_bound(couplings_from_config(cfg)) > 0.0
 
 

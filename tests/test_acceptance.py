@@ -15,11 +15,9 @@ from fermigte import (
     Couplings,
     Dimensionality,
     bounded_energy_witness,
-    collinear,
     couplings_from_config,
     couplings_zero_limit,
     energy_observable,
-    equilateral,
     er_lower_bound,
     er_lower_bound_matrix,
     expectation,
@@ -33,6 +31,7 @@ from fermigte import (
 )
 from fermigte.bisep import _symmetric_point
 from fermigte.cli import main
+from fermigte.geometry import collinear_shape, equilateral_shape, scaled
 from fermigte.witnesses import PERM_MIDDLE
 
 from conftest import (
@@ -77,7 +76,7 @@ def test_criterion_01_witness_distance(capsys):
 
 def test_criterion_02_threshold_couplings():
     r = find_rmin(D3, tol=1e-6)
-    c = couplings_from_config(collinear(r, 0.5, D3))
+    c = couplings_from_config(scaled(r, collinear_shape(0.5), D3))
     ok = (
         abs(c.p12 - 0.539345) <= 1e-5
         and abs(c.p23 - 0.539345) <= 1e-5
@@ -101,7 +100,7 @@ def test_criterion_03_polygon_distance(capsys):
 
     def sampled_inside(dim, r, n_samples):
         sec, point = _symmetric_point(Dimensionality(dim), r)
-        return in_lens_hull(sec.r_plus, sec.r3, point, n_samples)
+        return in_lens_hull(*sec, point, n_samples)
 
     # sampled hulls at either resolution put the crossing within 1e-4
     stable = all(
@@ -140,7 +139,7 @@ def test_criterion_05_collinear_limit():
     )
     worst = 0.0
     for dim in (D3, D2):
-        direct = couplings_from_config(collinear(1e-3, 0.5, dim))
+        direct = couplings_from_config(scaled(1e-3, collinear_shape(0.5), dim))
         worst = max(
             worst,
             max(abs(a - b) for a, b in zip(direct.as_tuple(), lim.as_tuple())),
@@ -230,7 +229,7 @@ def test_criterion_09_equilateral_null():
     for dim in (D3, D2):
         for kfr in np.linspace(0.1, 10.0, 100):
             worst = max(
-                worst, er_lower_bound(couplings_from_config(equilateral(float(kfr), dim)))
+                worst, er_lower_bound(couplings_from_config(scaled(float(kfr), equilateral_shape(), dim)))
             )
     ok = worst == 0.0
     report(9, "equilateral null result", ok, f"max E_R = {worst}")
@@ -303,7 +302,7 @@ def test_criterion_12_monotonicity():
         rmin = find_rmin(dim, tol=1e-6)
         grid = np.linspace(rmin / 200.0, rmin, 200)
         ers = [
-            er_lower_bound(couplings_from_config(collinear(float(r), 0.5, dim)))
+            er_lower_bound(couplings_from_config(scaled(float(r), collinear_shape(0.5), dim)))
             for r in grid
         ]
         increases = max(

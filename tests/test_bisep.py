@@ -9,8 +9,6 @@ from scipy.spatial.distance import directed_hausdorff
 
 from fermigte import (
     Dimensionality,
-    SectionSpec,
-    collinear,
     corner_hexagon,
     couplings_from_config,
     find_rmin,
@@ -22,13 +20,12 @@ from fermigte.bisep import (
     _HI_LIMITS,
     MEMBERSHIP_TOL,
     PRESCAN_POINTS,
-    ConvexRegion,
-    _corners,
     _margin,
     _symmetric_point,
     polygon_to_csv,
 )
 from fermigte.errors import BracketError, DomainError, EmptyRegionError
+from fermigte.geometry import collinear_shape, scaled
 from fermigte.scan import bisect_switch
 
 from conftest import in_lens_hull, lens_hull
@@ -41,13 +38,13 @@ import workloads  # noqa: E402
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
-SEC = SectionSpec(0.041, 0.0)
+SEC = (0.041, 0.0)
 SQRT3 = math.sqrt(3.0)
 
 
-def _inside(region, r1, r2, tol=MEMBERSHIP_TOL):
+def _inside(vertices, r1, r2, tol=MEMBERSHIP_TOL):
     """The solver's membership test: inside, or within tol of the boundary."""
-    return _margin(region.vertices, r1, r2) >= -tol
+    return _margin(vertices, r1, r2) >= -tol
 
 
 class TestRegionBoundary:
@@ -55,7 +52,7 @@ class TestRegionBoundary:
 
     def test_points_satisfy_inequalities(self):
         # rotated back onto the 1|23 lens, each pair of corners meets its inequalities
-        pts = corner_hexagon(SEC).as_array()
+        pts = np.array(corner_hexagon(*SEC))
         c = 1.0 - 3.0 * 0.041
         third = 2.0 * math.pi / 3.0
         for pair, angle in (([5, 0], 0.0), ([1, 2], -third), ([3, 4], third)):
@@ -66,12 +63,12 @@ class TestRegionBoundary:
                 assert 3.0 * r2 * r2 + c * c <= t * t + 1e-12
 
     def test_leftmost_value(self):
-        pts = corner_hexagon(SEC).as_array()
+        pts = np.array(corner_hexagon(*SEC))
         assert pts[:, 0].min() == pytest.approx(2.0 * 0.041 - 1.0, abs=1e-12)
 
     def test_transverse_extent(self):
         # solve 3*r2^2 + (1 - 3*r_plus)^2 = 1
-        pts = corner_hexagon(SEC).as_array()
+        pts = np.array(corner_hexagon(*SEC))
         expect = math.sqrt((1.0 - (1.0 - 3.0 * 0.041) ** 2) / 3.0)
         assert expect == pytest.approx(0.277411247068, abs=1e-12)
         assert pts[0, 1] == pytest.approx(-expect, abs=1e-12)
@@ -79,7 +76,7 @@ class TestRegionBoundary:
 
     def test_rotated_partitions(self):
         # 12|3 corners (vertices 1, 2) and 13|2 corners (3, 4) rotate the 1|23 pair
-        pts = corner_hexagon(SEC).as_array()
+        pts = np.array(corner_hexagon(*SEC))
         base = pts[[5, 0]]
         for idx, angle in (([1, 2], 2.0 * math.pi / 3.0), ([3, 4], -2.0 * math.pi / 3.0)):
             ca, sa = math.cos(angle), math.sin(angle)
@@ -89,20 +86,20 @@ class TestRegionBoundary:
     @pytest.mark.parametrize("r_plus", [0.0, -0.1, 2.0 / 3.0, 0.9, math.nan])
     def test_empty_section(self, r_plus):
         with pytest.raises(EmptyRegionError):
-            corner_hexagon(SectionSpec(r_plus, 0.0))
+            corner_hexagon(r_plus)
 
 
 class TestHull:
     def test_contains_origin(self):
-        assert _inside(corner_hexagon(SEC), 0.0, 0.0)
+        assert _inside(corner_hexagon(*SEC), 0.0, 0.0)
 
     def test_threshold_point_outside(self):
-        hull = corner_hexagon(SEC)
+        hull = corner_hexagon(*SEC)
         assert not _inside(hull, -0.35, SQRT3 * -0.35)
         assert not _inside(hull, -0.35, -0.6062)
 
     def test_rotation_symmetric(self):
-        hull = corner_hexagon(SEC).as_array()
+        hull = np.array(corner_hexagon(*SEC))
         angle = 2.0 * math.pi / 3.0
         ca, sa = math.cos(angle), math.sin(angle)
         rotated = hull @ np.array([[ca, sa], [-sa, ca]])
@@ -112,12 +109,12 @@ class TestHull:
         assert dist <= 1e-15
 
     def test_vertices_inside_with_tolerance(self):
-        hull = corner_hexagon(SEC)
-        for x, y in hull.vertices:
+        hull = corner_hexagon(*SEC)
+        for x, y in hull:
             assert _inside(hull, x, y, tol=1e-9)
 
     def test_csv_dump(self):
-        text = polygon_to_csv(corner_hexagon(SEC))
+        text = polygon_to_csv(corner_hexagon(*SEC))
         lines = text.strip().splitlines()
         assert lines[0] == "r1,r2"
         assert len(lines) == 7
@@ -130,7 +127,7 @@ class TestCornerHexagon:
     def test_equals_sampled_hull_vertices(self):
         # both start at the lower 1|23 corner and run counterclockwise
         for r_plus in np.linspace(0.013, 0.096, 8):
-            hexagon = corner_hexagon(SectionSpec(float(r_plus), 0.0)).as_array()
+            hexagon = np.array(corner_hexagon(float(r_plus)))
             for n in (2048, 4096):
                 sampled = lens_hull(float(r_plus), 0.0, n)
                 assert sampled.shape == (6, 2)
@@ -139,17 +136,17 @@ class TestCornerHexagon:
     @pytest.mark.parametrize("r_plus", [0.34, 0.5])
     def test_rejects_overlapping_corners(self, r_plus):
         with pytest.raises(DomainError):
-            corner_hexagon(SectionSpec(r_plus, 0.0))
+            corner_hexagon(r_plus)
 
     def test_empty_section(self):
         with pytest.raises(EmptyRegionError):
-            corner_hexagon(SectionSpec(0.0, 0.0))
+            corner_hexagon(0.0, 0.0)
 
 
 # every section of the grid r_plus 0.001..0.337 step 0.004 x r3 0..0.58
 # step 0.02: 1,965 hexagons, 578 empty sections, 7 with overlapping corners
 GRID_SECTIONS = [
-    SectionSpec(r_plus, r3)
+    (r_plus, r3)
     for r_plus in np.linspace(0.001, 0.337, 85).tolist()
     for r3 in np.linspace(0.0, 0.58, 30).tolist()
 ]
@@ -158,16 +155,16 @@ PROBES = ((0.0, 0.0), (-0.35, SQRT3 * -0.35), (-0.35, -0.6062), (0.3, -0.2), (-0
 
 def _outcome(make, sec):
     try:
-        return make(sec)
+        return make(*sec)
     except (EmptyRegionError, DomainError) as exc:
         return type(exc), str(exc)
 
 
-def _reference_corners(sec):
+def _reference_corners(r_plus, r3):
     # the corner formula with cos/sin of +-2*pi/3 taken at every rotation
-    c = 1.0 - 3.0 * sec.r_plus
-    r1 = 2.0 * sec.r_plus - 1.0
-    r2 = math.sqrt((1.0 - c * c - 3.0 * sec.r3 * sec.r3) / 3.0)
+    c = 1.0 - 3.0 * r_plus
+    r1 = 2.0 * r_plus - 1.0
+    r2 = math.sqrt((1.0 - c * c - 3.0 * r3 * r3) / 3.0)
 
     def rotated(a, y):
         ca, sa = math.cos(a), math.sin(a)
@@ -197,30 +194,33 @@ def _reference_margin(v, r1, r2):
 
 
 class TestBareCorners:
-    """The solver's bare corners and margin are the public hexagon's, bit for bit."""
+    """The hexagon's corners and margin equal the independent oracles bit for bit."""
 
     def test_grid_outcomes(self):
-        outcomes = [_outcome(_corners, sec) for sec in GRID_SECTIONS]
+        outcomes = [_outcome(corner_hexagon, sec) for sec in GRID_SECTIONS]
         kinds = Counter(o[0] if isinstance(o[0], type) else "corners" for o in outcomes)
         assert kinds == {"corners": 1965, EmptyRegionError: 578, DomainError: 7}
+        for sec, outcome in zip(GRID_SECTIONS, outcomes):
+            if isinstance(outcome[0], tuple):
+                assert outcome == _reference_corners(*sec)
 
-    def test_corners_equal_the_hexagon(self):
+    def test_hexagons_are_convex_and_counterclockwise(self):
+        # every turn of every returned hexagon is a left turn, up to 1e-12
         for sec in GRID_SECTIONS:
-            bare = _outcome(_corners, sec)
-            assert bare == _outcome(lambda s: corner_hexagon(s).vertices, sec)
-            if isinstance(bare[0], tuple):
-                assert bare == _reference_corners(sec)
+            v = _outcome(corner_hexagon, sec)
+            if not isinstance(v[0], tuple):
+                continue
+            assert len(v) == 6
+            for (ax, ay), (bx, by), (cx, cy) in zip(v, v[1:] + v[:1], v[2:] + v[:2]):
+                assert (bx - ax) * (cy - ay) - (by - ay) * (cx - ax) >= -1e-12
 
     def test_margin_equals_hull_margin(self):
         for sec in GRID_SECTIONS:
-            vertices = _outcome(_corners, sec)
+            vertices = _outcome(corner_hexagon, sec)
             if not isinstance(vertices[0], tuple):
                 continue
-            region = corner_hexagon(sec)
             for r1, r2 in PROBES + vertices:
-                margin = _margin(vertices, r1, r2)
-                assert margin == _margin(region.vertices, r1, r2)
-                assert margin == _reference_margin(vertices, r1, r2)
+                assert _margin(vertices, r1, r2) == _reference_margin(vertices, r1, r2)
 
 
 def _reference_r_max(dim, bracket, tol):
@@ -231,7 +231,7 @@ def _reference_r_max(dim, bracket, tol):
     def outside(separation):
         sec, point = _symmetric_point(dim, separation)
         try:
-            hexagon = corner_hexagon(sec)
+            hexagon = corner_hexagon(*sec)
         except EmptyRegionError:
             return True
         return not _inside(hexagon, *point)
@@ -254,24 +254,24 @@ class TestRMaxSolverExact:
 
 
 class TestHullMargin:
-    SQUARE = ConvexRegion(((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0)))
+    SQUARE = ((0.0, 0.0), (2.0, 0.0), (2.0, 2.0), (0.0, 2.0))
 
     def test_distance_to_nearest_edge(self):
-        assert _margin(self.SQUARE.vertices, 1.0, 0.25) == 0.25
-        assert _margin(self.SQUARE.vertices, 1.75, 1.0) == 0.25
-        assert _margin(self.SQUARE.vertices, 1.0, 1.0) == 1.0
+        assert _margin(self.SQUARE, 1.0, 0.25) == 0.25
+        assert _margin(self.SQUARE, 1.75, 1.0) == 0.25
+        assert _margin(self.SQUARE, 1.0, 1.0) == 1.0
 
     def test_sign(self):
-        assert _margin(self.SQUARE.vertices, 1.0, -0.5) == -0.5
-        assert _margin(self.SQUARE.vertices, 2.0, 1.0) == 0.0
-        assert _margin(self.SQUARE.vertices, 3.0, 3.0) < 0.0
+        assert _margin(self.SQUARE, 1.0, -0.5) == -0.5
+        assert _margin(self.SQUARE, 2.0, 1.0) == 0.0
+        assert _margin(self.SQUARE, 3.0, 3.0) < 0.0
 
     def test_straight_side_of_hexagon(self):
         # the 1|23 straight side r1 = 2*r_plus - 1 is the nearest edge here
-        hexagon = corner_hexagon(SEC)
+        hexagon = corner_hexagon(*SEC)
         edge = 2.0 * 0.041 - 1.0
-        assert _margin(hexagon.vertices, edge + 0.01, 0.0) == pytest.approx(0.01, abs=1e-15)
-        assert _margin(hexagon.vertices, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
+        assert _margin(hexagon, edge + 0.01, 0.0) == pytest.approx(0.01, abs=1e-15)
+        assert _margin(hexagon, edge - 0.01, 0.0) == pytest.approx(-0.01, abs=1e-15)
 
 
 class TestNonFinitePoint:
@@ -285,9 +285,9 @@ class TestNonFinitePoint:
         return tuple(point)
 
     def test_margin_is_nan(self, point):
-        hexagon = corner_hexagon(SEC)
+        hexagon = corner_hexagon(*SEC)
         assert _inside(hexagon, 0.0, 0.0)
-        assert math.isnan(_margin(hexagon.vertices, *point))
+        assert math.isnan(_margin(hexagon, *point))
         assert not _inside(hexagon, *point)
 
     def test_solver_predicate_counts_it_outside(self, monkeypatch, point):
@@ -316,9 +316,9 @@ class TestRMaxSolver:
     def test_crossing_semantics(self):
         value = r_max_solver(D3, tol=1e-5)
         sec, point = _symmetric_point(D3, value + 1e-3)
-        assert in_lens_hull(sec.r_plus, sec.r3, point, 2048)
+        assert in_lens_hull(*sec, point, 2048)
         sec, point = _symmetric_point(D3, value - 1e-3)
-        assert not in_lens_hull(sec.r_plus, sec.r3, point, 2048)
+        assert not in_lens_hull(*sec, point, 2048)
 
     @pytest.mark.parametrize("dim", [D3, D2])
     def test_every_separation_up_to_the_limit_has_a_hexagon(self, dim):
@@ -326,13 +326,13 @@ class TestRMaxSolver:
         hi = _HI_LIMITS[dim]
         for r in np.append(np.arange(0.01, hi, 1e-3), hi).tolist():
             sec, _ = _symmetric_point(dim, r)
-            assert len(corner_hexagon(sec).vertices) == 6
+            assert len(corner_hexagon(*sec)) == 6
 
     @pytest.mark.parametrize("dim, first_overlap", [(D3, 5.137), (D2, 4.646)])
     def test_limit_rounds_down_the_first_overlap(self, dim, first_overlap):
         assert first_overlap - 0.01 < _HI_LIMITS[dim] < first_overlap
         with pytest.raises(DomainError):
-            corner_hexagon(_symmetric_point(dim, first_overlap)[0])
+            corner_hexagon(*_symmetric_point(dim, first_overlap)[0])
 
     @pytest.mark.parametrize("dim", [D3, D2])
     def test_rejects_a_bracket_past_the_limit(self, dim):
@@ -341,6 +341,11 @@ class TestRMaxSolver:
             r_max_solver(dim, bracket=(lo, math.nextafter(_HI_LIMITS[dim], math.inf)))
         default = r_max_solver(dim)
         assert r_max_solver(dim, bracket=(lo, _HI_LIMITS[dim])) == pytest.approx(default, abs=2e-5)
+
+    @pytest.mark.parametrize("lo", [0.0, -1.0, math.nan])
+    def test_rejects_a_bracket_from_zero_or_below(self, lo):
+        with pytest.raises(DomainError, match="above 0"):
+            r_max_solver(D3, bracket=(lo, 3.0))
 
     def test_bracket_without_crossing(self):
         with pytest.raises(BracketError):
@@ -352,7 +357,7 @@ class TestRMaxSolver:
             r_max_solver(D3, tol=tol)
 
     def test_symmetric_point_on_werner_ray(self):
-        sec, (r1, r2) = _symmetric_point(D3, 2.6)
-        w = werner_coords(couplings_from_config(collinear(2.6, 0.5, D3)))
-        assert (sec.r_plus, r1, r2) == (w.r_plus, w.r1, w.r2)
+        (r_plus, r3), (r1, r2) = _symmetric_point(D3, 2.6)
+        w = werner_coords(couplings_from_config(scaled(2.6, collinear_shape(0.5), D3)))
+        assert (r_plus, r3, r1, r2) == (w.r_plus, w.r3, w.r1, w.r2)
         assert r2 == pytest.approx(SQRT3 * r1, abs=1e-14)

@@ -315,6 +315,16 @@ class TestExitCodes:
             "symmetric collinear lens corners start to overlap\n"
         )
 
+    @pytest.mark.parametrize("lo", ["0", "-1"])
+    def test_polygon_bracket_from_zero_or_below(self, capsys, lo):
+        args = ["gte-distance", "--dim", "3d", "--method", "polygon", "--bracket", lo, "3"]
+        code, out, err = run(capsys, args)
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"error: bracket must be finite, increasing and above 0, got ({float(lo)}, 3.0)\n"
+        )
+
     def test_witness_bracket_without_crossing(self, capsys):
         args = ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "3", "4"]
         code, out, err = run(capsys, args)

@@ -11,10 +11,8 @@ from fermigte import (
     Couplings,
     Dimensionality,
     TriangleConfig,
-    collinear,
     couplings_from_config,
     couplings_zero_limit,
-    equilateral,
     f_factor,
     validate_couplings,
 )
@@ -136,22 +134,22 @@ class TestFromConfig:
             assert all(abs(p) <= 0.01 for p in c.as_tuple())
 
     def test_three_d_threshold_weights(self):
-        c = couplings_from_config(collinear(2.5964, 0.5, D3))
+        c = couplings_from_config(scaled(2.5964, collinear_shape(0.5), D3))
         assert c.p12 == pytest.approx(0.539345, abs=1e-5)
         assert c.p23 == pytest.approx(0.539345, abs=1e-5)
         assert c.p13 == pytest.approx(-0.160702, abs=1e-5)
 
     def test_shrinking_equilateral_rejected(self):
         with pytest.raises(DegenerateDenominatorError):
-            couplings_from_config(equilateral(5e-4, D3))
+            couplings_from_config(scaled(5e-4, equilateral_shape(), D3))
 
     def test_equilateral_symmetric(self):
         for kfr in (0.3, 1.0, 4.0):
-            c = couplings_from_config(equilateral(kfr, D3))
+            c = couplings_from_config(scaled(kfr, equilateral_shape(), D3))
             assert c.p12 == c.p13 == c.p23
 
     def test_sum_stored_consistently(self):
-        c = couplings_from_config(collinear(1.7, 0.3, D2))
+        c = couplings_from_config(scaled(1.7, collinear_shape(0.3), D2))
         assert c.p == c.p12 + c.p13 + c.p23
 
     def test_limit_mode_convergence_rate(self, rng):

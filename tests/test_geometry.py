@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fermigte import Dimensionality, TriangleConfig, collinear, equilateral, isosceles, polar
+from fermigte import Dimensionality, TriangleConfig
 from fermigte.errors import DomainError
 from fermigte.geometry import (
     check_triangle,
@@ -13,6 +13,7 @@ from fermigte.geometry import (
     equilateral_shape,
     isosceles_shape,
     polar_shape,
+    scaled,
 )
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
@@ -32,65 +33,64 @@ def triangle_ok(cfg: TriangleConfig, tol: float = 1e-12) -> bool:
 
 class TestCollinear:
     def test_midpoint(self):
-        assert collinear(2.0, 0.5, D3).distances() == (1.0, 2.0, 1.0)
+        assert scaled(2.0, collinear_shape(0.5), D3).distances() == (1.0, 2.0, 1.0)
 
     def test_coincident_endpoint(self):
-        assert collinear(2.0, 0.0, D3).distances() == (0.0, 2.0, 2.0)
+        assert scaled(2.0, collinear_shape(0.0), D3).distances() == (0.0, 2.0, 2.0)
 
     def test_quarter(self):
-        assert collinear(1.0, 0.25, D2).distances() == (0.25, 1.0, 0.75)
+        assert scaled(1.0, collinear_shape(0.25), D2).distances() == (0.25, 1.0, 0.75)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            collinear(1.0, 1.5, D3)
+            scaled(1.0, collinear_shape(1.5), D3)
         with pytest.raises(DomainError):
-            collinear(0.0, 0.5, D3)
+            scaled(0.0, collinear_shape(0.5), D3)
 
 
 class TestIsosceles:
     def test_flat_is_symmetric_collinear(self):
-        assert isosceles(2.0, 0.0, D3).distances() == (1.0, 2.0, 1.0)
+        assert scaled(2.0, isosceles_shape(0.0), D3).distances() == (1.0, 2.0, 1.0)
 
     def test_equilateral_height(self):
-        cfg = isosceles(1.0, math.sqrt(3.0) / 2.0, D3)
+        cfg = scaled(1.0, isosceles_shape(math.sqrt(3.0) / 2.0), D3)
         for d in cfg.distances():
             assert d == pytest.approx(1.0, abs=1e-15)
 
     def test_right_height(self):
-        cfg = isosceles(2.0, 0.5, D2)
+        cfg = scaled(2.0, isosceles_shape(0.5), D2)
         assert cfg.distances() == (math.sqrt(2.0), 2.0, math.sqrt(2.0))
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            isosceles(1.0, -0.1, D3)
+            scaled(1.0, isosceles_shape(-0.1), D3)
 
 
 class TestPolar:
     def test_origin_is_midpoint(self):
         for theta in (0.0, 0.7, math.pi / 2.0):
-            assert polar(2.0, theta, 0.0, D3).distances() == (1.0, 2.0, 1.0)
+            assert scaled(2.0, polar_shape(theta, 0.0), D3).distances() == (1.0, 2.0, 1.0)
 
     def test_vertical_matches_isosceles(self):
-        assert polar(2.0, math.pi / 2.0, 0.5, D3).distances() == isosceles(
-            2.0, 0.5, D3
-        ).distances()
+        vertical = scaled(2.0, polar_shape(math.pi / 2.0, 0.5), D3)
+        assert vertical.distances() == scaled(2.0, isosceles_shape(0.5), D3).distances()
 
     def test_on_axis_reaches_partner(self):
-        d12, d13, d23 = polar(2.0, 0.0, 0.5, D3).distances()
+        d12, d13, d23 = scaled(2.0, polar_shape(0.0, 0.5), D3).distances()
         assert (d12, d13) == (2.0, 2.0)
         assert d23 == pytest.approx(0.0, abs=1e-15)
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            polar(1.0, 0.3, 0.6, D3)
+            scaled(1.0, polar_shape(0.3, 0.6), D3)
         with pytest.raises(DomainError):
-            polar(1.0, 3.5, 0.3, D3)
+            scaled(1.0, polar_shape(3.5, 0.3), D3)
 
 
 class TestEquilateral:
     @pytest.mark.parametrize("kfr", [0.1, 1.0, 2.5])
     def test_all_equal(self, kfr):
-        assert equilateral(kfr, D3).distances() == (kfr, kfr, kfr)
+        assert scaled(kfr, equilateral_shape(), D3).distances() == (kfr, kfr, kfr)
 
 
 class TestTriangleConfig:
@@ -151,13 +151,13 @@ class TestCheckTriangle:
 @given(kfr_st, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_collinear_realizable(kfr, x):
-    assert triangle_ok(collinear(kfr, x, D3))
+    assert triangle_ok(scaled(kfr, collinear_shape(x), D3))
 
 
 @given(kfr_st, st.floats(min_value=0.0, max_value=5.0, allow_nan=False))
 @settings(max_examples=200, deadline=None)
 def test_isosceles_realizable(kfr, y):
-    assert triangle_ok(isosceles(kfr, y, D2))
+    assert triangle_ok(scaled(kfr, isosceles_shape(y), D2))
 
 
 @given(
@@ -168,14 +168,14 @@ def test_isosceles_realizable(kfr, y):
 @settings(max_examples=200, deadline=None)
 @example(kfr=8.0, theta=1e-6, q=0.5)
 def test_polar_realizable_and_mirror(kfr, theta, q):
-    cfg = polar(kfr, theta, q, D3)
+    cfg = scaled(kfr, polar_shape(theta, q), D3)
     assert triangle_ok(cfg)
     # reflection across the 1-3 axis leaves every distance unchanged
-    assert polar(kfr, -theta, q, D3).distances() == cfg.distances()
+    assert scaled(kfr, polar_shape(-theta, q), D3).distances() == cfg.distances()
     # reflection across the perpendicular bisector swaps the roles of 1 and 3;
     # sin(pi - theta) is exact only to an absolute ulp, so near the coincident
     # pair the slack is absolute in units of the configuration scale
-    swapped = polar(kfr, math.pi - theta, q, D3).distances()
+    swapped = scaled(kfr, polar_shape(math.pi - theta, q), D3).distances()
     assert swapped[0] == pytest.approx(cfg.d23, rel=1e-12, abs=1e-15 * kfr)
     assert swapped[2] == pytest.approx(cfg.d12, rel=1e-12, abs=1e-15 * kfr)
     assert swapped[1] == cfg.d13
@@ -184,7 +184,8 @@ def test_polar_realizable_and_mirror(kfr, theta, q):
 @given(kfr_st, st.floats(min_value=0.0, max_value=0.5, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_isosceles_equals_vertical_polar(kfr, q):
-    assert isosceles(kfr, q, D3).distances() == polar(kfr, math.pi / 2.0, q, D3).distances()
+    vertical = scaled(kfr, polar_shape(math.pi / 2.0, q), D3)
+    assert scaled(kfr, isosceles_shape(q), D3).distances() == vertical.distances()
 
 
 @given(
@@ -196,14 +197,9 @@ def test_isosceles_equals_vertical_polar(kfr, q):
 )
 @settings(max_examples=200, deadline=None)
 def test_constructors_scale_their_shapes_bit_for_bit(kfr, x, y, theta, q):
-    pairs = [
-        (collinear(kfr, x, D3), collinear_shape(x)),
-        (isosceles(kfr, y, D3), isosceles_shape(y)),
-        (polar(kfr, theta, q, D3), polar_shape(theta, q)),
-        (equilateral(kfr, D3), equilateral_shape()),
-    ]
-    for cfg, shape in pairs:
-        assert cfg.distances() == tuple(kfr * d for d in shape)
+    shapes = [collinear_shape(x), isosceles_shape(y), polar_shape(theta, q), equilateral_shape()]
+    for shape in shapes:
+        assert scaled(kfr, shape, D3).distances() == tuple(kfr * d for d in shape)
 
 
 @pytest.mark.parametrize(

@@ -13,7 +13,6 @@ from fermigte import (
     Couplings,
     Dimensionality,
     analytic_limit_thresholds,
-    collinear,
     couplings_from_config,
     couplings_zero_limit,
     er_lower_bound,
@@ -26,6 +25,7 @@ from fermigte import (
 )
 from fermigte.cli import _FIG2_KFR
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
+from fermigte.geometry import collinear_shape, scaled
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
     bisect_switch,
@@ -77,7 +77,7 @@ class TestFindRmin:
 
     def test_couplings_at_crossing(self):
         r = find_rmin(D3, tol=1e-6)
-        c = couplings_from_config(collinear(r, 0.5, D3))
+        c = couplings_from_config(scaled(r, collinear_shape(0.5), D3))
         assert c.p12 == pytest.approx(0.539345, abs=1e-5)
         assert c.p23 == pytest.approx(0.539345, abs=1e-5)
         assert c.p13 == pytest.approx(-0.160702, abs=1e-5)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from fermigte import (
     Couplings,
     Dimensionality,
-    collinear,
     couplings_from_config,
     couplings_zero_limit,
     expectation,
@@ -24,6 +23,7 @@ from fermigte.errors import (
     InvalidCouplingsError,
     NonHermitianInputError,
 )
+from fermigte.geometry import collinear_shape, scaled
 
 from conftest import jacobi_min_eig, random_config, random_su2
 
@@ -73,7 +73,7 @@ class TestRho3:
             assert min_eigenvalue(m) >= -1e-10
 
     def test_collective_rotation_invariance(self, rng):
-        m = rho3(couplings_from_config(collinear(1.3, 0.3, D3)))
+        m = rho3(couplings_from_config(scaled(1.3, collinear_shape(0.3), D3)))
         for _ in range(20):
             u = random_su2(rng)
             u3 = np.kron(np.kron(u, u), u)
@@ -120,7 +120,7 @@ class TestWernerCoords:
         # mirror symmetry pins the state to the line r2 = sqrt(3) r1
         for _ in range(20):
             kfr = float(rng.uniform(0.1, 6.0))
-            w = werner_coords(couplings_from_config(collinear(kfr, 0.5, D3)))
+            w = werner_coords(couplings_from_config(scaled(kfr, collinear_shape(0.5), D3)))
             assert w.r2 == pytest.approx(math.sqrt(3.0) * w.r1, abs=1e-14)
 
 
@@ -172,7 +172,7 @@ class TestMinEigenvalue:
 
 class TestMatrixDump:
     def test_round_trip(self):
-        m = rho3(couplings_from_config(collinear(1.9, 0.4, D2)))
+        m = rho3(couplings_from_config(scaled(1.9, collinear_shape(0.4), D2)))
         again = matrix_from_text(matrix_to_text(m))
         assert np.array_equal(m, again)
 
