@@ -58,21 +58,30 @@ def _triangle_couplings(args: argparse.Namespace) -> couplings.Couplings:
     return couplings.from_config(cfg)
 
 
-_SHAPES = {
-    "collinear": lambda a: geometry.collinear_shape(a.x_over_r),
-    "isosceles": lambda a: geometry.isosceles_shape(a.y_over_r),
-    "polar": lambda a: geometry.polar_shape(a.theta, a.q_over_r),
-    "equilateral": lambda a: geometry.equilateral_shape(),
+# each er geometry's flags and defaults; a shape's besides kfr are its <name>_shape's arguments
+_ER_FLAGS = {
+    "collinear": {"kfr": 0.0, "x_over_r": 0.5},
+    "isosceles": {"kfr": 0.0, "y_over_r": 0.0},
+    "polar": {"kfr": 0.0, "theta": 0.0, "q_over_r": 0.0},
+    "equilateral": {"kfr": 0.0},
+    "triangle": {"d12": None, "d13": None, "d23": None, "limit": False},
 }
 
 
 def _geometry_couplings(args: argparse.Namespace) -> couplings.Couplings:
-    if args.geometry == "triangle":
-        if None in (args.d12, args.d13, args.d23):
+    own = _ER_FLAGS[args.geometry]
+    # the er parser leaves every flag not given out of args
+    stray = [n for n in vars(args) if n not in own and any(n in f for f in _ER_FLAGS.values())]
+    if stray:
+        flags = ", ".join("--" + n.replace("_", "-") for n in stray)
+        raise DomainError(f"--geometry {args.geometry} does not take {flags}")
+    a = argparse.Namespace(**{**own, **vars(args)})
+    if a.geometry == "triangle":
+        if None in (a.d12, a.d13, a.d23):
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
-        return _triangle_couplings(args)
-    shape = _SHAPES[args.geometry](args)
-    return couplings.from_shape(shape, args.kfr, _dim(args.dim))
+        return _triangle_couplings(a)
+    shape = getattr(geometry, f"{a.geometry}_shape")(*[getattr(a, n) for n in own if n != "kfr"])
+    return couplings.from_shape(shape, a.kfr, _dim(a.dim))
 
 
 def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
@@ -118,22 +127,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--detail", action="store_true", help="include per-family minima")
 
     p = sub.add_parser(
-        "er", help="robustness lower bound for a named geometry", parents=[common]
+        "er", help="robustness lower bound for a named geometry", parents=[common],
+        argument_default=argparse.SUPPRESS,
     )
-    p.add_argument(
-        "--geometry",
-        choices=["collinear", "isosceles", "polar", "equilateral", "triangle"],
-        required=True,
-    )
+    p.add_argument("--geometry", choices=list(_ER_FLAGS), required=True)
     p.add_argument("--dim", choices=["2d", "3d"], default="3d")
-    p.add_argument("--kfr", type=float, default=0.0, help="0 selects the limit mode")
-    p.add_argument("--x-over-r", type=float, default=0.5)
-    p.add_argument("--y-over-r", type=float, default=0.0)
-    p.add_argument("--theta", type=float, default=0.0)
-    p.add_argument("--q-over-r", type=float, default=0.0)
-    p.add_argument("--d12", type=float)
-    p.add_argument("--d13", type=float)
-    p.add_argument("--d23", type=float)
+    p.add_argument("--kfr", type=float, help="0 (the default) selects the limit mode")
+    for name in ("x-over-r", "y-over-r", "theta", "q-over-r", "d12", "d13", "d23"):
+        p.add_argument(f"--{name}", type=float)
     p.add_argument("--limit", action="store_true")
 
     p = sub.add_parser("gte-distance", help="GTE distance threshold", parents=[common])

@@ -18,13 +18,14 @@ identical for the 2D and 3D gases.  The equilateral shape is rejected in
 limit mode: there the ratio is doubly singular and the closed form is not
 trusted.
 
-Each formula and check has one float core that returns the bare triple
-(p12, p13, p23): :func:`_weights` for a distance triple (the limit below
-LIMIT_SWITCH, else the kernel formula and its denominator floor),
-:func:`_limit_weights` for the limit, and :func:`_finite_sum` for
-finiteness.  :func:`from_config`,
-:func:`from_shape` and :func:`zero_limit` wrap them in a
-:class:`Couplings`; the sweeps in :mod:`scan` call them directly.
+The formulas are written once, for floats and arrays alike, in
+:func:`_kernel_formula` and :func:`_limit_formula`.  :func:`_weights`
+(the limit below LIMIT_SWITCH, else the kernel formula and its
+denominator floor), :func:`_limit_weights` and :func:`_finite_sum` add
+the float checks and return the bare triple (p12, p13, p23), which
+:func:`from_config`, :func:`from_shape` and :func:`zero_limit` wrap in a
+:class:`Couplings` and the sweeps in :mod:`scan` use directly;
+:func:`_weights_array` masks the same checks over arrays.
 """
 
 from __future__ import annotations
@@ -79,6 +80,29 @@ class Couplings:
         return (self.p12, self.p13, self.p23)
 
 
+def _kernel_formula(f12, f13, f23):
+    """D and the weights (p12, p13, p23) of three kernel values, floats or
+    arrays.  The kernels of three points form a positive semidefinite matrix,
+    so D <= f12*f13*f23 - 1 < 0: a float D is never 0 off the limit branch."""
+    prod = f12 * f13 * f23
+    denom = -2.0 + f12 * f12 + f13 * f13 + f23 * f23 - prod
+    return (denom, (-f12 * f12 + prod) / denom, (-f13 * f13 + prod) / denom,
+            (-f23 * f23 + prod) / denom)
+
+
+def _limit_formula(d12, d13, d23, dmax, m):
+    """The limit weights of checked distances whose largest is dmax, on
+    floats (m = math) or arrays (m = numpy)."""
+    # an exact power-of-two scaling puts dmax in [1/2, 1): no square under- or overflows
+    e = -m.frexp(dmax)[1]
+    u12, u13, u23 = m.ldexp(d12, e), m.ldexp(d13, e), m.ldexp(d23, e)
+    s12 = u12 * u12
+    s13 = u13 * u13
+    s23 = u23 * u23
+    total = s12 + s13 + s23
+    return (s13 + s23 - s12) / total, (s12 + s23 - s13) / total, (s12 + s13 - s23) / total
+
+
 def _weights(
     dim: Dimensionality, d12: float, d13: float, d23: float, f13: float | None = None
 ) -> Weights:
@@ -94,17 +118,13 @@ def _weights(
     if f13 is None:
         f13 = f_factor(dim, d13)
     f23 = f_factor(dim, d23)
-    prod = f12 * f13 * f23
-    denom = -2.0 + f12 * f12 + f13 * f13 + f23 * f23 - prod
+    denom, p12, p13, p23 = _kernel_formula(f12, f13, f23)
     if abs(denom) <= DENOM_FLOOR:
         raise DegenerateDenominatorError(
             f"singlet-weight denominator is {denom:.3e} at distances "
             f"({d12}, {d13}, {d23}); the configuration is outside the "
             "supported limit"
         )
-    p12 = (-f12 * f12 + prod) / denom
-    p13 = (-f13 * f13 + prod) / denom
-    p23 = (-f23 * f23 + prod) / denom
     _finite_sum(p12, p13, p23)
     return (p12, p13, p23)
 
@@ -155,17 +175,7 @@ def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
             "the equilateral shape is doubly singular in the vanishing-size "
             "limit; evaluate at finite separation instead"
         )
-    # bring the largest distance into [1/2, 1) before squaring so that the
-    # squares neither underflow nor overflow; a power of two scales exactly
-    e = -math.frexp(dmax)[1]
-    u12, u13, u23 = math.ldexp(d12, e), math.ldexp(d13, e), math.ldexp(d23, e)
-    s12 = u12 * u12
-    s13 = u13 * u13
-    s23 = u23 * u23
-    total = s12 + s13 + s23
-    p12 = (s13 + s23 - s12) / total
-    p13 = (s12 + s23 - s13) / total
-    p23 = (s12 + s13 - s23) / total
+    p12, p13, p23 = _limit_formula(d12, d13, d23, dmax, math)
     _finite_sum(p12, p13, p23)
     return (p12, p13, p23)
 
@@ -174,8 +184,8 @@ def _weights_array(
     dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_weights` element for element over arrays of finite,
-    nonnegative distances, with the same branches and operation order,
-    and the mask ``ok`` of the elements whose checks pass.
+    nonnegative distances: the same branches, each calling the float
+    path's formula, and the mask ``ok`` of the elements whose checks pass.
 
     f13 must be f_factor(dim, d13) wherever some distance reaches
     LIMIT_SWITCH.  ok is False exactly where :func:`_weights` raises, and
@@ -185,7 +195,7 @@ def _weights_array(
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
     ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the limit branch: _limit_weights' checks, then its scaled squares
+        # the limit branch: _limit_weights' checks, then its formula
         i = np.flatnonzero(limit)
         if i.size:
             e12, e13, e23 = d12[i], d13[i], d23[i]
@@ -197,27 +207,14 @@ def _weights_array(
                 & ~(e12 > e13 + e23 + tol) & ~(e13 > e12 + e23 + tol) & ~(e23 > e12 + e13 + tol)
                 & ~(dmax - np.minimum(np.minimum(e12, e13), e23) <= tol)
             )
-            e = -np.frexp(dmax)[1]
-            u12, u13, u23 = np.ldexp(e12, e), np.ldexp(e13, e), np.ldexp(e23, e)
-            s12 = u12 * u12
-            s13 = u13 * u13
-            s23 = u23 * u23
-            total = s12 + s13 + s23
-            p12[i] = (s13 + s23 - s12) / total
-            p13[i] = (s12 + s23 - s13) / total
-            p23[i] = (s12 + s13 - s23) / total
+            p12[i], p13[i], p23[i] = _limit_formula(e12, e13, e23, dmax, np)
         # the kernel branch; f_factor rejects a d12 or d23 above X_MAX
         i = np.flatnonzero(~limit)
         if i.size:
             e12, e23 = d12[i], d23[i]
             # one kernel call for both distances: its cost is mostly per call
             f12, f23 = np.split(_f_array(dim, np.concatenate((e12, e23))), 2)
-            g13 = f13[i]
-            prod = f12 * g13 * f23
-            denom = -2.0 + f12 * f12 + g13 * g13 + f23 * f23 - prod
-            p12[i] = (-f12 * f12 + prod) / denom
-            p13[i] = (-g13 * g13 + prod) / denom
-            p23[i] = (-f23 * f23 + prod) / denom
+            denom, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
             ok[i] = (e12 <= X_MAX) & (e23 <= X_MAX) & ~(np.abs(denom) <= DENOM_FLOOR)
         ok &= np.isfinite(p12 + p13 + p23)
     return p12, p13, p23, ok

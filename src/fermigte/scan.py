@@ -375,8 +375,12 @@ def find_rmin(
         c = cpl.from_config(geometry.scaled(r, geometry._SYMMETRIC_COLLINEAR, dim))
         return 3.0 * (c.p12 + c.p23) - GTE_THRESHOLD > 0.0
 
-    # arange can step past hi by a rounding error; the kernels stop at X_MAX
+    # the clip undoes arange stepping past hi by a rounding error (the kernels
+    # stop at X_MAX); on a range that is not a whole number of steps arange
+    # stops short of hi, and hi closes the grid
     grid = np.minimum(np.arange(lo, hi + 0.5 * RMIN_PRESCAN_STEP, RMIN_PRESCAN_STEP), hi)
+    if hi - grid[-1] > 1e-9:
+        grid = np.append(grid, hi)
     i = first_switch(certified(float(r)) for r in grid)
     _log.debug("find_rmin prescan switch=%s read=%d", i, len(grid) if i is None else i + 2)
     if i is None:

@@ -126,7 +126,7 @@ def spherical_j1(x: float) -> float:
 
 
 def _f_small_x(dim: Dimensionality, x: float) -> float:
-    """Series branch of the kernel; valid (to ~1e-22) for x <= 1e-3."""
+    """Series branch of the kernel (float or array); to ~1e-22 for x <= 1e-3."""
     x2 = x * x
     if dim is Dimensionality.THREE_D:
         return 1.0 - x2 / 10.0 + x2 * x2 / 280.0
@@ -151,21 +151,17 @@ def f_factor(dim: Dimensionality, x: float) -> float:
 def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     """:func:`f_factor` element for element on a float array.
 
-    The same branches, constants and operation order as the scalar chain
-    (:func:`_f_small_x`, the series and closed form of :func:`spherical_j1`,
-    and J1's branches, the scalar path's own), so each value is the scalar
-    one wherever numpy's sin, cos and sqrt round as the math module's do.
+    The small-x series and J1's branches are the scalar path's own code;
+    :func:`spherical_j1`'s series (stopped per element where its loop
+    breaks) and closed form keep its constants and operation order, so each
+    value is the scalar one where numpy's sin, cos and sqrt round as math's.
     Nothing is checked and nothing raises: every x must be finite and
     nonnegative, and only the values on f_factor's domain [0, X_MAX] are
     f_factor's.
     """
     out = np.empty_like(x)
     small = x < _SERIES_SWITCH
-    x2 = x[small] * x[small]
-    if dim is Dimensionality.THREE_D:
-        out[small] = 1.0 - x2 / 10.0 + x2 * x2 / 280.0
-    else:
-        out[small] = 1.0 - x2 / 8.0 + x2 * x2 / 192.0
+    out[small] = _f_small_x(dim, x[small])
     rest = ~small
     if dim is Dimensionality.TWO_D:
         near, far = rest & (x <= 5.0), x > 5.0

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigte
-from fermigte import Dimensionality, matrix_from_text, scan
+from fermigte import Dimensionality, er_lower_bound, matrix_from_text, scan
+from fermigte.couplings import from_shape as couplings_from_shape
+from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
 from fermigte.cli import MAX_POINTS, main
 
 from conftest import lens_hull
@@ -56,6 +58,23 @@ class TestScalarCommands:
         assert payload["value"] == pytest.approx(
             (3.0 - math.sqrt(5.0)) / (5.0 + math.sqrt(5.0)), abs=1e-9
         )
+
+    @pytest.mark.parametrize(
+        "geometry, flags, shape",
+        [
+            ("collinear", [], collinear_shape(0.5)),
+            ("collinear", ["--x-over-r", "0.3"], collinear_shape(0.3)),
+            ("isosceles", ["--y-over-r", "0.4"], isosceles_shape(0.4)),
+            ("polar", ["--theta", "0.3", "--q-over-r", "0.2"], polar_shape(0.3, 0.2)),
+            ("equilateral", [], equilateral_shape()),
+        ],
+    )
+    def test_er_takes_its_geometry_flags(self, capsys, geometry, flags, shape):
+        args = ["er", "--geometry", geometry, "--dim", "2d", "--kfr", "1.5", *flags]
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        c = couplings_from_shape(shape, 1.5, Dimensionality.TWO_D)
+        assert json.loads(out)["value"] == er_lower_bound(c)
 
     def test_werner(self, capsys):
         code, out, _ = run(
@@ -236,6 +255,10 @@ class TestExitCodes:
             ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "nan", "3"],
             ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.5", "--kfr", "0"],
             ["er", "--geometry", "equilateral", "--kfr", "0"],
+            ["er", "--geometry", "collinear", "--kfr", "1", "--limit"],
+            ["er", "--geometry", "triangle", "--d12", "1", "--d13", "1", "--d23", "1", "--kfr", "1"],
+            ["er", "--geometry", "collinear", "--y-over-r", "0.3"],
+            ["er", "--geometry", "equilateral", "--kfr", "1", "--theta", "0.2"],
             ["polygon", "--rplus", "0.34"],
             ["polygon", "--rplus", "0.5"],
         ],
@@ -255,6 +278,10 @@ class TestExitCodes:
             "witness-bracket-nan",
             "polar-limit-coincident",
             "equilateral-limit",
+            "er-collinear-limit-flag",
+            "er-triangle-kfr",
+            "er-collinear-y-over-r",
+            "er-equilateral-theta",
             "polygon-corners-overlap-0.34",
             "polygon-corners-overlap-0.5",
         ],
@@ -264,6 +291,12 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_er_names_the_flags_its_geometry_does_not_take(self, capsys):
+        args = ["er", "--geometry", "collinear", "--kfr", "1", "--limit", "--theta", "0.2"]
+        code, out, err = run(capsys, args)
+        assert (code, out) == (2, "")
+        assert err == "error: --geometry collinear does not take --limit, --theta\n"
 
     def test_out_path_cannot_be_opened(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.json"
@@ -340,6 +373,12 @@ class TestExitCodes:
         assert json.loads(narrow)["value"] == pytest.approx(
             json.loads(default)["value"], abs=1e-6
         )
+
+    def test_witness_bracket_narrower_than_a_prescan_step(self, capsys):
+        args = ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "2.59", "2.60"]
+        code, out, _ = run(capsys, args)
+        assert code == 0
+        assert json.loads(out)["value"] == pytest.approx(2.596409, abs=1e-6)
 
     @pytest.mark.parametrize("dim", ["2d", "3d"])
     @pytest.mark.parametrize("lo", ["0.1", "1"])

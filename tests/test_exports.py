@@ -1,4 +1,8 @@
-"""The package's public names: every export resolves and none is stale."""
+"""The package's public names: every export resolves and none is stale,
+and no module imports a name it never uses."""
+
+import ast
+from pathlib import Path
 
 import fermigte
 from fermigte import bisep, geometry
@@ -28,3 +32,30 @@ def test_bisep_defines_no_types():
     # a section is (r_plus, r3) and its hexagon a tuple of vertices
     owned = [v for v in vars(bisep).values() if isinstance(v, type) and v.__module__ == bisep.__name__]
     assert owned == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Each name the module imports and never reads, as "file:line name";
+    the names in its __all__ count as read, and a ``# noqa`` line is skipped."""
+    source = path.read_text()
+    lines = source.splitlines()
+    imported, read = {}, set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+            read.update(ast.literal_eval(node.value))
+        elif isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            for alias in node.names:
+                if "# noqa" not in lines[alias.lineno - 1]:
+                    imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in read]
+
+
+def test_no_unused_imports():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
+    paths += sorted((root / "scripts").glob("*.py"))
+    assert [u for p in paths for u in _unused_imports(p)] == []

@@ -28,6 +28,7 @@ from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import collinear_shape, scaled
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
+    RMIN_PRESCAN_STEP,
     bisect_switch,
     first_switch,
     polar_table,
@@ -85,6 +86,12 @@ class TestFindRmin:
     def test_no_crossing_raises(self):
         with pytest.raises(BracketError):
             find_rmin(D3, tol=1e-6, prescan_range=(3.0, 4.0))
+
+    def test_range_narrower_than_a_prescan_step(self):
+        # the pre-scan grid ends at hi, so (2.59, 2.60) is one grid interval
+        assert RMIN_PRESCAN_STEP > 2.60 - 2.59
+        r = find_rmin(D3, tol=1e-6, prescan_range=(2.59, 2.60))
+        assert r == pytest.approx(2.596409, abs=1e-6)
 
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_tolerance(self, tol):

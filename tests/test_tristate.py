@@ -10,7 +10,6 @@ from fermigte import (
     Couplings,
     Dimensionality,
     couplings_from_config,
-    couplings_zero_limit,
     expectation,
     matrix_from_text,
     matrix_to_text,
