@@ -10,6 +10,7 @@ output path that cannot be written, 3 bracket or convergence error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -68,7 +69,8 @@ _ER_FLAGS = {
 }
 
 
-def _geometry_couplings(args: argparse.Namespace) -> couplings.Couplings:
+def _geometry_couplings(args: argparse.Namespace) -> tuple[couplings.Couplings, bool]:
+    """(couplings, is_limit) of an er geometry."""
     own = _ER_FLAGS[args.geometry]
     # the er parser leaves every flag not given out of args
     stray = [n for n in vars(args) if n not in own and any(n in f for f in _ER_FLAGS.values())]
@@ -79,9 +81,9 @@ def _geometry_couplings(args: argparse.Namespace) -> couplings.Couplings:
     if a.geometry == "triangle":
         if None in (a.d12, a.d13, a.d23):
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
-        return _triangle_couplings(a)
+        return _triangle_couplings(a), a.limit
     shape = getattr(geometry, f"{a.geometry}_shape")(*[getattr(a, n) for n in own if n != "kfr"])
-    return couplings.from_shape(shape, a.kfr, _dim(a.dim))
+    return couplings.from_shape(shape, a.kfr, _dim(a.dim)), a.kfr == 0.0
 
 
 def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
@@ -91,6 +93,7 @@ def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--limit", action="store_true", help="use the vanishing-size limit")
 
 
+@functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="gte-fermi",
@@ -210,7 +213,7 @@ def dispatch(args: argparse.Namespace) -> str:
         return _json(
             {
                 "quantity": "couplings",
-                "dim": args.dim,
+                "dim": None if args.limit else args.dim,  # the limit has no dim
                 "p12": c.p12,
                 "p13": c.p13,
                 "p23": c.p23,
@@ -225,7 +228,7 @@ def dispatch(args: argparse.Namespace) -> str:
         return _json(
             {
                 "quantity": "werner_coords",
-                "dim": args.dim,
+                "dim": None if args.limit else args.dim,  # the limit has no dim
                 "r_plus": w.r_plus,
                 "r0": w.r0,
                 "r1": w.r1,
@@ -236,8 +239,9 @@ def dispatch(args: argparse.Namespace) -> str:
     if cmd == "witness-scan":
         return _json(witnesses.grid_scan_ghz_w(detail=args.detail).as_dict())
     if cmd == "er":
-        c = _geometry_couplings(args)
-        return _scalar("er_lower_bound", args.dim, witnesses.er_lower_bound(c), None)
+        c, limit = _geometry_couplings(args)
+        dim = None if limit else args.dim
+        return _scalar("er_lower_bound", dim, witnesses.er_lower_bound(c), None)
     if cmd == "gte-distance":
         dim = _dim(args.dim)
         bracket = tuple(args.bracket) if args.bracket else None

@@ -24,8 +24,8 @@ The formulas are written once, for floats and arrays alike, in
 denominator floor), :func:`_limit_weights` and :func:`_finite_sum` add
 the float checks and return the bare triple (p12, p13, p23), which
 :func:`from_config`, :func:`from_shape` and :func:`zero_limit` wrap in a
-:class:`Couplings` and the sweeps in :mod:`scan` use directly;
-:func:`_weights_array` masks the same checks over arrays.
+:class:`Couplings`; :func:`_weights_array` masks the same checks over
+arrays for the sweeps in :mod:`scan`.
 """
 
 from __future__ import annotations
@@ -107,7 +107,7 @@ def _weights(
     dim: Dimensionality, d12: float, d13: float, d23: float, f13: float | None = None
 ) -> Weights:
     """Singlet weights of a checked distance triple: the float core of
-    :func:`from_config`, :func:`from_shape` and the sweeps.
+    :func:`from_config` and :func:`from_shape`.
 
     f13, when given, must be f_factor(dim, d13); a caller that holds d13
     fixed over many triples passes it to evaluate the kernel there once.
@@ -138,6 +138,14 @@ def _shape_weights(
     d12, d13, d23 = _scale(kfr, shape)
     _check_distances(d12, d13, d23)
     return _weights(dim, d12, d13, d23, f13)
+
+
+def _shape_weights_array(dim: Dimensionality, kfr: np.ndarray, s12, s13, s23, f13: np.ndarray):
+    """:func:`_shape_weights` element for element on unit shapes (floats or
+    arrays) at kfr in [0, X_MAX], as :func:`_weights_array` gives them."""
+    zero = kfr == 0.0
+    scale = np.where(zero, 1.0, kfr)
+    return _weights_array(dim, scale * s12, scale * s13, scale * s23, f13, zero)
 
 
 def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
@@ -181,17 +189,19 @@ def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
 
 
 def _weights_array(
-    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray
+    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray,
+    zero: np.ndarray | bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`_weights` element for element over arrays of finite,
     nonnegative distances: the same branches, each calling the float
     path's formula, and the mask ``ok`` of the elements whose checks pass.
 
     f13 must be f_factor(dim, d13) wherever some distance reaches
-    LIMIT_SWITCH.  ok is False exactly where :func:`_weights` raises, and
-    the weights there mean nothing; nothing raises here.
+    LIMIT_SWITCH; the elements marked zero (unit shapes at kfr = 0) take the
+    limit branch at any size.  ok is False exactly where :func:`_weights`
+    raises, and the weights there mean nothing; nothing raises here.
     """
-    limit = np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH
+    limit = (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH) | zero
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
     ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -2,15 +2,19 @@
 
 Sweeps tabulate the robustness lower bound along the standard
 configuration families, each given by its unit-separation shape in
-:mod:`geometry`.  Every sweep point goes through the float core of
-:func:`couplings.from_shape`, so a separation value of 0 selects the
-exact vanishing-size limit (shape-only couplings) instead of a
-small-distance proxy, with the same checks as any finite separation; the
-point runs from shape to weights to bound on bare floats and builds no
-configuration or coupling object.  Every figure shape puts fermions 1
-and 3 at unit separation, so d13 = kfr * 1.0 == kfr exactly, and each
-collinear, isosceles or polar row at one kfr evaluates the kernel f(kfr)
-once.  Sweeps run serially, because the work holds the interpreter lock.
+:mod:`geometry`; a separation value of 0 selects the exact vanishing-size
+limit (shape-only couplings), with the same checks as any finite
+separation.  Every figure shape puts fermions 1 and 3 at unit separation,
+so d13 = kfr * 1.0 == kfr exactly.  Sweeps run on numpy arrays, through
+the array forms of the scalar point chain shape -> weights -> bound,
+which keep its operation order, and never raise mid-table: each point's
+kfr and grid value are checked up front, the array path marks the points
+that a scalar check rejects, and the sweep raises the error that the
+scalar chain raises at the first failing point.  The collinear and
+isosceles tables are one array evaluation each (the distance table one
+per dimension), with each grid value's shape from its scalar shape
+function, so every cell is the scalar chain's, bit for bit, wherever
+numpy's sin, cos and sqrt round as math's.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -24,34 +28,29 @@ it also checks that there is no second switch.
 The polar table solves all its q* rows in lock step on numpy arrays:
 pre-scan grid point j is evaluated at once on every row whose flags are
 all True so far, and the switched rows are bisected together, each on
-its own one-step bracket.  The row-array predicate :func:`_polar_gte`
-keeps the scalar point chain's operation order (through the array forms
-:func:`specfun._f_array` and :func:`couplings._weights_array`), so each
-row reads the same points as its own solve would.  The table depends
-only on the signs of the bound, never on its printed digits, which is
-why it alone takes the array path: np.hypot may differ from math.hypot
-in the last bit.  Every row's kfr and theta are checked up front, and the
-array path never raises: it marks the points that a scalar check rejects.
-The sweep raises once, at its end, the error of the first failing row's
-own solve: an invalid kfr or theta, a rejected point, or a bisection
-that does not converge.
+its own one-step bracket, so each row reads the same points as its own
+solve would.  The row-array predicate :func:`_polar_gte` takes its
+distances from np.hypot, which may differ from math.hypot in the last
+bit; the table depends only on the signs of the bound, never on its
+printed digits.  The sweep raises once, at its end, the error of the
+first failing row's own solve: an invalid kfr or theta, a rejected
+point, or a bisection that does not converge.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 from itertools import chain, pairwise
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
 from . import couplings as cpl
 from . import geometry
 from .errors import BracketError, ConvergenceFailure, DomainError
-from .specfun import X_MAX, Dimensionality, f_factor
-from .witnesses import GTE_THRESHOLD, _er_bound
+from .specfun import X_MAX, Dimensionality, _f_array, f_factor
+from .witnesses import GTE_THRESHOLD, _er_parts
 
 SWEEP_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
 
@@ -63,8 +62,7 @@ POLAR_PRESCAN_POINTS = 33
 _log = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     """One sweep point: named independent variables plus derived values."""
 
     indep: tuple[tuple[str, object], ...]
@@ -75,8 +73,7 @@ class SweepRow:
     p23: float
 
 
-@dataclass(frozen=True)
-class PolarBoundaryRow:
+class PolarBoundaryRow(NamedTuple):
     """Witnessed-GTE boundary radius q* at one (kfr, theta)."""
 
     kfr: float
@@ -114,18 +111,6 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
     raise ConvergenceFailure("bisection failed to reach tolerance")
 
 
-def _row(indep: tuple[tuple[str, object], ...], w: cpl.Weights) -> SweepRow:
-    p12, p13, p23 = w
-    return SweepRow(
-        indep=indep,
-        er=_er_bound(p12, p13, p23),
-        witness_value=3.0 * max(p12 + p13, p12 + p23, p13 + p23),
-        p12=p12,
-        p13=p13,
-        p23=p23,
-    )
-
-
 def _unit_kernel(dim: Dimensionality, kfr: float) -> float | None:
     """f(kfr): the kernel at the 1-3 distance of every figure shape, which
     sits at unit separation, so that d13 = kfr * 1.0 == kfr exactly.  None
@@ -133,21 +118,41 @@ def _unit_kernel(dim: Dimensionality, kfr: float) -> float | None:
     return f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
 
 
-def _shape_sweep(
+def _sweep_columns(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     grid: Sequence[float],
-    name: str,
     shape_of: Callable[[float], geometry.Shape],
-) -> list[SweepRow]:
-    rows = []
-    for kfr in kfr_values:
-        f13 = _unit_kernel(dim, kfr)
-        rows += [
-            _row((("kfr", kfr), (name, v)), cpl._shape_weights(shape_of(v), kfr, dim, f13))
-            for v in grid
-        ]
-    return rows
+) -> list[list[float]]:
+    """The columns er_lower_bound, witness_value, p12, p13, p23 over the
+    points (kfr, grid value), kfr-major.  A point fails where shape_of
+    rejects its grid value, its kfr lies outside [0, X_MAX] (no later kfr is
+    evaluated) or the weights' checks reject it."""
+    shapes = []
+    for v in grid:
+        try:
+            shapes.append(shape_of(v))
+        except DomainError:
+            shapes.append(None)
+    n, rejected = len(shapes), np.array([sh is None for sh in shapes], dtype=bool)
+    m = next((i for i, k in enumerate(kfr_values) if not 0.0 <= k <= X_MAX), len(kfr_values))
+    # a rejected grid value takes a stand-in shape and fails below
+    unit = [geometry._SYMMETRIC_COLLINEAR if sh is None else sh for sh in shapes]
+    s12, s13, s23 = np.tile(np.reshape(np.array(unit, dtype=float), (-1, 3)), (m, 1)).T
+    kfr = np.array(kfr_values[:m], dtype=float)
+    f13 = np.repeat(_f_array(dim, kfr), n)  # d13 = kfr * 1.0 == kfr
+    p12, p13, p23, ok = cpl._shape_weights_array(dim, np.repeat(kfr, n), s12, s13, s23, f13)
+    bad = ~ok | np.tile(rejected, m)
+    first = int(np.argmax(bad)) if bad.any() else m * n
+    if first < len(kfr_values) * n:
+        k, v = kfr_values[first // n], grid[first % n]
+        cpl._shape_weights(shape_of(v), k, dim, _unit_kernel(dim, k))  # raises its error
+    return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
+
+
+def _grid_sweep(dim, kfr_values, grid, name, shape_of) -> list[SweepRow]:
+    indep = [(("kfr", kfr), (name, v)) for kfr in kfr_values for v in grid]
+    return list(map(SweepRow._make, zip(indep, *_sweep_columns(dim, kfr_values, grid, shape_of))))
 
 
 def sweep_collinear(
@@ -155,7 +160,7 @@ def sweep_collinear(
     kfr_values: Sequence[float],
     x_over_r_grid: Sequence[float],
 ) -> list[SweepRow]:
-    return _shape_sweep(dim, kfr_values, x_over_r_grid, "x_over_r", geometry.collinear_shape)
+    return _grid_sweep(dim, kfr_values, x_over_r_grid, "x_over_r", geometry.collinear_shape)
 
 
 def sweep_isosceles(
@@ -163,7 +168,7 @@ def sweep_isosceles(
     kfr_values: Sequence[float],
     y_over_r_grid: Sequence[float],
 ) -> list[SweepRow]:
-    return _shape_sweep(dim, kfr_values, y_over_r_grid, "y_over_r", geometry.isosceles_shape)
+    return _grid_sweep(dim, kfr_values, y_over_r_grid, "y_over_r", geometry.isosceles_shape)
 
 
 class _PolarRows:
@@ -224,17 +229,11 @@ def _polar_gte(
     nonnegative.
     """
     s12, s23 = _unit_distances(rows, idx, q)
-    # _scale (d13 = kfr * 1.0 == kfr).  A kfr = 0 row takes the limit of its
-    # unit shape, scaled below LIMIT_SWITCH by a power of two: that is exact,
-    # and the limit weights and their checks see only the distances' ratios.
-    scale = np.where(rows.kfr[idx] == 0.0, 2.0**-20, rows.kfr[idx])
-    p12, p13, p23, ok = cpl._weights_array(dim, scale * s12, scale, scale * s23, rows.f13[idx])
-    # _er_bound > 0 exactly where some 3*(p_im + p_mk) exceeds 1 + sqrt(5)
-    best = np.maximum(np.maximum(p12 + p13, p12 + p23), p13 + p23)
+    p12, p13, p23, ok = cpl._shape_weights_array(dim, rows.kfr[idx], s12, 1.0, s23, rows.f13[idx])
     # Coincident pair (theta = 0, q = 1/2): no GTE and no error.  The weights
     # are (0, 0, 1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
     apart = (s12 != 0.0) & (s23 != 0.0)
-    return apart & (3.0 * best > GTE_THRESHOLD), apart & ~ok
+    return apart & (_er_parts(p12, p13, p23, np.maximum)[0] > 0.0), apart & ~ok
 
 
 def _raise_row_error(dim: Dimensionality, rows: _PolarRows) -> None:
@@ -340,12 +339,12 @@ def sweep_distance(
     kfr_grid: Sequence[float],
 ) -> list[SweepRow]:
     """Robustness bound of the symmetric collinear family versus separation."""
-    shape = geometry._SYMMETRIC_COLLINEAR
-    return [
-        _row((("dim", dim.value), ("kfr", kfr)), cpl._shape_weights(shape, kfr, dim))
-        for dim in dims
-        for kfr in kfr_grid
-    ]
+    rows = []
+    for dim in dims:
+        indep = [(("dim", dim.value), ("kfr", kfr)) for kfr in kfr_grid]
+        columns = _sweep_columns(dim, kfr_grid, [0.5], geometry.collinear_shape)
+        rows += map(SweepRow._make, zip(indep, *columns))
+    return rows
 
 
 def find_rmin(

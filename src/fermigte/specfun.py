@@ -155,6 +155,8 @@ def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     :func:`spherical_j1`'s series (stopped per element where its loop
     breaks) and closed form keep its constants and operation order, so each
     value is the scalar one where numpy's sin, cos and sqrt round as math's.
+    Every figure table's kernels come from here, so the printed digits of
+    the collinear, isosceles and distance tables rest on that rounding.
     Nothing is checked and nothing raises: every x must be finite and
     nonnegative, and only the values on f_factor's domain [0, X_MAX] are
     f_factor's.

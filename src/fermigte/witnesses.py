@@ -215,12 +215,15 @@ def er_lower_bound(c: Couplings) -> float:
 
 def _er_bound(p12: float, p13: float, p23: float) -> float:
     """The float core of :func:`er_lower_bound`."""
-    return max(
-        0.0,
-        (3.0 * (p12 + p13) - GTE_THRESHOLD) / _NORM,  # middle spin 1
-        (3.0 * (p12 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 2
-        (3.0 * (p13 + p23) - GTE_THRESHOLD) / _NORM,  # middle spin 3
-    )
+    return _er_parts(p12, p13, p23, max)[0]
+
+
+def _er_parts(p12, p13, p23, mx):
+    """The E_R bound and the best energy-witness value 3*(p_im + p_mk) over
+    middle spins 1, 2 and 3, on floats (mx = max) or arrays (mx = np.maximum).
+    Rounding is monotone, so the best value's term is the largest term."""
+    best = mx(mx(3.0 * (p12 + p13), 3.0 * (p12 + p23)), 3.0 * (p13 + p23))
+    return mx(0.0, (best - GTE_THRESHOLD) / _NORM), best
 
 
 def er_lower_bound_matrix(c: Couplings) -> float:

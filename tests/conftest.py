@@ -5,8 +5,9 @@ values come from a truncated power series, the minimum eigenvalue from a
 cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
 biseparability hull from sampled lens boundaries and qhull, random
 states from direct Haar sampling, polar q* rows from the public
-configuration, coupling and bound objects solved one row at a time, and
-the GHZ/W grid scan from kets built with their own np.kron products,
+configuration, coupling and bound objects solved one row at a time, the
+rows of the other figure sweeps from the scalar point chain one point at a
+time, and the GHZ/W grid scan from kets built with their own np.kron products,
 evaluated and compared one node at a time, the energy-witness verdict and
 the closed E_R bound of both observable signs straight from the weights,
 and states of the Werner family from singlet terms built as (I - SWAP)/4.
@@ -27,7 +28,9 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
 )
-from fermigte.geometry import polar_shape, scaled
+from fermigte.couplings import _shape_weights
+from fermigte.geometry import collinear_shape, polar_shape, scaled
+from fermigte.specfun import X_MAX, f_factor
 from fermigte.tristate import _assemble
 
 
@@ -60,6 +63,39 @@ def er_two_sign_oracle(p12: float, p13: float, p23: float) -> float:
     maximized with 0."""
     sums = (p12 + p13, p12 + p23, p13 + p23)
     return max([0.0] + [(3.0 * abs(s) - (1.0 + SQRT5)) / (5.0 + SQRT5) for s in sums])
+
+
+def sweep_oracle(dim, kfr_values, grid, name, shape_of) -> list[tuple]:
+    """The rows of sweep_collinear or sweep_isosceles (name and shape_of
+    naming the family) as tuples, one point at a time, kfr-major: the
+    shape, the scalar weights (f(kfr) evaluated once per kfr) and the E_R
+    bound and best witness value written out.  Raises the first point's error."""
+    rows = []
+    for kfr in kfr_values:
+        f13 = f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
+        for v in grid:
+            weights = _shape_weights(shape_of(v), kfr, dim, f13)
+            rows.append(((("kfr", kfr), (name, v)), *_point_bound(*weights), *weights))
+    return rows
+
+
+def distance_oracle(dims, kfr_grid) -> list[tuple]:
+    """The rows of sweep_distance as tuples, one point at a time, as in
+    sweep_oracle."""
+    rows = []
+    for dim in dims:
+        for kfr in kfr_grid:
+            weights = _shape_weights(collinear_shape(0.5), kfr, dim)
+            rows.append(((("dim", dim.value), ("kfr", kfr)), *_point_bound(*weights), *weights))
+    return rows
+
+
+def _point_bound(p12, p13, p23) -> tuple[float, float]:
+    """(E_R bound, best witness value): the largest of 0 and the three
+    rescaled energy-witness violations, and 3 times the largest pair sum."""
+    sums = (p12 + p13, p12 + p23, p13 + p23)
+    er = max(0.0, *[(3.0 * s - (1.0 + SQRT5)) / (5.0 + SQRT5) for s in sums])
+    return er, 3.0 * max(sums)
 
 
 def singlet_term(i: int, j: int) -> np.ndarray:

@@ -17,7 +17,7 @@ import fermigte
 from fermigte import Dimensionality, er_lower_bound, matrix_from_text, scan
 from fermigte.couplings import from_shape as couplings_from_shape
 from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
-from fermigte.cli import MAX_POINTS, main
+from fermigte.cli import MAX_POINTS, build_parser, main
 
 from conftest import lens_hull
 
@@ -93,6 +93,79 @@ class TestScalarCommands:
         assert payload["quantity"] == "gte_distance_lower_bound"
         assert payload["value"] == pytest.approx(2.5964, abs=5e-4)
         assert payload["tolerance_used"] == 1e-6
+
+
+class TestLimitModeDim:
+    """Limit weights have no dimension: a limit-mode result reports dim null
+    and reads the same under either --dim."""
+
+    TRIANGLE = ["--d12", "0.5", "--d13", "1", "--d23", "0.7"]
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["couplings", *TRIANGLE, "--limit"],
+            ["werner", *TRIANGLE, "--limit"],
+            ["rho3", *TRIANGLE, "--limit"],
+            ["er", "--geometry", "triangle", *TRIANGLE, "--limit"],
+            ["er", "--geometry", "collinear", "--x-over-r", "0.3"],
+            ["er", "--geometry", "isosceles", "--kfr", "0", "--y-over-r", "0.4"],
+            ["er", "--geometry", "polar", "--kfr", "0", "--theta", "0.3", "--q-over-r", "0.2"],
+        ],
+    )
+    def test_output_ignores_dim(self, capsys, args):
+        outs = []
+        for dim in ("2d", "3d"):
+            code, out, err = run(capsys, [*args, "--dim", dim])
+            assert (code, err) == (0, "")
+            outs.append(out)
+        assert outs[0] == outs[1]
+        if args[0] != "rho3":
+            assert json.loads(outs[0])["dim"] is None
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["couplings", *TRIANGLE],
+            ["werner", *TRIANGLE],
+            ["er", "--geometry", "triangle", *TRIANGLE],
+            ["er", "--geometry", "collinear", "--kfr", "1.5"],
+        ],
+    )
+    def test_finite_size_reports_its_dim(self, capsys, args):
+        code, out, _ = run(capsys, [*args, "--dim", "2d"])
+        assert code == 0
+        assert json.loads(out)["dim"] == "2d"
+
+
+class TestParserReuse:
+    """cli.main builds its parser once per process; a call reads as it does
+    with a parser of its own."""
+
+    @pytest.mark.parametrize(
+        "calls",
+        [
+            [
+                ["er", "--geometry", "collinear", "--x-over-r", "0.3"],
+                ["er", "--geometry", "isosceles"],
+            ],
+            [
+                ["er", "--geometry", "collinear", "--kfr", "1", "--bogus"],
+                ["er", "--geometry", "polar"],
+            ],
+            [["sweep", "--figure", "1b", "--points", "5"], ["polygon", "--rplus", "0.041"]],
+        ],
+        ids=["no-stray-flag", "after-a-parse-error", "sweep-then-polygon"],
+    )
+    def test_calls_in_a_row_read_as_alone(self, capsys, calls):
+        in_a_row = [run(capsys, argv) for argv in calls]
+        assert build_parser() is build_parser()
+        alone = []
+        for argv in calls:
+            build_parser.cache_clear()
+            alone.append(run(capsys, argv))
+        assert in_a_row == alone
+        assert [code for code, _, _ in alone] == ([2, 0] if "--bogus" in calls[0] else [0, 0])
 
 
 def test_2d_runs_never_import_scipy_special():

@@ -238,8 +238,7 @@ class TestFloatCore:
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_the_float_core(self, dim):
         # every scaled triple that passes the distance checks, one element at
-        # a time, and every unit shape scaled by 2**-20 into limit mode, as
-        # the polar sweep passes its kfr = 0 rows
+        # a time, and every unit shape scaled by 2**-20 into limit mode
         cases = []
         for shape in self.SHAPES:
             for kfr in self.KFRS:

@@ -23,9 +23,10 @@ from fermigte import (
     sweep_isosceles,
     sweep_polar_boundary,
 )
-from fermigte.cli import _FIG2_KFR
+from fermigte.cli import _FIG2_KFR, _FIG_KFR, _limit_safe
+from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
-from fermigte.geometry import collinear_shape, scaled
+from fermigte.geometry import collinear_shape, isosceles_shape, scaled
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
     RMIN_PRESCAN_STEP,
@@ -36,7 +37,7 @@ from fermigte.scan import (
     write_csv,
 )
 
-from conftest import polar_gte, polar_q_star
+from conftest import distance_oracle, polar_gte, polar_q_star, sweep_oracle
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -603,6 +604,115 @@ class TestLockStep:
         qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
         i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
         assert records == [(2.7, 0.3, None, 1), (2.7, 0.7, None, 1), (1.0, 0.3, i, i + 2)]
+
+
+def _outcome(fn):
+    """fn()'s rows as tuples, or its error's (type, message)."""
+    try:
+        rows = fn()
+    except Exception as exc:  # any error must be the oracle's
+        return type(exc), str(exc)
+    return [tuple(r) for r in rows]
+
+
+FAMILIES = {
+    "collinear": (sweep_collinear, "x_over_r", collinear_shape),
+    "isosceles": (sweep_isosceles, "y_over_r", isosceles_shape),
+}
+
+
+def family_outcomes(family, dim, kfrs, grid):
+    """The outcome of the array sweep and of the per-point oracle; each
+    float is compared by repr as well, so a signed zero shows."""
+    sweep, name, shape_of = FAMILIES[family]
+    got = _outcome(lambda: sweep(dim, kfrs, grid))
+    want = _outcome(lambda: sweep_oracle(dim, kfrs, grid, name, shape_of))
+    return (got, repr(got)), (want, repr(want))
+
+
+# kfr lists that straddle the limit switch and reach the kernels' domain end
+kfr_values = st.lists(
+    st.sampled_from([0.0, 50.0])
+    | st.floats(LIMIT_SWITCH / 4.0, 4.0 * LIMIT_SWITCH)
+    | st.floats(0.0, 50.0, allow_subnormal=True),
+    min_size=1,
+    max_size=4,
+)
+
+
+class TestArraySweeps:
+    """The 1a, 1b and 3 sweeps, one array evaluation per table, equal the
+    per-point scalar chain cell for cell and raise its errors."""
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("points", [181, 201, 221])
+    def test_cli_figure_grids(self, dim, points):
+        grid = np.linspace(0.0, 1.0, points).tolist()
+        cases = [
+            ("collinear", _FIG_KFR[:1], _limit_safe(grid)),
+            ("collinear", _FIG_KFR[1:], grid),
+            ("isosceles", _FIG_KFR, grid),
+        ]
+        for family, kfrs, g in cases:
+            got, want = family_outcomes(family, dim, kfrs, g)
+            assert isinstance(want[0], list) and got == want, (family, kfrs[0])
+        kfr_grid = [0.0] + np.linspace(0.015, 3.0, points).tolist()
+        got = _outcome(lambda: sweep_distance([D2, D3], kfr_grid))
+        assert repr(got) == repr(distance_oracle([D2, D3], kfr_grid))
+
+    @given(
+        dim=st.sampled_from([D2, D3]),
+        kfrs=kfr_values,
+        grid=st.lists(st.floats(0.0, 1.0, allow_subnormal=True), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    @example(dim=D3, kfrs=[0.0, LIMIT_SWITCH, 1.0005e-3], grid=[5e-324, 0.5, 1.0 - 2**-53])
+    def test_drawn_collinear_grids(self, dim, kfrs, grid):
+        got, want = family_outcomes("collinear", dim, kfrs, grid)
+        assert got == want
+
+    @given(
+        dim=st.sampled_from([D2, D3]),
+        kfrs=kfr_values,
+        grid=st.lists(st.floats(0.0, 1.0) | st.floats(0.0, 1e4), max_size=6),
+    )
+    @settings(max_examples=150, deadline=None)
+    # at kfr = 0 a wide shape keeps the limit of its unit shape
+    @example(dim=D2, kfrs=[0.0, 1e-3], grid=[0.1, 2000.0, 5e-324])
+    def test_drawn_isosceles_grids(self, dim, kfrs, grid):
+        got, want = family_outcomes("isosceles", dim, kfrs, grid)
+        assert got == want
+
+    @given(kfrs=kfr_values)
+    @settings(max_examples=100, deadline=None)
+    def test_drawn_distance_grids(self, kfrs):
+        got = _outcome(lambda: sweep_distance([D2, D3], kfrs))
+        assert repr(got) == repr(_outcome(lambda: distance_oracle([D2, D3], kfrs)))
+
+    @pytest.mark.parametrize(
+        "family, kfrs, grid",
+        [
+            *[(f, [k], [0.5]) for f in FAMILIES for k in (-1.0, math.nan, math.inf, 60.0)],
+            ("collinear", [1.0], [0.2, 1.5]),
+            ("isosceles", [1.0], [0.2, -0.1]),
+            # the equilateral limit point
+            ("isosceles", [0.0], [0.2, math.sqrt(3.0) / 2.0]),
+            # invalid points after valid rows
+            ("collinear", [0.5, 2.0, 60.0, -1.0], [0.1, 0.9]),
+            ("collinear", [0.5, 0.0], [0.3, 0.0, 1.5]),
+            ("isosceles", [2.5, 1.0], [0.0, 0.4, 1e6]),
+            ("isosceles", [1.0, -1.0], [0.2, -0.1]),
+        ],
+    )
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_errors_are_the_scalar_errors(self, family, kfrs, grid, dim):
+        got, want = family_outcomes(family, dim, kfrs, grid)
+        assert isinstance(want[0], tuple) and got == want
+
+    @pytest.mark.parametrize("kfrs", [[-1.0], [math.nan], [math.inf], [60.0], [0.5, 2.0, 60.0]])
+    def test_distance_errors_are_the_scalar_errors(self, kfrs):
+        got = _outcome(lambda: sweep_distance([D2, D3], kfrs))
+        assert isinstance(got, tuple) and got == _outcome(lambda: distance_oracle([D2, D3], kfrs))
 
 
 class TestSweepDistance:
