@@ -48,17 +48,13 @@ from .tristate import (
 from .witnesses import (
     GTE_THRESHOLD,
     GridScanReport,
-    LocalBasis,
     WitnessOperator,
     bounded_energy_witness,
     energy_observable,
     er_lower_bound,
     er_lower_bound_matrix,
-    ghz_state,
     grid_scan_ghz_w,
     pauli_dot,
-    projective_witness,
-    w_state,
 )
 
 __all__ = [
@@ -74,7 +70,6 @@ __all__ = [
     "GridScanReport",
     "GTE_THRESHOLD",
     "InvalidCouplingsError",
-    "LocalBasis",
     "NonHermitianInputError",
     "PolarBoundaryRow",
     "SweepRow",
@@ -93,13 +88,11 @@ __all__ = [
     "expectation",
     "f_factor",
     "find_rmin",
-    "ghz_state",
     "grid_scan_ghz_w",
     "matrix_from_text",
     "matrix_to_text",
     "min_eigenvalue",
     "pauli_dot",
-    "projective_witness",
     "r_max_solver",
     "rho3",
     "spherical_j1",
@@ -108,6 +101,5 @@ __all__ = [
     "sweep_isosceles",
     "sweep_polar_boundary",
     "validate_couplings",
-    "w_state",
     "werner_coords",
 ]

@@ -155,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
         "sweep", help="figure-style parameter sweep (CSV)", parents=[common]
     )
     p.add_argument("--figure", choices=["1a", "1b", "2", "3"], required=True)
-    p.add_argument("--dim", choices=["2d", "3d"], default="3d")
+    p.add_argument("--dim", choices=["2d", "3d"], help="figures 1a, 1b and 2 (default 3d)")
     p.add_argument(
         "--points", type=int, default=201, help=f"grid points per axis, 2 to {MAX_POINTS}"
     )
@@ -179,7 +179,9 @@ def _limit_safe(grid: list[float]) -> list[float]:
 def _run_sweep(args: argparse.Namespace) -> str:
     import io
 
-    dim = _dim(args.dim)
+    if args.figure == "3" and args.dim is not None:
+        raise DomainError("--figure 3 covers both dims and takes no --dim")
+    dim = _dim(args.dim or "3d")
     n = args.points
     if not 2 <= n <= MAX_POINTS:
         raise DomainError(f"--points must lie in [2, {MAX_POINTS}], got {n}")

@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 from itertools import chain, pairwise
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -413,14 +413,12 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence[object]], stream: 
         stream.writelines(template % tuple(row) for row in chain([first], rows))
 
 
-def sweep_table(rows: Sequence[SweepRow]) -> tuple[list[str], list[list[object]]]:
+def sweep_table(rows: Sequence[SweepRow]) -> tuple[list[str], Iterator[tuple]]:
+    """Columns and flat rows of a sweep table, the rows built lazily."""
     columns = [name for name, _ in rows[0].indep] + list(SWEEP_COLUMNS)
-    data = [
-        [v for _, v in r.indep] + [r.er, r.witness_value, r.p12, r.p13, r.p23]
-        for r in rows
-    ]
-    return columns, data
+    return columns, (tuple(v for _, v in r.indep) + r[1:] for r in rows)
 
 
-def polar_table(rows: Sequence[PolarBoundaryRow]) -> tuple[list[str], list[list[object]]]:
-    return ["kfr", "theta", "q_star"], [[r.kfr, r.theta, r.q_star] for r in rows]
+def polar_table(rows: Sequence[PolarBoundaryRow]) -> tuple[list[str], Sequence[PolarBoundaryRow]]:
+    """Columns of the polar table; its rows are (kfr, theta, q_star) tuples already."""
+    return list(PolarBoundaryRow._fields), rows

@@ -3,10 +3,14 @@
 Two families are provided.
 
 Projector witnesses: Lambda*I - |psi><psi| with |psi> a GHZ- or W-type
-state built on arbitrary local bases, Lambda the maximal squared overlap
-between |psi> and the biseparable set (1/2 for the GHZ family, 2/3 for
-the W family).  An exhaustive scan over the extremal parameter grid shows
-these never go negative on the Fermi-gas reduced state.
+ket on local bases |n>, |-n> of the Bloch sphere, Lambda the maximal
+squared overlap between |psi> and the biseparable set (1/2 for the GHZ
+family, 2/3 for the W family; Bourennane et al., PRL 92, 087902 (2004)).
+:func:`grid_scan_ghz_w` evaluates them on the extremal parameter grid:
+it builds the grid's 1,280 kets once per call, as one array, screens all
+10,240 nodes in one batched product and evaluates the minimal kets again
+exactly.  The scan shows these never go negative on the Fermi-gas
+reduced state.
 
 Energy witnesses: the pair-correlation observable
 
@@ -33,9 +37,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterable
 
 import numpy as np
 
@@ -65,39 +67,6 @@ _PAULI = (
 
 
 @dataclass(frozen=True)
-class LocalBasis:
-    """Orthonormal single-qubit basis |n>, |-n> on the Bloch sphere.
-
-    |n>  = cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>
-    |-n> = -e^{-i phi} sin(theta/2)|up> + cos(theta/2)|down>
-
-    The phase of |-n> is fixed so that at theta = 0 the pair is exactly
-    (|up>, |down>).
-    """
-
-    theta: float = 0.0
-    phi: float = 0.0
-
-    def ket(self) -> np.ndarray:
-        return np.array(
-            [
-                math.cos(self.theta / 2.0),
-                np.exp(1.0j * self.phi) * math.sin(self.theta / 2.0),
-            ],
-            dtype=complex,
-        )
-
-    def ket_flip(self) -> np.ndarray:
-        return np.array(
-            [
-                -np.exp(-1.0j * self.phi) * math.sin(self.theta / 2.0),
-                math.cos(self.theta / 2.0),
-            ],
-            dtype=complex,
-        )
-
-
-@dataclass(frozen=True)
 class WitnessOperator:
     """Hermitian witness matrix with a certified largest-eigenvalue bound."""
 
@@ -107,53 +76,6 @@ class WitnessOperator:
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
-
-
-def _products(bases: tuple[LocalBasis, LocalBasis, LocalBasis]) -> tuple[tuple, tuple]:
-    """GHZ kets (|n1,n2,n3>, |-n1,-n2,-n3>), W kets (|n1,n2,-n3>, |n1,-n2,n3>, |-n1,n2,n3>)."""
-    (k1, f1), (k2, f2), (k3, f3) = ((b.ket(), b.ket_flip()) for b in bases)
-    ghz = (_kron3(k1, k2, k3), _kron3(f1, f2, f3))
-    return ghz, (_kron3(k1, k2, f3), _kron3(k1, f2, k3), _kron3(f1, k2, k3))
-
-
-def _ghz(alpha: float, up: np.ndarray, dn: np.ndarray) -> np.ndarray:
-    return (up + np.exp(1.0j * alpha) * dn) / math.sqrt(2.0)
-
-
-def _w(beta: float, gamma: float, a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return (a + np.exp(1.0j * beta) * b + np.exp(1.0j * gamma) * c) / math.sqrt(3.0)
-
-
-def ghz_state(alpha: float, bases: tuple[LocalBasis, LocalBasis, LocalBasis]) -> np.ndarray:
-    """(|n1,n2,n3> + e^{i alpha} |-n1,-n2,-n3>) / sqrt(2)."""
-    return _ghz(alpha, *_products(bases)[0])
-
-
-def w_state(
-    beta: float, gamma: float, bases: tuple[LocalBasis, LocalBasis, LocalBasis]
-) -> np.ndarray:
-    """(|n1,n2,-n3> + e^{i beta}|n1,-n2,n3> + e^{i gamma}|-n1,n2,n3>) / sqrt(3)."""
-    return _w(beta, gamma, *_products(bases)[1])
-
-
-def projective_witness(psi: np.ndarray, lam: float) -> WitnessOperator:
-    """Lambda*I - |psi><psi| for a normalized 8-vector psi.
-
-    Only the GHZ (1/2) and W (2/3) overlaps are certified; other values
-    are accepted but flagged with a warning, since the biseparable
-    maximization is not performed here.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"witness state must be normalized, |psi| = {norm}")
-    if not (abs(lam - GHZ_OVERLAP) < 1e-12 or abs(lam - W_OVERLAP) < 1e-12):
-        warnings.warn(
-            f"overlap bound {lam} is not certified for arbitrary states; "
-            "the operator may fail to be a GTE witness",
-            stacklevel=2,
-        )
-    return WitnessOperator(lam * np.eye(8, dtype=complex) - np.outer(psi, psi.conj()), lam)
 
 
 def _single(op: np.ndarray, qubit: int) -> np.ndarray:
@@ -244,6 +166,7 @@ _TRIPLES = tuple(itertools.product(_GRID, repeat=3))
 _KETS = tuple(("ghz", {"alpha": a}) for a in _GRID) + tuple(
     ("w", {"beta": b, "gamma": g}) for b, g in itertools.product(_GRID, repeat=2)
 )
+_OVERLAP = {"ghz": GHZ_OVERLAP, "w": W_OVERLAP}
 # A ket is evaluated exactly when its screened minimum lies within this of
 # the screened minimum it competes for; the screen's rounding error is
 # below 1e-13 (see _screen), so every exactly minimal node is confirmed.
@@ -274,64 +197,62 @@ def _vertex_rhos() -> np.ndarray:
     return np.stack([_assemble(*v) for v in _VERTICES])
 
 
-def _grid_kets(rhos: np.ndarray, picked: Iterable[int]):
-    """Per grid ket whose scan-order index is in picked (ascending): the
-    index, family, phases, angles and exact node values over _VERTICES, each
-    rounded as lam - Re np.vdot(psi, rho @ psi).  A basis triple's product
-    kets are built once, and only when one of its kets is picked."""
-    for t, indices in itertools.groupby(picked, lambda k: k // len(_KETS)):
-        theta2, theta3, phi3 = _TRIPLES[t]
-        bases = (LocalBasis(0.0, 0.0), LocalBasis(theta2, 0.0), LocalBasis(theta3, phi3))
-        angles = {
-            "theta1": 0.0,
-            "phi1": 0.0,
-            "phi2": 0.0,
-            "theta2": theta2,
-            "theta3": theta3,
-            "phi3": phi3,
-        }
-        ghz, w = _products(bases)
-        for k in indices:
-            family, phases = _KETS[k % len(_KETS)]
-            if family == "ghz":
-                lam, psi = GHZ_OVERLAP, _ghz(phases["alpha"], *ghz)
-            else:
-                lam, psi = W_OVERLAP, _w(phases["beta"], phases["gamma"], *w)
-            # one stacked product per ket, rounded per node as np.vdot(psi, rho @ psi)
-            values = [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
-            yield k, family, phases, angles, values
+def _local_kets(theta: float, phi: float) -> np.ndarray:
+    """The orthonormal single-qubit basis on the Bloch sphere, rows |n>, |-n>:
+
+    |n>  = cos(theta/2)|up> + e^{i phi} sin(theta/2)|down>
+    |-n> = -e^{-i phi} sin(theta/2)|up> + cos(theta/2)|down>
+
+    The phase of |-n> is fixed so that at theta = 0 the pair is exactly
+    (|up>, |down>).
+    """
+    c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+    return np.array([[c, np.exp(1.0j * phi) * s], [-np.exp(-1.0j * phi) * s, c]], dtype=complex)
 
 
-def _screen(rhos: np.ndarray) -> np.ndarray:
+def _grid_kets() -> np.ndarray:
+    """Every grid ket, shape (1280, 8) in scan order, by broadcasting over
+    the grid: with theta1 = phi1 = phi2 = 0 and |s1 s2 s3> the product of
+    the local kets (s = n or -n),
+
+    GHZ: (|n,n,n> + e^{i alpha} |-n,-n,-n>) / sqrt(2)
+    W:   (|n,n,-n> + e^{i beta} |n,-n,n> + e^{i gamma} |-n,n,n>) / sqrt(3)
+    """
+    local = [
+        np.array(list(itertools.starmap(_local_kets, angles)))
+        for angles in ([(0.0, 0.0)], [(theta, 0.0) for theta in _GRID], itertools.product(_GRID, repeat=2))
+    ]
+    # products[t, s1, s2, s3] = |s1> (x) |s2> (x) |s3> on triple t, s = 0 for |n>, 1 for |-n>
+    products = np.einsum("uai,xbj,yck->xyabcijk", *local).reshape(len(_TRIPLES), 2, 2, 2, 8)[:, None]
+    alpha = np.array(_GRID)[:, None]
+    beta, gamma = np.array(list(itertools.product(_GRID, repeat=2))).T[:, :, None]
+    ghz = (products[:, :, 0, 0, 0] + np.exp(1.0j * alpha) * products[:, :, 1, 1, 1]) / math.sqrt(2.0)
+    w = (
+        products[:, :, 0, 0, 1]
+        + np.exp(1.0j * beta) * products[:, :, 0, 1, 0]
+        + np.exp(1.0j * gamma) * products[:, :, 1, 0, 0]
+    ) / math.sqrt(3.0)
+    return np.concatenate([ghz, w], axis=1).reshape(-1, 8)
+
+
+def _node_values(rhos: np.ndarray, psis: np.ndarray, k: int) -> list[float]:
+    """The exact node values of grid ket k over _VERTICES, each rounded as
+    lam - Re np.vdot(psi, rho @ psi), from one stacked product."""
+    lam, psi = _OVERLAP[_KETS[k % len(_KETS)][0]], psis[k]
+    return [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
+
+
+def _screen(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Every node value lam - Re psi^H rho psi at once, shape (kets, vertex
     states) in scan order.
 
-    The kets come from the same local kets and formulas as _grid_kets, by
-    broadcasting over the grid (on this grid they equal its kets bit for
-    bit), and all 10,240 quadratic forms are one batched product.  Its sums
-    run in another order than np.vdot's, so a value may differ from the
-    exact one in the last bits: psi is a unit vector and every row of a
-    vertex rho has absolute sum at most 1, so each form's 64 terms add up to
-    at most 1 in size and its rounding error is below 64 * 2**-52 < 1e-13.
+    All 10,240 quadratic forms are one batched product.  Its sums run in
+    another order than np.vdot's, so a value may differ from the exact one
+    in the last bits: psi is a unit vector and every row of a vertex rho
+    has absolute sum at most 1, so each form's 64 terms add up to at most
+    1 in size and its rounding error is below 64 * 2**-52 < 1e-13.
     """
-    local = [
-        np.array([(b.ket(), b.ket_flip()) for b in bases])
-        for bases in (
-            [LocalBasis(0.0, 0.0)],
-            [LocalBasis(theta, 0.0) for theta in _GRID],
-            list(itertools.starmap(LocalBasis, itertools.product(_GRID, repeat=2))),
-        )
-    ]
-    # products[t, s1, s2, s3] = |s1> (x) |s2> (x) |s3> on triple t, s = 0 for |n>, 1 for |-n>
-    products = np.einsum("uai,xbj,yck->xyabcijk", *local).reshape(len(_TRIPLES), 2, 2, 2, 8)
-    alpha = np.array(_GRID)[:, None]
-    beta, gamma = np.array(list(itertools.product(_GRID, repeat=2))).T[:, :, None]
-    ghz = _ghz(alpha, products[:, None, 0, 0, 0], products[:, None, 1, 1, 1])
-    w = _w(
-        beta, gamma, products[:, None, 0, 0, 1], products[:, None, 0, 1, 0], products[:, None, 1, 0, 0]
-    )
-    psis = np.concatenate([ghz, w], axis=1).reshape(-1, 8)
-    lam = np.tile([GHZ_OVERLAP if family == "ghz" else W_OVERLAP for family, _ in _KETS], len(_TRIPLES))
+    lam = np.tile([_OVERLAP[family] for family, _ in _KETS], len(_TRIPLES))
     # column v, row k: np.vdot(psis[k], rho_v @ psis[k]), one vertex at a time
     # so that no (vertex, 8, ket) product array is held
     bras = psis.conj()
@@ -350,22 +271,24 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
     global minimum; a nonnegative result means neither family can detect
     GTE anywhere in the admissible parameter range.
 
-    All nodes are screened in one batched product (:func:`_screen`); the
-    kets within _CONFIRM_MARGIN of the screened minimum (with detail, of
-    their own family's) are evaluated again in the exact per-node
-    arithmetic, in scan order, and the report comes from those values, so
-    ties resolve to the first node as a node-by-node scan would.
+    The grid kets are built once (:func:`_grid_kets`) and all nodes
+    screened in one batched product (:func:`_screen`); the kets within
+    _CONFIRM_MARGIN of the screened minimum (with detail, of their own
+    family's) are evaluated again in the exact per-node arithmetic, in
+    scan order, and the report comes from those values, so ties resolve
+    to the first node as a node-by-node scan would.
 
-    Logs one DEBUG record per call: the nodes screened, the kets and basis
-    triples evaluated again, and the largest |screen - exact| among them.
+    Logs one DEBUG record per call: the nodes screened, the kets evaluated
+    again, and the largest |screen - exact| among them.
     """
     rhos = _vertex_rhos()
-    screen = _screen(rhos)
+    psis = _grid_kets()
+    screen = _screen(rhos, psis)
     low = screen.min(axis=1)
     families = np.array([family for family, _ in _KETS] * len(_TRIPLES))
     cut = np.full(len(low), low.min())
     if detail:  # a family's own minimum is never below the global one
-        for family in ("ghz", "w"):
+        for family in _OVERLAP:
             mine = families == family
             cut[mine] = low[mine].min()
     picked = np.flatnonzero(low <= cut + _CONFIRM_MARGIN)
@@ -373,25 +296,29 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
     best_node: dict = {}
     family_min = {"ghz": math.inf, "w": math.inf}
     error = 0.0
-    for k, family, phases, angles, values in _grid_kets(rhos, picked):
+    for k in picked:
+        values = _node_values(rhos, psis, k)
         error = max(error, float(np.abs(screen[k] - values).max()))
+        family, phases = _KETS[k % len(_KETS)]
         low_k = min(values)  # the first of equal minima, as a node-by-node scan keeps
         family_min[family] = min(family_min[family], low_k)
         if low_k < best:
             best = low_k
+            theta2, theta3, phi3 = _TRIPLES[k // len(_KETS)]
             best_node = {
                 "family": family,
                 "p": list(_VERTICES[values.index(low_k)]),
-                "angles": dict(angles),
+                "angles": {
+                    "theta1": 0.0,
+                    "phi1": 0.0,
+                    "phi2": 0.0,
+                    "theta2": theta2,
+                    "theta3": theta3,
+                    "phi3": phi3,
+                },
                 "phases": dict(phases),
             }
-    _log.debug(
-        "grid_scan_ghz_w nodes=%d kets=%d triples=%d screen_error=%r",
-        screen.size,
-        len(picked),
-        len(set(picked // len(_KETS))),
-        error,
-    )
+    _log.debug("grid_scan_ghz_w nodes=%d kets=%d screen_error=%r", screen.size, len(picked), error)
     return GridScanReport(
         min_value=best,
         argmin=best_node,

@@ -7,8 +7,8 @@ biseparability hull from sampled lens boundaries and qhull, random
 states from direct Haar sampling, polar q* rows from the public
 configuration, coupling and bound objects solved one row at a time, the
 rows of the other figure sweeps from the scalar point chain one point at a
-time, and the GHZ/W grid scan from kets built with their own np.kron products,
-evaluated and compared one node at a time, the energy-witness verdict and
+time, and the GHZ/W grid scan from kets built with their own local kets and
+np.kron products, evaluated and compared one node at a time, the energy-witness verdict and
 the closed E_R bound of both observable signs straight from the weights,
 and states of the Werner family from singlet terms built as (I - SWAP)/4.
 """
@@ -22,7 +22,6 @@ from scipy.spatial import ConvexHull
 
 from fermigte import (
     Dimensionality,
-    LocalBasis,
     TriangleConfig,
     couplings_from_config,
     couplings_zero_limit,
@@ -301,15 +300,20 @@ GHZ_OVERLAP, W_OVERLAP = 0.5, 2.0 / 3.0
 
 def reference_grid_kets():
     """Every grid ket from its own np.kron products, in the operand order of
-    the GHZ and W definitions."""
+    the GHZ and W definitions; the local kets are written out directly,
+    |n> = (cos(theta/2), e^{i phi} sin(theta/2)) and
+    |-n> = (-e^{-i phi} sin(theta/2), cos(theta/2))."""
 
     def kron3(a, b, c):
         return np.kron(np.kron(a, b), c)
 
+    def local(theta, phi):
+        c, s = math.cos(theta / 2.0), math.sin(theta / 2.0)
+        return np.array([c, np.exp(1.0j * phi) * s]), np.array([-np.exp(-1.0j * phi) * s, c])
+
     ghz, w = [], []
     for t2, t3, f3 in itertools.product(GRID, repeat=3):
-        bases = (LocalBasis(0.0, 0.0), LocalBasis(t2, 0.0), LocalBasis(t3, f3))
-        (k1, x1), (k2, x2), (k3, x3) = ((b.ket(), b.ket_flip()) for b in bases)
+        (k1, x1), (k2, x2), (k3, x3) = local(0.0, 0.0), local(t2, 0.0), local(t3, f3)
         for a in GRID:
             ghz.append((kron3(k1, k2, k3) + np.exp(1.0j * a) * kron3(x1, x2, x3)) / math.sqrt(2.0))
         for b, g in itertools.product(GRID, repeat=2):

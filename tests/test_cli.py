@@ -250,6 +250,16 @@ class TestMatrixAndTables:
         dims = {line.split(",")[0] for line in lines[1:]}
         assert dims == {"2d", "3d"}
 
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    def test_sweep_figure3_rejects_dim(self, capsys, dim):
+        code, out, err = run(capsys, ["sweep", "--figure", "3", "--dim", dim, "--points", "5"])
+        assert (code, out) == (2, "")
+        assert err == "error: --figure 3 covers both dims and takes no --dim\n"
+
+    def test_sweep_dim_defaults_to_3d(self, capsys):
+        outs = [run(capsys, ["sweep", "--figure", "1b", *dim, "--points", "5"]) for dim in ([], ["--dim", "3d"])]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
     @pytest.mark.parametrize(
         "figure, sweep",
         [

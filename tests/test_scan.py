@@ -752,8 +752,10 @@ class TestCsvOutput:
             "p13",
             "p23",
         ]
-        # row order follows the grid: kfr outer, x inner
-        assert [r[:2] for r in data] == [[0.0, 0.3], [0.0, 0.5], [1.0, 0.3], [1.0, 0.5]]
+        # flat tuples, in grid order: kfr outer, x inner
+        data = list(data)
+        assert [r[:2] for r in data] == [(0.0, 0.3), (0.0, 0.5), (1.0, 0.3), (1.0, 0.5)]
+        assert data[0] == (0.0, 0.3, *rows[0][1:])
 
     def test_write_csv_formatting(self):
         buf = io.StringIO()
@@ -787,4 +789,4 @@ class TestCsvOutput:
         rows = sweep_polar_boundary(D3, [2.7], [0.0, 0.5], q_tol=1e-4)
         columns, data = polar_table(rows)
         assert columns == ["kfr", "theta", "q_star"]
-        assert len(data) == 2
+        assert data is rows and len(data) == 2

@@ -1,4 +1,3 @@
-import itertools
 import logging
 import math
 
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 from fermigte import (
     Couplings,
     GTE_THRESHOLD,
-    LocalBasis,
     bounded_energy_witness,
     couplings_from_config,
     couplings_zero_limit,
@@ -18,24 +16,21 @@ from fermigte import (
     er_lower_bound,
     er_lower_bound_matrix,
     expectation,
-    ghz_state,
     grid_scan_ghz_w,
-    projective_witness,
     rho3,
-    w_state,
 )
 import fermigte.witnesses as witnesses_module
 from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import DomainError
 from fermigte.geometry import TriangleConfig
 from fermigte.witnesses import (
-    _GRID,
     _KETS,
     _NORM,
     _TRIPLES,
     GHZ_OVERLAP,
     W_OVERLAP,
     _grid_kets,
+    _node_values,
     _screen,
     _vertex_rhos,
 )
@@ -54,7 +49,6 @@ from conftest import (
 )
 
 LIMIT = couplings_zero_limit(0.5, 1.0, 0.5)
-STD = (LocalBasis(), LocalBasis(), LocalBasis())
 PERMS = ("123", "231", "132")
 
 SQRT5 = math.sqrt(5.0)
@@ -62,89 +56,66 @@ SQRT5 = math.sqrt(5.0)
 p_st = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)
 
 
-def all_grid_states():
-    ghz, w = [], []
-    for t2, t3, f3 in itertools.product(_GRID, repeat=3):
-        bases = (LocalBasis(0.0, 0.0), LocalBasis(t2, 0.0), LocalBasis(t3, f3))
-        ghz += [ghz_state(a, bases) for a in _GRID]
-        w += [w_state(b, g, bases) for b, g in itertools.product(_GRID, repeat=2)]
-    return np.array(ghz), np.array(w)
+def grid_kets_by_family():
+    """The scan's grid kets split by family, each in scan order."""
+    ghz = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
+    psis = _grid_kets()
+    return psis[ghz], psis[~ghz]
 
 
-class TestStates:
+class TestGridKets:
+    # rows 0-3 are the standard triple's GHZ kets (alpha), rows 4-19 its W
+    # kets (beta outer, gamma inner)
     def test_standard_ghz(self):
-        v = ghz_state(0.0, STD)
         expect = np.zeros(8, dtype=complex)
         expect[0] = expect[7] = 1.0 / math.sqrt(2.0)
-        assert np.allclose(v, expect, atol=1e-15)
+        assert np.allclose(_grid_kets()[0], expect, atol=1e-15)
 
     def test_ghz_pi(self):
-        v = ghz_state(math.pi, STD)
         expect = np.zeros(8, dtype=complex)
         expect[0], expect[7] = 1.0 / math.sqrt(2.0), -1.0 / math.sqrt(2.0)
-        assert np.allclose(v, expect, atol=1e-15)
+        assert _KETS[2] == ("ghz", {"alpha": math.pi})
+        assert np.allclose(_grid_kets()[2], expect, atol=1e-15)
 
     def test_standard_w(self):
-        v = w_state(0.0, 0.0, STD)
         expect = np.zeros(8, dtype=complex)
         expect[[1, 2, 4]] = 1.0 / math.sqrt(3.0)
-        assert np.allclose(v, expect, atol=1e-15)
+        assert np.allclose(_grid_kets()[4], expect, atol=1e-15)
 
     def test_w_phase_placement(self):
-        v = w_state(math.pi, 0.0, STD)
         expect = np.zeros(8, dtype=complex)
         expect[[1, 4]] = 1.0 / math.sqrt(3.0)
         expect[2] = -1.0 / math.sqrt(3.0)
-        assert np.allclose(v, expect, atol=1e-14)
+        assert _KETS[12] == ("w", {"beta": math.pi, "gamma": 0.0})
+        assert np.allclose(_grid_kets()[12], expect, atol=1e-14)
 
-    @given(
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-        st.floats(min_value=0.0, max_value=2.0 * math.pi),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_normalization(self, alpha, theta2, theta3, phi3, beta):
-        bases = (LocalBasis(0.3, 0.1), LocalBasis(theta2, 0.0), LocalBasis(theta3, phi3))
-        assert np.linalg.norm(ghz_state(alpha, bases)) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(w_state(beta, alpha, bases)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_local_basis_orthonormal(self):
-        b = LocalBasis(1.1, 2.3)
-        assert np.linalg.norm(b.ket()) == pytest.approx(1.0, abs=1e-14)
-        assert np.linalg.norm(b.ket_flip()) == pytest.approx(1.0, abs=1e-14)
-        assert abs(np.vdot(b.ket(), b.ket_flip())) <= 1e-14
+    def test_kets_are_normalized(self):
+        assert np.allclose(np.linalg.norm(_grid_kets(), axis=1), 1.0, rtol=0.0, atol=1e-14)
 
 
-class TestProjectiveWitness:
+def projector_witness(lam, psi):
+    """Lambda*I - |psi><psi|, the witness the grid scan evaluates."""
+    return lam * np.eye(8) - np.outer(psi, psi.conj())
+
+
+class TestProjectorOnStates:
     def test_on_its_own_state(self):
-        v = ghz_state(0.0, STD)
-        w = projective_witness(v, GHZ_OVERLAP)
-        assert expectation(np.outer(v, v.conj()), w.matrix) == pytest.approx(
-            -0.5, abs=1e-14
-        )
+        v = _grid_kets()[0]
+        w = projector_witness(GHZ_OVERLAP, v)
+        assert expectation(np.outer(v, v.conj()), w) == pytest.approx(-0.5, abs=1e-14)
 
     def test_w_witness_on_maximally_mixed(self):
-        w = projective_witness(w_state(0.0, 0.0, STD), W_OVERLAP)
-        value = expectation(np.eye(8, dtype=complex) / 8.0, w.matrix)
+        v = _grid_kets()[4]
+        w = projector_witness(W_OVERLAP, v)
+        value = expectation(np.eye(8, dtype=complex) / 8.0, w)
         assert value == pytest.approx(13.0 / 24.0, abs=1e-14)
 
     def test_w_witness_on_reduced_state(self):
         # the singlet cross terms cancel, leaving 2/3 - (1-p)/8
         c = couplings_zero_limit(0.3, 1.0, 0.8)
-        w = projective_witness(w_state(0.0, 0.0, STD), W_OVERLAP)
-        assert expectation(rho3(c), w.matrix) == pytest.approx(
-            2.0 / 3.0 - (1.0 - c.p) / 8.0, abs=1e-13
-        )
-
-    def test_rejects_unnormalized(self):
-        with pytest.raises(DomainError):
-            projective_witness(np.ones(8), 0.5)
-
-    def test_flags_uncertified_overlap(self):
-        with pytest.warns(UserWarning):
-            projective_witness(ghz_state(0.0, STD), 0.4)
+        v = _grid_kets()[4]
+        w = projector_witness(W_OVERLAP, v)
+        assert expectation(rho3(c), w) == pytest.approx(2.0 / 3.0 - (1.0 - c.p) / 8.0, abs=1e-13)
 
 
 class TestEnergyObservable:
@@ -354,8 +325,9 @@ class TestGridScan:
         assert report.per_family["ghz"] >= -1e-12
         assert report.per_family["w"] >= -1e-12
 
-    def test_grid_kets_are_bit_identical_to_the_reference(self):
-        ghz, w = all_grid_states()
+    def test_grid_kets_equal_the_reference(self):
+        # by value: a zero may differ in sign from the kron products' one
+        ghz, w = grid_kets_by_family()
         ref_ghz, ref_w = reference_grid_kets()
         assert len(ref_ghz) + len(ref_w) == 1280
         assert np.array_equal(ghz, ref_ghz)
@@ -376,14 +348,14 @@ class TestGridScan:
         # the exact path multiplies all vertex states by a ket at once; a
         # stacked product that rounds differently from rho @ psi fails here
         expect = reference_node_values()
-        kets = _grid_kets(_vertex_rhos(), range(len(_TRIPLES) * len(_KETS)))
-        values = np.array([v for *_, ket_values in kets for v in ket_values])
+        rhos, psis = _vertex_rhos(), _grid_kets()
+        values = np.array([v for k in range(len(psis)) for v in _node_values(rhos, psis, k)])
         assert len(values) == len(expect) == 10240
         assert np.array_equal(values, expect)
         assert grid_scan_ghz_w().min_value == expect.min()
 
     def test_screen_is_within_rounding_of_every_node(self):
-        screen = _screen(_vertex_rhos())
+        screen = _screen(_vertex_rhos(), _grid_kets())
         assert screen.shape == (1280, 8)
         assert np.max(np.abs(screen.ravel() - reference_node_values())) <= 1e-12
 
@@ -400,40 +372,35 @@ class TestGridScan:
             "ghz_far_above": np.array([[family == "ghz"] for family, _ in _KETS] * len(_TRIPLES), dtype=float),
         }[perturbation]
         screen = witnesses_module._screen
-        monkeypatch.setattr(witnesses_module, "_screen", lambda rhos: screen(rhos) + offset)
+        monkeypatch.setattr(witnesses_module, "_screen", lambda *args: screen(*args) + offset)
         min_value, argmin, per_family = grid_scan_oracle()
         report = grid_scan_ghz_w(detail=True)
         assert report.min_value == min_value
         assert report.argmin == argmin
         assert report.per_family == per_family
 
-    def test_products_built_once_per_basis_triple(self, monkeypatch):
-        # at most 64 basis triples x 5 product kets x 2 np.kron calls each
-        calls, triples = [], []
-        kron, products = np.kron, witnesses_module._products
+    def test_builds_no_product_ket_with_kron(self, monkeypatch):
+        # the kets come from one broadcast, so the exact pass rebuilds none
+        calls = []
+        kron = np.kron
 
         def counting_kron(a, b):
             calls.append(None)
             return kron(a, b)
 
-        def recording(bases):
-            triples.append(bases)
-            return products(bases)
-
         monkeypatch.setattr(np, "kron", counting_kron)
-        monkeypatch.setattr(witnesses_module, "_products", recording)
-        grid_scan_ghz_w(detail=True)
-        assert 0 < len(triples) == len(set(triples))
-        assert len(calls) == 10 * len(triples) <= 640
+        report = grid_scan_ghz_w(detail=True)
+        assert report.nodes_evaluated == 10240
+        assert calls == []
 
     def test_logs_one_record_per_scan(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             grid_scan_ghz_w()
         (record,) = [r for r in caplog.records if r.name == "fermigte.witnesses"]
         assert record.levelno == logging.DEBUG
-        nodes, kets, triples, error = record.args
+        nodes, kets, error = record.args
         assert nodes == 10240
-        assert 0 < triples <= kets <= 20 * triples <= 1280
+        assert 0 < kets <= 1280
         assert 0.0 <= error <= 1e-12
 
     def test_silent_by_default(self, caplog):
@@ -442,12 +409,12 @@ class TestGridScan:
 
     def test_ghz_value_at_limit_couplings(self):
         # with p = 1 the GHZ overlap vanishes, so Tr(rho Pi) = 1/2
-        v = ghz_state(0.0, STD)
-        w = projective_witness(v, GHZ_OVERLAP)
-        assert expectation(rho3(LIMIT), w.matrix) == pytest.approx(0.5, abs=1e-14)
+        v = _grid_kets()[0]
+        w = projector_witness(GHZ_OVERLAP, v)
+        assert expectation(rho3(LIMIT), w) == pytest.approx(0.5, abs=1e-14)
 
     def test_grid_witnesses_nonnegative_on_biseparables(self, rng):
-        ghz, w = all_grid_states()
+        ghz, w = grid_kets_by_family()
         b = np.array([random_biseparable(rng) for _ in range(1000)])
         ghz_overlap = np.max(np.abs(ghz.conj() @ b.T) ** 2)
         w_overlap = np.max(np.abs(w.conj() @ b.T) ** 2)
