@@ -26,8 +26,10 @@ from .errors import (
 )
 from .geometry import TriangleConfig
 from .scan import (
+    CollinearRow,
+    DistanceRow,
+    IsoscelesRow,
     PolarBoundaryRow,
-    SweepRow,
     analytic_limit_thresholds,
     find_rmin,
     sweep_collinear,
@@ -60,19 +62,21 @@ from .witnesses import (
 __all__ = [
     "__version__",
     "BracketError",
+    "CollinearRow",
     "ConvergenceFailure",
     "Couplings",
     "DegenerateDenominatorError",
     "Dimensionality",
+    "DistanceRow",
     "DomainError",
     "EmptyRegionError",
     "FermiGteError",
     "GridScanReport",
     "GTE_THRESHOLD",
     "InvalidCouplingsError",
+    "IsoscelesRow",
     "NonHermitianInputError",
     "PolarBoundaryRow",
-    "SweepRow",
     "TriangleConfig",
     "WernerCoords",
     "WitnessOperator",

@@ -191,18 +191,19 @@ def _run_sweep(args: argparse.Namespace) -> str:
         # only the limit row (_FIG_KFR[0] = 0) takes the inset grid
         rows = scan.sweep_collinear(dim, _FIG_KFR[:1], _limit_safe(grid))
         rows += scan.sweep_collinear(dim, _FIG_KFR[1:], grid)
-        scan.write_csv(*scan.sweep_table(rows), buf)
+        header = scan.CollinearRow._fields
     elif args.figure == "1b":
         rows = scan.sweep_isosceles(dim, _FIG_KFR, np.linspace(0.0, 1.0, n).tolist())
-        scan.write_csv(*scan.sweep_table(rows), buf)
+        header = scan.IsoscelesRow._fields
     elif args.figure == "2":
         thetas = np.linspace(0.0, math.pi / 2.0, max(2, n // 2)).tolist()
         rows = scan.sweep_polar_boundary(dim, _FIG2_KFR, thetas)
-        scan.write_csv(*scan.polar_table(rows), buf)
+        header = scan.PolarBoundaryRow._fields
     else:
         grid = [0.0] + np.linspace(0.015, 3.0, n).tolist()
         rows = scan.sweep_distance([Dimensionality.TWO_D, Dimensionality.THREE_D], grid)
-        scan.write_csv(*scan.sweep_table(rows), buf)
+        header = scan.DistanceRow._fields
+    scan.write_csv(header, rows, buf)
     return buf.getvalue()
 
 

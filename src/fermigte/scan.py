@@ -35,14 +35,20 @@ bit; the table depends only on the signs of the bound, never on its
 printed digits.  The sweep raises once, at its end, the error of the
 first failing row's own solve: an invalid kfr or theta, a rejected
 point, or a bisection that does not converge.
+
+Every table has one flat row type (:data:`CollinearRow`,
+:data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
+whose ``_fields`` are the table's CSV header, so an empty sweep still has
+a header; :func:`write_csv` formats a whole table body in one
+%-operation.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, pairwise
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence, TextIO
+from itertools import chain, pairwise, repeat
+from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -52,8 +58,6 @@ from .errors import BracketError, ConvergenceFailure, DomainError
 from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 from .witnesses import GTE_THRESHOLD, _er_parts
 
-SWEEP_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
-
 DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
@@ -62,15 +66,11 @@ POLAR_PRESCAN_POINTS = 33
 _log = logging.getLogger(__name__)
 
 
-class SweepRow(NamedTuple):
-    """One sweep point: named independent variables plus derived values."""
-
-    indep: tuple[tuple[str, object], ...]
-    er: float
-    witness_value: float
-    p12: float
-    p13: float
-    p23: float
+# the row types of the sweep tables: the point's variables, then its bound and weights
+_BOUND_COLUMNS = [(c, float) for c in ("er_lower_bound", "witness_value", "p12", "p13", "p23")]
+CollinearRow = NamedTuple("CollinearRow", [("kfr", float), ("x_over_r", float), *_BOUND_COLUMNS])
+IsoscelesRow = NamedTuple("IsoscelesRow", [("kfr", float), ("y_over_r", float), *_BOUND_COLUMNS])
+DistanceRow = NamedTuple("DistanceRow", [("dim", str), ("kfr", float), *_BOUND_COLUMNS])
 
 
 class PolarBoundaryRow(NamedTuple):
@@ -150,25 +150,26 @@ def _sweep_columns(
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
 
 
-def _grid_sweep(dim, kfr_values, grid, name, shape_of) -> list[SweepRow]:
-    indep = [(("kfr", kfr), (name, v)) for kfr in kfr_values for v in grid]
-    return list(map(SweepRow._make, zip(indep, *_sweep_columns(dim, kfr_values, grid, shape_of))))
+def _grid_sweep(row, dim, kfr_values, grid, shape_of) -> list:
+    columns = _sweep_columns(dim, kfr_values, grid, shape_of)
+    kfr = [k for k in kfr_values for _ in grid]
+    return list(map(row._make, zip(kfr, list(grid) * len(kfr_values), *columns)))
 
 
 def sweep_collinear(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     x_over_r_grid: Sequence[float],
-) -> list[SweepRow]:
-    return _grid_sweep(dim, kfr_values, x_over_r_grid, "x_over_r", geometry.collinear_shape)
+) -> list[CollinearRow]:
+    return _grid_sweep(CollinearRow, dim, kfr_values, x_over_r_grid, geometry.collinear_shape)
 
 
 def sweep_isosceles(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     y_over_r_grid: Sequence[float],
-) -> list[SweepRow]:
-    return _grid_sweep(dim, kfr_values, y_over_r_grid, "y_over_r", geometry.isosceles_shape)
+) -> list[IsoscelesRow]:
+    return _grid_sweep(IsoscelesRow, dim, kfr_values, y_over_r_grid, geometry.isosceles_shape)
 
 
 class _PolarRows:
@@ -337,13 +338,12 @@ def sweep_polar_boundary(
 def sweep_distance(
     dims: Sequence[Dimensionality],
     kfr_grid: Sequence[float],
-) -> list[SweepRow]:
+) -> list[DistanceRow]:
     """Robustness bound of the symmetric collinear family versus separation."""
     rows = []
     for dim in dims:
-        indep = [(("dim", dim.value), ("kfr", kfr)) for kfr in kfr_grid]
         columns = _sweep_columns(dim, kfr_grid, [0.5], geometry.collinear_shape)
-        rows += map(SweepRow._make, zip(indep, *columns))
+        rows += map(DistanceRow._make, zip(repeat(dim.value), kfr_grid, *columns))
     return rows
 
 
@@ -403,22 +403,14 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence[object]], stream: 
     """Rectangular CSV with 12-significant-digit numeric cells.
 
     Each column keeps the type of its first cell: a str column prints its
-    text, any other column prints "%.12g".  All rows go through one
-    %-template built from those types."""
+    text, any other column prints "%.12g".  The body is one %-operation on
+    the row template repeated once per row.  A row with more or fewer cells
+    than columns, which would shift cells between rows, raises ValueError
+    before anything is written."""
+    rows = list(rows)
+    if set(map(len, rows)) - {len(columns)}:
+        raise ValueError(f"every CSV row must have {len(columns)} cells, one per column")
     stream.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        template = ",".join("%s" if isinstance(v, str) else "%.12g" for v in first) + "\n"
-        stream.writelines(template % tuple(row) for row in chain([first], rows))
-
-
-def sweep_table(rows: Sequence[SweepRow]) -> tuple[list[str], Iterator[tuple]]:
-    """Columns and flat rows of a sweep table, the rows built lazily."""
-    columns = [name for name, _ in rows[0].indep] + list(SWEEP_COLUMNS)
-    return columns, (tuple(v for _, v in r.indep) + r[1:] for r in rows)
-
-
-def polar_table(rows: Sequence[PolarBoundaryRow]) -> tuple[list[str], Sequence[PolarBoundaryRow]]:
-    """Columns of the polar table; its rows are (kfr, theta, q_star) tuples already."""
-    return list(PolarBoundaryRow._fields), rows
+    if rows:
+        template = ",".join("%s" if isinstance(v, str) else "%.12g" for v in rows[0]) + "\n"
+        stream.write((template * len(rows)) % tuple(chain.from_iterable(rows)))

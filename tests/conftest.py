@@ -7,9 +7,10 @@ biseparability hull from sampled lens boundaries and qhull, random
 states from direct Haar sampling, polar q* rows from the public
 configuration, coupling and bound objects solved one row at a time, the
 rows of the other figure sweeps from the scalar point chain one point at a
-time, and the GHZ/W grid scan from kets built with their own local kets and
-np.kron products, evaluated and compared one node at a time, the energy-witness verdict and
-the closed E_R bound of both observable signs straight from the weights,
+time, CSV table bodies one row at a time, and the GHZ/W grid scan from kets
+built with their own local kets and np.kron products, evaluated and
+compared one node at a time, the energy-witness verdict and the closed E_R
+bound of both observable signs straight from the weights,
 and states of the Werner family from singlet terms built as (I - SWAP)/4.
 """
 
@@ -64,29 +65,35 @@ def er_two_sign_oracle(p12: float, p13: float, p23: float) -> float:
     return max([0.0] + [(3.0 * abs(s) - (1.0 + SQRT5)) / (5.0 + SQRT5) for s in sums])
 
 
-def sweep_oracle(dim, kfr_values, grid, name, shape_of) -> list[tuple]:
-    """The rows of sweep_collinear or sweep_isosceles (name and shape_of
-    naming the family) as tuples, one point at a time, kfr-major: the
-    shape, the scalar weights (f(kfr) evaluated once per kfr) and the E_R
-    bound and best witness value written out.  Raises the first point's error."""
+def sweep_oracle(dim, kfr_values, grid, shape_of) -> list[tuple]:
+    """The rows of sweep_collinear or sweep_isosceles (shape_of naming the
+    family) as flat tuples (kfr, grid value, bound, witness value, weights),
+    one point at a time, kfr-major: the shape, the scalar weights (f(kfr)
+    evaluated once per kfr) and the E_R bound and best witness value written
+    out.  Raises the first point's error."""
     rows = []
     for kfr in kfr_values:
         f13 = f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
         for v in grid:
             weights = _shape_weights(shape_of(v), kfr, dim, f13)
-            rows.append(((("kfr", kfr), (name, v)), *_point_bound(*weights), *weights))
+            rows.append((kfr, v, *_point_bound(*weights), *weights))
     return rows
 
 
 def distance_oracle(dims, kfr_grid) -> list[tuple]:
-    """The rows of sweep_distance as tuples, one point at a time, as in
-    sweep_oracle."""
+    """The rows of sweep_distance as flat tuples (dim, kfr, ...), one point
+    at a time, as in sweep_oracle."""
     rows = []
     for dim in dims:
         for kfr in kfr_grid:
             weights = _shape_weights(collinear_shape(0.5), kfr, dim)
-            rows.append(((("dim", dim.value), ("kfr", kfr)), *_point_bound(*weights), *weights))
+            rows.append((dim.value, kfr, *_point_bound(*weights), *weights))
     return rows
+
+
+def csv_body_oracle(template: str, rows) -> str:
+    """A CSV table body written one row at a time, template % row per row."""
+    return "".join(template % tuple(row) for row in rows)
 
 
 def _point_bound(p12, p13, p23) -> tuple[float, float]:

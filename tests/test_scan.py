@@ -10,8 +10,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import (
+    CollinearRow,
     Couplings,
     Dimensionality,
+    DistanceRow,
+    IsoscelesRow,
+    PolarBoundaryRow,
     analytic_limit_thresholds,
     couplings_from_config,
     couplings_zero_limit,
@@ -32,12 +36,10 @@ from fermigte.scan import (
     RMIN_PRESCAN_STEP,
     bisect_switch,
     first_switch,
-    polar_table,
-    sweep_table,
     write_csv,
 )
 
-from conftest import distance_oracle, polar_gte, polar_q_star, sweep_oracle
+from conftest import csv_body_oracle, distance_oracle, polar_gte, polar_q_star, sweep_oracle
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -129,7 +131,7 @@ class TestSweepCollinear:
     def test_limit_row_at_midpoint(self):
         rows = sweep_collinear(D3, [0.0], [0.5])
         expect = (3.0 * (4.0 / 3.0) - 1.0 - math.sqrt(5.0)) / (5.0 + math.sqrt(5.0))
-        assert rows[0].er == pytest.approx(expect, abs=1e-12)
+        assert rows[0].er_lower_bound == pytest.approx(expect, abs=1e-12)
         assert rows[0].witness_value == pytest.approx(4.0, abs=1e-12)
 
     def test_limit_positivity_window(self):
@@ -147,19 +149,19 @@ class TestSweepCollinear:
 
     def test_near_gte_distance(self):
         rows = sweep_collinear(D3, [2.59], [0.5])
-        assert 0.0 <= rows[0].er <= 1e-3
+        assert 0.0 <= rows[0].er_lower_bound <= 1e-3
 
     def test_row_recompute_invariant(self):
         rows = sweep_collinear(D3, [0.0, 1.0, 2.0], [0.2, 0.5, 0.8])
         for row in rows:
-            assert row.er == er_lower_bound(Couplings(row.p12, row.p13, row.p23))
+            assert row.er_lower_bound == er_lower_bound(Couplings(row.p12, row.p13, row.p23))
 
 
 class TestSweepIsosceles:
     def test_limit_monotone_decreasing(self):
         ys = list(np.linspace(0.0, 0.9, 60))
         rows = sweep_isosceles(D3, [0.0], ys)
-        ers = [r.er for r in rows]
+        ers = [r.er_lower_bound for r in rows]
         assert all(b <= a + 1e-15 for a, b in zip(ers, ers[1:]))
 
     def test_limit_crossing(self):
@@ -172,12 +174,12 @@ class TestSweepIsosceles:
         y_eq = math.sqrt(3.0) / 2.0
         for kfr in (0.5, 1.0, 2.0, 5.0):
             rows = sweep_isosceles(D3, [kfr], [y_eq])
-            assert rows[0].er == 0.0
+            assert rows[0].er_lower_bound == 0.0
 
     def test_finite_kfr_below_limit(self):
         for y in (0.0, 0.2):
-            finite = sweep_isosceles(D3, [1.0], [y])[0].er
-            limit = sweep_isosceles(D3, [0.0], [y])[0].er
+            finite = sweep_isosceles(D3, [1.0], [y])[0].er_lower_bound
+            limit = sweep_isosceles(D3, [0.0], [y])[0].er_lower_bound
             assert finite <= limit
 
 
@@ -616,17 +618,17 @@ def _outcome(fn):
 
 
 FAMILIES = {
-    "collinear": (sweep_collinear, "x_over_r", collinear_shape),
-    "isosceles": (sweep_isosceles, "y_over_r", isosceles_shape),
+    "collinear": (sweep_collinear, collinear_shape),
+    "isosceles": (sweep_isosceles, isosceles_shape),
 }
 
 
 def family_outcomes(family, dim, kfrs, grid):
     """The outcome of the array sweep and of the per-point oracle; each
     float is compared by repr as well, so a signed zero shows."""
-    sweep, name, shape_of = FAMILIES[family]
+    sweep, shape_of = FAMILIES[family]
     got = _outcome(lambda: sweep(dim, kfrs, grid))
-    want = _outcome(lambda: sweep_oracle(dim, kfrs, grid, name, shape_of))
+    want = _outcome(lambda: sweep_oracle(dim, kfrs, grid, shape_of))
     return (got, repr(got)), (want, repr(want))
 
 
@@ -718,44 +720,96 @@ class TestArraySweeps:
 class TestSweepDistance:
     def test_limit_endpoint(self):
         rows = sweep_distance([D3], [0.0])
-        assert rows[0].er == pytest.approx(0.1055728090, abs=1e-9)
+        assert rows[0].er_lower_bound == pytest.approx(0.1055728090, abs=1e-9)
 
     def test_monotone_decreasing_up_to_rmin(self):
         for dim in (D3, D2):
             rmin = find_rmin(dim, tol=1e-6)
             grid = [0.0] + list(np.linspace(rmin / 200.0, rmin, 200))
             rows = sweep_distance([dim], grid)
-            ers = [r.er for r in rows]
+            ers = [r.er_lower_bound for r in rows]
             assert all(b <= a + 1e-15 for a, b in zip(ers, ers[1:]))
 
     def test_reaches_zero_at_rmin(self):
         for dim, rmin in ((D3, 2.5964), (D2, 2.3588)):
             rows = sweep_distance([dim], [rmin + 5e-4])
-            assert rows[0].er == 0.0
+            assert rows[0].er_lower_bound == 0.0
 
     def test_dim_column(self):
         rows = sweep_distance([D2, D3], [1.0])
-        assert rows[0].indep[0] == ("dim", "2d")
-        assert rows[1].indep[0] == ("dim", "3d")
+        assert rows[0].dim == "2d"
+        assert rows[1].dim == "3d"
 
 
 class TestCsvOutput:
-    def test_sweep_table_layout(self):
-        rows = sweep_collinear(D3, [0.0, 1.0], [0.3, 0.5])
-        columns, data = sweep_table(rows)
-        assert columns == [
-            "kfr",
-            "x_over_r",
-            "er_lower_bound",
-            "witness_value",
-            "p12",
-            "p13",
-            "p23",
-        ]
-        # flat tuples, in grid order: kfr outer, x inner
-        data = list(data)
-        assert [r[:2] for r in data] == [(0.0, 0.3), (0.0, 0.5), (1.0, 0.3), (1.0, 0.5)]
-        assert data[0] == (0.0, 0.3, *rows[0][1:])
+    @pytest.mark.parametrize(
+        "argv, row, header",
+        [
+            (["--figure", "1a"], CollinearRow, "kfr,x_over_r,er_lower_bound,witness_value,p12,p13,p23"),
+            (["--figure", "1b"], IsoscelesRow, "kfr,y_over_r,er_lower_bound,witness_value,p12,p13,p23"),
+            (["--figure", "2"], PolarBoundaryRow, "kfr,theta,q_star"),
+            (["--figure", "3"], DistanceRow, "dim,kfr,er_lower_bound,witness_value,p12,p13,p23"),
+        ],
+        ids=["1a", "1b", "2", "3"],
+    )
+    def test_row_fields_are_the_cli_header(self, capsys, argv, row, header):
+        from fermigte.cli import main
+
+        assert main(["sweep", *argv, "--points", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == header == ",".join(row._fields)
+
+    @pytest.mark.parametrize(
+        "sweep, row",
+        [
+            (lambda: sweep_collinear(D3, [0.0, 1.0], [0.3, 0.5]), CollinearRow),
+            (lambda: sweep_isosceles(D3, [0.0, 1.0], [0.3, 0.5]), IsoscelesRow),
+            (lambda: sweep_distance([D2, D3], [0.0, 1.0]), DistanceRow),
+            (lambda: sweep_polar_boundary(D3, [2.7, 1.0], [0.0, 0.5]), PolarBoundaryRow),
+        ],
+        ids=["collinear", "isosceles", "distance", "polar"],
+    )
+    def test_each_sweep_returns_its_row_type(self, sweep, row):
+        rows = sweep()
+        assert len(rows) == 4 and all(type(r) is row for r in rows)
+
+    @pytest.mark.parametrize(
+        "sweep, row",
+        [
+            (lambda: sweep_collinear(D3, [], [0.5]), CollinearRow),
+            (lambda: sweep_collinear(D3, [1.0], []), CollinearRow),
+            (lambda: sweep_isosceles(D3, [], [0.5]), IsoscelesRow),
+            (lambda: sweep_isosceles(D3, [0.0, 1.0], []), IsoscelesRow),
+            (lambda: sweep_distance([D3], []), DistanceRow),
+            (lambda: sweep_polar_boundary(D3, [1.0], []), PolarBoundaryRow),
+            (lambda: sweep_polar_boundary(D3, [], [0.3]), PolarBoundaryRow),
+        ],
+        ids=[
+            "collinear-no-kfr", "collinear-no-grid", "isosceles-no-kfr", "isosceles-no-grid",
+            "distance", "polar-no-theta", "polar-no-kfr",
+        ],
+    )
+    def test_an_empty_sweep_writes_the_header_only(self, sweep, row):
+        rows = sweep()
+        assert rows == []
+        buf = io.StringIO()
+        write_csv(row._fields, rows, buf)
+        assert buf.getvalue() == ",".join(row._fields) + "\n"
+
+    @pytest.mark.parametrize(
+        "columns, rows",
+        [
+            # six cells, as two rows of three have: one format call alone accepts them
+            (["a", "b", "c"], [(1.0, 2.0), (3.0,), (4.0, 5.0, 6.0)]),
+            (["a", "b", "c"], [(1.0, 2.0), (3.0, 4.0)]),
+            (["a"], [(1.0, 2.0)]),
+        ],
+        ids=["ragged", "narrow", "wide"],
+    )
+    def test_write_csv_rejects_rows_that_do_not_fit_the_columns(self, columns, rows):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="cells, one per column"):
+            write_csv(columns, rows, buf)
+        assert buf.getvalue() == ""
 
     def test_write_csv_formatting(self):
         buf = io.StringIO()
@@ -785,8 +839,25 @@ class TestCsvOutput:
         expect = "dim,a,b\n" + "".join(f"{d},{a:.12g},{b:.12g}\n" for d, a, b in rows)
         assert buf.getvalue() == expect
 
-    def test_polar_table(self):
-        rows = sweep_polar_boundary(D3, [2.7], [0.0, 0.5], q_tol=1e-4)
-        columns, data = polar_table(rows)
-        assert columns == ["kfr", "theta", "q_star"]
-        assert data is rows and len(data) == 2
+    @given(
+        st.booleans(),
+        st.lists(st.tuples(csv_numbers, csv_numbers, csv_numbers), max_size=8),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(True, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], False)
+    @example(False, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], True)
+    @example(True, [], False)
+    def test_write_csv_equals_the_per_row_writer(self, text_first, rows, as_generator):
+        # a str first column, as in the figure 3 table, or an all-numeric row
+        if text_first:
+            rows = [(f"{a!r}", b, c) for a, b, c in rows]
+        template = ("%s" if text_first else "%.12g") + ",%.12g,%.12g\n"
+        expect = "a,b,c\n" + csv_body_oracle(template, rows)
+        # the stream already holds text, as a table written after others does
+        buf = io.StringIO()
+        buf.write("earlier\n")
+        start = buf.tell()
+        write_csv(("a", "b", "c"), (row for row in rows) if as_generator else rows, buf)
+        assert buf.getvalue()[start:] == expect
+        assert buf.tell() - start == len(expect)
