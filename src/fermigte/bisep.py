@@ -113,14 +113,6 @@ def _margin(vertices: tuple[tuple[float, float], ...], r1: float, r2: float) -> 
     return margin
 
 
-def polygon_to_csv(vertices: tuple[tuple[float, float], ...]) -> str:
-    """CSV dump of the hull vertices, counterclockwise, 12 digits."""
-    lines = ["r1,r2"]
-    for x, y in vertices:
-        lines.append(f"{x:.12g},{y:.12g}")
-    return "\n".join(lines) + "\n"
-
-
 def _symmetric_point(dim: Dimensionality, separation: float):
     """Section (r_plus, r3) and (r1, r2) point of the symmetric collinear
     configuration."""

@@ -176,16 +176,21 @@ def _limit_safe(grid: list[float]) -> list[float]:
     return [min(max(x, _LIMIT_INSET), 1.0 - _LIMIT_INSET) for x in grid]
 
 
-def _run_sweep(args: argparse.Namespace) -> str:
+def _csv(header, rows) -> str:
     import io
 
+    buf = io.StringIO()
+    scan.write_csv(header, rows, buf)
+    return buf.getvalue()
+
+
+def _run_sweep(args: argparse.Namespace) -> str:
     if args.figure == "3" and args.dim is not None:
         raise DomainError("--figure 3 covers both dims and takes no --dim")
     dim = _dim(args.dim or "3d")
     n = args.points
     if not 2 <= n <= MAX_POINTS:
         raise DomainError(f"--points must lie in [2, {MAX_POINTS}], got {n}")
-    buf = io.StringIO()
     if args.figure == "1a":
         grid = np.linspace(0.0, 1.0, n).tolist()
         # only the limit row (_FIG_KFR[0] = 0) takes the inset grid
@@ -203,8 +208,7 @@ def _run_sweep(args: argparse.Namespace) -> str:
         grid = [0.0] + np.linspace(0.015, 3.0, n).tolist()
         rows = scan.sweep_distance([Dimensionality.TWO_D, Dimensionality.THREE_D], grid)
         header = scan.DistanceRow._fields
-    scan.write_csv(header, rows, buf)
-    return buf.getvalue()
+    return _csv(header, rows)
 
 
 def dispatch(args: argparse.Namespace) -> str:
@@ -258,7 +262,7 @@ def dispatch(args: argparse.Namespace) -> str:
     if cmd == "sweep":
         return _run_sweep(args)
     if cmd == "polygon":
-        return bisep.polygon_to_csv(bisep.corner_hexagon(args.rplus, args.r3))
+        return _csv(("r1", "r2"), bisep.corner_hexagon(args.rplus, args.r3))
     raise DomainError(f"unknown command {cmd!r}")
 
 

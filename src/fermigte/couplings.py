@@ -19,13 +19,13 @@ limit mode: there the ratio is doubly singular and the closed form is not
 trusted.
 
 The formulas are written once, for floats and arrays alike, in
-:func:`_kernel_formula` and :func:`_limit_formula`.  :func:`_weights`
-(the limit below LIMIT_SWITCH, else the kernel formula and its
-denominator floor), :func:`_limit_weights` and :func:`_finite_sum` add
-the float checks and return the bare triple (p12, p13, p23), which
-:func:`from_config`, :func:`from_shape` and :func:`zero_limit` wrap in a
-:class:`Couplings`; :func:`_weights_array` masks the same checks over
-arrays for the sweeps in :mod:`scan`.
+:func:`_kernel_formula` and :func:`_limit_formula`.  :func:`from_config`
+takes :func:`zero_limit`, which holds the limit checks, below
+LIMIT_SWITCH and the kernel formula above it; :func:`from_shape` is
+:func:`zero_limit` of a unit shape at kfr = 0 and :func:`from_config` of
+the scaled shape elsewhere; :class:`Couplings` rejects non-finite
+weights.  :func:`_weights_array` masks the same checks over arrays for
+the sweeps in :mod:`scan`.
 """
 
 from __future__ import annotations
@@ -36,26 +36,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, _check_distances, _scale, check_triangle
+from .geometry import Shape, TriangleConfig, _TRI_TOL, check_triangle, scaled
 from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
-# noise (|D| falls under ~1e-12) and the shape-only limit takes over.
+# noise (|D|, about a tenth of the summed squared distances, falls under
+# ~1e-7) and the shape-only limit takes over.
 LIMIT_SWITCH = 1e-3
-DENOM_FLOOR = 1e-12
 BOUND_TOL = 1e-9
-
-# singlet weights (p12, p13, p23)
-Weights = tuple[float, float, float]
-
-
-def _finite_sum(p12: float, p13: float, p23: float) -> float:
-    """The weights' sum p; InvalidCouplingsError unless it is finite."""
-    p = p12 + p13 + p23
-    # a sum holding a NaN or an infinity is never finite
-    if not math.isfinite(p):
-        raise InvalidCouplingsError(f"singlet weights must be finite, got {(p12, p13, p23)}")
-    return p
 
 
 @dataclass(frozen=True)
@@ -74,7 +62,11 @@ class Couplings:
     p: float = field(init=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _finite_sum(self.p12, self.p13, self.p23))
+        p = self.p12 + self.p13 + self.p23
+        # a sum holding a NaN or an infinity is never finite
+        if not math.isfinite(p):
+            raise InvalidCouplingsError(f"singlet weights must be finite, got {self.as_tuple()}")
+        object.__setattr__(self, "p", p)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.p12, self.p13, self.p23)
@@ -83,7 +75,9 @@ class Couplings:
 def _kernel_formula(f12, f13, f23):
     """D and the weights (p12, p13, p23) of three kernel values, floats or
     arrays.  The kernels of three points form a positive semidefinite matrix,
-    so D <= f12*f13*f23 - 1 < 0: a float D is never 0 off the limit branch."""
+    so D <= f12*f13*f23 - 1 < 0; once the largest distance reaches
+    LIMIT_SWITCH, D stays below -1e-7 (about -1.5e-7 at worst, for the 3D
+    collinear midpoint shape at the switch), so D needs no floor."""
     prod = f12 * f13 * f23
     denom = -2.0 + f12 * f12 + f13 * f13 + f23 * f23 - prod
     return (denom, (-f12 * f12 + prod) / denom, (-f13 * f13 + prod) / denom,
@@ -103,45 +97,8 @@ def _limit_formula(d12, d13, d23, dmax, m):
     return (s13 + s23 - s12) / total, (s12 + s23 - s13) / total, (s12 + s13 - s23) / total
 
 
-def _weights(
-    dim: Dimensionality, d12: float, d13: float, d23: float, f13: float | None = None
-) -> Weights:
-    """Singlet weights of a checked distance triple: the float core of
-    :func:`from_config` and :func:`from_shape`.
-
-    f13, when given, must be f_factor(dim, d13); a caller that holds d13
-    fixed over many triples passes it to evaluate the kernel there once.
-    """
-    if max(d12, d13, d23) < LIMIT_SWITCH:
-        return _limit_weights(d12, d13, d23)
-    f12 = f_factor(dim, d12)
-    if f13 is None:
-        f13 = f_factor(dim, d13)
-    f23 = f_factor(dim, d23)
-    denom, p12, p13, p23 = _kernel_formula(f12, f13, f23)
-    if abs(denom) <= DENOM_FLOOR:
-        raise DegenerateDenominatorError(
-            f"singlet-weight denominator is {denom:.3e} at distances "
-            f"({d12}, {d13}, {d23}); the configuration is outside the "
-            "supported limit"
-        )
-    _finite_sum(p12, p13, p23)
-    return (p12, p13, p23)
-
-
-def _shape_weights(
-    shape: Shape, kfr: float, dim: Dimensionality, f13: float | None = None
-) -> Weights:
-    """The float core of :func:`from_shape`; f13 as in :func:`_weights`."""
-    if kfr == 0.0:
-        return _limit_weights(*shape)
-    d12, d13, d23 = _scale(kfr, shape)
-    _check_distances(d12, d13, d23)
-    return _weights(dim, d12, d13, d23, f13)
-
-
 def _shape_weights_array(dim: Dimensionality, kfr: np.ndarray, s12, s13, s23, f13: np.ndarray):
-    """:func:`_shape_weights` element for element on unit shapes (floats or
+    """:func:`from_shape` element for element on unit shapes (floats or
     arrays) at kfr in [0, X_MAX], as :func:`_weights_array` gives them."""
     zero = kfr == 0.0
     scale = np.where(zero, 1.0, kfr)
@@ -155,22 +112,31 @@ def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
     of the shape, the same for both dimensions); any other kfr is
     :func:`from_config` of the shape scaled to kfr, which must be positive.
     """
-    return Couplings(*_shape_weights(shape, kfr, dim))
+    return zero_limit(*shape) if kfr == 0.0 else from_config(scaled(kfr, shape, dim))
 
 
 def from_config(cfg: TriangleConfig) -> Couplings:
     """Singlet weights for a configuration of three fermions.
 
     Falls back to :func:`zero_limit` when all three distances are below
-    1e-3 (the shape-only limit); raises DegenerateDenominatorError when
-    the shared denominator is numerically zero outside that regime, e.g.
-    for a shrinking equilateral triangle just above the switch scale.
+    LIMIT_SWITCH = 1e-3 (the shape-only limit), which raises
+    DegenerateDenominatorError for the equilateral shape; above the switch
+    the shared denominator stays below -1e-7.
     """
-    return Couplings(*_weights(cfg.dim, cfg.d12, cfg.d13, cfg.d23))
+    d12, d13, d23 = cfg.distances()
+    if max(d12, d13, d23) < LIMIT_SWITCH:
+        return zero_limit(d12, d13, d23)
+    dim = cfg.dim
+    _, p12, p13, p23 = _kernel_formula(f_factor(dim, d12), f_factor(dim, d13), f_factor(dim, d23))
+    return Couplings(p12, p13, p23)
 
 
-def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
-    """The float core of :func:`zero_limit`."""
+def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
+    """Singlet weights in the vanishing-size limit; only ratios matter.
+
+    Dimension independent.  Requires finite positive distances forming
+    a (possibly degenerate) triangle; the equilateral shape is rejected.
+    """
     if not (0.0 < d12 < math.inf and 0.0 < d13 < math.inf and 0.0 < d23 < math.inf):
         raise DomainError(
             f"zero_limit requires finite positive distances, got ({d12}, {d13}, {d23})"
@@ -183,29 +149,27 @@ def _limit_weights(d12: float, d13: float, d23: float) -> Weights:
             "the equilateral shape is doubly singular in the vanishing-size "
             "limit; evaluate at finite separation instead"
         )
-    p12, p13, p23 = _limit_formula(d12, d13, d23, dmax, math)
-    _finite_sum(p12, p13, p23)
-    return (p12, p13, p23)
+    return Couplings(*_limit_formula(d12, d13, d23, dmax, math))
 
 
 def _weights_array(
     dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray,
     zero: np.ndarray | bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`_weights` element for element over arrays of finite,
+    """:func:`from_config` element for element over arrays of finite,
     nonnegative distances: the same branches, each calling the float
     path's formula, and the mask ``ok`` of the elements whose checks pass.
 
     f13 must be f_factor(dim, d13) wherever some distance reaches
     LIMIT_SWITCH; the elements marked zero (unit shapes at kfr = 0) take the
-    limit branch at any size.  ok is False exactly where :func:`_weights`
+    limit branch at any size.  ok is False exactly where :func:`from_config`
     raises, and the weights there mean nothing; nothing raises here.
     """
     limit = (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH) | zero
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
     ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the limit branch: _limit_weights' checks, then its formula
+        # the limit branch: zero_limit's checks, then its formula
         i = np.flatnonzero(limit)
         if i.size:
             e12, e13, e23 = d12[i], d13[i], d23[i]
@@ -224,19 +188,10 @@ def _weights_array(
             e12, e23 = d12[i], d23[i]
             # one kernel call for both distances: its cost is mostly per call
             f12, f23 = np.split(_f_array(dim, np.concatenate((e12, e23))), 2)
-            denom, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
-            ok[i] = (e12 <= X_MAX) & (e23 <= X_MAX) & ~(np.abs(denom) <= DENOM_FLOOR)
+            _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
+            ok[i] = (e12 <= X_MAX) & (e23 <= X_MAX)
         ok &= np.isfinite(p12 + p13 + p23)
     return p12, p13, p23, ok
-
-
-def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
-    """Singlet weights in the vanishing-size limit; only ratios matter.
-
-    Dimension independent.  Requires finite positive distances forming
-    a (possibly degenerate) triangle; the equilateral shape is rejected.
-    """
-    return Couplings(*_limit_weights(d12, d13, d23))
 
 
 def _min_eigenvalue(c: Couplings) -> float:

@@ -10,7 +10,7 @@ class DomainError(FermiGteError, ValueError):
 
 
 class DegenerateDenominatorError(DomainError):
-    """The singlet-weight formula is 0/0 at this configuration."""
+    """The singlet weights are 0/0: only the equilateral shape in limit mode."""
 
 
 class InvalidCouplingsError(DomainError):

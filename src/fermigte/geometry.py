@@ -31,17 +31,6 @@ def check_triangle(d: Shape, slack: float) -> None:
         raise DomainError(f"triangle inequality violated for {d}")
 
 
-def _check_distances(d12: float, d13: float, d23: float) -> None:
-    """DomainError unless the triple is a :class:`TriangleConfig`'s: finite
-    and nonnegative, at most one zero, realizable up to the 1e-12 slack."""
-    d = (d12, d13, d23)
-    if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
-        raise DomainError(f"distances must be finite and nonnegative, got {d}")
-    if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
-        raise DomainError("at most one pairwise distance may vanish")
-    check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
-
-
 @dataclass(frozen=True)
 class TriangleConfig:
     """Pairwise distances k_F*r_ij of three localized fermions.
@@ -57,24 +46,23 @@ class TriangleConfig:
     dim: Dimensionality
 
     def __post_init__(self) -> None:
-        _check_distances(self.d12, self.d13, self.d23)
+        d12, d13, d23 = d = self.distances()
+        if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
+            raise DomainError(f"distances must be finite and nonnegative, got {d}")
+        if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
+            raise DomainError("at most one pairwise distance may vanish")
+        check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)
 
 
-def _scale(kfr: float, shape: Shape) -> Shape:
-    """The distances of a unit-separation shape at separation kfr > 0,
-    before the :class:`TriangleConfig` checks."""
+def scaled(kfr: float, shape: Shape, dim: Dimensionality) -> TriangleConfig:
+    """The configuration of a unit-separation shape at separation kfr > 0."""
     if not kfr > 0.0:
         raise DomainError(f"kfr must be positive, got {kfr}")
     d12, d13, d23 = shape
-    return (kfr * d12, kfr * d13, kfr * d23)
-
-
-def scaled(kfr: float, shape: Shape, dim: Dimensionality) -> TriangleConfig:
-    """The configuration of a unit-separation shape at separation kfr > 0."""
-    return TriangleConfig(*_scale(kfr, shape), dim)
+    return TriangleConfig(kfr * d12, kfr * d13, kfr * d23, dim)
 
 
 def collinear_shape(x_over_r: float) -> Shape:
@@ -105,7 +93,12 @@ def polar_shape(theta: float, q_over_r: float) -> Shape:
     theta is measured from the 1-3 axis; the physically distinct range is
     [0, pi/2] but any |theta| <= pi is accepted (mirror symmetry).
     """
-    return _polar_at(_polar_direction(theta), q_over_r)
+    cos_theta, sin_theta = _polar_direction(theta)
+    if not 0.0 <= q_over_r <= 0.5:
+        raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
+    px = q_over_r * cos_theta
+    py = q_over_r * sin_theta
+    return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
 
 
 def _polar_direction(theta: float) -> tuple[float, float]:
@@ -116,16 +109,6 @@ def _polar_direction(theta: float) -> tuple[float, float]:
     # exactly on the isosceles shape (sin(pi/2 - pi/2) is 0 while
     # cos(pi/2) is not) and the axis mirror theta -> -theta is bit-exact
     return math.sin(math.pi / 2.0 - abs(theta)), math.sin(theta)
-
-
-def _polar_at(direction: tuple[float, float], q_over_r: float) -> Shape:
-    """:func:`polar_shape` at radius q_over_r along a :func:`_polar_direction`."""
-    if not 0.0 <= q_over_r <= 0.5:
-        raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
-    cos_theta, sin_theta = direction
-    px = q_over_r * cos_theta
-    py = q_over_r * sin_theta
-    return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
 
 
 def equilateral_shape() -> Shape:

@@ -111,13 +111,6 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
     raise ConvergenceFailure("bisection failed to reach tolerance")
 
 
-def _unit_kernel(dim: Dimensionality, kfr: float) -> float | None:
-    """f(kfr): the kernel at the 1-3 distance of every figure shape, which
-    sits at unit separation, so that d13 = kfr * 1.0 == kfr exactly.  None
-    where f_factor would raise, leaving the error to the point that meets it."""
-    return f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
-
-
 def _sweep_columns(
     dim: Dimensionality,
     kfr_values: Sequence[float],
@@ -146,7 +139,7 @@ def _sweep_columns(
     first = int(np.argmax(bad)) if bad.any() else m * n
     if first < len(kfr_values) * n:
         k, v = kfr_values[first // n], grid[first % n]
-        cpl._shape_weights(shape_of(v), k, dim, _unit_kernel(dim, k))  # raises its error
+        cpl.from_shape(shape_of(v), k, dim)  # raises its error
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
 
 
@@ -195,8 +188,9 @@ class _PolarRows:
         direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
         self.cos, self.sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
         self.kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
-        f13 = np.array([_unit_kernel(dim, kfr) for kfr in kfr_values], dtype=float)  # None: nan
-        self.f13 = np.repeat(f13, len(theta_grid))
+        # d13 = kfr * 1.0 == kfr; NaN on the invalid rows, which are never evaluated
+        f13 = [f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else math.nan for kfr in kfr_values]
+        self.f13 = np.repeat(np.array(f13, dtype=float), len(theta_grid))
 
     def flags(self, idx: np.ndarray, q: float | np.ndarray) -> np.ndarray:
         """:func:`_polar_gte` on the rows idx (increasing, all before the
@@ -251,7 +245,7 @@ def _raise_row_error(dim: Dimensionality, rows: _PolarRows) -> None:
     else:
         s12, s23 = _unit_distances(rows, np.array([row]), q)
         shape = (s12.item(), 1.0, s23.item())
-    cpl._shape_weights(shape, kfr, dim, _unit_kernel(dim, kfr))
+    cpl.from_shape(shape, kfr, dim)
 
 
 def sweep_polar_boundary(

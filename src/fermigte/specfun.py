@@ -109,8 +109,8 @@ def spherical_j1(x: float) -> float:
     cancel, so a power series takes over below x = 0.5; absolute error
     stays below 1e-14 everywhere, with j1(0) = 0 exactly.
     """
-    if x < 0.0:
-        raise DomainError(f"spherical_j1 requires x >= 0, got {x}")
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"spherical_j1 requires 0 <= x < inf, got {x}")
     if x < 0.5:
         # j1(x) = sum_m (-1)^m x^(2m+1) / (2^m m! (2m+3)!!)
         term = x / 3.0

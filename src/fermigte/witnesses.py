@@ -132,12 +132,7 @@ def er_lower_bound(c: Couplings) -> float:
     members; agrees with the matrix path :func:`er_lower_bound_matrix` to
     machine precision.  Its domain is the couplings of a state.
     """
-    return _er_bound(c.p12, c.p13, c.p23)
-
-
-def _er_bound(p12: float, p13: float, p23: float) -> float:
-    """The float core of :func:`er_lower_bound`."""
-    return _er_parts(p12, p13, p23, max)[0]
+    return _er_parts(c.p12, c.p13, c.p23, max)[0]
 
 
 def _er_parts(p12, p13, p23, mx):

@@ -28,9 +28,8 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
 )
-from fermigte.couplings import _shape_weights
+from fermigte.couplings import from_shape
 from fermigte.geometry import collinear_shape, polar_shape, scaled
-from fermigte.specfun import X_MAX, f_factor
 from fermigte.tristate import _assemble
 
 
@@ -68,14 +67,13 @@ def er_two_sign_oracle(p12: float, p13: float, p23: float) -> float:
 def sweep_oracle(dim, kfr_values, grid, shape_of) -> list[tuple]:
     """The rows of sweep_collinear or sweep_isosceles (shape_of naming the
     family) as flat tuples (kfr, grid value, bound, witness value, weights),
-    one point at a time, kfr-major: the shape, the scalar weights (f(kfr)
-    evaluated once per kfr) and the E_R bound and best witness value written
-    out.  Raises the first point's error."""
+    one point at a time, kfr-major: the shape, the scalar weights of
+    from_shape and the E_R bound and best witness value written out.
+    Raises the first point's error."""
     rows = []
     for kfr in kfr_values:
-        f13 = f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else None
         for v in grid:
-            weights = _shape_weights(shape_of(v), kfr, dim, f13)
+            weights = from_shape(shape_of(v), kfr, dim).as_tuple()
             rows.append((kfr, v, *_point_bound(*weights), *weights))
     return rows
 
@@ -86,7 +84,7 @@ def distance_oracle(dims, kfr_grid) -> list[tuple]:
     rows = []
     for dim in dims:
         for kfr in kfr_grid:
-            weights = _shape_weights(collinear_shape(0.5), kfr, dim)
+            weights = from_shape(collinear_shape(0.5), kfr, dim).as_tuple()
             rows.append((dim.value, kfr, *_point_bound(*weights), *weights))
     return rows
 

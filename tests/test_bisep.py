@@ -1,3 +1,4 @@
+import io
 import math
 import sys
 from collections import Counter
@@ -22,11 +23,10 @@ from fermigte.bisep import (
     PRESCAN_POINTS,
     _margin,
     _symmetric_point,
-    polygon_to_csv,
 )
 from fermigte.errors import BracketError, DomainError, EmptyRegionError
 from fermigte.geometry import collinear_shape, scaled
-from fermigte.scan import bisect_switch
+from fermigte.scan import bisect_switch, write_csv
 
 from conftest import in_lens_hull, lens_hull
 
@@ -114,13 +114,12 @@ class TestHull:
             assert _inside(hull, x, y, tol=1e-9)
 
     def test_csv_dump(self):
-        text = polygon_to_csv(corner_hexagon(*SEC))
-        lines = text.strip().splitlines()
-        assert lines[0] == "r1,r2"
-        assert len(lines) == 7
-        first = lines[1].split(",")
-        assert len(first) == 2
-        float(first[0]), float(first[1])
+        # the polygon subcommand's table: a header, then one row per vertex
+        hexagon = corner_hexagon(*SEC)
+        buf = io.StringIO()
+        write_csv(("r1", "r2"), hexagon, buf)
+        assert len(hexagon) == 6
+        assert buf.getvalue() == "r1,r2\n" + "".join(f"{x:.12g},{y:.12g}\n" for x, y in hexagon)
 
 
 class TestCornerHexagon:

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import (
@@ -18,10 +18,8 @@ from fermigte import (
 )
 from fermigte.couplings import (
     LIMIT_SWITCH,
-    _limit_weights,
+    _kernel_formula,
     _min_eigenvalue,
-    _shape_weights,
-    _weights,
     _weights_array,
     from_shape,
 )
@@ -38,7 +36,7 @@ from fermigte.geometry import (
     polar_shape,
     scaled,
 )
-from fermigte.scan import _unit_kernel
+from fermigte.specfun import X_MAX
 
 from conftest import psd_werner_weights, random_config, werner_states
 
@@ -203,10 +201,11 @@ def _outcome(fn):
 
 
 class TestFloatCore:
-    """The sweeps' float path gives from_config's weights and errors, bit for bit."""
+    """from_shape gives from_config's (or the limit's) weights and errors,
+    and the sweeps' array form the same values and checks, bit for bit."""
 
-    # straddles LIMIT_SWITCH, where shrinking shapes leave the shape-only
-    # limit and the direct formula's denominator is still numerically zero
+    # straddles LIMIT_SWITCH, where the shape-only limit hands over to the
+    # kernel formula
     KFRS = [0.0, 2e-4, 5e-4, 9.99e-4, 1e-3, 1.0005e-3, 1.5e-3, 3e-3, 0.02, 0.5]
     KFRS += [1.0, 2.59, 7.3, 49.0, 50.0, 60.0, -1.0, math.nan, math.inf]
     SHAPES = [collinear_shape(x) for x in (0.0, 0.1, 0.5, 0.77, 1.0)]
@@ -221,14 +220,12 @@ class TestFloatCore:
         return couplings_from_config(scaled(kfr, shape, dim)).as_tuple()
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_sweep_path_equals_from_config(self, dim):
+    def test_from_shape_equals_from_config(self, dim):
         kinds = Counter()
         for shape in self.SHAPES:
             for kfr in self.KFRS:
-                f13 = _unit_kernel(dim, kfr)
-                got = _outcome(lambda: _shape_weights(shape, kfr, dim, f13))
+                got = _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
                 assert got == _outcome(lambda: self._public(shape, kfr, dim)), (shape, kfr)
-                assert got == _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
                 if isinstance(got[0], type):
                     kinds[got[0]] += 1
                 else:
@@ -236,7 +233,7 @@ class TestFloatCore:
         assert set(kinds) == {"limit", "direct", DegenerateDenominatorError, DomainError}
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_array_form_equals_the_float_core(self, dim):
+    def test_array_form_equals_from_config(self, dim):
         # every scaled triple that passes the distance checks, one element at
         # a time, and every unit shape scaled by 2**-20 into limit mode
         cases = []
@@ -244,10 +241,9 @@ class TestFloatCore:
             for kfr in self.KFRS:
                 if kfr == 0.0:
                     cases.append((tuple(2.0**-20 * d for d in shape), 1.0, shape))
-                elif _unit_kernel(dim, kfr) is not None:
-                    cfg = _outcome(lambda: scaled(kfr, shape, dim))
-                    if isinstance(cfg, TriangleConfig):
-                        cases.append((cfg.distances(), _unit_kernel(dim, kfr), None))
+                elif 0.0 < kfr <= X_MAX:
+                    cfg = scaled(kfr, shape, dim)
+                    cases.append((cfg.distances(), f_factor(dim, kfr), None))
 
         def array(d, f13):
             return _weights_array(dim, *(np.array(v, dtype=float) for v in (*zip(*d), f13)))
@@ -255,13 +251,13 @@ class TestFloatCore:
         kinds = Counter()
         oks, good = [], []
         for d, f13, unit in cases:
-            want = _outcome(lambda: _weights(dim, *d, f13))
+            want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
             *weights, (ok,) = (v.tolist() for v in array([d], [f13]))
-            # the mask rejects exactly the triples that the float core rejects
+            # the mask rejects exactly the triples that from_config rejects
             assert ok is not isinstance(want[0], type), (d, want)
             oks.append(ok)
             if unit is not None:  # the power of two changes no limit weight or check
-                at_unit = _outcome(lambda: _limit_weights(*unit))
+                at_unit = _outcome(lambda: couplings_zero_limit(*unit).as_tuple())
                 assert (at_unit if ok else at_unit[0]) == (want if ok else want[0]), unit
             if ok:
                 assert tuple(w for (w,) in weights) == want, d
@@ -276,31 +272,37 @@ class TestFloatCore:
         assert list(zip(p12[ok].tolist(), p13[ok].tolist(), p23[ok].tolist())) == good
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    @pytest.mark.parametrize("error", [DegenerateDenominatorError, InvalidCouplingsError])
-    def test_array_form_raises_the_float_core_error(self, dim, error):
-        # the array form never raises: its mask rejects the element where
-        # the float core raises.  f13 is the caller's: pick one that zeroes
-        # the denominator, or a NaN
+    def test_array_form_masks_non_finite_weights(self, dim):
+        # the array form never raises: its mask rejects the element whose
+        # weights Couplings rejects, here from a NaN f13 (f13 is the caller's)
         d = (0.5, 0.9, 0.5)
-        f = f_factor(dim, 0.5)
-        f13 = (f * f - math.sqrt(f**4 - 8.0 * f * f + 8.0)) / 2.0
-        if error is InvalidCouplingsError:
-            f13 = math.nan
-        assert _outcome(lambda: _weights(dim, *d, f13))[0] is error
         cols = [np.array([1.0, v]) for v in d]
-        f13s = np.array([f_factor(dim, 1.0), f13])
-        *_, ok = _weights_array(dim, *cols, f13s)
+        f13s = np.array([f_factor(dim, 1.0), math.nan])
+        *weights, ok = _weights_array(dim, *cols, f13s)
         assert ok.tolist() == [True, False]
+        with pytest.raises(InvalidCouplingsError):
+            Couplings(*(float(w[1]) for w in weights))
 
-    def test_unit_kernel_is_the_kernel_at_d13(self):
-        for dim in (D2, D3):
-            for kfr in self.KFRS:
-                shape = collinear_shape(0.3)
-                if not (0.0 <= kfr <= 50.0):
-                    assert _unit_kernel(dim, kfr) is None
-                elif kfr > 0.0:
-                    assert scaled(kfr, shape, dim).d13 == kfr
-                    assert _unit_kernel(dim, kfr) == f_factor(dim, kfr)
+
+# a valid configuration whose largest distance is at least LIMIT_SWITCH: fermions
+# 1 and 3 at distance `side`, fermion 2 at (u, w) in units of side; u = w = 0
+# makes 1 and 2 coincide.  Every distance stays within the kernels' domain.
+@given(
+    st.sampled_from([D2, D3]),
+    st.floats(min_value=LIMIT_SWITCH, max_value=X_MAX / 2.0),
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+@example(D3, LIMIT_SWITCH, 0.5, 0.0)  # the smallest |D|, about 1.5e-7
+@example(D2, LIMIT_SWITCH, 0.5, 0.0)
+@example(D3, LIMIT_SWITCH, 0.0, 0.0)
+@example(D3, LIMIT_SWITCH, 0.5, math.sqrt(3.0) / 2.0)
+@settings(max_examples=300, deadline=None)
+def test_denominator_is_bounded_away_from_zero_above_the_switch(dim, side, u, w):
+    cfg = TriangleConfig(side * math.hypot(u, w), side, side * math.hypot(1.0 - u, w), dim)
+    assert max(cfg.distances()) >= LIMIT_SWITCH
+    denom, *_ = _kernel_formula(*(f_factor(dim, d) for d in cfg.distances()))
+    assert denom <= -5e-8
 
 
 @pytest.mark.parametrize("slot", range(3))

@@ -1,5 +1,6 @@
 """The package's public names: every export resolves and none is stale,
-and no module imports a name it never uses."""
+no module imports a name it never uses, and no private name of the
+package is left unread by it."""
 
 import ast
 from pathlib import Path
@@ -59,3 +60,36 @@ def test_no_unused_imports():
     paths = sorted((root / "src").rglob("*.py")) + sorted((root / "tests").glob("*.py"))
     paths += sorted((root / "scripts").glob("*.py"))
     assert [u for p in paths for u in _unused_imports(p)] == []
+
+
+def _private_names(path: Path) -> dict[str, int]:
+    """The module-level private functions, classes and assigned names of a
+    module (dunder names aside), each with its line."""
+    out = {}
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        out.update((n, node.lineno) for n in names if n.startswith("_") and not n.startswith("__"))
+    return out
+
+
+def test_no_unused_private_names():
+    # a private helper that only the tests read is dead code of the package
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fermigte").glob("*.py"))
+    read = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unused = [
+        f"{p.name}:{line} {name}" for p in paths for name, line in _private_names(p).items()
+        if name not in read
+    ]
+    assert unused == []

@@ -85,9 +85,10 @@ class TestSphericalJ1:
             closed = math.sin(x) / (x * x) - math.cos(x) / x
             assert spherical_j1(x) == pytest.approx(closed, abs=1e-13)
 
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spherical_j1(-0.1)
+    @pytest.mark.parametrize("x", [-0.1, -math.inf, math.inf, math.nan])
+    def test_domain(self, x):
+        with pytest.raises(DomainError, match="spherical_j1 requires 0 <= x < inf"):
+            spherical_j1(x)
 
 
 def _series_while(x):
