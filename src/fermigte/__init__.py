@@ -41,7 +41,6 @@ from .specfun import Dimensionality, bessel_j1, f_factor, spherical_j1
 from .tristate import (
     WernerCoords,
     expectation,
-    matrix_from_text,
     matrix_to_text,
     min_eigenvalue,
     rho3,
@@ -93,7 +92,6 @@ __all__ = [
     "f_factor",
     "find_rmin",
     "grid_scan_ghz_w",
-    "matrix_from_text",
     "matrix_to_text",
     "min_eigenvalue",
     "pauli_dot",

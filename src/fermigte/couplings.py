@@ -97,12 +97,12 @@ def _limit_formula(d12, d13, d23, dmax, m):
     return (s13 + s23 - s12) / total, (s12 + s23 - s13) / total, (s12 + s13 - s23) / total
 
 
-def _shape_weights_array(dim: Dimensionality, kfr: np.ndarray, s12, s13, s23, f13: np.ndarray):
+def _shape_weights_array(dim: Dimensionality, kfr: np.ndarray, s12, s13, s23):
     """:func:`from_shape` element for element on unit shapes (floats or
     arrays) at kfr in [0, X_MAX], as :func:`_weights_array` gives them."""
     zero = kfr == 0.0
     scale = np.where(zero, 1.0, kfr)
-    return _weights_array(dim, scale * s12, scale * s13, scale * s23, f13, zero)
+    return _weights_array(dim, scale * s12, scale * s13, scale * s23, zero)
 
 
 def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
@@ -153,17 +153,16 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
 
 
 def _weights_array(
-    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray, f13: np.ndarray,
+    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray,
     zero: np.ndarray | bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """:func:`from_config` element for element over arrays of finite,
     nonnegative distances: the same branches, each calling the float
     path's formula, and the mask ``ok`` of the elements whose checks pass.
 
-    f13 must be f_factor(dim, d13) wherever some distance reaches
-    LIMIT_SWITCH; the elements marked zero (unit shapes at kfr = 0) take the
-    limit branch at any size.  ok is False exactly where :func:`from_config`
-    raises, and the weights there mean nothing; nothing raises here.
+    The elements marked zero (unit shapes at kfr = 0) take the limit branch
+    at any size.  ok is False exactly where :func:`from_config` raises, and
+    the weights there mean nothing; nothing raises here.
     """
     limit = (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH) | zero
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
@@ -182,14 +181,14 @@ def _weights_array(
                 & ~(dmax - np.minimum(np.minimum(e12, e13), e23) <= tol)
             )
             p12[i], p13[i], p23[i] = _limit_formula(e12, e13, e23, dmax, np)
-        # the kernel branch; f_factor rejects a d12 or d23 above X_MAX
+        # the kernel branch; f_factor rejects a distance above X_MAX
         i = np.flatnonzero(~limit)
         if i.size:
-            e12, e23 = d12[i], d23[i]
-            # one kernel call for both distances: its cost is mostly per call
-            f12, f23 = np.split(_f_array(dim, np.concatenate((e12, e23))), 2)
-            _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
-            ok[i] = (e12 <= X_MAX) & (e23 <= X_MAX)
+            e12, e13, e23 = d12[i], d13[i], d23[i]
+            # one kernel call for the three distances: its cost is mostly per call
+            f12, f13, f23 = np.split(_f_array(dim, np.concatenate((e12, e13, e23))), 3)
+            _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13, f23)
+            ok[i] = (e12 <= X_MAX) & (e13 <= X_MAX) & (e23 <= X_MAX)
         ok &= np.isfinite(p12 + p13 + p23)
     return p12, p13, p23, ok
 

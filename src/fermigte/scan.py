@@ -4,13 +4,12 @@ Sweeps tabulate the robustness lower bound along the standard
 configuration families, each given by its unit-separation shape in
 :mod:`geometry`; a separation value of 0 selects the exact vanishing-size
 limit (shape-only couplings), with the same checks as any finite
-separation.  Every figure shape puts fermions 1 and 3 at unit separation,
-so d13 = kfr * 1.0 == kfr exactly.  Sweeps run on numpy arrays, through
-the array forms of the scalar point chain shape -> weights -> bound,
-which keep its operation order, and never raise mid-table: each point's
-kfr and grid value are checked up front, the array path marks the points
-that a scalar check rejects, and the sweep raises the error that the
-scalar chain raises at the first failing point.  The collinear and
+separation.  Sweeps run on numpy arrays, through the array forms of the
+scalar point chain shape -> weights -> bound, which keep its operation
+order, and never raise mid-table: each point's kfr and grid value are
+checked up front, the array path marks the points that a scalar check
+rejects, and the sweep raises the error that the scalar chain raises at
+the first failing point.  The collinear and
 isosceles tables are one array evaluation each (the distance table one
 per dimension), with each grid value's shape from its scalar shape
 function, so every cell is the scalar chain's, bit for bit, wherever
@@ -25,16 +24,18 @@ tolerance.  r_min and r_max are single solves through
 at the first switch, while r_max evaluates its whole pre-scan, because
 it also checks that there is no second switch.
 
-The polar table solves all its q* rows in lock step on numpy arrays:
-pre-scan grid point j is evaluated at once on every row whose flags are
-all True so far, and the switched rows are bisected together, each on
-its own one-step bracket, so each row reads the same points as its own
-solve would.  The row-array predicate :func:`_polar_gte` takes its
-distances from np.hypot, which may differ from math.hypot in the last
-bit; the table depends only on the signs of the bound, never on its
-printed digits.  The sweep raises once, at its end, the error of the
-first failing row's own solve: an invalid kfr or theta, a rejected
-point, or a bisection that does not converge.
+The polar table solves all its q* rows in lock step, on plain per-row
+arrays over its valid rows (those before the first invalid kfr or
+theta), with one failure point per row: NaN while the row is fine, the q
+of its rejected point, inf when its bisection does not converge.
+Pre-scan grid point j is evaluated on every row whose flags are all True
+so far, and the switched rows are bisected together, each on its own
+one-step bracket, so each row reads the same points as its own solve
+would; each step evaluates only the rows before the first failing one.
+:func:`_polar_gte` takes its distances from np.hypot, which may differ
+from math.hypot in the last bit; the table depends only on the signs of
+the bound.  The sweep raises once, at its end, the error of the first
+failing row's own solve, the first invalid row included.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -55,7 +56,7 @@ import numpy as np
 from . import couplings as cpl
 from . import geometry
 from .errors import BracketError, ConvergenceFailure, DomainError
-from .specfun import X_MAX, Dimensionality, _f_array, f_factor
+from .specfun import X_MAX, Dimensionality
 from .witnesses import GTE_THRESHOLD, _er_parts
 
 DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
@@ -132,9 +133,8 @@ def _sweep_columns(
     # a rejected grid value takes a stand-in shape and fails below
     unit = [geometry._SYMMETRIC_COLLINEAR if sh is None else sh for sh in shapes]
     s12, s13, s23 = np.tile(np.reshape(np.array(unit, dtype=float), (-1, 3)), (m, 1)).T
-    kfr = np.array(kfr_values[:m], dtype=float)
-    f13 = np.repeat(_f_array(dim, kfr), n)  # d13 = kfr * 1.0 == kfr
-    p12, p13, p23, ok = cpl._shape_weights_array(dim, np.repeat(kfr, n), s12, s13, s23, f13)
+    kfr = np.repeat(np.array(kfr_values[:m], dtype=float), n)
+    p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, s13, s23)
     bad = ~ok | np.tile(rejected, m)
     first = int(np.argmax(bad)) if bad.any() else m * n
     if first < len(kfr_values) * n:
@@ -165,87 +165,26 @@ def sweep_isosceles(
     return _grid_sweep(IsoscelesRow, dim, kfr_values, y_over_r_grid, geometry.isosceles_shape)
 
 
-class _PolarRows:
-    """The rows of one polar sweep, kfr-major, as arrays (kfr, the direction
-    of theta, f(kfr)), and the first of them known to fail.
-
-    A row is valid when 0 <= kfr <= X_MAX and |theta| <= pi.  The first
-    invalid row fails at q = 0; a valid row fails at a rejected point, or,
-    at q = None, in a bisection that does not converge.  No row after the
-    failing row is evaluated.
-    """
-
-    def __init__(
-        self, dim: Dimensionality, kfr_values: Sequence[float], theta_grid: Sequence[float]
-    ):
-        self.dim = dim
-        self.pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-        invalid = (k for k, (kfr, theta) in enumerate(self.pairs)
-                   if not (0.0 <= kfr <= X_MAX and abs(theta) <= math.pi))
-        self.valid = next(invalid, len(self.pairs))  # the rows before the first invalid one
-        self.failed, self.failed_at = self.valid, 0.0
-        nan = (math.nan, math.nan)
-        direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
-        self.cos, self.sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
-        self.kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
-        # d13 = kfr * 1.0 == kfr; NaN on the invalid rows, which are never evaluated
-        f13 = [f_factor(dim, kfr) if 0.0 <= kfr <= X_MAX else math.nan for kfr in kfr_values]
-        self.f13 = np.repeat(np.array(f13, dtype=float), len(theta_grid))
-
-    def flags(self, idx: np.ndarray, q: float | np.ndarray) -> np.ndarray:
-        """:func:`_polar_gte` on the rows idx (increasing, all before the
-        failing row), up to the first with a rejected point, which fails."""
-        gte, bad = _polar_gte(self.dim, self, idx, q)
-        if not bad.any():
-            return gte
-        k = int(np.argmax(bad))
-        self.failed, self.failed_at = int(idx[k]), float(np.broadcast_to(q, idx.shape)[k])
-        return gte[:k]
-
-
-def _unit_distances(
-    rows: _PolarRows, idx: np.ndarray, q: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """d12 and d23 of the unit shapes at radius q on the rows idx (d13 = 1)."""
-    px, py = q * rows.cos[idx], q * rows.sin[idx]
-    return np.hypot(px + 0.5, py), np.hypot(px - 0.5, py)
-
-
 def _polar_gte(
-    dim: Dimensionality, rows: _PolarRows, idx: np.ndarray, q: float | np.ndarray
+    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Witnessed GTE at radius q (one for all rows, or one per row) on the
-    rows idx of a polar sweep, and the mask of the points that a check of
-    the scalar chain rejects (where the GTE flag means nothing).
+    polar rows (kfr, theta) with theta's direction (cos, sin), and the mask
+    of the points that a check of the scalar chain rejects (where the GTE
+    flag means nothing).
 
     The point chain shape -> weights -> bound runs on arrays in the scalar
     chain's operation order, and nothing raises.  The rows must be valid
     (0 <= kfr <= X_MAX, |theta| <= pi), so every distance is finite and
     nonnegative.
     """
-    s12, s23 = _unit_distances(rows, idx, q)
-    p12, p13, p23, ok = cpl._shape_weights_array(dim, rows.kfr[idx], s12, 1.0, s23, rows.f13[idx])
+    px, py = q * cos, q * sin
+    s12, s23 = np.hypot(px + 0.5, py), np.hypot(px - 0.5, py)
+    p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, 1.0, s23)
     # Coincident pair (theta = 0, q = 1/2): no GTE and no error.  The weights
     # are (0, 0, 1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
     apart = (s12 != 0.0) & (s23 != 0.0)
     return apart & (_er_parts(p12, p13, p23, np.maximum)[0] > 0.0), apart & ~ok
-
-
-def _raise_row_error(dim: Dimensionality, rows: _PolarRows) -> None:
-    """Raise the first failing row's error, the one its own solve raises:
-    ConvergenceFailure from a bisection, else the scalar point chain's at
-    the failing point, from polar_shape for an invalid row and from the
-    element's own unit distances for a rejected point."""
-    row, q = rows.failed, rows.failed_at
-    if q is None:
-        raise ConvergenceFailure("bisection failed to reach tolerance")
-    kfr, theta = rows.pairs[row]
-    if row == rows.valid:
-        shape = geometry.polar_shape(theta, q)
-    else:
-        s12, s23 = _unit_distances(rows, np.array([row]), q)
-        shape = (s12.item(), 1.0, s23.item())
-    cpl.from_shape(shape, kfr, dim)
 
 
 def sweep_polar_boundary(
@@ -272,61 +211,86 @@ def sweep_polar_boundary(
     check_tol(q_tol, "q_tol")
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
-    rows = _PolarRows(dim, kfr_values, theta_grid)
-    n = len(rows.pairs)
-    read = np.zeros(n, dtype=int)
-    switch = np.full(n, -1)
-    live = np.arange(rows.failed)
+    pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
+    # the valid rows, before the first with kfr outside [0, X_MAX] or |theta| > pi
+    n = next((k for k, (kfr, theta) in enumerate(pairs)
+              if not (0.0 <= kfr <= X_MAX and abs(theta) <= math.pi)), len(pairs))
+    nan = (math.nan, math.nan)
+    direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
+    cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1))[:n].T
+    kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))[:n]
+    # NaN while a row is fine, the q of its rejected point, inf if its bisection does not converge
+    failed_at = np.full(n, math.nan)
+    read, switch, steps = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n, dtype=int)
+
+    def first_failed() -> int:
+        failed = np.flatnonzero(~np.isnan(failed_at))
+        return int(failed[0]) if failed.size else n
+
+    live = np.arange(n)
     for j, q in enumerate(grid):
+        live = live[live < first_failed()]
         if not live.size:
             break
-        flags = rows.flags(live, q)
-        live = live[: flags.size]
+        gte, bad = _polar_gte(dim, kfr[live], cos[live], sin[live], q)
+        failed_at[live[bad]] = q
         read[live] = j + 1
         if j:
-            switch[live[~flags]] = j - 1
-        live = live[flags]
+            switch[live[~(gte | bad)]] = j - 1
+        live = live[gte]
     # live: the rows with GTE on the whole radius
 
     # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE
     a, b = np.zeros(n), np.zeros(n)
     a[live] = b[live] = 0.5
-    active = np.flatnonzero(switch[: rows.failed] >= 0)
+    active = np.flatnonzero(switch >= 0)
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
-    steps = np.zeros(n, dtype=int)
     for _ in range(200):
-        active = active[b[active] - a[active] > q_tol]
+        active = active[(b[active] - a[active] > q_tol) & (active < first_failed())]
         if not active.size:
             break
         mid = 0.5 * (a[active] + b[active])
-        flags = rows.flags(active, mid)
-        active, mid = active[: flags.size], mid[: flags.size]
-        a[active] = np.where(flags, mid, a[active])
-        b[active] = np.where(flags, b[active], mid)
+        gte, bad = _polar_gte(dim, kfr[active], cos[active], sin[active], mid)
+        failed_at[active[bad]] = mid[bad]
+        a[active] = np.where(gte, mid, a[active])
+        b[active] = np.where(gte, b[active], mid)
         steps[active] += 1
-    if active.size:  # still open after 200 steps
-        rows.failed, rows.failed_at = int(active[0]), None
+    else:  # the rows still open after 200 steps
+        failed_at[active[~bad]] = math.inf
+    first = first_failed()
     switch, read, steps, q_star, width = (
         v.tolist() for v in (switch, read, steps, 0.5 * (a + b), b - a)
     )
 
     # the failing row logged its pre-scan if it failed in its bisection
-    logged = rows.failed + (rows.failed < n and switch[rows.failed] >= 0)
+    logged = first + (first < n and switch[first] >= 0)
     if _log.isEnabledFor(logging.DEBUG):
         for k in range(logged):
             i = switch[k]
             _log.debug(
                 "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
-                *rows.pairs[k], None if i < 0 else i, read[k],
+                *pairs[k], None if i < 0 else i, read[k],
             )
-            if i >= 0 and k < rows.failed:
+            if i >= 0 and k < first:
                 _log.debug(
                     "bisect_switch bracket=%r steps=%d width=%r",
                     (grid[i], grid[i + 1]), steps[k], width[k],
                 )
-    if rows.failed < n:
-        _raise_row_error(dim, rows)
-    return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(rows.pairs, q_star)]
+    if first < len(pairs):
+        # the failing row's error: its bisection's, else the scalar point
+        # chain's at the failing point, from polar_shape for an invalid row
+        # and, for a rejected point, from the distances the array path used
+        row_kfr, theta = pairs[first]
+        if first == n:
+            shape = geometry.polar_shape(theta, 0.0)
+        elif failed_at[first] == math.inf:
+            raise ConvergenceFailure("bisection failed to reach tolerance")
+        else:
+            q = failed_at[first]
+            px, py = q * cos[first : first + 1], q * sin[first : first + 1]
+            shape = (np.hypot(px + 0.5, py).item(), 1.0, np.hypot(px - 0.5, py).item())
+        cpl.from_shape(shape, row_kfr, dim)  # raises its error
+    return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(pairs, q_star)]
 
 
 def sweep_distance(

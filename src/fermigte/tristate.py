@@ -144,11 +144,3 @@ def matrix_to_text(m: np.ndarray) -> str:
     for row in np.asarray(m, dtype=complex):
         lines.append(" ".join(f"{z.real:.17g}{z.imag:+.17g}i" for z in row))
     return "\n".join(lines) + "\n"
-
-
-def matrix_from_text(text: str) -> np.ndarray:
-    """Inverse of :func:`matrix_to_text`."""
-    rows = []
-    for line in text.strip().splitlines():
-        rows.append([complex(tok.replace("i", "j")) for tok in line.split()])
-    return np.array(rows, dtype=complex)

@@ -12,6 +12,7 @@ built with their own local kets and np.kron products, evaluated and
 compared one node at a time, the energy-witness verdict and the closed E_R
 bound of both observable signs straight from the weights,
 and states of the Werner family from singlet terms built as (I - SWAP)/4.
+The parser of the rho3 text dump, which the package only writes, is here too.
 """
 
 import itertools
@@ -185,6 +186,14 @@ def polar_q_star(dim, kfr, theta, tol=1e-6, calls=None):
         else:
             b = mid
     raise AssertionError("bisection did not converge")
+
+
+def matrix_from_text(text: str) -> np.ndarray:
+    """Inverse of fermigte.matrix_to_text: one row per line, entries 're+imi'."""
+    rows = []
+    for line in text.strip().splitlines():
+        rows.append([complex(tok.replace("i", "j")) for tok in line.split()])
+    return np.array(rows, dtype=complex)
 
 
 def jacobi_min_eig(h: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> float:

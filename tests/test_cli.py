@@ -14,12 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fermigte
-from fermigte import Dimensionality, er_lower_bound, matrix_from_text, scan
+from fermigte import Dimensionality, er_lower_bound, scan
 from fermigte.couplings import from_shape as couplings_from_shape
 from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
 from fermigte.cli import MAX_POINTS, build_parser, main
 
-from conftest import lens_hull
+from conftest import lens_hull, matrix_from_text
 
 
 def run(capsys, args):

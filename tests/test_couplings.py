@@ -240,19 +240,18 @@ class TestFloatCore:
         for shape in self.SHAPES:
             for kfr in self.KFRS:
                 if kfr == 0.0:
-                    cases.append((tuple(2.0**-20 * d for d in shape), 1.0, shape))
+                    cases.append((tuple(2.0**-20 * d for d in shape), shape))
                 elif 0.0 < kfr <= X_MAX:
-                    cfg = scaled(kfr, shape, dim)
-                    cases.append((cfg.distances(), f_factor(dim, kfr), None))
+                    cases.append((scaled(kfr, shape, dim).distances(), None))
 
-        def array(d, f13):
-            return _weights_array(dim, *(np.array(v, dtype=float) for v in (*zip(*d), f13)))
+        def array(d):
+            return _weights_array(dim, *(np.array(v, dtype=float) for v in zip(*d)))
 
         kinds = Counter()
         oks, good = [], []
-        for d, f13, unit in cases:
+        for d, unit in cases:
             want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
-            *weights, (ok,) = (v.tolist() for v in array([d], [f13]))
+            *weights, (ok,) = (v.tolist() for v in array([d]))
             # the mask rejects exactly the triples that from_config rejects
             assert ok is not isinstance(want[0], type), (d, want)
             oks.append(ok)
@@ -267,18 +266,26 @@ class TestFloatCore:
                 kinds[want[0]] += 1
         assert set(kinds) == {True, False, DegenerateDenominatorError, DomainError}
         # all cases as one array, in any mix of branches
-        p12, p13, p23, ok = array(*list(zip(*cases))[:2])
+        p12, p13, p23, ok = array([d for d, _ in cases])
         assert ok.tolist() == oks
         assert list(zip(p12[ok].tolist(), p13[ok].tolist(), p23[ok].tolist())) == good
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_array_form_masks_non_finite_weights(self, dim):
+    def test_array_form_masks_non_finite_weights(self, dim, monkeypatch):
         # the array form never raises: its mask rejects the element whose
-        # weights Couplings rejects, here from a NaN f13 (f13 is the caller's)
-        d = (0.5, 0.9, 0.5)
-        cols = [np.array([1.0, v]) for v in d]
-        f13s = np.array([f_factor(dim, 1.0), math.nan])
-        *weights, ok = _weights_array(dim, *cols, f13s)
+        # weights Couplings rejects, here from a NaN kernel value of its d23
+        import fermigte.couplings as couplings_module
+
+        real = couplings_module._f_array
+
+        def nan_last(dim, x):
+            out = real(dim, x)
+            out[-1] = math.nan
+            return out
+
+        monkeypatch.setattr(couplings_module, "_f_array", nan_last)
+        cols = [np.array([1.0, v]) for v in (0.5, 0.9, 0.5)]
+        *weights, ok = _weights_array(dim, *cols)
         assert ok.tolist() == [True, False]
         with pytest.raises(InvalidCouplingsError):
             Couplings(*(float(w[1]) for w in weights))

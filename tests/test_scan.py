@@ -30,7 +30,7 @@ from fermigte import (
 from fermigte.cli import _FIG2_KFR, _FIG_KFR, _limit_safe
 from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
-from fermigte.geometry import collinear_shape, isosceles_shape, scaled
+from fermigte.geometry import collinear_shape, isosceles_shape, polar_shape, scaled
 from fermigte.scan import (
     POLAR_PRESCAN_POINTS,
     RMIN_PRESCAN_STEP,
@@ -209,7 +209,7 @@ class TestSweepPolarBoundary:
         import fermigte.scan as scan_module
 
         def constant(gte):  # no point is rejected
-            return lambda d, r, idx, q: (np.full(idx.size, gte), np.zeros(idx.size, bool))
+            return lambda d, kfr, cos, sin, q: (np.full(kfr.size, gte), np.zeros(kfr.size, bool))
 
         monkeypatch.setattr(scan_module, "_polar_gte", constant(True))
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
@@ -357,17 +357,40 @@ class TestBracketThenBisect:
 
 
 @pytest.fixture
-def polar_calls(monkeypatch):
+def polar_rows(monkeypatch):
+    """(kfr, theta, q) of each point a polar predicate call reads, in call
+    order; theta is read back from the directions that the sweep takes from
+    geometry._polar_direction."""
+    import fermigte.scan as scan_module
+
+    theta_of = {}
+    real = scan_module.geometry._polar_direction
+
+    def recording(theta):
+        theta_of[real(theta)] = theta
+        return real(theta)
+
+    monkeypatch.setattr(scan_module.geometry, "_polar_direction", recording)
+
+    def points(kfr, cos, sin, q):
+        columns = (v.tolist() for v in (kfr, cos, sin, np.broadcast_to(q, kfr.shape)))
+        return [(k, theta_of[c, s], qk) for k, c, s, qk in zip(*columns)]
+
+    return points
+
+
+@pytest.fixture
+def polar_calls(monkeypatch, polar_rows):
     # (kfr, theta) -> q of every row-predicate evaluation on that row
     import fermigte.scan as scan_module
 
     calls = {}
     real = scan_module._polar_gte
 
-    def counting(dim, rows, idx, q):
-        for k, qk in zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist()):
-            calls.setdefault(rows.pairs[k], []).append(qk)
-        return real(dim, rows, idx, q)
+    def counting(dim, kfr, cos, sin, q):
+        for k, theta, qk in polar_rows(kfr, cos, sin, q):
+            calls.setdefault((k, theta), []).append(qk)
+        return real(dim, kfr, cos, sin, q)
 
     monkeypatch.setattr(scan_module, "_polar_gte", counting)
     return calls
@@ -412,9 +435,10 @@ class TestPolarFloatPath:
     """Figure 2's rows equal a per-row solver on the public objects, evaluation for evaluation."""
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_figure_rows_equal_the_public_path(self, dim, polar_calls):
-        # the theta grid of `sweep --figure 2 --points 201`
-        thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
+    @pytest.mark.parametrize("points", [181, 201, 221])
+    def test_figure_rows_equal_the_public_path(self, dim, points, polar_calls):
+        # the theta grid of `sweep --figure 2 --points <points>`
+        thetas = np.linspace(0.0, math.pi / 2.0, points // 2).tolist()
         rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
         ref_calls = {(kfr, theta): [] for kfr in _FIG2_KFR for theta in thetas}
         ref = [
@@ -453,9 +477,9 @@ class TestPolarFloatPath:
 
         calls = []
 
-        def always(dim, rows, idx, q):
-            calls.extend(np.broadcast_to(q, idx.shape).tolist())
-            return np.ones(idx.size, bool), np.zeros(idx.size, bool)
+        def always(dim, kfr, cos, sin, q):
+            calls.extend(np.broadcast_to(q, kfr.shape).tolist())
+            return np.ones(kfr.size, bool), np.zeros(kfr.size, bool)
 
         monkeypatch.setattr(scan_module, "_polar_gte", always)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
@@ -523,79 +547,126 @@ class TestLockStep:
         assert (0.0 <= kfr <= 50.0 and abs(theta) <= math.pi) == (point[:2] in polar_calls)
 
     def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
+        # a subnormal kfr scales d12 and d23 to 0 at the centre; the error
+        # comes from the row's own distances, not from a rebuilt shape
         import fermigte.scan as scan_module
 
-        rows = scan_module._PolarRows(D3, [5e-324], [0.3])
-        rows.failed, rows.failed_at = 0, 0.0
         monkeypatch.setattr(scan_module.geometry, "polar_shape", lambda *a: pytest.fail("rebuilt"))
         with pytest.raises(DomainError, match="at most one pairwise distance may vanish"):
-            scan_module._raise_row_error(D3, rows)
+            sweep_polar_boundary(D3, [5e-324], [0.3])
 
     @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
     def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
         # theta = 0, q = 1/2 puts fermion 2 on fermion 3, as in the per-row oracle
         import fermigte.scan as scan_module
 
-        rows = scan_module._PolarRows(D3, [kfr], [0.0])
-        gte, bad = scan_module._polar_gte(D3, rows, np.array([0]), 0.5)
+        cos, sin = (np.array([v]) for v in scan_module.geometry._polar_direction(0.0))
+        gte, bad = scan_module._polar_gte(D3, np.array([kfr]), cos, sin, 0.5)
         assert (gte.tolist(), bad.tolist()) == ([False], [False])
         assert polar_gte(D3, kfr, 0.0, 0.5) is False
 
-    def test_the_first_failing_row_wins(self, monkeypatch):
+    def test_the_first_failing_row_wins(self, monkeypatch, polar_rows):
         # row (1.0, 0.3) has a rejected point in its bisection, row (1.0, 0.7)
         # at its centre, which the lock step reaches first; a row-by-row
         # sweep raises the former
         import fermigte.scan as scan_module
 
         real = scan_module._polar_gte
-        failing_at = []
+        replayed = []
 
-        def rejecting(dim, rows, idx, q):
-            gte, bad = real(dim, rows, idx, q)
+        def rejecting(dim, kfr, cos, sin, q):
+            gte, bad = real(dim, kfr, cos, sin, q)
             assert not bad.any()
-            for m, (k, qk) in enumerate(zip(idx.tolist(), np.broadcast_to(q, idx.shape).tolist())):
-                theta = rows.pairs[k][1]
-                bad[m] = theta == 0.7 or (theta == 0.3 and qk * 64.0 != int(qk * 64.0))
+            points = polar_rows(kfr, cos, sin, q)
+            bad[:] = [t == 0.7 or (t == 0.3 and qk * 64.0 != int(qk * 64.0))
+                      for _, t, qk in points]
             return gte, bad
 
-        def raising(dim, rows):
-            failing_at.append(rows.failed_at)
-            raise DomainError(f"row {rows.pairs[rows.failed][1]}")
+        def raising(shape, kfr, dim):
+            replayed.append(shape)
+            raise DomainError("rejected")
 
         monkeypatch.setattr(scan_module, "_polar_gte", rejecting)
-        monkeypatch.setattr(scan_module, "_raise_row_error", raising)
-        with pytest.raises(DomainError, match=r"^row 0\.3$"):
-            sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
-        with pytest.raises(DomainError, match=r"^row 0\.7$"):
-            sweep_polar_boundary(D3, [1.0], [0.7, 0.3])
+        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
+        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
+        for thetas in ([0.3, 0.7], [0.7, 0.3]):
+            with pytest.raises(DomainError, match="^rejected$"):
+                sweep_polar_boundary(D3, [1.0], thetas)
         # the first bisection point of row 0.3, then the centre of row 0.7
-        assert failing_at[0] * 64.0 != int(failing_at[0] * 64.0)
-        assert failing_at[1] == 0.0
+        assert replayed[0] == pytest.approx(polar_shape(0.3, 0.5 * (qs[i] + qs[i + 1])), abs=1e-15)
+        assert replayed[1] == polar_shape(0.7, 0.0) == (0.5, 1.0, 0.5)
 
-    def test_no_row_after_the_failing_row_is_bisected(self, monkeypatch):
+    def test_no_row_after_the_failing_row_is_bisected(self, monkeypatch, polar_rows, caplog):
         # row 0.7 switches at pre-scan point 2; row 0.3, before it, fails at
         # point 5, so row 0.7's bisection, where every point is rejected, never runs
         import fermigte.scan as scan_module
 
-        read = []
+        read, replayed = [], []
 
-        def synthetic(dim, rows, idx, q):
-            thetas = [rows.pairs[k][1] for k in idx.tolist()]
-            qs = np.broadcast_to(q, idx.shape).tolist()
-            read.extend(zip(thetas, qs))
-            gte = [t == 0.3 or qk < 2.5 / 64.0 for t, qk in zip(thetas, qs)]
+        def synthetic(dim, kfr, cos, sin, q):
+            points = [(t, qk) for _, t, qk in polar_rows(kfr, cos, sin, q)]
+            read.extend(points)
+            # the flag of a rejected point means nothing: no switch at point 5
+            gte = [qk < (5.0 if t == 0.3 else 2.5) / 64.0 for t, qk in points]
             bad = [qk == 5.0 / 64.0 if t == 0.3 else qk * 64.0 != int(qk * 64.0)
-                   for t, qk in zip(thetas, qs)]
+                   for t, qk in points]
             return np.array(gte), np.array(bad)
 
-        def raising(dim, rows):
-            raise DomainError(f"row {rows.pairs[rows.failed][1]} at {rows.failed_at}")
+        def raising(shape, kfr, dim):
+            replayed.append(shape)
+            raise DomainError("rejected")
 
         monkeypatch.setattr(scan_module, "_polar_gte", synthetic)
-        monkeypatch.setattr(scan_module, "_raise_row_error", raising)
-        with pytest.raises(DomainError, match=r"^row 0\.3 at 0\.078125$"):
-            sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
+        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            with pytest.raises(DomainError, match="^rejected$"):
+                sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
+        assert replayed == [pytest.approx(polar_shape(0.3, 5.0 / 64.0), abs=1e-15)]
         assert [q for t, q in read if t == 0.7] == [j / 64.0 for j in range(4)]
+        # the failing row is the first and failed in its pre-scan: nothing is logged
+        assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
+
+    def test_a_point_rejected_at_the_last_step_is_not_a_convergence_failure(
+        self, monkeypatch, polar_rows
+    ):
+        # at q_tol = 1e-300 the row's 200th bisection point is its last; a
+        # row-by-row solve raises that point's error, not ConvergenceFailure
+        import fermigte.scan as scan_module
+
+        real, read = scan_module._polar_gte, []
+
+        def rejecting_last(dim, kfr, cos, sin, q):
+            read.extend(polar_rows(kfr, cos, sin, q))
+            gte, bad = real(dim, kfr, cos, sin, q)
+            return gte, bad | (len(read) == i + 2 + 200)  # one row: one point per call
+
+        def raising(shape, kfr, dim):
+            raise DomainError("rejected")
+
+        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
+        monkeypatch.setattr(scan_module, "_polar_gte", rejecting_last)
+        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
+        with pytest.raises(DomainError, match="^rejected$"):
+            sweep_polar_boundary(D3, [1.0], [0.3], q_tol=1e-300)
+        assert len(read) == i + 2 + 200
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_each_call_reads_at_most_one_point_per_row(self, dim, monkeypatch):
+        # the pre-scan evaluates one radius at a time, not its whole grid at once
+        import fermigte.scan as scan_module
+
+        real, sizes = scan_module._polar_gte, []
+
+        def measuring(dim, kfr, cos, sin, q):
+            sizes.append(max(v.size for v in (kfr, cos, sin, np.asarray(q))))
+            return real(dim, kfr, cos, sin, q)
+
+        monkeypatch.setattr(scan_module, "_polar_gte", measuring)
+        thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
+        rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        assert len(sizes) > POLAR_PRESCAN_POINTS and max(sizes) <= len(rows)
 
     def test_tolerance_below_float_spacing(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
@@ -615,6 +686,39 @@ def _outcome(fn):
     except Exception as exc:  # any error must be the oracle's
         return type(exc), str(exc)
     return [tuple(r) for r in rows]
+
+
+def polar_oracle(dim, kfrs, thetas, q_tol):
+    """The polar rows solved one at a time by polar_q_star; the first
+    raising row's error ends the table."""
+    rows = []
+    for kfr, theta in itertools.product(kfrs, thetas):
+        try:
+            rows.append((kfr, theta, polar_q_star(dim, kfr, theta, q_tol)))
+        except AssertionError:  # the oracle's bisection did not converge
+            raise ConvergenceFailure("bisection failed to reach tolerance") from None
+    return rows
+
+
+@given(
+    dim=st.sampled_from([D2, D3]),
+    kfrs=st.lists(
+        st.sampled_from([0.0, 5e-324, 1e-310, -1.0, 60.0, math.nan]) | st.floats(0.0, 3.0),
+        max_size=3,
+    ),
+    thetas=st.lists(
+        st.sampled_from([0.0, math.pi / 2.0, math.pi, -math.pi, 4.0, math.nan])
+        | st.floats(-3.5, 3.5),
+        max_size=3,
+    ),
+    q_tol=st.sampled_from([1e-6, 0.3, 1e-300]),
+)
+@settings(max_examples=60, deadline=None)
+@example(dim=D3, kfrs=[1.0, 5e-324], thetas=[0.3], q_tol=1e-6)
+@example(dim=D3, kfrs=[2.7, 1.0], thetas=[0.0, 0.7], q_tol=1e-300)
+def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas, q_tol):
+    got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas, q_tol))
+    assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas, q_tol))
 
 
 FAMILIES = {

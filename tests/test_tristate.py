@@ -11,7 +11,6 @@ from fermigte import (
     Dimensionality,
     couplings_from_config,
     expectation,
-    matrix_from_text,
     matrix_to_text,
     min_eigenvalue,
     pauli_dot,
@@ -24,7 +23,7 @@ from fermigte.errors import (
 )
 from fermigte.geometry import collinear_shape, scaled
 
-from conftest import jacobi_min_eig, random_config, random_su2
+from conftest import jacobi_min_eig, matrix_from_text, random_config, random_su2
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
