@@ -49,7 +49,6 @@ from .tristate import (
 from .witnesses import (
     GTE_THRESHOLD,
     GridScanReport,
-    WitnessOperator,
     bounded_energy_witness,
     energy_observable,
     er_lower_bound,
@@ -78,7 +77,6 @@ __all__ = [
     "PolarBoundaryRow",
     "TriangleConfig",
     "WernerCoords",
-    "WitnessOperator",
     "analytic_limit_thresholds",
     "bessel_j1",
     "bounded_energy_witness",

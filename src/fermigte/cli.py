@@ -14,6 +14,7 @@ import functools
 import json
 import math
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -28,10 +29,6 @@ _FIG2_KFR = [0.0, 1.0, 2.0, 2.5, 2.59]
 _LIMIT_INSET = 0.0025
 # grid points per sweep axis; figure 1a at the maximum is 70,000 rows
 MAX_POINTS = 10_000
-
-
-def _dim(value: str) -> Dimensionality:
-    return Dimensionality(value)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -55,7 +52,7 @@ def _scalar(quantity: str, dim: str | None, value: float, tol: float | None) -> 
 def _triangle_couplings(args: argparse.Namespace) -> couplings.Couplings:
     if args.limit:
         return couplings.zero_limit(args.d12, args.d13, args.d23)
-    cfg = geometry.TriangleConfig(args.d12, args.d13, args.d23, _dim(args.dim))
+    cfg = geometry.TriangleConfig(args.d12, args.d13, args.d23, Dimensionality(args.dim))
     return couplings.from_config(cfg)
 
 
@@ -83,7 +80,7 @@ def _geometry_couplings(args: argparse.Namespace) -> tuple[couplings.Couplings, 
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
         return _triangle_couplings(a), a.limit
     shape = getattr(geometry, f"{a.geometry}_shape")(*[getattr(a, n) for n in own if n != "kfr"])
-    return couplings.from_shape(shape, a.kfr, _dim(a.dim)), a.kfr == 0.0
+    return couplings.from_shape(shape, a.kfr, Dimensionality(a.dim)), a.kfr == 0.0
 
 
 def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
@@ -187,7 +184,7 @@ def _csv(header, rows) -> str:
 def _run_sweep(args: argparse.Namespace) -> str:
     if args.figure == "3" and args.dim is not None:
         raise DomainError("--figure 3 covers both dims and takes no --dim")
-    dim = _dim(args.dim or "3d")
+    dim = Dimensionality(args.dim or "3d")
     n = args.points
     if not 2 <= n <= MAX_POINTS:
         raise DomainError(f"--points must lie in [2, {MAX_POINTS}], got {n}")
@@ -214,43 +211,28 @@ def _run_sweep(args: argparse.Namespace) -> str:
 def dispatch(args: argparse.Namespace) -> str:
     cmd = args.command
     if cmd == "f":
-        return _scalar("f_factor", args.dim, f_factor(_dim(args.dim), args.x), None)
+        return _scalar("f_factor", args.dim, f_factor(Dimensionality(args.dim), args.x), None)
     if cmd == "couplings":
         c = _triangle_couplings(args)
-        return _json(
-            {
-                "quantity": "couplings",
-                "dim": None if args.limit else args.dim,  # the limit has no dim
-                "p12": c.p12,
-                "p13": c.p13,
-                "p23": c.p23,
-                "p": c.p,
-                "violations": couplings.validate(c),
-            }
-        )
+        dim = None if args.limit else args.dim  # the limit has no dim
+        violations = couplings.validate(c)
+        return _json({"quantity": "couplings", "dim": dim, **asdict(c), "violations": violations})
     if cmd == "rho3":
         return tristate.matrix_to_text(tristate.rho3(_triangle_couplings(args)))
     if cmd == "werner":
         w = tristate.werner_coords(_triangle_couplings(args))
-        return _json(
-            {
-                "quantity": "werner_coords",
-                "dim": None if args.limit else args.dim,  # the limit has no dim
-                "r_plus": w.r_plus,
-                "r0": w.r0,
-                "r1": w.r1,
-                "r2": w.r2,
-                "r3": w.r3,
-            }
-        )
+        dim = None if args.limit else args.dim  # the limit has no dim
+        return _json({"quantity": "werner_coords", "dim": dim, **asdict(w)})
     if cmd == "witness-scan":
-        return _json(witnesses.grid_scan_ghz_w(detail=args.detail).as_dict())
+        # per_family is None, and left out, without --detail
+        report = asdict(witnesses.grid_scan_ghz_w(detail=args.detail))
+        return _json({k: v for k, v in report.items() if v is not None})
     if cmd == "er":
         c, limit = _geometry_couplings(args)
         dim = None if limit else args.dim
         return _scalar("er_lower_bound", dim, witnesses.er_lower_bound(c), None)
     if cmd == "gte-distance":
-        dim = _dim(args.dim)
+        dim = Dimensionality(args.dim)
         bracket = tuple(args.bracket) if args.bracket else None
         if args.method == "witness":
             tol = scan.DEFAULT_TOL if args.tol is None else args.tol

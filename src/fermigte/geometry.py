@@ -96,9 +96,14 @@ def polar_shape(theta: float, q_over_r: float) -> Shape:
     cos_theta, sin_theta = _polar_direction(theta)
     if not 0.0 <= q_over_r <= 0.5:
         raise DomainError(f"q_over_r must lie in [0, 1/2], got {q_over_r}")
-    px = q_over_r * cos_theta
-    py = q_over_r * sin_theta
-    return (math.hypot(px + 0.5, py), 1.0, math.hypot(px - 0.5, py))
+    d12, d23 = _polar_distances(q_over_r, cos_theta, sin_theta, math)
+    return (d12, 1.0, d23)
+
+
+def _polar_distances(q, cos, sin, m):
+    """polar_shape's d12, d23 on floats (m = math) or arrays (m = numpy)."""
+    px, py = q * cos, q * sin
+    return m.hypot(px + 0.5, py), m.hypot(px - 0.5, py)
 
 
 def _polar_direction(theta: float) -> tuple[float, float]:

@@ -32,10 +32,11 @@ Pre-scan grid point j is evaluated on every row whose flags are all True
 so far, and the switched rows are bisected together, each on its own
 one-step bracket, so each row reads the same points as its own solve
 would; each step evaluates only the rows before the first failing one.
-:func:`_polar_gte` takes its distances from np.hypot, which may differ
-from math.hypot in the last bit; the table depends only on the signs of
-the bound.  The sweep raises once, at its end, the error of the first
-failing row's own solve, the first invalid row included.
+:func:`_polar_gte` takes its distances from :func:`polar_shape`'s formula
+on np.hypot, which may differ from math.hypot in the last bit; the table
+depends only on the signs of the bound.  The sweep raises once, at its
+end, the error of the first failing row's own solve, the first invalid
+row included.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -178,8 +179,7 @@ def _polar_gte(
     (0 <= kfr <= X_MAX, |theta| <= pi), so every distance is finite and
     nonnegative.
     """
-    px, py = q * cos, q * sin
-    s12, s23 = np.hypot(px + 0.5, py), np.hypot(px - 0.5, py)
+    s12, s23 = geometry._polar_distances(q, cos, sin, np)
     p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, 1.0, s23)
     # Coincident pair (theta = 0, q = 1/2): no GTE and no error.  The weights
     # are (0, 0, 1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
@@ -286,9 +286,9 @@ def sweep_polar_boundary(
         elif failed_at[first] == math.inf:
             raise ConvergenceFailure("bisection failed to reach tolerance")
         else:
-            q = failed_at[first]
-            px, py = q * cos[first : first + 1], q * sin[first : first + 1]
-            shape = (np.hypot(px + 0.5, py).item(), 1.0, np.hypot(px - 0.5, py).item())
+            row = slice(first, first + 1)
+            s12, s23 = geometry._polar_distances(failed_at[first], cos[row], sin[row], np)
+            shape = (s12.item(), 1.0, s23.item())
         cpl.from_shape(shape, row_kfr, dim)  # raises its error
     return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(pairs, q_star)]
 

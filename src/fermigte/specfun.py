@@ -102,6 +102,25 @@ def bessel_j1(x: float) -> float:
     return float(_j1_near(x) if x <= 5.0 else _j1_far(x, math))
 
 
+def _j1_series(x):
+    """j1(x) = sum_m (-1)^m x^(2m+1) / (2^m m! (2m+3)!!) for 0 <= x < 0.5, on
+    a float or an array.  Once a term is at most 1e-20, every later term is
+    below half an ulp of the sum, so adding it changes no bit."""
+    term = x / 3.0
+    total = term
+    neg_x2 = -x * x
+    for denom in _J1_SERIES_DENOMS:
+        # not in place: on an array, total starts as the term array itself
+        term = term * (neg_x2 / denom)
+        total = total + term
+    return total
+
+
+def _j1_closed(x, m):
+    """j1's closed form for x >= 0.5, on a float (m = math) or an array (m = numpy)."""
+    return m.sin(x) / (x * x) - m.cos(x) / x
+
+
 def spherical_j1(x: float) -> float:
     """Spherical Bessel function j1(x) = sin(x)/x**2 - cos(x)/x, x >= 0.
 
@@ -111,18 +130,7 @@ def spherical_j1(x: float) -> float:
     """
     if not 0.0 <= x < math.inf:
         raise DomainError(f"spherical_j1 requires 0 <= x < inf, got {x}")
-    if x < 0.5:
-        # j1(x) = sum_m (-1)^m x^(2m+1) / (2^m m! (2m+3)!!)
-        term = x / 3.0
-        total = term
-        neg_x2 = -x * x
-        for denom in _J1_SERIES_DENOMS:
-            if abs(term) <= 1e-20:
-                break
-            term *= neg_x2 / denom
-            total += term
-        return total
-    return math.sin(x) / (x * x) - math.cos(x) / x
+    return _j1_series(x) if x < 0.5 else _j1_closed(x, math)
 
 
 def _f_small_x(dim: Dimensionality, x: float) -> float:
@@ -151,10 +159,9 @@ def f_factor(dim: Dimensionality, x: float) -> float:
 def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     """:func:`f_factor` element for element on a float array.
 
-    The small-x series and J1's branches are the scalar path's own code;
-    :func:`spherical_j1`'s series (stopped per element where its loop
-    breaks) and closed form keep its constants and operation order, so each
-    value is the scalar one where numpy's sin, cos and sqrt round as math's.
+    Every branch is the scalar path's own code (the small-x series, J1's
+    two branches, and j1's series and closed form), so each value is the
+    scalar one where numpy's sin, cos and sqrt round as math's.
     Every figure table's kernels come from here, so the printed digits of
     the collinear, isosceles and distance tables rest on that rounding.
     Nothing is checked and nothing raises: every x must be finite and
@@ -175,18 +182,8 @@ def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
         return out
     series = rest & (x < 0.5)
     xs = x[series]
-    term = xs / 3.0
-    total = term
-    neg_x2 = -xs * xs
-    for denom in _J1_SERIES_DENOMS:
-        # each element stops where its scalar loop breaks
-        live = np.abs(term) > 1e-20
-        if not live.any():
-            break
-        term = np.where(live, term * (neg_x2 / denom), term)
-        total = np.where(live, total + term, total)
-    out[series] = 3.0 * total / xs
+    out[series] = 3.0 * _j1_series(xs) / xs
     closed = rest & ~series
     xc = x[closed]
-    out[closed] = 3.0 * (np.sin(xc) / (xc * xc) - np.cos(xc) / xc) / xc
+    out[closed] = 3.0 * _j1_closed(xc, np) / xc
     return out

@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,14 +64,6 @@ _PAULI = (
     np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex),
     np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
 )
-
-
-@dataclass(frozen=True)
-class WitnessOperator:
-    """Hermitian witness matrix with a certified largest-eigenvalue bound."""
-
-    matrix: np.ndarray = field(repr=False)
-    lambda_max_bound: float
 
 
 def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -112,17 +104,15 @@ def energy_observable(perm: str | int) -> np.ndarray:
     return pauli_dot(a, m) + pauli_dot(m, b)
 
 
-def bounded_energy_witness(perm: str | int) -> WitnessOperator:
-    """((1+sqrt(5))*I + W_perm) / (5+sqrt(5)), the rescaled energy witness.
+def bounded_energy_witness(perm: str | int) -> np.ndarray:
+    """((1+sqrt(5))*I + W_perm) / (5+sqrt(5)), the 8x8 rescaled energy witness.
 
     Its largest eigenvalue is (3+sqrt(5))/(5+sqrt(5)) < 1, so it is
     feasible for the dual form of the generalized robustness; its mean
     value on rho3 is (1 + sqrt(5) - 3*(p_im + p_mk)) / (5+sqrt(5)),
     negative exactly when the labeled member certifies GTE.
     """
-    w = energy_observable(perm)
-    matrix = (GTE_THRESHOLD * np.eye(8, dtype=complex) + w) / _NORM
-    return WitnessOperator(matrix, (3.0 + math.sqrt(5.0)) / _NORM)
+    return (GTE_THRESHOLD * np.eye(8, dtype=complex) + energy_observable(perm)) / _NORM
 
 
 def er_lower_bound(c: Couplings) -> float:
@@ -148,7 +138,7 @@ def er_lower_bound_matrix(c: Couplings) -> float:
     rho = rho3(c)
     best = 0.0
     for perm in PERM_MIDDLE:
-        best = max(best, -expectation(rho, bounded_energy_witness(perm).matrix))
+        best = max(best, -expectation(rho, bounded_energy_witness(perm)))
     return best
 
 
@@ -176,16 +166,6 @@ class GridScanReport:
     argmin: dict
     nodes_evaluated: int
     per_family: dict | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "min_value": self.min_value,
-            "argmin": self.argmin,
-            "nodes_evaluated": self.nodes_evaluated,
-        }
-        if self.per_family is not None:
-            out["per_family"] = self.per_family
-        return out
 
 
 def _vertex_rhos() -> np.ndarray:

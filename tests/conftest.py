@@ -44,6 +44,21 @@ def j1_series(x: float, terms: int = 30) -> float:
     return total
 
 
+def j1_series_with_break(x: float) -> float:
+    """The series branch of spherical_j1 written with an early exit: the
+    ratio loop over 2m(2m+3), m = 1..10, stops before the first step whose
+    term is at most 1e-20, element by element."""
+    term = x / 3.0
+    total = term
+    neg_x2 = -x * x
+    for m in range(1, 11):
+        if abs(term) <= 1e-20:
+            break
+        term *= neg_x2 / (2.0 * m * (2.0 * m + 3.0))
+        total += term
+    return total
+
+
 SQRT5 = math.sqrt(5.0)
 
 # outer pairs of each energy-witness label's middle spin (2, 3 and 1)

@@ -271,14 +271,14 @@ def test_criterion_10_physicality_suite(rng):
 
 def test_criterion_11_dual_feasibility_and_paths(rng):
     max_eig = max(
-        float(np.linalg.eigvalsh(bounded_energy_witness(perm).matrix)[-1])
+        float(np.linalg.eigvalsh(bounded_energy_witness(perm))[-1])
         for perm in PERM_MIDDLE
     )
     worst_gap = 0.0
     for p in psd_werner_weights(rng, 1000).tolist():
         c = Couplings(*p)
         worst_gap = max(worst_gap, abs(er_lower_bound(c) - er_lower_bound_matrix(c)))
-    wits = [bounded_energy_witness(perm).matrix for perm in PERM_MIDDLE]
+    wits = [bounded_energy_witness(perm) for perm in PERM_MIDDLE]
     most_negative = 0.0
     for _ in range(1000):
         v = random_biseparable(rng)

@@ -138,6 +138,37 @@ class TestLimitModeDim:
         assert json.loads(out)["dim"] == "2d"
 
 
+class TestRecordKeys:
+    """Each JSON record lists its keys in one fixed order."""
+
+    TRIANGLE = ["--d12", "0.5", "--d13", "1", "--d23", "0.7"]
+
+    @pytest.mark.parametrize("limit", [[], ["--limit"]])
+    @pytest.mark.parametrize(
+        "command, keys",
+        [
+            ("couplings", ["quantity", "dim", "p12", "p13", "p23", "p", "violations"]),
+            ("werner", ["quantity", "dim", "r_plus", "r0", "r1", "r2", "r3"]),
+        ],
+    )
+    def test_triangle_records(self, capsys, command, keys, limit):
+        code, out, _ = run(capsys, [command, *self.TRIANGLE, *limit])
+        assert code == 0
+        assert list(json.loads(out)) == keys
+
+    @pytest.mark.parametrize(
+        "detail, keys",
+        [
+            ([], ["min_value", "argmin", "nodes_evaluated"]),
+            (["--detail"], ["min_value", "argmin", "nodes_evaluated", "per_family"]),
+        ],
+    )
+    def test_witness_scan_record(self, capsys, detail, keys):
+        code, out, _ = run(capsys, ["witness-scan", *detail])
+        assert code == 0
+        assert list(json.loads(out)) == keys
+
+
 class TestParserReuse:
     """cli.main builds its parser once per process; a call reads as it does
     with a parser of its own."""

@@ -1,6 +1,6 @@
 """The package's public names: every export resolves and none is stale,
-no module imports a name it never uses, and no private name of the
-package is left unread by it."""
+no module imports a name it never uses, no private name of the package is
+left unread by it, and no function only passes its parameters on."""
 
 import ast
 from pathlib import Path
@@ -93,3 +93,39 @@ def test_no_unused_private_names():
         if name not in read
     ]
     assert unused == []
+
+
+def _pass_throughs(source: str) -> list[str]:
+    """Each module-level function whose body, docstring aside, is a single
+    ``return g(<its own parameters, in order>)``, as "line name"."""
+    out = []
+    for node in ast.parse(source).body:
+        if not isinstance(node, ast.FunctionDef):
+            continue
+        body = node.body[1:] if ast.get_docstring(node) is not None else node.body
+        if len(body) != 1 or not isinstance(body[0], ast.Return):
+            continue
+        call, params = body[0].value, node.args.posonlyargs + node.args.args
+        if (
+            isinstance(call, ast.Call)
+            and not call.keywords
+            and [ast.unparse(a) for a in call.args] == [p.arg for p in params]
+        ):
+            out.append(f"{node.lineno} {node.name}")
+    return out
+
+
+def test_pass_through_scan_flags_an_alias():
+    source = (
+        "def alias(value, other):\n    \"\"\"Doc.\"\"\"\n    return f.g(value, other)\n\n\n"
+        "def reorders(a, b):\n    return g(b, a)\n\n\n"
+        "def adds(a):\n    return g(a, 1)\n\n\n"
+        "def works(a):\n    b = a\n    return g(b)\n"
+    )
+    assert _pass_throughs(source) == ["1 alias"]
+
+
+def test_no_pass_through_functions():
+    # a function that only hands its parameters to another is the other one
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fermigte").glob("*.py"))
+    assert [f"{p.name}:{f}" for p in paths for f in _pass_throughs(p.read_text())] == []

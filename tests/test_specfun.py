@@ -9,9 +9,16 @@ from scipy.special import j1 as scipy_j1
 
 from fermigte import Dimensionality, bessel_j1, f_factor, spherical_j1
 from fermigte.errors import DomainError
-from fermigte.specfun import _J1_SERIES_DENOMS, _SERIES_SWITCH, X_MAX, _f_array, _f_small_x
+from fermigte.specfun import (
+    _J1_SERIES_DENOMS,
+    _SERIES_SWITCH,
+    X_MAX,
+    _f_array,
+    _f_small_x,
+    _j1_series,
+)
 
-from conftest import bisect_root, j1_series
+from conftest import bisect_root, j1_series, j1_series_with_break
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -123,6 +130,37 @@ class TestSphericalJ1Series:
         worst = _series_while(math.nextafter(0.5, 0.0))[1]
         assert max(_series_while(x)[1] for x in self.sample()) == worst
         assert worst < len(_J1_SERIES_DENOMS)
+
+
+def _bits(x) -> list[int]:
+    """The IEEE bit patterns of a float or an array, sign bit included."""
+    return np.atleast_1d(np.asarray(x, dtype=np.float64)).view(np.int64).tolist()
+
+
+_BELOW_HALF = math.nextafter(0.5, 0.0)
+# uniform on [0, 0.5), log-uniform down to the subnormals, and the edges
+_SERIES_FLOATS = st.one_of(
+    st.floats(min_value=0.0, max_value=0.5, exclude_max=True),
+    st.floats(min_value=-320.0, max_value=0.0).map(lambda e: min(10.0**e, _BELOW_HALF)),
+    st.sampled_from([0.0, 5e-324, 1e-320, 2.2250738585072014e-308, 1e-20, _BELOW_HALF]),
+)
+
+
+class TestSeriesWithoutBreak:
+    """Summing all of _J1_SERIES_DENOMS gives the early-exit loop's sum, bit
+    for bit and in sign: the terms after the exit are below half an ulp."""
+
+    @given(_SERIES_FLOATS)
+    @settings(max_examples=2_000, deadline=None)
+    def test_float(self, x):
+        assert _bits(_j1_series(x)) == _bits(j1_series_with_break(x))
+        assert _bits(spherical_j1(x)) == _bits(j1_series_with_break(x))
+
+    @given(st.lists(st.floats(min_value=_SERIES_SWITCH, max_value=0.5, exclude_max=True), max_size=64))
+    @settings(max_examples=300, deadline=None)
+    def test_array_kernel(self, xs):
+        want = [3.0 * j1_series_with_break(x) / x for x in xs]
+        assert _bits(_f_array(D3, np.array(xs, dtype=float))) == _bits(want)
 
 
 class TestFFactor:

@@ -159,7 +159,7 @@ class TestEnergyGteTest:
     # energy_gte_test is the test oracle; these pin it to the operators
     def test_limit_state(self):
         assert energy_gte_test(LIMIT, "123") is True
-        assert expectation(rho3(LIMIT), bounded_energy_witness("123").matrix) < 0.0
+        assert expectation(rho3(LIMIT), bounded_energy_witness("123")) < 0.0
 
     def test_equilateral_below_threshold(self):
         for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0):
@@ -173,7 +173,7 @@ class TestEnergyGteTest:
         for p in psd_werner_weights(rng, 100).tolist():
             c = Couplings(*p)
             for perm in PERMS:
-                value = expectation(rho3(c), bounded_energy_witness(perm).matrix)
+                value = expectation(rho3(c), bounded_energy_witness(perm))
                 if abs(value) > 1e-9:
                     assert energy_gte_test(c, perm) is (value < 0.0)
 
@@ -183,8 +183,8 @@ class TestBoundedWitness:
     def test_is_the_plus_sign_operator(self, perm):
         w = bounded_energy_witness(perm)
         expect = ((1.0 + SQRT5) * np.eye(8, dtype=complex) + energy_observable(perm)) / (5.0 + SQRT5)
-        assert np.array_equal(w.matrix, expect)
-        assert w.lambda_max_bound == (3.0 + SQRT5) / (5.0 + SQRT5)
+        assert np.array_equal(w, expect)
+        assert np.linalg.eigvalsh(w)[-1] == pytest.approx((3.0 + SQRT5) / (5.0 + SQRT5), abs=1e-12)
 
     def test_takes_no_sign(self):
         with pytest.raises(TypeError):
@@ -207,20 +207,19 @@ class TestBoundedWitness:
     def test_plus_sign_bound(self, perm):
         w = bounded_energy_witness(perm)
         expect = (3.0 + SQRT5) / (5.0 + SQRT5)
-        assert np.linalg.eigvalsh(w.matrix)[-1] == pytest.approx(expect, abs=1e-12)
+        assert np.linalg.eigvalsh(w)[-1] == pytest.approx(expect, abs=1e-12)
 
     def test_dual_feasibility(self):
         for perm in PERMS:
             w = bounded_energy_witness(perm)
-            assert np.linalg.eigvalsh(w.matrix)[-1] <= 1.0 + 1e-10
-            assert w.lambda_max_bound <= 1.0 + 1e-10
+            assert np.linalg.eigvalsh(w)[-1] <= 1.0 + 1e-10
 
     def test_detecting_sign_on_limit_state(self):
-        value = expectation(rho3(LIMIT), bounded_energy_witness("123").matrix)
+        value = expectation(rho3(LIMIT), bounded_energy_witness("123"))
         assert value == pytest.approx((1.0 + SQRT5 - 4.0) / (5.0 + SQRT5), abs=1e-12)
 
     def test_nonnegative_on_biseparable(self, rng):
-        wits = [bounded_energy_witness(perm).matrix for perm in PERMS]
+        wits = [bounded_energy_witness(perm) for perm in PERMS]
         for _ in range(1000):
             v = random_biseparable(rng)
             for w in wits:
