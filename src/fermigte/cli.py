@@ -24,8 +24,8 @@ from .specfun import Dimensionality, f_factor
 
 _FIG_KFR = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 2.59]
 _FIG2_KFR = [0.0, 1.0, 2.0, 2.5, 2.59]
-# Limit-mode rows cannot sit exactly on a coincident-pair endpoint; the
-# default grid insets those two points by half a grid step.
+# Figure 1a's limit rows inset the coincident-pair endpoints x/r = 0 and 1 by
+# half a default grid step: the limit is defined there, but the digests pin these rows.
 _LIMIT_INSET = 0.0025
 # grid points per sweep axis; figure 1a at the maximum is 70,000 rows
 MAX_POINTS = 10_000
@@ -49,13 +49,6 @@ def _scalar(quantity: str, dim: str | None, value: float, tol: float | None) -> 
     )
 
 
-def _triangle_couplings(args: argparse.Namespace) -> couplings.Couplings:
-    if args.limit:
-        return couplings.zero_limit(args.d12, args.d13, args.d23)
-    cfg = geometry.TriangleConfig(args.d12, args.d13, args.d23, Dimensionality(args.dim))
-    return couplings.from_config(cfg)
-
-
 # each er geometry's flags and defaults; a shape's besides kfr are its <name>_shape's arguments
 _ER_FLAGS = {
     "collinear": {"kfr": 0.0, "x_over_r": 0.5},
@@ -66,28 +59,28 @@ _ER_FLAGS = {
 }
 
 
-def _geometry_couplings(args: argparse.Namespace) -> tuple[couplings.Couplings, bool]:
-    """(couplings, is_limit) of an er geometry."""
-    own = _ER_FLAGS[args.geometry]
-    # the er parser leaves every flag not given out of args
-    stray = [n for n in vars(args) if n not in own and any(n in f for f in _ER_FLAGS.values())]
-    if stray:
-        flags = ", ".join("--" + n.replace("_", "-") for n in stray)
-        raise DomainError(f"--geometry {args.geometry} does not take {flags}")
-    a = argparse.Namespace(**{**own, **vars(args)})
-    if a.geometry == "triangle":
-        if None in (a.d12, a.d13, a.d23):
+def _state(args: argparse.Namespace) -> tuple[couplings.Couplings, str | None]:
+    """(couplings, dim) of a distance triple or an er geometry; dim is None
+    in limit mode, as the limit has no dim."""
+    if args.command == "er":
+        own = _ER_FLAGS[args.geometry]
+        # the er parser leaves every flag not given out of args
+        stray = [n for n in vars(args) if n not in own and any(n in f for f in _ER_FLAGS.values())]
+        if stray:
+            flags = ", ".join("--" + n.replace("_", "-") for n in stray)
+            raise DomainError(f"--geometry {args.geometry} does not take {flags}")
+        args = argparse.Namespace(**{**own, **vars(args)})
+        if args.geometry != "triangle":
+            shape_of = getattr(geometry, f"{args.geometry}_shape")
+            shape = shape_of(*[getattr(args, n) for n in own if n != "kfr"])
+            c = couplings.from_shape(shape, args.kfr, Dimensionality(args.dim))
+            return c, None if args.kfr == 0.0 else args.dim
+        if None in (args.d12, args.d13, args.d23):
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
-        return _triangle_couplings(a), a.limit
-    shape = getattr(geometry, f"{a.geometry}_shape")(*[getattr(a, n) for n in own if n != "kfr"])
-    return couplings.from_shape(shape, a.kfr, Dimensionality(a.dim)), a.kfr == 0.0
-
-
-def _add_triangle_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d12", type=float, required=True)
-    p.add_argument("--d13", type=float, required=True)
-    p.add_argument("--d23", type=float, required=True)
-    p.add_argument("--limit", action="store_true", help="use the vanishing-size limit")
+    if args.limit:
+        return couplings.zero_limit(args.d12, args.d13, args.d23), None
+    cfg = geometry.TriangleConfig(args.d12, args.d13, args.d23, Dimensionality(args.dim))
+    return couplings.from_config(cfg), args.dim
 
 
 @functools.cache  # one parser per process: building it costs more than most commands
@@ -105,21 +98,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", choices=["2d", "3d"], required=True)
     p.add_argument("--x", type=float, required=True)
 
-    p = sub.add_parser(
-        "couplings", help="singlet weights of a distance triple", parents=[common]
-    )
-    p.add_argument("--dim", choices=["2d", "3d"], default="3d")
-    _add_triangle_flags(p)
-
-    p = sub.add_parser("rho3", help="8x8 reduced density matrix dump", parents=[common])
-    p.add_argument("--dim", choices=["2d", "3d"], default="3d")
-    _add_triangle_flags(p)
-
-    p = sub.add_parser(
-        "werner", help="invariant coordinates of the state", parents=[common]
-    )
-    p.add_argument("--dim", choices=["2d", "3d"], default="3d")
-    _add_triangle_flags(p)
+    for name, text in (
+        ("couplings", "singlet weights of a distance triple"),
+        ("rho3", "8x8 reduced density matrix dump"),
+        ("werner", "invariant coordinates of the state"),
+    ):
+        p = sub.add_parser(name, help=text, parents=[common])
+        p.add_argument("--dim", choices=["2d", "3d"], default="3d")
+        for d in ("--d12", "--d13", "--d23"):
+            p.add_argument(d, type=float, required=True)
+        p.add_argument("--limit", action="store_true", help="use the vanishing-size limit")
 
     p = sub.add_parser(
         "witness-scan", help="extremal grid scan of GHZ/W witnesses", parents=[common]
@@ -212,25 +200,22 @@ def dispatch(args: argparse.Namespace) -> str:
     cmd = args.command
     if cmd == "f":
         return _scalar("f_factor", args.dim, f_factor(Dimensionality(args.dim), args.x), None)
-    if cmd == "couplings":
-        c = _triangle_couplings(args)
-        dim = None if args.limit else args.dim  # the limit has no dim
-        violations = couplings.validate(c)
-        return _json({"quantity": "couplings", "dim": dim, **asdict(c), "violations": violations})
-    if cmd == "rho3":
-        return tristate.matrix_to_text(tristate.rho3(_triangle_couplings(args)))
-    if cmd == "werner":
-        w = tristate.werner_coords(_triangle_couplings(args))
-        dim = None if args.limit else args.dim  # the limit has no dim
-        return _json({"quantity": "werner_coords", "dim": dim, **asdict(w)})
-    if cmd == "witness-scan":
-        # per_family is None, and left out, without --detail
-        report = asdict(witnesses.grid_scan_ghz_w(detail=args.detail))
-        return _json({k: v for k, v in report.items() if v is not None})
-    if cmd == "er":
-        c, limit = _geometry_couplings(args)
-        dim = None if limit else args.dim
+    if cmd in ("couplings", "rho3", "werner", "er"):
+        c, dim = _state(args)
+        if cmd == "couplings":
+            violations = couplings.validate(c)
+            return _json({"quantity": "couplings", "dim": dim, **asdict(c), "violations": violations})
+        if cmd == "rho3":
+            return tristate.matrix_to_text(tristate.rho3(c))
+        if cmd == "werner":
+            w = tristate.werner_coords(c)
+            return _json({"quantity": "werner_coords", "dim": dim, **asdict(w)})
         return _scalar("er_lower_bound", dim, witnesses.er_lower_bound(c), None)
+    if cmd == "witness-scan":
+        report = asdict(witnesses.grid_scan_ghz_w())
+        if not args.detail:
+            del report["per_family"]
+        return _json(report)
     if cmd == "gte-distance":
         dim = Dimensionality(args.dim)
         bracket = tuple(args.bracket) if args.bracket else None

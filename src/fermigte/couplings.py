@@ -14,18 +14,21 @@ the dimension constant a cancels, leaving the exact shape-only limit
 
     p_ij = (d_ik**2 + d_jk**2 - d_ij**2) / (d12**2 + d13**2 + d23**2),
 
-identical for the 2D and 3D gases.  The equilateral shape is rejected in
+identical for the 2D and 3D gases.  A coincident pair ij (d_ij = 0) has
+the limit weights exactly p_ij = 1 and 0 on the other pairs, as the kernel
+formula has at every scale.  Only the equilateral shape is rejected in
 limit mode: there the ratio is doubly singular and the closed form is not
 trusted.
 
 The formulas are written once, for floats and arrays alike, in
-:func:`_kernel_formula` and :func:`_limit_formula`.  :func:`from_config`
-takes :func:`zero_limit`, which holds the limit checks, below
-LIMIT_SWITCH and the kernel formula above it; :func:`from_shape` is
-:func:`zero_limit` of a unit shape at kfr = 0 and :func:`from_config` of
-the scaled shape elsewhere; :class:`Couplings` rejects non-finite
-weights.  :func:`_weights_array` masks the same checks over arrays for
-the sweeps in :mod:`scan`.
+:func:`_kernel_formula` and :func:`_limit_formula`, and the validity of a
+distance triple once, in :func:`geometry.check_distances`.
+:func:`from_config` takes :func:`zero_limit` below LIMIT_SWITCH and the
+kernel formula above it; :func:`from_shape` is :func:`zero_limit` of a
+unit shape at kfr = 0 and :func:`from_config` of the scaled shape
+elsewhere; :class:`Couplings` rejects non-finite weights.
+:func:`_weights_array` masks the same checks over arrays for the sweeps
+in :mod:`scan`.
 """
 
 from __future__ import annotations
@@ -35,8 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, check_triangle, scaled
+from .errors import DegenerateDenominatorError, InvalidCouplingsError
+from .geometry import Shape, TriangleConfig, _TRI_TOL, check_distances, scaled
 from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
@@ -134,16 +137,12 @@ def from_config(cfg: TriangleConfig) -> Couplings:
 def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     """Singlet weights in the vanishing-size limit; only ratios matter.
 
-    Dimension independent.  Requires finite positive distances forming
-    a (possibly degenerate) triangle; the equilateral shape is rejected.
+    Dimension independent.  The distances must pass check_distances with a
+    slack of 1e-12 times the largest; the equilateral shape is rejected.
     """
-    if not (0.0 < d12 < math.inf and 0.0 < d13 < math.inf and 0.0 < d23 < math.inf):
-        raise DomainError(
-            f"zero_limit requires finite positive distances, got ({d12}, {d13}, {d23})"
-        )
     dmax = max(d12, d13, d23)
     tol = _TRI_TOL * dmax
-    check_triangle((d12, d13, d23), tol)
+    check_distances((d12, d13, d23), tol)
     if dmax - min(d12, d13, d23) <= tol:
         raise DegenerateDenominatorError(
             "the equilateral shape is doubly singular in the vanishing-size "
@@ -168,15 +167,16 @@ def _weights_array(
     p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
     ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the limit branch: zero_limit's checks, then its formula
+        # the limit branch: zero_limit's checks, then its formula; under a slack
+        # relative to dmax two zeros force a third, so dmax > 0 allows one zero
         i = np.flatnonzero(limit)
         if i.size:
             e12, e13, e23 = d12[i], d13[i], d23[i]
             dmax = np.maximum(np.maximum(e12, e13), e23)
             tol = _TRI_TOL * dmax
             ok[i] = (
-                (0.0 < e12) & (e12 < math.inf) & (0.0 < e13) & (e13 < math.inf)
-                & (0.0 < e23) & (e23 < math.inf)
+                (0.0 <= e12) & (e12 < math.inf) & (0.0 <= e13) & (e13 < math.inf)
+                & (0.0 <= e23) & (e23 < math.inf) & (0.0 < dmax)
                 & ~(e12 > e13 + e23 + tol) & ~(e13 > e12 + e23 + tol) & ~(e23 > e12 + e13 + tol)
                 & ~(dmax - np.minimum(np.minimum(e12, e13), e23) <= tol)
             )

@@ -23,10 +23,15 @@ _TRI_TOL = 1e-12
 Shape = tuple[float, float, float]
 
 
-def check_triangle(d: Shape, slack: float) -> None:
-    """Raise DomainError unless no distance exceeds the sum of the other
-    two by more than slack."""
+def check_distances(d: Shape, slack: float) -> None:
+    """Raise DomainError unless the distances are finite and nonnegative, at
+    most one vanishes (two fermions may coincide, but not two pairs at once)
+    and none exceeds the sum of the other two by more than slack."""
     d12, d13, d23 = d
+    if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
+        raise DomainError(f"distances must be finite and nonnegative, got {d}")
+    if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
+        raise DomainError("at most one pairwise distance may vanish")
     if d12 > d13 + d23 + slack or d13 > d12 + d23 + slack or d23 > d12 + d13 + slack:
         raise DomainError(f"triangle inequality violated for {d}")
 
@@ -35,9 +40,9 @@ def check_triangle(d: Shape, slack: float) -> None:
 class TriangleConfig:
     """Pairwise distances k_F*r_ij of three localized fermions.
 
-    At most one distance may vanish (two fermions may coincide, but not
-    two pairs at once) and the triple must be realizable by three points,
-    i.e. satisfy the triangle inequality up to a 1e-12 relative slack.
+    The triple must pass :func:`check_distances` with a 1e-12 relative
+    slack: finite and nonnegative, at most one vanishing distance, and
+    realizable by three points.
     """
 
     d12: float
@@ -46,12 +51,8 @@ class TriangleConfig:
     dim: Dimensionality
 
     def __post_init__(self) -> None:
-        d12, d13, d23 = d = self.distances()
-        if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
-            raise DomainError(f"distances must be finite and nonnegative, got {d}")
-        if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
-            raise DomainError("at most one pairwise distance may vanish")
-        check_triangle(d, _TRI_TOL * max(1.0, d12, d13, d23))
+        d = self.distances()
+        check_distances(d, _TRI_TOL * max(1.0, *d))
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)

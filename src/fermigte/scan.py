@@ -177,14 +177,12 @@ def _polar_gte(
     The point chain shape -> weights -> bound runs on arrays in the scalar
     chain's operation order, and nothing raises.  The rows must be valid
     (0 <= kfr <= X_MAX, |theta| <= pi), so every distance is finite and
-    nonnegative.
+    nonnegative.  The coincident pair (theta = 0, q = 1/2) has the weights
+    (0, 0, ~1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
     """
     s12, s23 = geometry._polar_distances(q, cos, sin, np)
     p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, 1.0, s23)
-    # Coincident pair (theta = 0, q = 1/2): no GTE and no error.  The weights
-    # are (0, 0, 1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
-    apart = (s12 != 0.0) & (s23 != 0.0)
-    return apart & (_er_parts(p12, p13, p23, np.maximum)[0] > 0.0), apart & ~ok
+    return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
 
 
 def sweep_polar_boundary(

@@ -153,7 +153,7 @@ def f_factor(dim: Dimensionality, x: float) -> float:
         return _f_small_x(dim, x)
     if dim is Dimensionality.THREE_D:
         return 3.0 * spherical_j1(x) / x
-    return 2.0 * (_j1_near(x) if x <= 5.0 else _j1_far(x, math)) / x
+    return 2.0 * bessel_j1(x) / x
 
 
 def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:

@@ -165,7 +165,7 @@ class GridScanReport:
     min_value: float
     argmin: dict
     nodes_evaluated: int
-    per_family: dict | None = None
+    per_family: dict
 
 
 def _vertex_rhos() -> np.ndarray:
@@ -235,7 +235,7 @@ def _screen(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     return lam[:, None] - np.stack(forms, axis=1)
 
 
-def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
+def grid_scan_ghz_w() -> GridScanReport:
     """Scan Tr(rho * Pi) over the extremal parameter grid of both families.
 
     The trace is linear in each p_ij and trigonometric in the angles, so
@@ -243,15 +243,15 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
     angles on multiples of pi/2; collective rotation invariance pins
     theta1 = phi1 = phi2 = 0.  The scan evaluates every remaining node
     (the vertex states need not be positive semidefinite) and returns the
-    global minimum; a nonnegative result means neither family can detect
-    GTE anywhere in the admissible parameter range.
+    global minimum and each family's; a nonnegative result means neither
+    family can detect GTE anywhere in the admissible parameter range.
 
     The grid kets are built once (:func:`_grid_kets`) and all nodes
     screened in one batched product (:func:`_screen`); the kets within
-    _CONFIRM_MARGIN of the screened minimum (with detail, of their own
-    family's) are evaluated again in the exact per-node arithmetic, in
-    scan order, and the report comes from those values, so ties resolve
-    to the first node as a node-by-node scan would.
+    _CONFIRM_MARGIN of their own family's screened minimum are evaluated
+    again in the exact per-node arithmetic, in scan order, and the report
+    comes from those values, so ties resolve to the first node as a
+    node-by-node scan would.
 
     Logs one DEBUG record per call: the nodes screened, the kets evaluated
     again, and the largest |screen - exact| among them.
@@ -260,12 +260,9 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
     psis = _grid_kets()
     screen = _screen(rhos, psis)
     low = screen.min(axis=1)
-    families = np.array([family for family, _ in _KETS] * len(_TRIPLES))
-    cut = np.full(len(low), low.min())
-    if detail:  # a family's own minimum is never below the global one
-        for family in _OVERLAP:
-            mine = families == family
-            cut[mine] = low[mine].min()
+    ghz = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
+    # a family's minimum is never below the global one, so no ket near that is missed
+    cut = np.where(ghz, low[ghz].min(), low[~ghz].min())
     picked = np.flatnonzero(low <= cut + _CONFIRM_MARGIN)
     best = math.inf
     best_node: dict = {}
@@ -298,5 +295,5 @@ def grid_scan_ghz_w(detail: bool = False) -> GridScanReport:
         min_value=best,
         argmin=best_node,
         nodes_evaluated=screen.size,
-        per_family=family_min if detail else None,
+        per_family=family_min,
     )

@@ -367,7 +367,6 @@ class TestExitCodes:
             ["gte-distance", "--dim", "3d", "--method", "polygon", "--bracket", "2", "inf"],
             ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "4", "3"],
             ["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "nan", "3"],
-            ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.5", "--kfr", "0"],
             ["er", "--geometry", "equilateral", "--kfr", "0"],
             ["er", "--geometry", "collinear", "--kfr", "1", "--limit"],
             ["er", "--geometry", "triangle", "--d12", "1", "--d13", "1", "--d23", "1", "--kfr", "1"],
@@ -390,7 +389,6 @@ class TestExitCodes:
             "bracket-inf",
             "witness-bracket-decreasing",
             "witness-bracket-nan",
-            "polar-limit-coincident",
             "equilateral-limit",
             "er-collinear-limit-flag",
             "er-triangle-kfr",
@@ -566,6 +564,25 @@ class TestTinyConfigurations:
             assert code == 0
             values.append(json.loads(out)["value"])
         assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+
+class TestCoincidentPair:
+    """Two fermions may coincide at any scale, the vanishing-size limit included."""
+
+    def test_polar_limit_at_the_coincident_point(self, capsys):
+        args = ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.5", "--kfr", "0"]
+        code, out, err = run(capsys, args)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["value"] == 0.0
+        assert payload["dim"] is None
+
+    @pytest.mark.parametrize("kfr", ["0", "1e-4", "1e-2"])
+    def test_collinear_endpoint_below_and_above_the_limit_switch(self, capsys, kfr):
+        args = ["er", "--geometry", "collinear", "--kfr", kfr, "--x-over-r", "0"]
+        code, out, err = run(capsys, args)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == 0.0
 
 
 # property test over argument lists

@@ -63,9 +63,9 @@ class TestZeroLimit:
             c = couplings_zero_limit(u, 1.0, 1.0 - u)
             assert c.p12 + c.p23 == pytest.approx(1.0 / (1.0 - u + u * u), abs=1e-14)
 
-    def test_rejects_zero_distance(self):
-        with pytest.raises(DomainError):
-            couplings_zero_limit(0.0, 1.0, 1.0)
+    def test_coincident_pair(self):
+        # the coincident pair takes the whole singlet weight, exactly
+        assert couplings_zero_limit(0.0, 1.0, 1.0).as_tuple() == (1.0, 0.0, 0.0)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
@@ -136,6 +136,14 @@ class TestFromConfig:
         assert c.p12 == pytest.approx(0.539345, abs=1e-5)
         assert c.p23 == pytest.approx(0.539345, abs=1e-5)
         assert c.p13 == pytest.approx(-0.160702, abs=1e-5)
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("s", [1e-6, 1e-4, 9.99e-4, 1e-3, 1e-2, 1.0])
+    def test_coincident_pair_at_any_scale(self, dim, s):
+        # f12 = 1 gives p12 = 1 and p13 = p23 = 0 at every scale, on both
+        # sides of LIMIT_SWITCH
+        c = couplings_from_config(TriangleConfig(0.0, s, s, dim))
+        assert c.as_tuple() == pytest.approx((1.0, 0.0, 0.0), abs=1e-9)
 
     def test_shrinking_equilateral_rejected(self):
         with pytest.raises(DegenerateDenominatorError):
@@ -289,6 +297,32 @@ class TestFloatCore:
         assert ok.tolist() == [True, False]
         with pytest.raises(InvalidCouplingsError):
             Couplings(*(float(w[1]) for w in weights))
+
+
+# a valid configuration on either side of LIMIT_SWITCH, its distances in any
+# order: fermions 1 and 3 at distance `side`, fermion 2 at (u, w) in units of
+# side, so that u = w = 0 and u = 1, w = 0 make a coincident pair
+@given(
+    st.sampled_from([D2, D3]),
+    st.floats(min_value=1e-6, max_value=X_MAX / 2.0),
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
+    st.permutations(range(3)),
+)
+@example(D3, 1e-4, 0.0, 0.0, [0, 1, 2])
+@example(D2, 9.99e-4, 1.0, 0.0, [2, 0, 1])
+@example(D3, LIMIT_SWITCH, 0.0, 0.0, [1, 2, 0])
+@example(D2, 1e-2, 1.0, 0.0, [0, 1, 2])
+@settings(max_examples=300, deadline=None)
+def test_array_form_equals_from_config_on_drawn_triples(dim, side, u, w, order):
+    d = (side * math.hypot(u, w), side, side * math.hypot(1.0 - u, w))
+    d = tuple(d[i] for i in order)
+    want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
+    *weights, (ok,) = (v.tolist() for v in _weights_array(dim, *(np.array([v]) for v in d)))
+    # the mask rejects exactly the triples that from_config rejects
+    assert ok is not isinstance(want[0], type), (d, want)
+    if ok:
+        assert tuple(p for (p,) in weights) == want, d
 
 
 # a valid configuration whose largest distance is at least LIMIT_SWITCH: fermions

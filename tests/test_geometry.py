@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fermigte import Dimensionality, TriangleConfig
 from fermigte.errors import DomainError
 from fermigte.geometry import (
-    check_triangle,
+    check_distances,
     collinear_shape,
     equilateral_shape,
     isosceles_shape,
@@ -136,16 +136,16 @@ class TestTriangleConfig:
             TriangleConfig(*d, D3)
 
 
-class TestCheckTriangle:
+class TestCheckDistances:
     @pytest.mark.parametrize("d", [(2.5, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 1.0, 2.5)])
     def test_each_side_is_checked(self, d):
         with pytest.raises(DomainError, match="triangle inequality"):
-            check_triangle(d, 0.0)
+            check_distances(d, 0.0)
 
     def test_slack(self):
-        check_triangle((1.0, 1.0, 2.0 + 1e-9), 1e-9)
+        check_distances((1.0, 1.0, 2.0 + 1e-9), 1e-9)
         with pytest.raises(DomainError):
-            check_triangle((1.0, 1.0, 2.0 + 1e-9), 1e-10)
+            check_distances((1.0, 1.0, 2.0 + 1e-9), 1e-10)
 
 
 @given(kfr_st, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

@@ -319,7 +319,7 @@ class TestGridScan:
         # W family alone: 8 vertex states x 4 theta2 x 4 theta3 x 4 phi3
         # x 4 beta x 4 gamma
         assert 8 * 4 * 4 * 4 * 4 * 4 == 8192
-        report = grid_scan_ghz_w(detail=True)
+        report = grid_scan_ghz_w()
         assert set(report.per_family) == {"ghz", "w"}
         assert report.per_family["ghz"] >= -1e-12
         assert report.per_family["w"] >= -1e-12
@@ -363,8 +363,7 @@ class TestGridScan:
         # the confirmation recovers every reported value exactly from the
         # screen, from one off by up to 1e-11 per node (far above its
         # rounding, far below the margin), and from one that puts every GHZ
-        # ket far above the W minimum (with detail, each family's own
-        # minimum is confirmed)
+        # ket far above the W minimum (each family's own minimum is confirmed)
         offset = {
             "none": 0.0,
             "noise": rng.uniform(-1e-11, 1e-11, size=(len(_TRIPLES) * len(_KETS), 8)),
@@ -373,7 +372,7 @@ class TestGridScan:
         screen = witnesses_module._screen
         monkeypatch.setattr(witnesses_module, "_screen", lambda *args: screen(*args) + offset)
         min_value, argmin, per_family = grid_scan_oracle()
-        report = grid_scan_ghz_w(detail=True)
+        report = grid_scan_ghz_w()
         assert report.min_value == min_value
         assert report.argmin == argmin
         assert report.per_family == per_family
@@ -388,7 +387,7 @@ class TestGridScan:
             return kron(a, b)
 
         monkeypatch.setattr(np, "kron", counting_kron)
-        report = grid_scan_ghz_w(detail=True)
+        report = grid_scan_ghz_w()
         assert report.nodes_evaluated == 10240
         assert calls == []
 
