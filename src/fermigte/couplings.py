@@ -22,13 +22,14 @@ trusted.
 
 The formulas are written once, for floats and arrays alike, in
 :func:`_kernel_formula` and :func:`_limit_formula`, and the validity of a
-distance triple once, in :func:`geometry.check_distances`.
+distance triple once, in :func:`geometry._distance_checks`, whose slack
+is relative to the largest distance, so that only the shape decides.
 :func:`from_config` takes :func:`zero_limit` below LIMIT_SWITCH and the
 kernel formula above it; :func:`from_shape` is :func:`zero_limit` of a
 unit shape at kfr = 0 and :func:`from_config` of the scaled shape
 elsewhere; :class:`Couplings` rejects non-finite weights.
-:func:`_weights_array` masks the same checks over arrays for the sweeps
-in :mod:`scan`.
+:func:`_weights_array` is :func:`from_shape` over arrays for the sweeps
+in :mod:`scan`, with the checks, a kfr's included, as a mask.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDenominatorError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, check_distances, scaled
+from .geometry import Shape, TriangleConfig, _TRI_TOL, _distance_checks, check_distances, scaled
 from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
@@ -100,14 +101,6 @@ def _limit_formula(d12, d13, d23, dmax, m):
     return (s13 + s23 - s12) / total, (s12 + s23 - s13) / total, (s12 + s13 - s23) / total
 
 
-def _shape_weights_array(dim: Dimensionality, kfr: np.ndarray, s12, s13, s23):
-    """:func:`from_shape` element for element on unit shapes (floats or
-    arrays) at kfr in [0, X_MAX], as :func:`_weights_array` gives them."""
-    zero = kfr == 0.0
-    scale = np.where(zero, 1.0, kfr)
-    return _weights_array(dim, scale * s12, scale * s13, scale * s23, zero)
-
-
 def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
     """Singlet weights of a unit-separation shape at separation kfr.
 
@@ -137,13 +130,12 @@ def from_config(cfg: TriangleConfig) -> Couplings:
 def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     """Singlet weights in the vanishing-size limit; only ratios matter.
 
-    Dimension independent.  The distances must pass check_distances with a
-    slack of 1e-12 times the largest; the equilateral shape is rejected.
+    Dimension independent.  The distances must pass check_distances, at
+    any scale; the equilateral shape is rejected.
     """
+    check_distances((d12, d13, d23))
     dmax = max(d12, d13, d23)
-    tol = _TRI_TOL * dmax
-    check_distances((d12, d13, d23), tol)
-    if dmax - min(d12, d13, d23) <= tol:
+    if dmax - min(d12, d13, d23) <= _TRI_TOL * dmax:
         raise DegenerateDenominatorError(
             "the equilateral shape is doubly singular in the vanishing-size "
             "limit; evaluate at finite separation instead"
@@ -152,44 +144,41 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
 
 
 def _weights_array(
-    dim: Dimensionality, d12: np.ndarray, d13: np.ndarray, d23: np.ndarray,
-    zero: np.ndarray | bool = False,
+    dim: Dimensionality, kfr: np.ndarray | float, s12, s13, s23
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`from_config` element for element over arrays of finite,
-    nonnegative distances: the same branches, each calling the float
-    path's formula, and the mask ``ok`` of the elements whose checks pass.
+    """:func:`from_shape` element for element on unit shapes (s12, s13, s23)
+    at separations kfr, over arrays: the same checks and branches, each
+    calling the float path's formula, and the mask ``ok`` of the elements
+    whose checks pass.
 
-    The elements marked zero (unit shapes at kfr = 0) take the limit branch
-    at any size.  ok is False exactly where :func:`from_config` raises, and
-    the weights there mean nothing; nothing raises here.
+    kfr = 0 takes the limit branch of the unit shape; any other kfr scales
+    it, and a kfr that :func:`geometry.scaled` rejects (negative or NaN)
+    leaves distances that the distance checks reject.  ok is False exactly
+    where :func:`from_shape` raises, and a rejected point keeps NaN weights;
+    nothing raises or warns here, whatever the input.
     """
-    limit = (np.maximum(np.maximum(d12, d13), d23) < LIMIT_SWITCH) | zero
-    p12, p13, p23 = (np.empty_like(d12) for _ in range(3))
-    ok = np.zeros(d12.shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the limit branch: zero_limit's checks, then its formula; under a slack
-        # relative to dmax two zeros force a third, so dmax > 0 allows one zero
-        i = np.flatnonzero(limit)
+        zero = kfr == 0.0
+        scale = np.where(zero, 1.0, kfr)
+        d12, d13, d23 = scale * s12, scale * s13, scale * s23
+        dmax = np.maximum(np.maximum(d12, d13), d23)
+        finite, single_zero, triangle = _distance_checks(d12, d13, d23, dmax)
+        checked = finite & single_zero & triangle
+        limit = (dmax < LIMIT_SWITCH) | zero
+        # each branch evaluates the points that pass its checks and leaves the
+        # rest NaN: zero_limit rejects the equilateral shape, f_factor a distance above X_MAX
+        p12, p13, p23 = np.full((3, *d12.shape), math.nan)
+        equilateral = dmax - np.minimum(np.minimum(d12, d13), d23) <= _TRI_TOL * dmax
+        i = np.flatnonzero(checked & limit & ~equilateral)
         if i.size:
-            e12, e13, e23 = d12[i], d13[i], d23[i]
-            dmax = np.maximum(np.maximum(e12, e13), e23)
-            tol = _TRI_TOL * dmax
-            ok[i] = (
-                (0.0 <= e12) & (e12 < math.inf) & (0.0 <= e13) & (e13 < math.inf)
-                & (0.0 <= e23) & (e23 < math.inf) & (0.0 < dmax)
-                & ~(e12 > e13 + e23 + tol) & ~(e13 > e12 + e23 + tol) & ~(e23 > e12 + e13 + tol)
-                & ~(dmax - np.minimum(np.minimum(e12, e13), e23) <= tol)
-            )
-            p12[i], p13[i], p23[i] = _limit_formula(e12, e13, e23, dmax, np)
-        # the kernel branch; f_factor rejects a distance above X_MAX
-        i = np.flatnonzero(~limit)
+            p12[i], p13[i], p23[i] = _limit_formula(d12[i], d13[i], d23[i], dmax[i], np)
+        i = np.flatnonzero(checked & ~limit & (dmax <= X_MAX))
         if i.size:
-            e12, e13, e23 = d12[i], d13[i], d23[i]
             # one kernel call for the three distances: its cost is mostly per call
-            f12, f13, f23 = np.split(_f_array(dim, np.concatenate((e12, e13, e23))), 3)
+            f12, f13, f23 = np.split(_f_array(dim, np.concatenate((d12[i], d13[i], d23[i]))), 3)
             _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13, f23)
-            ok[i] = (e12 <= X_MAX) & (e13 <= X_MAX) & (e23 <= X_MAX)
-        ok &= np.isfinite(p12 + p13 + p23)
+        # Couplings rejects non-finite weights, the NaN of a rejected point among them
+        ok = np.isfinite(p12 + p13 + p23)
     return p12, p13, p23, ok
 
 

@@ -23,16 +23,31 @@ _TRI_TOL = 1e-12
 Shape = tuple[float, float, float]
 
 
-def check_distances(d: Shape, slack: float) -> None:
+def _distance_checks(d12, d13, d23, dmax):
+    """The three checks of a distance triple whose largest is dmax, on floats
+    or arrays: finite and nonnegative, at most one vanishing distance, and no
+    distance above the sum of the other two by more than 1e-12 * dmax."""
+    # NaN fails its own comparison; an infinity shows as dmax
+    finite = (0.0 <= d12) & (0.0 <= d13) & (0.0 <= d23) & (dmax < math.inf)
+    n12, n13, n23 = d12 != 0.0, d13 != 0.0, d23 != 0.0
+    # d12 and one other distance, or d13 and d23, are nonzero
+    single_zero = (n12 & (n13 | n23)) | (n13 & n23)
+    tol = _TRI_TOL * dmax
+    triangle = (d12 <= d13 + d23 + tol) & (d13 <= d12 + d23 + tol) & (d23 <= d12 + d13 + tol)
+    return finite, single_zero, triangle
+
+
+def check_distances(d: Shape) -> None:
     """Raise DomainError unless the distances are finite and nonnegative, at
     most one vanishes (two fermions may coincide, but not two pairs at once)
-    and none exceeds the sum of the other two by more than slack."""
-    d12, d13, d23 = d
-    if not (0.0 <= d12 < math.inf and 0.0 <= d13 < math.inf and 0.0 <= d23 < math.inf):
+    and none exceeds the sum of the other two by more than 1e-12 times the
+    largest, at every scale."""
+    finite, single_zero, triangle = _distance_checks(*d, max(d))
+    if not finite:
         raise DomainError(f"distances must be finite and nonnegative, got {d}")
-    if (d12 == 0.0 and (d13 == 0.0 or d23 == 0.0)) or (d13 == 0.0 and d23 == 0.0):
+    if not single_zero:
         raise DomainError("at most one pairwise distance may vanish")
-    if d12 > d13 + d23 + slack or d13 > d12 + d23 + slack or d23 > d12 + d13 + slack:
+    if not triangle:
         raise DomainError(f"triangle inequality violated for {d}")
 
 
@@ -40,9 +55,9 @@ def check_distances(d: Shape, slack: float) -> None:
 class TriangleConfig:
     """Pairwise distances k_F*r_ij of three localized fermions.
 
-    The triple must pass :func:`check_distances` with a 1e-12 relative
-    slack: finite and nonnegative, at most one vanishing distance, and
-    realizable by three points.
+    The triple must pass :func:`check_distances`: finite and nonnegative,
+    at most one vanishing distance, and realizable by three points within
+    1e-12 of the largest distance, at every scale.
     """
 
     d12: float
@@ -51,8 +66,7 @@ class TriangleConfig:
     dim: Dimensionality
 
     def __post_init__(self) -> None:
-        d = self.distances()
-        check_distances(d, _TRI_TOL * max(1.0, *d))
+        check_distances(self.distances())
 
     def distances(self) -> tuple[float, float, float]:
         return (self.d12, self.d13, self.d23)

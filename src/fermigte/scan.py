@@ -6,14 +6,13 @@ configuration families, each given by its unit-separation shape in
 limit (shape-only couplings), with the same checks as any finite
 separation.  Sweeps run on numpy arrays, through the array forms of the
 scalar point chain shape -> weights -> bound, which keep its operation
-order, and never raise mid-table: each point's kfr and grid value are
-checked up front, the array path marks the points that a scalar check
-rejects, and the sweep raises the error that the scalar chain raises at
-the first failing point.  The collinear and
-isosceles tables are one array evaluation each (the distance table one
-per dimension), with each grid value's shape from its scalar shape
-function, so every cell is the scalar chain's, bit for bit, wherever
-numpy's sin, cos and sqrt round as math's.
+order, and never raise mid-table: the array path marks the points that a
+scalar check rejects, an invalid kfr or grid value included, and the
+sweep raises the error that the scalar chain raises at the first failing
+point.  The collinear and isosceles tables are one array evaluation each
+(the distance table one per dimension), with each grid value's shape
+from its scalar shape function, so every cell is the scalar chain's, bit
+for bit, wherever numpy's sin, cos and sqrt round as math's.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -25,18 +24,18 @@ at the first switch, while r_max evaluates its whole pre-scan, because
 it also checks that there is no second switch.
 
 The polar table solves all its q* rows in lock step, on plain per-row
-arrays over its valid rows (those before the first invalid kfr or
-theta), with one failure point per row: NaN while the row is fine, the q
-of its rejected point, inf when its bisection does not converge.
-Pre-scan grid point j is evaluated on every row whose flags are all True
-so far, and the switched rows are bisected together, each on its own
-one-step bracket, so each row reads the same points as its own solve
-would; each step evaluates only the rows before the first failing one.
-:func:`_polar_gte` takes its distances from :func:`polar_shape`'s formula
-on np.hypot, which may differ from math.hypot in the last bit; the table
-depends only on the signs of the bound.  The sweep raises once, at its
-end, the error of the first failing row's own solve, the first invalid
-row included.
+arrays over all its rows, with one failure point per row: NaN while the
+row is fine, the q of its rejected point, inf when its bisection does
+not converge.  Every row is read at its first point, q = 0, and a row
+with an invalid kfr or theta fails there.  Pre-scan grid point j is
+evaluated on every row whose flags are all True so far, and the switched
+rows are bisected together, each on its own one-step bracket, so each
+row reads the same points as its own solve would; each step evaluates
+only the rows before the first failing one.  :func:`_polar_gte` takes
+its distances from :func:`polar_shape`'s formula on np.hypot, which may
+differ from math.hypot in the last bit; the table depends only on the
+signs of the bound.  The sweep raises once, at its end, the error of the
+first failing row's own solve.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -64,6 +63,7 @@ DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
 POLAR_PRESCAN_POINTS = 33
+MAX_BISECTIONS = 200  # the step limit of bisect_switch and of the polar table's bisections
 
 _log = logging.getLogger(__name__)
 
@@ -96,12 +96,12 @@ def first_switch(flags: Iterable[bool]) -> int | None:
 
 def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: float) -> float:
     """Midpoint of [a, b], bisected to width tol keeping before(a) True and
-    before(b) False; ConvergenceFailure if 200 steps do not get there.
+    before(b) False; ConvergenceFailure if MAX_BISECTIONS steps do not get there.
 
     Logs one DEBUG record per solve: the bracket, the number of steps (one
     call of before each) and the final width."""
     bracket = (a, b)
-    for steps in range(200):
+    for steps in range(MAX_BISECTIONS):
         if b - a <= tol:
             _log.debug("bisect_switch bracket=%r steps=%d width=%r", bracket, steps, b - a)
             return 0.5 * (a + b)
@@ -121,24 +121,23 @@ def _sweep_columns(
 ) -> list[list[float]]:
     """The columns er_lower_bound, witness_value, p12, p13, p23 over the
     points (kfr, grid value), kfr-major.  A point fails where shape_of
-    rejects its grid value, its kfr lies outside [0, X_MAX] (no later kfr is
-    evaluated) or the weights' checks reject it."""
+    rejects its grid value or the weights' checks reject it, kfr's included."""
     shapes = []
     for v in grid:
         try:
             shapes.append(shape_of(v))
         except DomainError:
             shapes.append(None)
-    n, rejected = len(shapes), np.array([sh is None for sh in shapes], dtype=bool)
-    m = next((i for i, k in enumerate(kfr_values) if not 0.0 <= k <= X_MAX), len(kfr_values))
+    n, m = len(shapes), len(kfr_values)
+    rejected = np.tile(np.array([sh is None for sh in shapes], dtype=bool), m)
     # a rejected grid value takes a stand-in shape and fails below
     unit = [geometry._SYMMETRIC_COLLINEAR if sh is None else sh for sh in shapes]
     s12, s13, s23 = np.tile(np.reshape(np.array(unit, dtype=float), (-1, 3)), (m, 1)).T
-    kfr = np.repeat(np.array(kfr_values[:m], dtype=float), n)
-    p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, s13, s23)
-    bad = ~ok | np.tile(rejected, m)
-    first = int(np.argmax(bad)) if bad.any() else m * n
-    if first < len(kfr_values) * n:
+    kfr = np.repeat(np.array(kfr_values, dtype=float), n)
+    p12, p13, p23, ok = cpl._weights_array(dim, kfr, s12, s13, s23)
+    bad = ~ok | rejected
+    if bad.any():
+        first = int(np.argmax(bad))
         k, v = kfr_values[first // n], grid[first % n]
         cpl.from_shape(shape_of(v), k, dim)  # raises its error
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
@@ -175,13 +174,13 @@ def _polar_gte(
     flag means nothing).
 
     The point chain shape -> weights -> bound runs on arrays in the scalar
-    chain's operation order, and nothing raises.  The rows must be valid
-    (0 <= kfr <= X_MAX, |theta| <= pi), so every distance is finite and
-    nonnegative.  The coincident pair (theta = 0, q = 1/2) has the weights
-    (0, 0, ~1) at every kfr, whose best witness value 3 stays below 1 + sqrt(5).
+    chain's operation order, and nothing raises: an invalid kfr, or an
+    invalid theta's direction (NaN, NaN), is rejected at every q.  The
+    coincident pair (theta = 0, q = 1/2) has the weights (0, 0, ~1) at
+    every kfr, whose best witness value 3 stays below 1 + sqrt(5).
     """
     s12, s23 = geometry._polar_distances(q, cos, sin, np)
-    p12, p13, p23, ok = cpl._shape_weights_array(dim, kfr, s12, 1.0, s23)
+    p12, p13, p23, ok = cpl._weights_array(dim, kfr, s12, 1.0, s23)
     return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
 
 
@@ -199,7 +198,8 @@ def sweep_polar_boundary(
     own bracket-then-bisect solve (:func:`first_switch`, then
     :func:`bisect_switch`): pre-scan grid point j is evaluated on the rows
     whose flags are all True so far, and the switched rows are bisected
-    together.  An error is the one the first failing row raises.
+    together.  An error is the one the first failing row raises; a row
+    with an invalid kfr or theta fails at its first point, q = 0.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
     (None when there is none) and the number of pre-scan points evaluated
@@ -210,13 +210,12 @@ def sweep_polar_boundary(
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
     pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-    # the valid rows, before the first with kfr outside [0, X_MAX] or |theta| > pi
-    n = next((k for k, (kfr, theta) in enumerate(pairs)
-              if not (0.0 <= kfr <= X_MAX and abs(theta) <= math.pi)), len(pairs))
+    n = len(pairs)
+    # an invalid theta has the direction (NaN, NaN): its row fails at its first point
     nan = (math.nan, math.nan)
     direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
-    cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1))[:n].T
-    kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))[:n]
+    cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
+    kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
     # NaN while a row is fine, the q of its rejected point, inf if its bisection does not converge
     failed_at = np.full(n, math.nan)
     read, switch, steps = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n, dtype=int)
@@ -243,7 +242,7 @@ def sweep_polar_boundary(
     a[live] = b[live] = 0.5
     active = np.flatnonzero(switch >= 0)
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
-    for _ in range(200):
+    for _ in range(MAX_BISECTIONS):
         active = active[(b[active] - a[active] > q_tol) & (active < first_failed())]
         if not active.size:
             break
@@ -253,7 +252,7 @@ def sweep_polar_boundary(
         a[active] = np.where(gte, mid, a[active])
         b[active] = np.where(gte, b[active], mid)
         steps[active] += 1
-    else:  # the rows still open after 200 steps
+    else:  # the rows still open after MAX_BISECTIONS steps
         failed_at[active[~bad]] = math.inf
     first = first_failed()
     switch, read, steps, q_star, width = (
@@ -274,20 +273,15 @@ def sweep_polar_boundary(
                     "bisect_switch bracket=%r steps=%d width=%r",
                     (grid[i], grid[i + 1]), steps[k], width[k],
                 )
-    if first < len(pairs):
+    if first < n:
         # the failing row's error: its bisection's, else the scalar point
-        # chain's at the failing point, from polar_shape for an invalid row
-        # and, for a rejected point, from the distances the array path used
+        # chain's at the failing point, on the distances the array path used
         row_kfr, theta = pairs[first]
-        if first == n:
-            shape = geometry.polar_shape(theta, 0.0)
-        elif failed_at[first] == math.inf:
+        if failed_at[first] == math.inf:
             raise ConvergenceFailure("bisection failed to reach tolerance")
-        else:
-            row = slice(first, first + 1)
-            s12, s23 = geometry._polar_distances(failed_at[first], cos[row], sin[row], np)
-            shape = (s12.item(), 1.0, s23.item())
-        cpl.from_shape(shape, row_kfr, dim)  # raises its error
+        row_cos, row_sin = geometry._polar_direction(theta)  # raises for an invalid theta
+        s12, s23 = geometry._polar_distances(failed_at[first:first + 1], row_cos, row_sin, np)
+        cpl.from_shape((s12.item(), 1.0, s23.item()), row_kfr, dim)  # raises its error
     return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(pairs, q_star)]
 
 

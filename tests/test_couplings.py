@@ -80,13 +80,12 @@ class TestZeroLimit:
         with pytest.raises(DomainError):
             couplings_zero_limit(0.1, 1.0, 0.5)
 
-    def test_slack_is_relative_to_the_shape(self):
-        # TriangleConfig forgives 1e-12 absolutely below unit size; the
-        # limit, being scale-free, forgives only 1e-12 of the longest side
+    def test_triangle_config_rejects_the_same_triple(self):
+        # both forgive 1e-12 of the longest side, and no more, at any scale
         d = (1e-3, 1e-3, 2e-3 + 1e-14)
-        TriangleConfig(*d, D3)
-        with pytest.raises(DomainError, match="triangle inequality"):
-            couplings_zero_limit(*d)
+        for check in (lambda: TriangleConfig(*d, D3), lambda: couplings_zero_limit(*d)):
+            with pytest.raises(DomainError, match="triangle inequality"):
+                check()
 
     @pytest.mark.parametrize("scale", [2.0**-1000, 1e-300, 1e-160, 1e160, 1e300, 2.0**1000])
     def test_scale_free_without_underflow(self, scale):
@@ -253,7 +252,7 @@ class TestFloatCore:
                     cases.append((scaled(kfr, shape, dim).distances(), None))
 
         def array(d):
-            return _weights_array(dim, *(np.array(v, dtype=float) for v in zip(*d)))
+            return _weights_array(dim, 1.0, *(np.array(v, dtype=float) for v in zip(*d)))
 
         kinds = Counter()
         oks, good = [], []
@@ -293,10 +292,37 @@ class TestFloatCore:
 
         monkeypatch.setattr(couplings_module, "_f_array", nan_last)
         cols = [np.array([1.0, v]) for v in (0.5, 0.9, 0.5)]
-        *weights, ok = _weights_array(dim, *cols)
+        *weights, ok = _weights_array(dim, 1.0, *cols)
         assert ok.tolist() == [True, False]
         with pytest.raises(InvalidCouplingsError):
             Couplings(*(float(w[1]) for w in weights))
+
+
+@st.composite
+def near_degenerate_triples(draw):
+    """A triple whose longest side, in any slot, exceeds the sum of the other
+    two by 0.5e-12 or 2e-12 of itself, at scales from 1e-4 to 1e2."""
+    scale = draw(st.floats(1.0, 10.0)) * 10.0 ** draw(st.integers(-4, 1))
+    u = draw(st.floats(0.0, 1.0))
+    short = [scale * u, scale * (1.0 - u)]
+    longest = (short[0] + short[1]) * (1.0 + draw(st.sampled_from([0.5e-12, 2e-12])))
+    slot = draw(st.integers(0, 2))
+    return (*short[:slot], longest, *short[slot:])
+
+
+@given(st.sampled_from([D2, D3]), near_degenerate_triples())
+# a triple that TriangleConfig once accepted below unit size, and its CLI twin
+@example(D3, (1e-4, 1e-4, 2e-4 + 5e-13))
+@example(D2, (0.01, 0.01, 0.0200000000005))
+@settings(max_examples=200, deadline=None)
+def test_triangle_config_raises_exactly_when_from_config_would(dim, d):
+    config = _outcome(lambda: TriangleConfig(*d, dim).distances())
+    # below LIMIT_SWITCH from_config checks the triple again in zero_limit,
+    # which is scale-free, so its verdict must be TriangleConfig's at every scale
+    limit = _outcome(lambda: couplings_zero_limit(*d).as_tuple())
+    assert isinstance(config[0], type) == isinstance(limit[0], type), (d, config, limit)
+    if config == d and max(d) <= X_MAX:
+        couplings_from_config(TriangleConfig(*d, dim))  # raises nothing
 
 
 # a valid configuration on either side of LIMIT_SWITCH, its distances in any
@@ -318,7 +344,7 @@ def test_array_form_equals_from_config_on_drawn_triples(dim, side, u, w, order):
     d = (side * math.hypot(u, w), side, side * math.hypot(1.0 - u, w))
     d = tuple(d[i] for i in order)
     want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
-    *weights, (ok,) = (v.tolist() for v in _weights_array(dim, *(np.array([v]) for v in d)))
+    *weights, (ok,) = (v.tolist() for v in _weights_array(dim, 1.0, *(np.array([v]) for v in d)))
     # the mask rejects exactly the triples that from_config rejects
     assert ok is not isinstance(want[0], type), (d, want)
     if ok:

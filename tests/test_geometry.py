@@ -140,12 +140,38 @@ class TestCheckDistances:
     @pytest.mark.parametrize("d", [(2.5, 1.0, 1.0), (1.0, 2.5, 1.0), (1.0, 1.0, 2.5)])
     def test_each_side_is_checked(self, d):
         with pytest.raises(DomainError, match="triangle inequality"):
-            check_distances(d, 0.0)
+            check_distances(d)
 
-    def test_slack(self):
-        check_distances((1.0, 1.0, 2.0 + 1e-9), 1e-9)
-        with pytest.raises(DomainError):
-            check_distances((1.0, 1.0, 2.0 + 1e-9), 1e-10)
+    @pytest.mark.parametrize("scale", [1e-4, 1.0, 1e4])
+    def test_slack_is_relative(self, scale):
+        # an excess of half of 1e-12 of the largest distance passes, twice it fails
+        check_distances((scale, scale, 2.0 * scale * (1.0 + 0.5e-12)))
+        with pytest.raises(DomainError, match="triangle inequality"):
+            check_distances((scale, scale, 2.0 * scale * (1.0 + 2e-12)))
+
+
+# distances whose power-of-two multiples below are exact: no under- or overflow
+distance_st = st.sampled_from([0.0, -1.0, math.nan, math.inf]) | st.floats(1e-100, 1e100)
+
+
+@given(
+    st.tuples(distance_st, distance_st, distance_st) | st.tuples(distance_st, distance_st).map(
+        lambda d: (d[0], d[1], (d[0] + d[1]) * (1.0 + 1e-12))
+    ),
+    st.integers(-100, 100),
+)
+@settings(max_examples=300, deadline=None)
+@example((1e-4, 1e-4, 2e-4 + 5e-13), 20)
+@example((1.0, 1.0, 2.0 * (1.0 + 0.5e-12)), -20)
+def test_check_distances_is_scale_free(d, e):
+    # a power of two scales every distance, sum and slack exactly
+    def outcome(d):
+        try:
+            check_distances(d)
+        except DomainError as exc:
+            return str(exc).split(" for ")[0].split(", got")[0]
+
+    assert outcome(d) == outcome(tuple(math.ldexp(v, e) for v in d))
 
 
 @given(kfr_st, st.floats(min_value=0.0, max_value=1.0, allow_nan=False))

@@ -360,7 +360,9 @@ class TestBracketThenBisect:
 def polar_rows(monkeypatch):
     """(kfr, theta, q) of each point a polar predicate call reads, in call
     order; theta is read back from the directions that the sweep takes from
-    geometry._polar_direction."""
+    geometry._polar_direction, and a row whose direction is NaN (an invalid
+    theta, which the sweep never hands to geometry._polar_direction) is
+    recorded under theta NaN."""
     import fermigte.scan as scan_module
 
     theta_of = {}
@@ -374,7 +376,7 @@ def polar_rows(monkeypatch):
 
     def points(kfr, cos, sin, q):
         columns = (v.tolist() for v in (kfr, cos, sin, np.broadcast_to(q, kfr.shape)))
-        return [(k, theta_of[c, s], qk) for k, c, s, qk in zip(*columns)]
+        return [(k, theta_of.get((c, s), math.nan), qk) for k, c, s, qk in zip(*columns)]
 
     return points
 
@@ -542,9 +544,12 @@ class TestLockStep:
         want = _error(lambda: polar_gte(D3, *point))
         assert want[0] is not AssertionError
         assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
-        # a row that the up-front check rejects never reaches the array path
+        # the failing row reads only q = 0, the point it fails at (the rows of an
+        # invalid theta are recorded under theta NaN, a NaN kfr is told by its repr)
         kfr, theta, _ = point
-        assert (0.0 <= kfr <= 50.0 and abs(theta) <= math.pi) == (point[:2] in polar_calls)
+        row = repr((float(kfr), theta if abs(theta) <= math.pi else math.nan))
+        (reads,) = [qs for key, qs in polar_calls.items() if repr(key) == row]
+        assert set(reads) == {0.0}
 
     def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
         # a subnormal kfr scales d12 and d23 to 0 at the centre; the error
@@ -736,11 +741,13 @@ def family_outcomes(family, dim, kfrs, grid):
     return (got, repr(got)), (want, repr(want))
 
 
-# kfr lists that straddle the limit switch and reach the kernels' domain end
+# kfr lists that straddle the limit switch and reach the kernels' domain end,
+# with an invalid kfr anywhere in the table
 kfr_values = st.lists(
     st.sampled_from([0.0, 50.0])
     | st.floats(LIMIT_SWITCH / 4.0, 4.0 * LIMIT_SWITCH)
-    | st.floats(0.0, 50.0, allow_subnormal=True),
+    | st.floats(0.0, 50.0, allow_subnormal=True)
+    | st.sampled_from([math.nan, math.inf, -math.inf, -1.0, 60.0]),
     min_size=1,
     max_size=4,
 )
