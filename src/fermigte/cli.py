@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import math
+import re
 import sys
 from dataclasses import asdict
 
@@ -83,9 +84,23 @@ def _state(args: argparse.Namespace) -> tuple[couplings.Couplings, str | None]:
     return couplings.from_config(cfg), args.dim
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse that reads every negative float form (-1e-1, -inf, -nan) as
+    a value, not as an option, and reports a parse error in one line."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|-(inf|infinity|nan)$", re.IGNORECASE
+        )
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 @functools.cache  # one parser per process: building it costs more than most commands
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gte-fermi",
         description="Genuine tripartite entanglement of three localized "
         "spins in the degenerate Fermi gas.",

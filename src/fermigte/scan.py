@@ -23,19 +23,16 @@ tolerance.  r_min and r_max are single solves through
 at the first switch, while r_max evaluates its whole pre-scan, because
 it also checks that there is no second switch.
 
-The polar table solves all its q* rows in lock step, on plain per-row
-arrays over all its rows, with one failure point per row: NaN while the
-row is fine, the q of its rejected point, inf when its bisection does
-not converge.  Every row is read at its first point, q = 0, and a row
-with an invalid kfr or theta fails there.  Pre-scan grid point j is
-evaluated on every row whose flags are all True so far, and the switched
-rows are bisected together, each on its own one-step bracket, so each
-row reads the same points as its own solve would; each step evaluates
-only the rows before the first failing one.  :func:`_polar_gte` takes
-its distances from :func:`polar_shape`'s formula on np.hypot, which may
-differ from math.hypot in the last bit; the table depends only on the
-signs of the bound.  The sweep raises once, at its end, the error of the
-first failing row's own solve.
+The polar table solves all its q* rows in lock step, each reading the
+same points as its own solve would: pre-scan grid point j is evaluated
+on every row whose flags are all True so far, and the switched rows are
+bisected together, each on its own one-step bracket.  Every row is read
+at its first point, q = 0, and a row with an invalid kfr or theta fails
+there.  :func:`_polar_gte` takes its distances from
+:func:`polar_shape`'s formula on np.hypot, which may differ from
+math.hypot in the last bit; the table depends only on the signs of the
+bound.  The sweep raises once, at its end, the error of the first
+failing row's own solve.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -63,7 +60,7 @@ DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
 POLAR_PRESCAN_POINTS = 33
-MAX_BISECTIONS = 200  # the step limit of bisect_switch and of the polar table's bisections
+MAX_BISECTIONS = 200  # the step limit of bisect_switch
 
 _log = logging.getLogger(__name__)
 
@@ -83,15 +80,19 @@ class PolarBoundaryRow(NamedTuple):
     q_star: float
 
 
-def check_tol(tol: float, name: str = "tol") -> None:
+def check_tol(tol: float) -> None:
     """DomainError unless 0 < tol < inf (a solver's final bracket width)."""
     if not 0.0 < tol < math.inf:
-        raise DomainError(f"{name} must be positive and finite, got {tol}")
+        raise DomainError(f"tol must be positive and finite, got {tol}")
 
 
 def first_switch(flags: Iterable[bool]) -> int | None:
     """Index i of the first flags[i] and not flags[i + 1], or None; reads flags up to i + 1."""
     return next((i for i, (a, b) in enumerate(pairwise(flags)) if a and not b), None)
+
+
+def _log_bisection(bracket: tuple[float, float], steps: int, width: float) -> None:
+    _log.debug("bisect_switch bracket=%r steps=%d width=%r", bracket, steps, width)
 
 
 def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: float) -> float:
@@ -103,7 +104,7 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
     bracket = (a, b)
     for steps in range(MAX_BISECTIONS):
         if b - a <= tol:
-            _log.debug("bisect_switch bracket=%r steps=%d width=%r", bracket, steps, b - a)
+            _log_bisection(bracket, steps, b - a)
             return 0.5 * (a + b)
         mid = 0.5 * (a + b)
         if before(mid):
@@ -111,6 +112,15 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
         else:
             b = mid
     raise ConvergenceFailure("bisection failed to reach tolerance")
+
+
+def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
+    """rule(value), or size NaNs where rule raises DomainError: a point
+    that :func:`cpl._weights_array` rejects."""
+    try:
+        return rule(value)
+    except DomainError:
+        return (math.nan,) * size
 
 
 def _sweep_columns(
@@ -122,22 +132,13 @@ def _sweep_columns(
     """The columns er_lower_bound, witness_value, p12, p13, p23 over the
     points (kfr, grid value), kfr-major.  A point fails where shape_of
     rejects its grid value or the weights' checks reject it, kfr's included."""
-    shapes = []
-    for v in grid:
-        try:
-            shapes.append(shape_of(v))
-        except DomainError:
-            shapes.append(None)
+    shapes = [_or_nan(shape_of, v, 3) for v in grid]
     n, m = len(shapes), len(kfr_values)
-    rejected = np.tile(np.array([sh is None for sh in shapes], dtype=bool), m)
-    # a rejected grid value takes a stand-in shape and fails below
-    unit = [geometry._SYMMETRIC_COLLINEAR if sh is None else sh for sh in shapes]
-    s12, s13, s23 = np.tile(np.reshape(np.array(unit, dtype=float), (-1, 3)), (m, 1)).T
+    s12, s13, s23 = np.tile(np.reshape(np.array(shapes, dtype=float), (-1, 3)), (m, 1)).T
     kfr = np.repeat(np.array(kfr_values, dtype=float), n)
     p12, p13, p23, ok = cpl._weights_array(dim, kfr, s12, s13, s23)
-    bad = ~ok | rejected
-    if bad.any():
-        first = int(np.argmax(bad))
+    if not ok.all():
+        first = int(np.argmin(ok))
         k, v = kfr_values[first // n], grid[first % n]
         cpl.from_shape(shape_of(v), k, dim)  # raises its error
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
@@ -188,97 +189,80 @@ def sweep_polar_boundary(
     dim: Dimensionality,
     kfr_values: Sequence[float],
     theta_grid: Sequence[float],
-    q_tol: float = DEFAULT_TOL,
 ) -> list[PolarBoundaryRow]:
     """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
 
     Rows where GTE holds on the whole radius report q* = 1/2 and rows
-    where it holds nowhere report q* = 0, keeping the table rectangular.
-    All rows are solved in lock step, each reading the same points as its
-    own bracket-then-bisect solve (:func:`first_switch`, then
-    :func:`bisect_switch`): pre-scan grid point j is evaluated on the rows
-    whose flags are all True so far, and the switched rows are bisected
-    together.  An error is the one the first failing row raises; a row
-    with an invalid kfr or theta fails at its first point, q = 0.
+    where it holds nowhere report q* = 0, keeping the table rectangular;
+    any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
+    row reads the same points as its own bracket-then-bisect solve
+    (:func:`first_switch`, then :func:`bisect_switch`).  An error is the
+    one the first failing row raises; a row with an invalid kfr or theta
+    fails at its first point, q = 0.
 
-    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
-    (None when there is none) and the number of pre-scan points evaluated
-    (1 when the centre shows no GTE, all of them when the whole radius does);
-    each bisected row follows with its bisect_switch record.
+    Logs one DEBUG record per row before the first failing row: kfr,
+    theta, the pre-scan's switch index (None when there is none) and the
+    number of pre-scan points evaluated (1 when the centre shows no GTE,
+    all of them when the whole radius does); each bisected row follows
+    with its bisect_switch record.  A failing row that reached its
+    bisection logs its pre-scan record.
     """
-    check_tol(q_tol, "q_tol")
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
     pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
     n = len(pairs)
-    # an invalid theta has the direction (NaN, NaN): its row fails at its first point
-    nan = (math.nan, math.nan)
-    direction = [geometry._polar_direction(t) if abs(t) <= math.pi else nan for t in theta_grid]
+    direction = [_or_nan(geometry._polar_direction, t, 2) for t in theta_grid]
     cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
     kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
-    # NaN while a row is fine, the q of its rejected point, inf if its bisection does not converge
+    # NaN while a row is fine, else the q of its first rejected point
     failed_at = np.full(n, math.nan)
-    read, switch, steps = np.zeros(n, dtype=int), np.full(n, -1), np.zeros(n, dtype=int)
-
-    def first_failed() -> int:
-        failed = np.flatnonzero(~np.isnan(failed_at))
-        return int(failed[0]) if failed.size else n
+    switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
 
     live = np.arange(n)
     for j, q in enumerate(grid):
-        live = live[live < first_failed()]
         if not live.size:
             break
         gte, bad = _polar_gte(dim, kfr[live], cos[live], sin[live], q)
         failed_at[live[bad]] = q
-        read[live] = j + 1
         if j:
             switch[live[~(gte | bad)]] = j - 1
-        live = live[gte]
+        live = live[gte & ~bad]
     # live: the rows with GTE on the whole radius
 
-    # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE
+    # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE.
+    # A 1/64-wide bracket always reaches DEFAULT_TOL in 14 steps.
     a, b = np.zeros(n), np.zeros(n)
     a[live] = b[live] = 0.5
     active = np.flatnonzero(switch >= 0)
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
-    for _ in range(MAX_BISECTIONS):
-        active = active[(b[active] - a[active] > q_tol) & (active < first_failed())]
-        if not active.size:
-            break
+    while (active := active[b[active] - a[active] > DEFAULT_TOL]).size:
         mid = 0.5 * (a[active] + b[active])
         gte, bad = _polar_gte(dim, kfr[active], cos[active], sin[active], mid)
         failed_at[active[bad]] = mid[bad]
         a[active] = np.where(gte, mid, a[active])
         b[active] = np.where(gte, b[active], mid)
         steps[active] += 1
-    else:  # the rows still open after MAX_BISECTIONS steps
-        failed_at[active[~bad]] = math.inf
-    first = first_failed()
-    switch, read, steps, q_star, width = (
-        v.tolist() for v in (switch, read, steps, 0.5 * (a + b), b - a)
-    )
+        active = active[~bad]
+    failed = np.flatnonzero(~np.isnan(failed_at))
+    first = int(failed[0]) if failed.size else n
+    switch, steps, q_star, width = (v.tolist() for v in (switch, steps, 0.5 * (a + b), b - a))
 
     # the failing row logged its pre-scan if it failed in its bisection
     logged = first + (first < n and switch[first] >= 0)
     if _log.isEnabledFor(logging.DEBUG):
         for k in range(logged):
             i = switch[k]
+            read = i + 2 if i >= 0 else 1 if q_star[k] == 0.0 else POLAR_PRESCAN_POINTS
             _log.debug(
                 "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
-                *pairs[k], None if i < 0 else i, read[k],
+                *pairs[k], None if i < 0 else i, read,
             )
             if i >= 0 and k < first:
-                _log.debug(
-                    "bisect_switch bracket=%r steps=%d width=%r",
-                    (grid[i], grid[i + 1]), steps[k], width[k],
-                )
+                _log_bisection((grid[i], grid[i + 1]), steps[k], width[k])
     if first < n:
-        # the failing row's error: its bisection's, else the scalar point
-        # chain's at the failing point, on the distances the array path used
+        # the scalar point chain's error at the failing point, on the
+        # distances the array path used
         row_kfr, theta = pairs[first]
-        if failed_at[first] == math.inf:
-            raise ConvergenceFailure("bisection failed to reach tolerance")
         row_cos, row_sin = geometry._polar_direction(theta)  # raises for an invalid theta
         s12, s23 = geometry._polar_distances(failed_at[first:first + 1], row_cos, row_sin, np)
         cpl.from_shape((s12.item(), 1.0, s23.item()), row_kfr, dim)  # raises its error

@@ -190,9 +190,7 @@ def test_criterion_07_analytic_thresholds():
         0.1,
         0.8,
     )
-    rows = sweep_polar_boundary(
-        D3, [0.0], list(np.linspace(0.0, math.pi / 2.0, 9)), q_tol=1e-7
-    )
+    rows = sweep_polar_boundary(D3, [0.0], list(np.linspace(0.0, math.pi / 2.0, 9)))
     qs = [r.q_star for r in rows]
     spread = max(qs) - min(qs)
     ok = (

@@ -352,6 +352,51 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["couplings", "--dim", "3d", "--d12", "1"],
+             "the following arguments are required: --d13, --d23"),
+            (["sweep", "--figure", "5"],
+             "argument --figure: invalid choice: '5' (choose from '1a', '1b', '2', '3')"),
+            (["f", "--dim", "3d", "--x", "1", "--y", "2"], "unrecognized arguments: --y 2"),
+            (["f", "--dim", "3d", "--x", "one"], "argument --x: invalid float value: 'one'"),
+            (["launch"], "argument command: invalid choice: 'launch' (choose from "
+             "'f', 'couplings', 'rho3', 'werner', 'witness-scan', 'er', 'gte-distance', "
+             "'sweep', 'polygon')"),
+        ],
+        ids=["missing-flag", "bad-choice", "unknown-flag", "bad-float", "bad-command"],
+    )
+    def test_parse_errors_are_one_line(self, capsys, args, message):
+        assert run(capsys, args) == (2, "", f"error: {message}\n")
+
+    def test_help_keeps_its_usage(self, capsys):
+        code, out, err = run(capsys, ["--help"])
+        assert (code, err) == (0, "")
+        assert out.startswith("usage: gte-fermi")
+
+    @pytest.mark.parametrize(
+        "args, code, err",
+        [
+            (["er", "--geometry", "polar", "--kfr", "1", "--theta", "-1e-1", "--q-over-r", "0.2"],
+             0, ""),
+            (["couplings", "--d12", "1", "--d13", "-inf", "--d23", "1"],
+             2, "error: distances must be finite and nonnegative, got (1.0, -inf, 1.0)\n"),
+            (["f", "--dim", "3d", "--x", "-NaN"],
+             2, "error: f_factor requires 0 <= x <= 50.0, got nan\n"),
+            (["gte-distance", "--dim", "3d", "--method", "witness", "--bracket", "-1E+2", "3"],
+             2, "error: prescan range must be increasing within (0, 50.0], got (-100.0, 3.0)\n"),
+        ],
+        ids=["theta-exponent", "d13-minus-inf", "x-minus-nan", "bracket-exponent"],
+    )
+    def test_negative_floats_read_as_values(self, capsys, args, code, err):
+        # a negative float in any form is a flag's value, given after the flag or after "="
+        got = run(capsys, args)
+        assert got[::2] == (code, err)
+        joined = [f"{a}={b}" for a, b in zip(args[1::2], args[2::2])]
+        if "--bracket" not in args:
+            assert run(capsys, [args[0], *joined]) == got
+
+    @pytest.mark.parametrize(
         "args",
         [
             ["gte-distance", "--dim", "3d", "--method", "polygon", "--tol", "0"],
@@ -424,17 +469,6 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1
-
-    def test_polar_tolerance_below_float_spacing(self, capsys, monkeypatch):
-        # the sweep has no tolerance flag; the lock-step solve must still exit 3
-        real = scan.sweep_polar_boundary
-        monkeypatch.setattr(
-            scan, "sweep_polar_boundary", lambda *a: real(*a, q_tol=1e-300)
-        )
-        code, out, err = run(capsys, ["sweep", "--figure", "2", "--points", "6"])
-        assert code == 3
-        assert out == ""
-        assert err == "error: bisection failed to reach tolerance\n"
 
     @pytest.mark.parametrize(
         "args",
@@ -655,18 +689,22 @@ _FLAGS = {
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_FLAGS)))
     argv = [command]
+
+    def pair(flag, value):  # either form: "--flag value" or "--flag=value"
+        return [flag, value] if draw(st.booleans()) else [f"{flag}={value}"]
+
     for flags, values in _FLAGS[command].items():
         if draw(st.integers(0, 4)) == 0:  # leave out about one flag in five
             continue
-        # --flag=value keeps a leading minus from reading as an option
         if values is None:
             argv.append(flags)
         elif isinstance(flags, tuple):
-            argv += [f"{f}={v}" for f, v in zip(flags, draw(values))]
+            for f, v in zip(flags, draw(values)):
+                argv += pair(f, v)
         elif flags == "--bracket":
             argv += [flags, *draw(values)]
         else:
-            argv.append(f"{flags}={draw(values)}")
+            argv += pair(flags, draw(values))
     return argv
 
 
@@ -697,3 +735,4 @@ def test_any_argv_exits_cleanly(argv):
         _check_output(argv[0], out.getvalue())
     else:
         assert out.getvalue() == ""
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, argv

@@ -27,7 +27,7 @@ from fermigte import (
     sweep_isosceles,
     sweep_polar_boundary,
 )
-from fermigte.cli import _FIG2_KFR, _FIG_KFR, _limit_safe
+from fermigte.cli import _FIG2_KFR, _FIG_KFR, MAX_POINTS, _limit_safe, main
 from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import collinear_shape, isosceles_shape, polar_shape, scaled
@@ -186,7 +186,7 @@ class TestSweepIsosceles:
 class TestSweepPolarBoundary:
     def test_limit_circle(self):
         thetas = list(np.linspace(0.0, math.pi / 2.0, 9))
-        rows = sweep_polar_boundary(D3, [0.0], thetas, q_tol=1e-7)
+        rows = sweep_polar_boundary(D3, [0.0], thetas)
         qs = [r.q_star for r in rows]
         assert max(qs) - min(qs) <= 1e-6
         assert qs[0] == pytest.approx(Y_STAR, abs=1e-4)
@@ -194,13 +194,13 @@ class TestSweepPolarBoundary:
     def test_boundary_squeezes_with_distance(self):
         q_at = {}
         for kfr in (1.0, 2.0, 2.5):
-            rows = sweep_polar_boundary(D3, [kfr], [math.pi / 2.0], q_tol=1e-6)
+            rows = sweep_polar_boundary(D3, [kfr], [math.pi / 2.0])
             q_at[kfr] = rows[0].q_star
         assert q_at[1.0] > q_at[2.0] > q_at[2.5] > 0.0
 
     def test_vanishes_beyond_gte_distance(self):
         thetas = list(np.linspace(0.0, math.pi / 2.0, 5))
-        rows = sweep_polar_boundary(D3, [2.7], thetas, q_tol=1e-6)
+        rows = sweep_polar_boundary(D3, [2.7], thetas)
         assert all(r.q_star == 0.0 for r in rows)
 
     def test_saturated_rows_report_endpoints(self, monkeypatch):
@@ -340,19 +340,11 @@ class TestBracketThenBisect:
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize(
         "solve",
-        [
-            lambda tol: find_rmin(D3, tol=tol),
-            lambda tol: r_max_solver(D3, tol=tol),
-            lambda tol: sweep_polar_boundary(D3, [1.0], [0.3], q_tol=tol),
-        ],
-        ids=["find_rmin", "r_max_solver", "sweep_polar_boundary"],
+        [lambda tol: find_rmin(D3, tol=tol), lambda tol: r_max_solver(D3, tol=tol)],
+        ids=["find_rmin", "r_max_solver"],
     )
-    def test_solvers_reject_bad_tolerance(self, monkeypatch, solve, tol):
-        import fermigte.scan as scan_module
-
-        # the polar pre-scan must not start
-        monkeypatch.setattr(scan_module, "_polar_gte", lambda *a: pytest.fail("pre-scan ran"))
-        with pytest.raises(DomainError):
+    def test_solvers_reject_bad_tolerance(self, solve, tol):
+        with pytest.raises(DomainError, match="^tol must be positive and finite"):
             solve(tol)
 
 
@@ -361,8 +353,7 @@ def polar_rows(monkeypatch):
     """(kfr, theta, q) of each point a polar predicate call reads, in call
     order; theta is read back from the directions that the sweep takes from
     geometry._polar_direction, and a row whose direction is NaN (an invalid
-    theta, which the sweep never hands to geometry._polar_direction) is
-    recorded under theta NaN."""
+    theta, which geometry._polar_direction rejects) is recorded under theta NaN."""
     import fermigte.scan as scan_module
 
     theta_of = {}
@@ -406,7 +397,7 @@ class TestLazyPrescan:
         i = next(k for k in range(len(qs) - 1) if flags[k] and not flags[k + 1])
         assert i + 2 < POLAR_PRESCAN_POINTS
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            (row,) = sweep_polar_boundary(D3, [kfr], [theta], q_tol=1e-6)
+            (row,) = sweep_polar_boundary(D3, [kfr], [theta])
         (record,) = [r for r in caplog.records if r.msg.startswith("bisect_switch")]
         steps = record.args[1]
         calls = polar_calls[(kfr, theta)]
@@ -473,6 +464,25 @@ class TestPolarFloatPath:
                 bisection = records[k + 1]
                 assert bisection.msg.startswith("bisect_switch")
                 assert len(calls) == read + bisection.args[1]
+
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    @pytest.mark.parametrize("points", [2, 181, 201, 221, MAX_POINTS])
+    def test_every_figure_bisection_takes_14_steps(self, dim, points, capsys, caplog):
+        # a 1/64-wide pre-scan step halves to DEFAULT_TOL = 1e-6 in 14 steps,
+        # so no row of `sweep --figure 2` can run out of bisection steps
+        with caplog.at_level(logging.DEBUG, logger="fermigte.scan"):
+            assert main(["sweep", "--figure", "2", "--dim", dim, "--points", str(points)]) == 0
+        capsys.readouterr()
+        records = iter(caplog.records)
+        rows = 0
+        for record in records:
+            assert record.msg.startswith("sweep_polar_boundary row")
+            rows += 1
+            if record.args[2] is not None:
+                bisection = next(records)
+                assert bisection.msg.startswith("bisect_switch")
+                assert bisection.args[1] == 14
+        assert rows == len(_FIG2_KFR) * max(2, points // 2)
 
     def test_saturated_row_logs_every_prescan_point(self, monkeypatch, caplog):
         import fermigte.scan as scan_module
@@ -602,16 +612,17 @@ class TestLockStep:
         assert replayed[0] == pytest.approx(polar_shape(0.3, 0.5 * (qs[i] + qs[i + 1])), abs=1e-15)
         assert replayed[1] == polar_shape(0.7, 0.0) == (0.5, 1.0, 0.5)
 
-    def test_no_row_after_the_failing_row_is_bisected(self, monkeypatch, polar_rows, caplog):
-        # row 0.7 switches at pre-scan point 2; row 0.3, before it, fails at
-        # point 5, so row 0.7's bisection, where every point is rejected, never runs
+    def test_a_row_failing_in_its_prescan_wins_over_a_later_bisection(
+        self, monkeypatch, polar_rows, caplog
+    ):
+        # row 0.7 switches at pre-scan point 2 and fails at its first
+        # bisection point; row 0.3, before it, fails at pre-scan point 5
         import fermigte.scan as scan_module
 
-        read, replayed = [], []
+        replayed = []
 
         def synthetic(dim, kfr, cos, sin, q):
             points = [(t, qk) for _, t, qk in polar_rows(kfr, cos, sin, q)]
-            read.extend(points)
             # the flag of a rejected point means nothing: no switch at point 5
             gte = [qk < (5.0 if t == 0.3 else 2.5) / 64.0 for t, qk in points]
             bad = [qk == 5.0 / 64.0 if t == 0.3 else qk * 64.0 != int(qk * 64.0)
@@ -628,15 +639,13 @@ class TestLockStep:
             with pytest.raises(DomainError, match="^rejected$"):
                 sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
         assert replayed == [pytest.approx(polar_shape(0.3, 5.0 / 64.0), abs=1e-15)]
-        assert [q for t, q in read if t == 0.7] == [j / 64.0 for j in range(4)]
         # the failing row is the first and failed in its pre-scan: nothing is logged
         assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
 
-    def test_a_point_rejected_at_the_last_step_is_not_a_convergence_failure(
+    def test_a_point_rejected_at_the_last_bisection_step_raises_its_error(
         self, monkeypatch, polar_rows
     ):
-        # at q_tol = 1e-300 the row's 200th bisection point is its last; a
-        # row-by-row solve raises that point's error, not ConvergenceFailure
+        # the row's 14th bisection point is its last
         import fermigte.scan as scan_module
 
         real, read = scan_module._polar_gte, []
@@ -644,7 +653,7 @@ class TestLockStep:
         def rejecting_last(dim, kfr, cos, sin, q):
             read.extend(polar_rows(kfr, cos, sin, q))
             gte, bad = real(dim, kfr, cos, sin, q)
-            return gte, bad | (len(read) == i + 2 + 200)  # one row: one point per call
+            return gte, bad | (len(read) == i + 2 + 14)  # one row: one point per call
 
         def raising(shape, kfr, dim):
             raise DomainError("rejected")
@@ -654,8 +663,8 @@ class TestLockStep:
         monkeypatch.setattr(scan_module, "_polar_gte", rejecting_last)
         monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
         with pytest.raises(DomainError, match="^rejected$"):
-            sweep_polar_boundary(D3, [1.0], [0.3], q_tol=1e-300)
-        assert len(read) == i + 2 + 200
+            sweep_polar_boundary(D3, [1.0], [0.3])
+        assert len(read) == i + 2 + 14
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_each_call_reads_at_most_one_point_per_row(self, dim, monkeypatch):
@@ -673,16 +682,6 @@ class TestLockStep:
         rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
         assert len(sizes) > POLAR_PRESCAN_POINTS and max(sizes) <= len(rows)
 
-    def test_tolerance_below_float_spacing(self, caplog):
-        with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            with pytest.raises(ConvergenceFailure, match="bisection failed to reach tolerance"):
-                sweep_polar_boundary(D3, [2.7, 1.0], [0.3, 0.7], q_tol=1e-300)
-        # rows without a switch, then the first bisected row's pre-scan
-        records = [r.args for r in caplog.records if r.name == "fermigte.scan"]
-        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
-        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
-        assert records == [(2.7, 0.3, None, 1), (2.7, 0.7, None, 1), (1.0, 0.3, i, i + 2)]
-
 
 def _outcome(fn):
     """fn()'s rows as tuples, or its error's (type, message)."""
@@ -693,16 +692,11 @@ def _outcome(fn):
     return [tuple(r) for r in rows]
 
 
-def polar_oracle(dim, kfrs, thetas, q_tol):
+def polar_oracle(dim, kfrs, thetas):
     """The polar rows solved one at a time by polar_q_star; the first
     raising row's error ends the table."""
-    rows = []
-    for kfr, theta in itertools.product(kfrs, thetas):
-        try:
-            rows.append((kfr, theta, polar_q_star(dim, kfr, theta, q_tol)))
-        except AssertionError:  # the oracle's bisection did not converge
-            raise ConvergenceFailure("bisection failed to reach tolerance") from None
-    return rows
+    pairs = itertools.product(kfrs, thetas)
+    return [(kfr, theta, polar_q_star(dim, kfr, theta)) for kfr, theta in pairs]
 
 
 @given(
@@ -716,14 +710,13 @@ def polar_oracle(dim, kfrs, thetas, q_tol):
         | st.floats(-3.5, 3.5),
         max_size=3,
     ),
-    q_tol=st.sampled_from([1e-6, 0.3, 1e-300]),
 )
 @settings(max_examples=60, deadline=None)
-@example(dim=D3, kfrs=[1.0, 5e-324], thetas=[0.3], q_tol=1e-6)
-@example(dim=D3, kfrs=[2.7, 1.0], thetas=[0.0, 0.7], q_tol=1e-300)
-def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas, q_tol):
-    got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas, q_tol))
-    assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas, q_tol))
+@example(dim=D3, kfrs=[1.0, 5e-324], thetas=[0.3])
+@example(dim=D3, kfrs=[2.7, 1.0], thetas=[0.0, 0.7])
+def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
+    got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas))
+    assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas))
 
 
 FAMILIES = {
@@ -864,8 +857,6 @@ class TestCsvOutput:
         ids=["1a", "1b", "2", "3"],
     )
     def test_row_fields_are_the_cli_header(self, capsys, argv, row, header):
-        from fermigte.cli import main
-
         assert main(["sweep", *argv, "--points", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == header == ",".join(row._fields)
 
