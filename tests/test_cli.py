@@ -356,18 +356,19 @@ class TestExitCodes:
         [
             (["couplings", "--dim", "3d", "--d12", "1"],
              "the following arguments are required: --d13, --d23"),
-            (["sweep", "--figure", "5"],
-             "argument --figure: invalid choice: '5' (choose from '1a', '1b', '2', '3')"),
+            (["sweep", "--figure", "5"], "argument --figure: invalid choice"),
             (["f", "--dim", "3d", "--x", "1", "--y", "2"], "unrecognized arguments: --y 2"),
-            (["f", "--dim", "3d", "--x", "one"], "argument --x: invalid float value: 'one'"),
-            (["launch"], "argument command: invalid choice: 'launch' (choose from "
-             "'f', 'couplings', 'rho3', 'werner', 'witness-scan', 'er', 'gte-distance', "
-             "'sweep', 'polygon')"),
+            (["f", "--dim", "3d", "--x", "one"], "argument --x: invalid float value"),
+            (["launch"], "argument command: invalid choice"),
         ],
         ids=["missing-flag", "bad-choice", "unknown-flag", "bad-float", "bad-command"],
     )
     def test_parse_errors_are_one_line(self, capsys, args, message):
-        assert run(capsys, args) == (2, "", f"error: {message}\n")
+        # argparse words the rest of a message (its choice lists, its quoting)
+        # differently from one Python release to the next
+        code, out, err = run(capsys, args)
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"error: {message}") and err.endswith("\n")
 
     def test_help_keeps_its_usage(self, capsys):
         code, out, err = run(capsys, ["--help"])

@@ -27,11 +27,12 @@ from fermigte import (
     sweep_isosceles,
     sweep_polar_boundary,
 )
-from fermigte.cli import _FIG2_KFR, _FIG_KFR, MAX_POINTS, _limit_safe, main
+from fermigte.cli import _FIG2_KFR, _FIG_KFR, _limit_safe, main
 from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import collinear_shape, isosceles_shape, polar_shape, scaled
 from fermigte.scan import (
+    DEFAULT_TOL,
     POLAR_PRESCAN_POINTS,
     RMIN_PRESCAN_STEP,
     bisect_switch,
@@ -465,11 +466,16 @@ class TestPolarFloatPath:
                 assert bisection.msg.startswith("bisect_switch")
                 assert len(calls) == read + bisection.args[1]
 
+    def test_every_prescan_bracket_takes_14_bisection_steps(self):
+        # each pre-scan step is exactly 1/64 wide and halves to DEFAULT_TOL
+        # in 14 steps, so no polar row can run out of bisection steps
+        (width,) = set(np.diff(np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)).tolist())
+        assert width == 1 / 64
+        assert width / 2**14 <= DEFAULT_TOL < width / 2**13
+
     @pytest.mark.parametrize("dim", ["2d", "3d"])
-    @pytest.mark.parametrize("points", [2, 181, 201, 221, MAX_POINTS])
+    @pytest.mark.parametrize("points", [2, 181, 201, 221])
     def test_every_figure_bisection_takes_14_steps(self, dim, points, capsys, caplog):
-        # a 1/64-wide pre-scan step halves to DEFAULT_TOL = 1e-6 in 14 steps,
-        # so no row of `sweep --figure 2` can run out of bisection steps
         with caplog.at_level(logging.DEBUG, logger="fermigte.scan"):
             assert main(["sweep", "--figure", "2", "--dim", dim, "--points", str(points)]) == 0
         capsys.readouterr()
@@ -643,17 +649,23 @@ class TestLockStep:
         assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
 
     def test_a_point_rejected_at_the_last_bisection_step_raises_its_error(
-        self, monkeypatch, polar_rows
+        self, monkeypatch, polar_rows, caplog
     ):
-        # the row's 14th bisection point is its last
+        # row (1.0, 0.3) fails at its 14th bisection point, its last: the rows
+        # before it log as usual, it logs its pre-scan alone, and no later row logs
         import fermigte.scan as scan_module
 
         real, read = scan_module._polar_gte, []
 
         def rejecting_last(dim, kfr, cos, sin, q):
-            read.extend(polar_rows(kfr, cos, sin, q))
+            points = polar_rows(kfr, cos, sin, q)
+            last = []
+            for point in points:  # at most one point of a row per call
+                if point[:2] == (1.0, 0.3):
+                    read.append(point)
+                last.append(point[:2] == (1.0, 0.3) and len(read) == i + 2 + 14)
             gte, bad = real(dim, kfr, cos, sin, q)
-            return gte, bad | (len(read) == i + 2 + 14)  # one row: one point per call
+            return gte, bad | np.array(last, dtype=bool)
 
         def raising(shape, kfr, dim):
             raise DomainError("rejected")
@@ -662,9 +674,12 @@ class TestLockStep:
         i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
         monkeypatch.setattr(scan_module, "_polar_gte", rejecting_last)
         monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
-        with pytest.raises(DomainError, match="^rejected$"):
-            sweep_polar_boundary(D3, [1.0], [0.3])
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            with pytest.raises(DomainError, match="^rejected$"):
+                sweep_polar_boundary(D3, [2.7, 1.0], [0.3, 0.7])
         assert len(read) == i + 2 + 14
+        records = [r.args for r in caplog.records if r.name == "fermigte.scan"]
+        assert records == [(2.7, 0.3, None, 1), (2.7, 0.7, None, 1), (1.0, 0.3, i, i + 2)]
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_each_call_reads_at_most_one_point_per_row(self, dim, monkeypatch):
