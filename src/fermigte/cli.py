@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import re
@@ -177,8 +178,6 @@ def _limit_safe(grid: list[float]) -> list[float]:
 
 
 def _csv(header, rows) -> str:
-    import io
-
     buf = io.StringIO()
     scan.write_csv(header, rows, buf)
     return buf.getvalue()

@@ -6,11 +6,9 @@ Projector witnesses: Lambda*I - |psi><psi| with |psi> a GHZ- or W-type
 ket on local bases |n>, |-n> of the Bloch sphere, Lambda the maximal
 squared overlap between |psi> and the biseparable set (1/2 for the GHZ
 family, 2/3 for the W family; Bourennane et al., PRL 92, 087902 (2004)).
-:func:`grid_scan_ghz_w` evaluates them on the extremal parameter grid:
-it builds the grid's 1,280 kets once per call, as one array, screens all
-10,240 nodes in one batched product and evaluates the minimal kets again
-exactly.  The scan shows these never go negative on the Fermi-gas
-reduced state.
+:func:`grid_scan_ghz_w` evaluates them on the extremal parameter grid
+and reports the first minimum that a node-by-node scan would keep; it
+shows these never go negative on the Fermi-gas reduced state.
 
 Energy witnesses: the pair-correlation observable
 
@@ -51,12 +49,6 @@ _NORM = 5.0 + math.sqrt(5.0)
 GHZ_OVERLAP = 0.5
 W_OVERLAP = 2.0 / 3.0
 
-# The three distinct members of the energy-witness family, keyed by the
-# conventional permutation labels; the value is the shared (middle) spin.
-# "132" denotes the remaining distinct observable (middle spin 1): its
-# literal digit reading would duplicate "231".
-PERM_MIDDLE = {"123": 2, "231": 3, "132": 1}
-
 _log = logging.getLogger(__name__)
 
 _PAULI = (
@@ -66,14 +58,11 @@ _PAULI = (
 )
 
 
-def _kron3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return np.kron(np.kron(a, b), c)
-
-
 def _single(op: np.ndarray, qubit: int) -> np.ndarray:
     mats = [np.eye(2, dtype=complex)] * 3
     mats[qubit - 1] = op
-    return _kron3(*mats)
+    a, b, c = mats
+    return np.kron(np.kron(a, b), c)
 
 
 def pauli_dot(i: int, j: int) -> np.ndarray:
@@ -86,40 +75,34 @@ def pauli_dot(i: int, j: int) -> np.ndarray:
     return out
 
 
-def _middle(perm: str | int) -> int:
-    key = str(perm)
-    if key not in PERM_MIDDLE:
-        raise DomainError(f"perm must be one of {sorted(PERM_MIDDLE)}, got {perm}")
-    return PERM_MIDDLE[key]
-
-
-def energy_observable(perm: str | int) -> np.ndarray:
-    """Pair-correlation observable of the labeled family member.
+def energy_observable(m: int) -> np.ndarray:
+    """W_m, the pair-correlation observable of middle spin m in {1, 2, 3}.
 
     Its spectrum is {2, -4, 0}; a mean value below -(1 + sqrt(5))
     certifies GTE.
     """
-    m = _middle(perm)
+    if m not in (1, 2, 3):
+        raise DomainError(f"middle spin must be 1, 2 or 3, got {m!r}")
     a, b = sorted({1, 2, 3} - {m})
     return pauli_dot(a, m) + pauli_dot(m, b)
 
 
-def bounded_energy_witness(perm: str | int) -> np.ndarray:
-    """((1+sqrt(5))*I + W_perm) / (5+sqrt(5)), the 8x8 rescaled energy witness.
+def bounded_energy_witness(m: int) -> np.ndarray:
+    """((1+sqrt(5))*I + W_m) / (5+sqrt(5)), the 8x8 rescaled energy witness.
 
     Its largest eigenvalue is (3+sqrt(5))/(5+sqrt(5)) < 1, so it is
     feasible for the dual form of the generalized robustness; its mean
     value on rho3 is (1 + sqrt(5) - 3*(p_im + p_mk)) / (5+sqrt(5)),
-    negative exactly when the labeled member certifies GTE.
+    negative exactly when W_m certifies GTE.
     """
-    return (GTE_THRESHOLD * np.eye(8, dtype=complex) + energy_observable(perm)) / _NORM
+    return (GTE_THRESHOLD * np.eye(8, dtype=complex) + energy_observable(m)) / _NORM
 
 
 def er_lower_bound(c: Couplings) -> float:
     """Closed-form lower bound on the generalized robustness of GTE.
 
-    Maximizes the rescaled energy-witness violation over the three family
-    members; agrees with the matrix path :func:`er_lower_bound_matrix` to
+    Maximizes the rescaled energy-witness violation over the middle spins
+    m = 1, 2, 3; agrees with the matrix path :func:`er_lower_bound_matrix` to
     machine precision.  Its domain is the couplings of a state.
     """
     return _er_parts(c.p12, c.p13, c.p23, max)[0]
@@ -137,8 +120,8 @@ def er_lower_bound_matrix(c: Couplings) -> float:
     """Same bound evaluated through the three explicit 8x8 operators."""
     rho = rho3(c)
     best = 0.0
-    for perm in PERM_MIDDLE:
-        best = max(best, -expectation(rho, bounded_energy_witness(perm)))
+    for m in (1, 2, 3):
+        best = max(best, -expectation(rho, bounded_energy_witness(m)))
     return best
 
 
@@ -151,7 +134,9 @@ _TRIPLES = tuple(itertools.product(_GRID, repeat=3))
 _KETS = tuple(("ghz", {"alpha": a}) for a in _GRID) + tuple(
     ("w", {"beta": b, "gamma": g}) for b, g in itertools.product(_GRID, repeat=2)
 )
-_OVERLAP = {"ghz": GHZ_OVERLAP, "w": W_OVERLAP}
+# each grid ket's family and overlap bound, in scan order
+_GHZ = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
+_LAM = np.where(_GHZ, GHZ_OVERLAP, W_OVERLAP)
 # A ket is evaluated exactly when its screened minimum lies within this of
 # the screened minimum it competes for; the screen's rounding error is
 # below 1e-13 (see _screen), so every exactly minimal node is confirmed.
@@ -213,7 +198,7 @@ def _grid_kets() -> np.ndarray:
 def _node_values(rhos: np.ndarray, psis: np.ndarray, k: int) -> list[float]:
     """The exact node values of grid ket k over _VERTICES, each rounded as
     lam - Re np.vdot(psi, rho @ psi), from one stacked product."""
-    lam, psi = _OVERLAP[_KETS[k % len(_KETS)][0]], psis[k]
+    lam, psi = _LAM[k], psis[k]
     return [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
 
 
@@ -227,12 +212,11 @@ def _screen(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     has absolute sum at most 1, so each form's 64 terms add up to at most
     1 in size and its rounding error is below 64 * 2**-52 < 1e-13.
     """
-    lam = np.tile([_OVERLAP[family] for family, _ in _KETS], len(_TRIPLES))
     # column v, row k: np.vdot(psis[k], rho_v @ psis[k]), one vertex at a time
     # so that no (vertex, 8, ket) product array is held
     bras = psis.conj()
     forms = [np.einsum("kn,nk->k", bras, rho @ psis.T).real for rho in rhos]
-    return lam[:, None] - np.stack(forms, axis=1)
+    return _LAM[:, None] - np.stack(forms, axis=1)
 
 
 def grid_scan_ghz_w() -> GridScanReport:
@@ -246,12 +230,11 @@ def grid_scan_ghz_w() -> GridScanReport:
     global minimum and each family's; a nonnegative result means neither
     family can detect GTE anywhere in the admissible parameter range.
 
-    The grid kets are built once (:func:`_grid_kets`) and all nodes
-    screened in one batched product (:func:`_screen`); the kets within
-    _CONFIRM_MARGIN of their own family's screened minimum are evaluated
-    again in the exact per-node arithmetic, in scan order, and the report
-    comes from those values, so ties resolve to the first node as a
-    node-by-node scan would.
+    The report equals that of a node-by-node scan in scan order, each
+    value lam - Re np.vdot(psi, rho @ psi), which keeps the first of equal
+    minima.  All nodes are screened at once (:func:`_screen`) and the kets
+    within _CONFIRM_MARGIN of their own family's screened minimum are
+    evaluated again exactly (:func:`_node_values`).
 
     Logs one DEBUG record per call: the nodes screened, the kets evaluated
     again, and the largest |screen - exact| among them.
@@ -260,40 +243,21 @@ def grid_scan_ghz_w() -> GridScanReport:
     psis = _grid_kets()
     screen = _screen(rhos, psis)
     low = screen.min(axis=1)
-    ghz = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
     # a family's minimum is never below the global one, so no ket near that is missed
-    cut = np.where(ghz, low[ghz].min(), low[~ghz].min())
+    cut = np.where(_GHZ, low[_GHZ].min(), low[~_GHZ].min())
     picked = np.flatnonzero(low <= cut + _CONFIRM_MARGIN)
-    best = math.inf
-    best_node: dict = {}
-    family_min = {"ghz": math.inf, "w": math.inf}
-    error = 0.0
-    for k in picked:
-        values = _node_values(rhos, psis, k)
-        error = max(error, float(np.abs(screen[k] - values).max()))
-        family, phases = _KETS[k % len(_KETS)]
-        low_k = min(values)  # the first of equal minima, as a node-by-node scan keeps
-        family_min[family] = min(family_min[family], low_k)
-        if low_k < best:
-            best = low_k
-            theta2, theta3, phi3 = _TRIPLES[k // len(_KETS)]
-            best_node = {
-                "family": family,
-                "p": list(_VERTICES[values.index(low_k)]),
-                "angles": {
-                    "theta1": 0.0,
-                    "phi1": 0.0,
-                    "phi2": 0.0,
-                    "theta2": theta2,
-                    "theta3": theta3,
-                    "phi3": phi3,
-                },
-                "phases": dict(phases),
-            }
+    values = screen.copy()
+    values[picked] = [_node_values(rhos, psis, k) for k in picked]
+    error = float(np.abs(values[picked] - screen[picked]).max())
     _log.debug("grid_scan_ghz_w nodes=%d kets=%d screen_error=%r", screen.size, len(picked), error)
+    # row-major order is scan order, so np.argmin keeps the first of equal minima
+    k, v = np.unravel_index(np.argmin(values), values.shape)
+    family, phases = _KETS[k % len(_KETS)]
+    theta2, theta3, phi3 = _TRIPLES[k // len(_KETS)]
+    angles = {"theta1": 0.0, "phi1": 0.0, "phi2": 0.0, "theta2": theta2, "theta3": theta3, "phi3": phi3}
     return GridScanReport(
-        min_value=best,
-        argmin=best_node,
+        min_value=float(values[k, v]),
+        argmin={"family": family, "p": list(_VERTICES[v]), "angles": angles, "phases": dict(phases)},
         nodes_evaluated=screen.size,
-        per_family=family_min,
+        per_family={"ghz": float(values[_GHZ].min()), "w": float(values[~_GHZ].min())},
     )

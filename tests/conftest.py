@@ -61,14 +61,14 @@ def j1_series_with_break(x: float) -> float:
 
 SQRT5 = math.sqrt(5.0)
 
-# outer pairs of each energy-witness label's middle spin (2, 3 and 1)
-ENERGY_PAIRS = {"123": ("p12", "p23"), "231": ("p13", "p23"), "132": ("p12", "p13")}
+# the two pairs of each energy witness's middle spin m
+ENERGY_PAIRS = {1: ("p12", "p13"), 2: ("p12", "p23"), 3: ("p13", "p23")}
 
 
-def energy_gte_test(c, perm) -> bool:
-    """True when the labeled energy witness certifies GTE for c:
+def energy_gte_test(c, m) -> bool:
+    """True when the energy witness W_m certifies GTE for c:
     3*(p_im + p_mk) > 1 + sqrt(5) on the middle spin's two pairs."""
-    a, b = ENERGY_PAIRS[str(perm)]
+    a, b = ENERGY_PAIRS[m]
     return 3.0 * (getattr(c, a) + getattr(c, b)) > 1.0 + SQRT5
 
 

@@ -31,7 +31,6 @@ from fermigte import (
 from fermigte.bisep import _symmetric_point
 from fermigte.cli import main
 from fermigte.geometry import collinear_shape, equilateral_shape, scaled
-from fermigte.witnesses import PERM_MIDDLE
 
 from conftest import (
     in_lens_hull,
@@ -154,7 +153,7 @@ def test_criterion_05_collinear_limit():
 
 def test_criterion_06_witness_value_and_robustness():
     lim = couplings_zero_limit(0.5, 1.0, 0.5)
-    w_value = expectation(rho3(lim), energy_observable("123"))
+    w_value = expectation(rho3(lim), energy_observable(2))
     er = er_lower_bound(lim)
     expect = (3.0 - SQRT5) / (5.0 + SQRT5)
     ok = abs(abs(w_value) - 4.0) <= 1e-12 and abs(er - expect) <= 1e-9
@@ -162,7 +161,7 @@ def test_criterion_06_witness_value_and_robustness():
         6,
         "limit witness value and E_R",
         ok,
-        f"|<W123>|={abs(w_value):.12f}, E_R={er:.10f} (ref {expect:.10f})",
+        f"|<W_2>|={abs(w_value):.12f}, E_R={er:.10f} (ref {expect:.10f})",
     )
 
 
@@ -269,14 +268,14 @@ def test_criterion_10_physicality_suite(rng):
 
 def test_criterion_11_dual_feasibility_and_paths(rng):
     max_eig = max(
-        float(np.linalg.eigvalsh(bounded_energy_witness(perm))[-1])
-        for perm in PERM_MIDDLE
+        float(np.linalg.eigvalsh(bounded_energy_witness(m))[-1])
+        for m in (1, 2, 3)
     )
     worst_gap = 0.0
     for p in psd_werner_weights(rng, 1000).tolist():
         c = Couplings(*p)
         worst_gap = max(worst_gap, abs(er_lower_bound(c) - er_lower_bound_matrix(c)))
-    wits = [bounded_energy_witness(perm) for perm in PERM_MIDDLE]
+    wits = [bounded_energy_witness(m) for m in (1, 2, 3)]
     most_negative = 0.0
     for _ in range(1000):
         v = random_biseparable(rng)

@@ -396,6 +396,20 @@ class TestValidate:
             c = couplings_from_config(random_config(rng))
             assert validate_couplings(c) == []
 
+    @pytest.mark.xfail(
+        raises=AssertionError,
+        strict=True,
+        reason="ROADMAP item 9: the direct formula's cancellation just above LIMIT_SWITCH "
+        "puts p - 1 at 1.12e-9, above BOUND_TOL",
+    )
+    def test_physical_triangle_just_above_the_limit_switch_passes(self):
+        # the same triangle warns in `gte-fermi rho3` and lists the violation
+        # in `gte-fermi couplings`; its shape-only limit has p - 1 = 2.2e-16
+        d = (0.0011907394226019225, 5.782988592738067e-05, 0.0012468651436408225)
+        assert max(d) > LIMIT_SWITCH
+        assert validate_couplings(couplings_zero_limit(*d)) == []
+        assert validate_couplings(couplings_from_config(TriangleConfig(*d, D3))) == []
+
     def test_weights_of_no_state(self):
         # every pair and sum bound holds, yet rho3's smallest eigenvalue is -0.2125
         c = Couplings(-0.9, 0.9, 0.9)

@@ -131,7 +131,7 @@ class TestExpectation:
     def test_energy_witness_magnitude(self):
         from fermigte import energy_observable
 
-        value = expectation(rho3(LIMIT), energy_observable("123"))
+        value = expectation(rho3(LIMIT), energy_observable(2))
         assert abs(value) == pytest.approx(4.0, abs=1e-12)
 
     def test_traceless_observable_on_mixed_state(self):

@@ -49,7 +49,7 @@ from conftest import (
 )
 
 LIMIT = couplings_zero_limit(0.5, 1.0, 0.5)
-PERMS = ("123", "231", "132")
+MIDDLES = (1, 2, 3)
 
 SQRT5 = math.sqrt(5.0)
 
@@ -119,13 +119,13 @@ class TestProjectorOnStates:
 
 
 class TestEnergyObservable:
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_traceless(self, perm):
-        assert abs(np.trace(energy_observable(perm))) <= 1e-14
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_traceless(self, m):
+        assert abs(np.trace(energy_observable(m))) <= 1e-14
 
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_spectrum(self, perm):
-        w = energy_observable(perm)
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_spectrum(self, m):
+        w = energy_observable(m)
         eigs = np.linalg.eigvalsh(w)
         expect = np.array([-4.0, -4.0, 0.0, 0.0, 2.0, 2.0, 2.0, 2.0])
         assert np.allclose(eigs, expect, atol=1e-12)
@@ -134,92 +134,93 @@ class TestEnergyObservable:
         assert jacobi_min_eig(-w) == pytest.approx(-2.0, abs=1e-10)
 
     def test_distinct_members(self):
-        mats = [energy_observable(p) for p in PERMS]
+        mats = [energy_observable(m) for m in MIDDLES]
         assert not np.allclose(mats[0], mats[1])
         assert not np.allclose(mats[0], mats[2])
         assert not np.allclose(mats[1], mats[2])
 
     def test_limit_state_magnitude(self):
-        value = expectation(rho3(LIMIT), energy_observable("123"))
+        value = expectation(rho3(LIMIT), energy_observable(2))
         assert abs(value) == pytest.approx(4.0, abs=1e-12)
         assert abs(value) > GTE_THRESHOLD
 
-    def test_rejects_unknown_label(self):
-        with pytest.raises(DomainError):
-            energy_observable("213")
+    def test_rejects_unknown_middle_spin(self):
+        for m in (0, 4, "2"):
+            with pytest.raises(DomainError):
+                energy_observable(m)
 
 
-def minus_sign_operator(perm):
-    """((1+sqrt(5))*I - W_perm) / (5+sqrt(5)), the opposite-sign partner of
+def minus_sign_operator(m):
+    """((1+sqrt(5))*I - W_m) / (5+sqrt(5)), the opposite-sign partner of
     the bounded energy witness, which the package does not carry."""
-    return ((1.0 + SQRT5) * np.eye(8) - energy_observable(perm)) / (5.0 + SQRT5)
+    return ((1.0 + SQRT5) * np.eye(8) - energy_observable(m)) / (5.0 + SQRT5)
 
 
 class TestEnergyGteTest:
     # energy_gte_test is the test oracle; these pin it to the operators
     def test_limit_state(self):
-        assert energy_gte_test(LIMIT, "123") is True
-        assert expectation(rho3(LIMIT), bounded_energy_witness("123")) < 0.0
+        assert energy_gte_test(LIMIT, 2) is True
+        assert expectation(rho3(LIMIT), bounded_energy_witness(2)) < 0.0
 
     def test_equilateral_below_threshold(self):
         for p in (-1.0 / 3.0, 0.0, 1.0 / 3.0):
             c = Couplings(p, p, p)
-            assert not any(energy_gte_test(c, perm) for perm in PERMS)
+            assert not any(energy_gte_test(c, m) for m in MIDDLES)
 
     def test_uncorrelated(self):
-        assert energy_gte_test(Couplings(0.0, 0.0, 0.0), "123") is False
+        assert energy_gte_test(Couplings(0.0, 0.0, 0.0), 2) is False
 
     def test_agrees_with_the_witness_operator(self, rng):
         for p in psd_werner_weights(rng, 100).tolist():
             c = Couplings(*p)
-            for perm in PERMS:
-                value = expectation(rho3(c), bounded_energy_witness(perm))
+            for m in MIDDLES:
+                value = expectation(rho3(c), bounded_energy_witness(m))
                 if abs(value) > 1e-9:
-                    assert energy_gte_test(c, perm) is (value < 0.0)
+                    assert energy_gte_test(c, m) is (value < 0.0)
 
 
 class TestBoundedWitness:
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_is_the_plus_sign_operator(self, perm):
-        w = bounded_energy_witness(perm)
-        expect = ((1.0 + SQRT5) * np.eye(8, dtype=complex) + energy_observable(perm)) / (5.0 + SQRT5)
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_is_the_plus_sign_operator(self, m):
+        w = bounded_energy_witness(m)
+        expect = ((1.0 + SQRT5) * np.eye(8, dtype=complex) + energy_observable(m)) / (5.0 + SQRT5)
         assert np.array_equal(w, expect)
         assert np.linalg.eigvalsh(w)[-1] == pytest.approx((3.0 + SQRT5) / (5.0 + SQRT5), abs=1e-12)
 
     def test_takes_no_sign(self):
         with pytest.raises(TypeError):
-            bounded_energy_witness("123", 1)
+            bounded_energy_witness(2, 1)
 
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_minus_sign_saturates_unity(self, perm):
-        w = minus_sign_operator(perm)
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_minus_sign_saturates_unity(self, m):
+        w = minus_sign_operator(m)
         assert np.linalg.eigvalsh(w)[-1] == pytest.approx(1.0, abs=1e-12)
 
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_minus_sign_is_positive_definite(self, perm):
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_minus_sign_is_positive_definite(self, m):
         # so the sign -1 half never detects GTE, and is not carried
-        w = minus_sign_operator(perm)
+        w = minus_sign_operator(m)
         expect = (SQRT5 - 1.0) / (5.0 + SQRT5)
         assert np.linalg.eigvalsh(w)[0] == pytest.approx(expect, abs=1e-12)
         assert expect == pytest.approx(0.1708203932, abs=1e-10)
 
-    @pytest.mark.parametrize("perm", PERMS)
-    def test_plus_sign_bound(self, perm):
-        w = bounded_energy_witness(perm)
+    @pytest.mark.parametrize("m", MIDDLES)
+    def test_plus_sign_bound(self, m):
+        w = bounded_energy_witness(m)
         expect = (3.0 + SQRT5) / (5.0 + SQRT5)
         assert np.linalg.eigvalsh(w)[-1] == pytest.approx(expect, abs=1e-12)
 
     def test_dual_feasibility(self):
-        for perm in PERMS:
-            w = bounded_energy_witness(perm)
+        for m in MIDDLES:
+            w = bounded_energy_witness(m)
             assert np.linalg.eigvalsh(w)[-1] <= 1.0 + 1e-10
 
     def test_detecting_sign_on_limit_state(self):
-        value = expectation(rho3(LIMIT), bounded_energy_witness("123"))
+        value = expectation(rho3(LIMIT), bounded_energy_witness(2))
         assert value == pytest.approx((1.0 + SQRT5 - 4.0) / (5.0 + SQRT5), abs=1e-12)
 
     def test_nonnegative_on_biseparable(self, rng):
-        wits = [bounded_energy_witness(perm) for perm in PERMS]
+        wits = [bounded_energy_witness(m) for m in MIDDLES]
         for _ in range(1000):
             v = random_biseparable(rng)
             for w in wits:
@@ -227,14 +228,23 @@ class TestBoundedWitness:
 
     def test_three_operators_per_matrix_bound(self, monkeypatch):
         built = []
+        krons = []
+        kron = np.kron
 
-        def counting(perm):
-            built.append(perm)
-            return bounded_energy_witness(perm)
+        def counting(m):
+            built.append(m)
+            return bounded_energy_witness(m)
+
+        def counting_kron(a, b):
+            krons.append(None)
+            return kron(a, b)
 
         monkeypatch.setattr(witnesses_module, "bounded_energy_witness", counting)
+        monkeypatch.setattr(np, "kron", counting_kron)
         er_lower_bound_matrix(LIMIT)
-        assert sorted(built) == sorted(PERMS)
+        assert sorted(built) == sorted(MIDDLES)
+        # the Pauli construction: 2 krons per single-qubit operator, 24 per witness
+        assert len(krons) == 72
 
 
 class TestErLowerBound:
