@@ -26,13 +26,12 @@ it also checks that there is no second switch.
 The polar table solves all its q* rows in lock step, each reading the
 same points as its own solve would: pre-scan grid point j is evaluated
 on every row whose flags are all True so far, and the switched rows are
-bisected together, each on its own one-step bracket.  Every row is read
-at its first point, q = 0, and a row with an invalid kfr or theta fails
-there.  :func:`_polar_gte` takes its distances from
+bisected together, each on its own one-step bracket.  A row is checked
+at its first point alone, the centre q = 0: d13 = kfr is its largest
+distance at every radius, so a centre that passes the point chain's
+checks clears its row.  :func:`_polar_gte` takes its distances from
 :func:`polar_shape`'s formula on np.hypot, which may differ from
-math.hypot in the last bit; the table depends only on the signs of the
-bound.  The sweep raises once, at its end, the error of the first
-failing row's own solve.
+math.hypot in the last bit; the table depends only on the bound's signs.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -60,7 +59,6 @@ DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
 POLAR_PRESCAN_POINTS = 33
-MAX_BISECTIONS = 200  # the step limit of bisect_switch
 
 _log = logging.getLogger(__name__)
 
@@ -97,21 +95,22 @@ def _log_bisection(bracket: tuple[float, float], steps: int, width: float) -> No
 
 def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: float) -> float:
     """Midpoint of [a, b], bisected to width tol keeping before(a) True and
-    before(b) False; ConvergenceFailure if MAX_BISECTIONS steps do not get there.
+    before(b) False; ConvergenceFailure when no float splits the bracket.
 
     Logs one DEBUG record per solve: the bracket, the number of steps (one
     call of before each) and the final width."""
-    bracket = (a, b)
-    for steps in range(MAX_BISECTIONS):
-        if b - a <= tol:
-            _log_bisection(bracket, steps, b - a)
-            return 0.5 * (a + b)
+    bracket, steps = (a, b), 0
+    while b - a > tol:
         mid = 0.5 * (a + b)
+        if not a < mid < b:
+            raise ConvergenceFailure(f"tol={tol!r} is below the float spacing of [{a!r}, {b!r}]")
         if before(mid):
             a = mid
         else:
             b = mid
-    raise ConvergenceFailure("bisection failed to reach tolerance")
+        steps += 1
+    _log_bisection(bracket, steps, b - a)
+    return 0.5 * (a + b)
 
 
 def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
@@ -196,16 +195,14 @@ def sweep_polar_boundary(
     where it holds nowhere report q* = 0, keeping the table rectangular;
     any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
     row reads the same points as its own bracket-then-bisect solve
-    (:func:`first_switch`, then :func:`bisect_switch`).  An error is the
-    one the first failing row raises; a row with an invalid kfr or theta
-    fails at its first point, q = 0.
+    (:func:`first_switch`, then :func:`bisect_switch`).  A table with an
+    invalid kfr or theta raises its first invalid row's scalar error at
+    that row's centre q = 0, before any row is solved or logged.
 
-    Logs one DEBUG record per row before the first failing row: kfr,
-    theta, the pre-scan's switch index (None when there is none) and the
-    number of pre-scan points evaluated (1 when the centre shows no GTE,
-    all of them when the whole radius does); each bisected row follows
-    with its bisect_switch record.  A failing row that reached its
-    bisection logs its pre-scan record.
+    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
+    index (None when there is none) and the number of pre-scan points
+    evaluated (1 when the centre shows no GTE, all of them when the whole
+    radius does); each bisected row follows with its bisect_switch record.
     """
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
@@ -214,19 +211,21 @@ def sweep_polar_boundary(
     direction = [_or_nan(geometry._polar_direction, t, 2) for t in theta_grid]
     cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
     kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
-    # NaN while a row is fine, else the q of its first rejected point
-    failed_at = np.full(n, math.nan)
     switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
 
-    live = np.arange(n)
-    for j, q in enumerate(grid):
+    # every row's centre is the shape (0.5, 1, 0.5), which decides its validity
+    gte, bad = _polar_gte(dim, kfr, cos, sin, 0.0)
+    if bad.any():
+        row_kfr, theta = pairs[int(np.argmax(bad))]
+        geometry._polar_direction(theta)  # raises for an invalid theta
+        cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)  # raises its error
+    live = np.flatnonzero(gte)
+    for j, q in enumerate(grid[1:]):
         if not live.size:
             break
-        gte, bad = _polar_gte(dim, kfr[live], cos[live], sin[live], q)
-        failed_at[live[bad]] = q
-        if j:
-            switch[live[~(gte | bad)]] = j - 1
-        live = live[gte & ~bad]
+        gte = _polar_gte(dim, kfr[live], cos[live], sin[live], q)[0]
+        switch[live[~gte]] = j
+        live = live[gte]
     # live: the rows with GTE on the whole radius
 
     # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE.
@@ -237,35 +236,21 @@ def sweep_polar_boundary(
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
     while (active := active[b[active] - a[active] > DEFAULT_TOL]).size:
         mid = 0.5 * (a[active] + b[active])
-        gte, bad = _polar_gte(dim, kfr[active], cos[active], sin[active], mid)
-        failed_at[active[bad]] = mid[bad]
+        gte = _polar_gte(dim, kfr[active], cos[active], sin[active], mid)[0]
         a[active] = np.where(gte, mid, a[active])
         b[active] = np.where(gte, b[active], mid)
         steps[active] += 1
-        active = active[~bad]
-    failed = np.flatnonzero(~np.isnan(failed_at))
-    first = int(failed[0]) if failed.size else n
     switch, steps, q_star, width = (v.tolist() for v in (switch, steps, 0.5 * (a + b), b - a))
 
-    # the failing row logged its pre-scan if it failed in its bisection
-    logged = first + (first < n and switch[first] >= 0)
     if _log.isEnabledFor(logging.DEBUG):
-        for k in range(logged):
-            i = switch[k]
+        for k, i in enumerate(switch):
             read = i + 2 if i >= 0 else 1 if q_star[k] == 0.0 else POLAR_PRESCAN_POINTS
             _log.debug(
                 "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
                 *pairs[k], None if i < 0 else i, read,
             )
-            if i >= 0 and k < first:
+            if i >= 0:
                 _log_bisection((grid[i], grid[i + 1]), steps[k], width[k])
-    if first < n:
-        # the scalar point chain's error at the failing point, on the
-        # distances the array path used
-        row_kfr, theta = pairs[first]
-        row_cos, row_sin = geometry._polar_direction(theta)  # raises for an invalid theta
-        s12, s23 = geometry._polar_distances(failed_at[first:first + 1], row_cos, row_sin, np)
-        cpl.from_shape((s12.item(), 1.0, s23.item()), row_kfr, dim)  # raises its error
     return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(pairs, q_star)]
 
 

@@ -65,9 +65,13 @@ def _single(op: np.ndarray, qubit: int) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
+def _is_spin(v) -> bool:  # 1, 2 or 3 as an int or numpy integer; a bool or 2.0 is none
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v in (1, 2, 3)
+
+
 def pauli_dot(i: int, j: int) -> np.ndarray:
     """sigma_i . sigma_j as an 8x8 matrix in the fixed basis."""
-    if i == j or not {i, j} <= {1, 2, 3}:
+    if i == j or not (_is_spin(i) and _is_spin(j)):
         raise DomainError(f"need two distinct qubits out of 1..3, got ({i}, {j})")
     out = np.zeros((8, 8), dtype=complex)
     for s in _PAULI:
@@ -81,7 +85,7 @@ def energy_observable(m: int) -> np.ndarray:
     Its spectrum is {2, -4, 0}; a mean value below -(1 + sqrt(5))
     certifies GTE.
     """
-    if m not in (1, 2, 3):
+    if not _is_spin(m):
         raise DomainError(f"middle spin must be 1, 2 or 3, got {m!r}")
     a, b = sorted({1, 2, 3} - {m})
     return pauli_dot(a, m) + pauli_dot(m, b)

@@ -338,6 +338,21 @@ class TestBracketThenBisect:
         with pytest.raises(ConvergenceFailure):
             bisect_switch(lambda x: x < 1.3, 1.0, 2.0, 1e-300)
 
+    def test_bisect_switch_stops_where_no_float_splits_the_bracket(self):
+        # 52 halvings of [1, 2] reach the float spacing 2**-52 at 1.3
+        calls = []
+
+        def before(x):
+            calls.append(x)
+            return x < 1.3
+
+        with pytest.raises(ConvergenceFailure) as info:
+            bisect_switch(before, 1.0, 2.0, 1e-300)
+        assert len(calls) <= 60
+        # one line naming the tolerance and the bracket it could not split
+        below = math.nextafter(1.3, 1.0)
+        assert str(info.value) == f"tol=1e-300 is below the float spacing of [{below!r}, 1.3]"
+
     @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
     @pytest.mark.parametrize(
         "solve",
@@ -468,7 +483,7 @@ class TestPolarFloatPath:
 
     def test_every_prescan_bracket_takes_14_bisection_steps(self):
         # each pre-scan step is exactly 1/64 wide and halves to DEFAULT_TOL
-        # in 14 steps, so no polar row can run out of bisection steps
+        # in 14 steps, far above the float spacing on [0, 1/2]
         (width,) = set(np.diff(np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)).tolist())
         assert width == 1 / 64
         assert width / 2**14 <= DEFAULT_TOL < width / 2**13
@@ -569,12 +584,43 @@ class TestLockStep:
 
     def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
         # a subnormal kfr scales d12 and d23 to 0 at the centre; the error
-        # comes from the row's own distances, not from a rebuilt shape
+        # comes from the row's own centre shape (0.5, 1, 0.5), not from a
+        # rebuilt polar shape
         import fermigte.scan as scan_module
 
+        shapes, real = [], scan_module.cpl.from_shape
+
+        def recording(shape, *args):
+            shapes.append(shape)
+            return real(shape, *args)
+
         monkeypatch.setattr(scan_module.geometry, "polar_shape", lambda *a: pytest.fail("rebuilt"))
+        monkeypatch.setattr(scan_module.cpl, "from_shape", recording)
         with pytest.raises(DomainError, match="at most one pairwise distance may vanish"):
             sweep_polar_boundary(D3, [5e-324], [0.3])
+        monkeypatch.undo()
+        assert repr(shapes) == repr([polar_shape(0.3, 0.0)]) == repr([(0.5, 1.0, 0.5)])
+
+    @pytest.mark.parametrize(
+        "kfrs, thetas, point",
+        [
+            ([1.0, 2.7, 60.0], [0.3, 0.7], (60.0, 0.3, 0.0)),
+            ([1.0, 2.7], [0.3, 0.7, 4.0], (1.0, 4.0, 0.0)),
+            ([0.0, 1.0, 5e-324], [0.3], (5e-324, 0.3, 0.0)),
+        ],
+        ids=["kfr-above-range", "theta-4", "kfr-subnormal"],
+    )
+    def test_an_invalid_row_after_valid_rows_fails_at_every_centre(
+        self, kfrs, thetas, point, polar_calls, caplog
+    ):
+        # the valid rows before it, some of which would be bisected, are read
+        # at their centre only, and no row logs a record
+        want = _error(lambda: polar_gte(D3, *point))
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
+        assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
+        assert len(polar_calls) == len(kfrs) * len(thetas)
+        assert all(qs == [0.0] for qs in polar_calls.values())
 
     @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
     def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
@@ -585,101 +631,6 @@ class TestLockStep:
         gte, bad = scan_module._polar_gte(D3, np.array([kfr]), cos, sin, 0.5)
         assert (gte.tolist(), bad.tolist()) == ([False], [False])
         assert polar_gte(D3, kfr, 0.0, 0.5) is False
-
-    def test_the_first_failing_row_wins(self, monkeypatch, polar_rows):
-        # row (1.0, 0.3) has a rejected point in its bisection, row (1.0, 0.7)
-        # at its centre, which the lock step reaches first; a row-by-row
-        # sweep raises the former
-        import fermigte.scan as scan_module
-
-        real = scan_module._polar_gte
-        replayed = []
-
-        def rejecting(dim, kfr, cos, sin, q):
-            gte, bad = real(dim, kfr, cos, sin, q)
-            assert not bad.any()
-            points = polar_rows(kfr, cos, sin, q)
-            bad[:] = [t == 0.7 or (t == 0.3 and qk * 64.0 != int(qk * 64.0))
-                      for _, t, qk in points]
-            return gte, bad
-
-        def raising(shape, kfr, dim):
-            replayed.append(shape)
-            raise DomainError("rejected")
-
-        monkeypatch.setattr(scan_module, "_polar_gte", rejecting)
-        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
-        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
-        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
-        for thetas in ([0.3, 0.7], [0.7, 0.3]):
-            with pytest.raises(DomainError, match="^rejected$"):
-                sweep_polar_boundary(D3, [1.0], thetas)
-        # the first bisection point of row 0.3, then the centre of row 0.7
-        assert replayed[0] == pytest.approx(polar_shape(0.3, 0.5 * (qs[i] + qs[i + 1])), abs=1e-15)
-        assert replayed[1] == polar_shape(0.7, 0.0) == (0.5, 1.0, 0.5)
-
-    def test_a_row_failing_in_its_prescan_wins_over_a_later_bisection(
-        self, monkeypatch, polar_rows, caplog
-    ):
-        # row 0.7 switches at pre-scan point 2 and fails at its first
-        # bisection point; row 0.3, before it, fails at pre-scan point 5
-        import fermigte.scan as scan_module
-
-        replayed = []
-
-        def synthetic(dim, kfr, cos, sin, q):
-            points = [(t, qk) for _, t, qk in polar_rows(kfr, cos, sin, q)]
-            # the flag of a rejected point means nothing: no switch at point 5
-            gte = [qk < (5.0 if t == 0.3 else 2.5) / 64.0 for t, qk in points]
-            bad = [qk == 5.0 / 64.0 if t == 0.3 else qk * 64.0 != int(qk * 64.0)
-                   for t, qk in points]
-            return np.array(gte), np.array(bad)
-
-        def raising(shape, kfr, dim):
-            replayed.append(shape)
-            raise DomainError("rejected")
-
-        monkeypatch.setattr(scan_module, "_polar_gte", synthetic)
-        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
-        with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            with pytest.raises(DomainError, match="^rejected$"):
-                sweep_polar_boundary(D3, [1.0], [0.3, 0.7])
-        assert replayed == [pytest.approx(polar_shape(0.3, 5.0 / 64.0), abs=1e-15)]
-        # the failing row is the first and failed in its pre-scan: nothing is logged
-        assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
-
-    def test_a_point_rejected_at_the_last_bisection_step_raises_its_error(
-        self, monkeypatch, polar_rows, caplog
-    ):
-        # row (1.0, 0.3) fails at its 14th bisection point, its last: the rows
-        # before it log as usual, it logs its pre-scan alone, and no later row logs
-        import fermigte.scan as scan_module
-
-        real, read = scan_module._polar_gte, []
-
-        def rejecting_last(dim, kfr, cos, sin, q):
-            points = polar_rows(kfr, cos, sin, q)
-            last = []
-            for point in points:  # at most one point of a row per call
-                if point[:2] == (1.0, 0.3):
-                    read.append(point)
-                last.append(point[:2] == (1.0, 0.3) and len(read) == i + 2 + 14)
-            gte, bad = real(dim, kfr, cos, sin, q)
-            return gte, bad | np.array(last, dtype=bool)
-
-        def raising(shape, kfr, dim):
-            raise DomainError("rejected")
-
-        qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
-        i = first_switch(polar_gte(D3, 1.0, 0.3, q) for q in qs)
-        monkeypatch.setattr(scan_module, "_polar_gte", rejecting_last)
-        monkeypatch.setattr(scan_module.cpl, "from_shape", raising)
-        with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            with pytest.raises(DomainError, match="^rejected$"):
-                sweep_polar_boundary(D3, [2.7, 1.0], [0.3, 0.7])
-        assert len(read) == i + 2 + 14
-        records = [r.args for r in caplog.records if r.name == "fermigte.scan"]
-        assert records == [(2.7, 0.3, None, 1), (2.7, 0.7, None, 1), (1.0, 0.3, i, i + 2)]
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_each_call_reads_at_most_one_point_per_row(self, dim, monkeypatch):
@@ -732,6 +683,44 @@ def polar_oracle(dim, kfrs, thetas):
 def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
     got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas))
     assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas))
+
+
+# kfr: normal floats up to 60 (the kernels' domain ends at 50), multiples of
+# the smallest subnormal, zero, negative values and NaN
+polar_kfrs = (
+    st.floats(2.2250738585072014e-308, 60.0)
+    | st.integers(0, 2**53).map(lambda k: k * 5e-324)
+    | st.sampled_from([0.0, -0.0, 50.0, math.nextafter(50.0, 60.0), LIMIT_SWITCH, math.nan])
+    | st.floats(max_value=-5e-324)
+)
+
+
+@given(
+    dim=st.sampled_from([D2, D3]),
+    kfr=polar_kfrs,
+    theta=st.floats(-4.0, 4.0) | st.sampled_from([math.pi, -math.pi, math.inf, math.nan]),
+    # every radius the sweep reads, a pre-scan point j/64 or a bisection
+    # midpoint, is a multiple of 2**-20 in [0, 1/2]
+    m=st.integers(0, 2**19),
+)
+@settings(max_examples=500, deadline=None)
+@example(dim=D2, kfr=math.nextafter(50.0, 60.0), theta=math.pi, m=2**18)
+# the centre rounds d12 = d23 = kfr/2 to 0, the point rounds d12 up: rejected at the centre only
+@example(dim=D3, kfr=5e-324, theta=0.3, m=2**19)
+def test_a_polar_point_is_rejected_only_where_its_centre_is(dim, kfr, theta, m):
+    # the fact that lets the table check each row at its centre alone: d13 =
+    # kfr is the largest distance at every q, and every centre is (0.5, 1, 0.5)
+    import fermigte.scan as scan_module
+
+    direction = scan_module._or_nan(scan_module.geometry._polar_direction, theta, 2)
+    cos, sin, kfrs = (np.array([v]) for v in (*direction, kfr))
+
+    def rejected(q):
+        return scan_module._polar_gte(dim, kfrs, cos, sin, q)[1].item()
+
+    assert rejected(0.0) or not rejected(m / 2**20)
+    if abs(theta) <= math.pi:
+        assert repr(polar_shape(theta, 0.0)) == repr((0.5, 1.0, 0.5))
 
 
 FAMILIES = {

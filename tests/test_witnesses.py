@@ -17,6 +17,7 @@ from fermigte import (
     er_lower_bound_matrix,
     expectation,
     grid_scan_ghz_w,
+    pauli_dot,
     rho3,
 )
 import fermigte.witnesses as witnesses_module
@@ -145,9 +146,21 @@ class TestEnergyObservable:
         assert abs(value) > GTE_THRESHOLD
 
     def test_rejects_unknown_middle_spin(self):
-        for m in (0, 4, "2"):
-            with pytest.raises(DomainError):
+        # a bool or a float equals a spin but is none
+        for m in (0, 4, "2", True, 2.0):
+            with pytest.raises(DomainError, match="^middle spin must be 1, 2 or 3"):
                 energy_observable(m)
+
+    def test_takes_a_numpy_integer_spin(self):
+        assert np.array_equal(energy_observable(np.int64(2)), energy_observable(2))
+        assert np.array_equal(pauli_dot(np.int64(1), np.int32(3)), pauli_dot(1, 3))
+
+    @pytest.mark.parametrize(
+        "i, j", [(1.0, 2), (1, 2.0), (True, 2), (1, False), (2, 2), (0, 1), (1, 4), ("1", 2)]
+    )
+    def test_pauli_dot_rejects_unknown_spins(self, i, j):
+        with pytest.raises(DomainError, match="^need two distinct qubits out of 1..3"):
+            pauli_dot(i, j)
 
 
 def minus_sign_operator(m):
