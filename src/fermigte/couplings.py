@@ -175,7 +175,7 @@ def _weights_array(
         i = np.flatnonzero(checked & ~limit & (dmax <= X_MAX))
         if i.size:
             # one kernel call for the three distances: its cost is mostly per call
-            f12, f13, f23 = np.split(_f_array(dim, np.concatenate((d12[i], d13[i], d23[i]))), 3)
+            f12, f13, f23 = _f_array(dim, np.concatenate((d12[i], d13[i], d23[i]))).reshape(3, -1)
             _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13, f23)
         # Couplings rejects non-finite weights, the NaN of a rejected point among them
         ok = np.isfinite(p12 + p13 + p23)

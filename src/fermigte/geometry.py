@@ -26,13 +26,17 @@ Shape = tuple[float, float, float]
 def _distance_checks(d12, d13, d23, dmax):
     """The three checks of a distance triple whose largest is dmax, on floats
     or arrays: finite and nonnegative, at most one vanishing distance, and no
-    distance above the sum of the other two by more than 1e-12 * dmax."""
+    distance above the sum of the other two by more than 1e-12 * dmax (5e-324
+    where that product underflows to 0)."""
     # NaN fails its own comparison; an infinity shows as dmax
     finite = (0.0 <= d12) & (0.0 <= d13) & (0.0 <= d23) & (dmax < math.inf)
     n12, n13, n23 = d12 != 0.0, d13 != 0.0, d23 != 0.0
     # d12 and one other distance, or d13 and d23, are nonzero
     single_zero = (n12 & (n13 | n23)) | (n13 & n23)
     tol = _TRI_TOL * dmax
+    # where that underflows to 0, one subnormal spacing: three rounded
+    # subnormal distances break the triangle inequality by at most that
+    tol = tol + (tol == 0.0) * 5e-324
     triangle = (d12 <= d13 + d23 + tol) & (d13 <= d12 + d23 + tol) & (d23 <= d12 + d13 + tol)
     return finite, single_zero, triangle
 
@@ -41,7 +45,7 @@ def check_distances(d: Shape) -> None:
     """Raise DomainError unless the distances are finite and nonnegative, at
     most one vanishes (two fermions may coincide, but not two pairs at once)
     and none exceeds the sum of the other two by more than 1e-12 times the
-    largest, at every scale."""
+    largest (one subnormal spacing where that is 0), at every scale."""
     finite, single_zero, triangle = _distance_checks(*d, max(d))
     if not finite:
         raise DomainError(f"distances must be finite and nonnegative, got {d}")
@@ -57,7 +61,8 @@ class TriangleConfig:
 
     The triple must pass :func:`check_distances`: finite and nonnegative,
     at most one vanishing distance, and realizable by three points within
-    1e-12 of the largest distance, at every scale.
+    1e-12 of the largest distance (or 5e-324 where that underflows), at
+    every scale.
     """
 
     d12: float

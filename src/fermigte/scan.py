@@ -23,15 +23,20 @@ tolerance.  r_min and r_max are single solves through
 at the first switch, while r_max evaluates its whole pre-scan, because
 it also checks that there is no second switch.
 
-The polar table solves all its q* rows in lock step, each reading the
-same points as its own solve would: pre-scan grid point j is evaluated
-on every row whose flags are all True so far, and the switched rows are
+The polar table solves all its q* rows in lock step, each finding the
+switch and q* of its own solve: each pre-scan call evaluates the next
+POLAR_PRESCAN_CHUNK = 4 grid points on every row whose flags are all
+True so far, a row's first False ends its switch step (so a row reads
+at most three grid points past its switch), and the switched rows are
 bisected together, each on its own one-step bracket.  A row is checked
-at its first point alone, the centre q = 0: d13 = kfr is its largest
-distance at every radius, so a centre that passes the point chain's
-checks clears its row.  :func:`_polar_gte` takes its distances from
-:func:`polar_shape`'s formula on np.hypot, which may differ from
-math.hypot in the last bit; the table depends only on the bound's signs.
+at its first point alone, the centre q = 0, through :func:`_polar_gte`:
+d13 = kfr is its largest distance at every radius, so a centre that
+passes the point chain's checks clears its row, whose branch and f13
+then hold at every radius (:func:`_row_constants`), and every later
+point is :func:`_cleared_gte`, the same flag from d12 and d23 alone.
+Both take their distances from :func:`polar_shape`'s formula on
+np.hypot, which may differ from math.hypot in the last bit; the table
+depends only on the bound's signs.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -52,13 +57,14 @@ import numpy as np
 from . import couplings as cpl
 from . import geometry
 from .errors import BracketError, ConvergenceFailure, DomainError
-from .specfun import X_MAX, Dimensionality
+from .specfun import X_MAX, Dimensionality, _f_array
 from .witnesses import GTE_THRESHOLD, _er_parts
 
 DEFAULT_TOL = 1e-6  # final bracket width of r_min (1/k_F) and q* (units of r)
 RMIN_RANGE = (0.1, 4.0)
 RMIN_PRESCAN_STEP = 0.05
 POLAR_PRESCAN_POINTS = 33
+POLAR_PRESCAN_CHUNK = 4  # grid radii per row in each lock-step pre-scan call
 
 _log = logging.getLogger(__name__)
 
@@ -184,6 +190,34 @@ def _polar_gte(
     return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
 
 
+def _row_constants(dim: Dimensionality, kfr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The branch (limit, kfr = 0 included) and f13 of cleared polar rows:
+    d13 = kfr is the largest distance at every radius, so neither changes."""
+    return kfr < cpl.LIMIT_SWITCH, _f_array(dim, kfr)
+
+
+def _cleared_gte(
+    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: np.ndarray,
+    limit: np.ndarray, f13: np.ndarray,
+) -> np.ndarray:
+    """:func:`_polar_gte`'s GTE flag, bit for bit, at one radius per point
+    on rows whose centre passed its checks, given their
+    :func:`_row_constants`: no point of such a row is rejected, and only d12
+    and d23 are evaluated, with the checked chain's formulas."""
+    s12, s23 = geometry._polar_distances(q, cos, sin, np)
+    scale = np.where(kfr == 0.0, 1.0, kfr)
+    d12, d23 = scale * s12, scale * s23
+    p12, p13, p23 = np.empty((3, kfr.size))
+    i = np.flatnonzero(limit)
+    if i.size:
+        p12[i], p13[i], p23[i] = cpl._limit_formula(d12[i], scale[i], d23[i], scale[i], np)
+    i = np.flatnonzero(~limit)
+    if i.size:
+        f12, f23 = _f_array(dim, np.concatenate((d12[i], d23[i]))).reshape(2, -1)
+        _, p12[i], p13[i], p23[i] = cpl._kernel_formula(f12, f13[i], f23)
+    return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
+
+
 def sweep_polar_boundary(
     dim: Dimensionality,
     kfr_values: Sequence[float],
@@ -194,15 +228,18 @@ def sweep_polar_boundary(
     Rows where GTE holds on the whole radius report q* = 1/2 and rows
     where it holds nowhere report q* = 0, keeping the table rectangular;
     any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
-    row reads the same points as its own bracket-then-bisect solve
-    (:func:`first_switch`, then :func:`bisect_switch`).  A table with an
-    invalid kfr or theta raises its first invalid row's scalar error at
-    that row's centre q = 0, before any row is solved or logged.
+    row finds the switch and q* of its own bracket-then-bisect solve
+    (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
+    POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
+    chunk that holds its switch.  A table with an invalid kfr or theta
+    raises its first invalid row's scalar error at that row's centre
+    q = 0, before any row is solved or logged.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
     index (None when there is none) and the number of pre-scan points
-    evaluated (1 when the centre shows no GTE, all of them when the whole
-    radius does); each bisected row follows with its bisect_switch record.
+    that the row's own solve reads (1 when the centre shows no GTE, all of
+    them when the whole radius does; the chunk's points past the switch
+    are not counted); each bisected row follows with its bisect_switch record.
     """
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
@@ -219,13 +256,22 @@ def sweep_polar_boundary(
         row_kfr, theta = pairs[int(np.argmax(bad))]
         geometry._polar_direction(theta)  # raises for an invalid theta
         cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)  # raises its error
+    limit, f13 = _row_constants(dim, kfr)
+
+    def cleared(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
+        return _cleared_gte(dim, kfr[rows], cos[rows], sin[rows], q, limit[rows], f13[rows])
+
     live = np.flatnonzero(gte)
-    for j, q in enumerate(grid[1:]):
+    for j in range(1, POLAR_PRESCAN_POINTS, POLAR_PRESCAN_CHUNK):
         if not live.size:
             break
-        gte = _polar_gte(dim, kfr[live], cos[live], sin[live], q)[0]
-        switch[live[~gte]] = j
-        live = live[gte]
+        chunk = qs[j : j + POLAR_PRESCAN_CHUNK]
+        rows, q = np.repeat(live, chunk.size), np.tile(chunk, live.size)
+        gte = cleared(rows, q).reshape(-1, chunk.size)
+        held = gte.all(axis=1)
+        # the first False in a switched row's chunk ends its switch step
+        switch[live[~held]] = j - 1 + np.argmin(gte[~held], axis=1)
+        live = live[held]
     # live: the rows with GTE on the whole radius
 
     # each row's bracket [a, b] of q*; (0, 0) where the centre shows no GTE.
@@ -236,7 +282,7 @@ def sweep_polar_boundary(
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
     while (active := active[b[active] - a[active] > DEFAULT_TOL]).size:
         mid = 0.5 * (a[active] + b[active])
-        gte = _polar_gte(dim, kfr[active], cos[active], sin[active], mid)[0]
+        gte = cleared(active, mid)
         a[active] = np.where(gte, mid, a[active])
         b[active] = np.where(gte, b[active], mid)
         steps[active] += 1

@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 import fermigte
 from fermigte import Dimensionality, er_lower_bound, scan
 from fermigte.couplings import from_shape as couplings_from_shape
-from fermigte.geometry import collinear_shape, equilateral_shape, isosceles_shape, polar_shape
+from fermigte.geometry import (
+    collinear_shape,
+    equilateral_shape,
+    isosceles_shape,
+    polar_shape,
+    scaled,
+)
 from fermigte.cli import MAX_POINTS, build_parser, main
 
 from conftest import lens_hull, matrix_from_text
@@ -599,6 +605,17 @@ class TestTinyConfigurations:
             assert code == 0
             values.append(json.loads(out)["value"])
         assert values[0] == pytest.approx(values[1], abs=1e-12)
+
+    def test_subnormal_polar_point_one_spacing_outside_the_triangle(self, capsys):
+        # the distances round to (1e-323, 2e-323, 5e-324): d13 exceeds d12 + d23
+        # by one subnormal spacing, where 1e-12 of d13 underflows to 0
+        args = ["er", "--geometry", "polar", "--kfr", "2e-323", "--theta", "0",
+                "--q-over-r", "0.12500000000000006"]
+        d = scaled(2e-323, polar_shape(0.0, 0.12500000000000006), Dimensionality.THREE_D)
+        assert d.distances() == (1e-323, 2e-323, 5e-324)
+        code, out, err = run(capsys, args)
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] > 0.0
 
 
 class TestCoincidentPair:

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from fermigte import Dimensionality, TriangleConfig
 from fermigte.errors import DomainError
 from fermigte.geometry import (
+    _distance_checks,
     check_distances,
     collinear_shape,
     equilateral_shape,
@@ -148,6 +149,15 @@ class TestCheckDistances:
         check_distances((scale, scale, 2.0 * scale * (1.0 + 0.5e-12)))
         with pytest.raises(DomainError, match="triangle inequality"):
             check_distances((scale, scale, 2.0 * scale * (1.0 + 2e-12)))
+
+    def test_an_underflowing_slack_is_one_subnormal_spacing(self):
+        # 1e-12 of 2e-323 underflows to 0; rounding three subnormal distances
+        # breaks the triangle inequality by at most one spacing, 5e-324
+        check_distances((1e-323, 2e-323, 5e-324))
+        with pytest.raises(DomainError, match="triangle inequality"):
+            check_distances((5e-324, 2e-323, 5e-324))
+        d12, d13, d23 = (np.array(v) for v in ([1e-323, 5e-324], [2e-323] * 2, [5e-324] * 2))
+        assert _distance_checks(d12, d13, d23, d13)[2].tolist() == [True, False]
 
 
 # distances whose power-of-two multiples below are exact: no under- or overflow

@@ -3,6 +3,7 @@ import io
 import itertools
 import logging
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -33,6 +34,7 @@ from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import collinear_shape, isosceles_shape, polar_shape, scaled
 from fermigte.scan import (
     DEFAULT_TOL,
+    POLAR_PRESCAN_CHUNK,
     POLAR_PRESCAN_POINTS,
     RMIN_PRESCAN_STEP,
     bisect_switch,
@@ -209,13 +211,17 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        def constant(gte):  # no point is rejected
-            return lambda d, kfr, cos, sin, q: (np.full(kfr.size, gte), np.zeros(kfr.size, bool))
+        def constant(gte):  # no point is rejected: the centre and every later radius
+            monkeypatch.setattr(
+                scan_module, "_polar_gte",
+                lambda d, kfr, cos, sin, q: (np.full(kfr.size, gte), np.zeros(kfr.size, bool)),
+            )
+            monkeypatch.setattr(scan_module, "_cleared_gte", lambda d, kfr, *a: np.full(kfr.size, gte))
 
-        monkeypatch.setattr(scan_module, "_polar_gte", constant(True))
+        constant(True)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
-        monkeypatch.setattr(scan_module, "_polar_gte", constant(False))
+        constant(False)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
 
@@ -390,19 +396,31 @@ def polar_rows(monkeypatch):
 
 @pytest.fixture
 def polar_calls(monkeypatch, polar_rows):
-    # (kfr, theta) -> q of every row-predicate evaluation on that row
+    # (kfr, theta) -> q of every row-predicate evaluation on that row: the
+    # checked centre (_polar_gte) and every later radius (_cleared_gte)
     import fermigte.scan as scan_module
 
     calls = {}
-    real = scan_module._polar_gte
 
-    def counting(dim, kfr, cos, sin, q):
-        for k, theta, qk in polar_rows(kfr, cos, sin, q):
-            calls.setdefault((k, theta), []).append(qk)
-        return real(dim, kfr, cos, sin, q)
+    def counting(real):
+        def evaluate(dim, kfr, cos, sin, q, *row_constants):
+            for k, theta, qk in polar_rows(kfr, cos, sin, q):
+                calls.setdefault((k, theta), []).append(qk)
+            return real(dim, kfr, cos, sin, q, *row_constants)
 
-    monkeypatch.setattr(scan_module, "_polar_gte", counting)
+        return evaluate
+
+    for name in ("_polar_gte", "_cleared_gte"):
+        monkeypatch.setattr(scan_module, name, counting(getattr(scan_module, name)))
     return calls
+
+
+def chunked(calls):
+    """The radii the table reads on a row whose own solve reads calls: its
+    pre-scan reads on to the end of the chunk that holds the first False."""
+    grid = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
+    n = next((k for k, (q, g) in enumerate(zip(calls, grid)) if q != g), min(len(calls), len(grid)))
+    return grid[: 1 + POLAR_PRESCAN_CHUNK * math.ceil((n - 1) / POLAR_PRESCAN_CHUNK)] + calls[n:]
 
 
 class TestLazyPrescan:
@@ -417,9 +435,12 @@ class TestLazyPrescan:
         (record,) = [r for r in caplog.records if r.msg.startswith("bisect_switch")]
         steps = record.args[1]
         calls = polar_calls[(kfr, theta)]
-        assert len(calls) == i + 2 + steps
-        assert calls[: i + 2] == qs[: i + 2]
-        assert all(qs[i] < q < qs[i + 1] for q in calls[i + 2 :])
+        # the centre, then the pre-scan's chunks up to the one holding the first False
+        read = 1 + min(32, 4 * math.ceil((i + 1) / 4))
+        assert POLAR_PRESCAN_CHUNK == 4 and i + 2 <= read <= i + 2 + 3
+        assert len(calls) == read + steps
+        assert calls[:read] == qs[:read]
+        assert all(qs[i] < q < qs[i + 1] for q in calls[read:])
         assert qs[i] < row.q_star < qs[i + 1]
 
     def test_polar_row_without_gte_at_the_centre_makes_one_evaluation(self, polar_calls):
@@ -455,7 +476,7 @@ class TestPolarFloatPath:
             for (kfr, theta), calls in ref_calls.items()
         ]
         assert [(r.kfr, r.theta, r.q_star) for r in rows] == ref
-        assert polar_calls == ref_calls
+        assert polar_calls == {key: chunked(calls) for key, calls in ref_calls.items()}
 
     def test_rows_log_their_prescan(self, polar_calls, caplog):
         kfrs, thetas = [0.0, 1.0, 2.7], [0.0, 0.3, math.pi / 2.0]
@@ -475,11 +496,13 @@ class TestPolarFloatPath:
                 assert (i, read) == (None, 1)
                 assert len(calls) == 1
             else:
+                # read counts the points of the row's own solve, as before the
+                # chunked pre-scan; the table reads on to its chunk's end
                 assert i == first_switch(flags) is not None
                 assert read == i + 2
                 bisection = records[k + 1]
                 assert bisection.msg.startswith("bisect_switch")
-                assert len(calls) == read + bisection.args[1]
+                assert len(calls) == len(chunked(qs[:read])) + bisection.args[1]
 
     def test_every_prescan_bracket_takes_14_bisection_steps(self):
         # each pre-scan step is exactly 1/64 wide and halves to DEFAULT_TOL
@@ -514,12 +537,16 @@ class TestPolarFloatPath:
             calls.extend(np.broadcast_to(q, kfr.shape).tolist())
             return np.ones(kfr.size, bool), np.zeros(kfr.size, bool)
 
+        def always_cleared(dim, kfr, cos, sin, q, limit, f13):
+            return always(dim, kfr, cos, sin, q)[0]
+
         monkeypatch.setattr(scan_module, "_polar_gte", always)
+        monkeypatch.setattr(scan_module, "_cleared_gte", always_cleared)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             sweep_polar_boundary(D3, [1.0], [0.3])
         (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
         assert record.args == (1.0, 0.3, None, POLAR_PRESCAN_POINTS)
-        assert len(calls) == POLAR_PRESCAN_POINTS
+        assert calls == np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
 
     def test_row_records_are_silent_by_default(self, caplog):
         assert not logging.getLogger("fermigte").isEnabledFor(logging.DEBUG)
@@ -549,7 +576,7 @@ class TestLockStep:
             calls = ref_calls.setdefault((row.kfr, row.theta), [])
             assert row.q_star == polar_q_star(dim, row.kfr, row.theta, 1e-6, calls), row
         assert [(r.kfr, r.theta) for r in rows] == list(itertools.product(self.KFRS, self.THETAS))
-        assert polar_calls == ref_calls
+        assert polar_calls == {key: chunked(calls) for key, calls in ref_calls.items()}
         reads = {len(c) for c in polar_calls.values()}
         assert 1 in reads and any(n > POLAR_PRESCAN_POINTS for n in reads)
 
@@ -633,20 +660,28 @@ class TestLockStep:
         assert polar_gte(D3, kfr, 0.0, 0.5) is False
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_each_call_reads_at_most_one_point_per_row(self, dim, monkeypatch):
-        # the pre-scan evaluates one radius at a time, not its whole grid at once
+    def test_each_call_reads_at_most_one_chunk_per_row(self, dim, monkeypatch, polar_rows):
+        # the pre-scan evaluates POLAR_PRESCAN_CHUNK radii per row at a time,
+        # not its whole grid at once
         import fermigte.scan as scan_module
 
-        real, sizes = scan_module._polar_gte, []
+        per_row = []
 
-        def measuring(dim, kfr, cos, sin, q):
-            sizes.append(max(v.size for v in (kfr, cos, sin, np.asarray(q))))
-            return real(dim, kfr, cos, sin, q)
+        def measuring(real):
+            def evaluate(dim, kfr, cos, sin, q, *row_constants):
+                rows = Counter((k, theta) for k, theta, _ in polar_rows(kfr, cos, sin, q))
+                per_row.append(max(rows.values()))
+                return real(dim, kfr, cos, sin, q, *row_constants)
 
-        monkeypatch.setattr(scan_module, "_polar_gte", measuring)
+            return evaluate
+
+        for name in ("_polar_gte", "_cleared_gte"):
+            monkeypatch.setattr(scan_module, name, measuring(getattr(scan_module, name)))
         thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
-        rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
-        assert len(sizes) > POLAR_PRESCAN_POINTS and max(sizes) <= len(rows)
+        sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        # the centre, at most 8 pre-scan calls, then 14 bisection steps
+        assert 1 + 14 < len(per_row) <= 1 + 8 + 14
+        assert max(per_row) == POLAR_PRESCAN_CHUNK
 
 
 def _outcome(fn):
@@ -680,6 +715,9 @@ def polar_oracle(dim, kfrs, thetas):
 @settings(max_examples=60, deadline=None)
 @example(dim=D3, kfrs=[1.0, 5e-324], thetas=[0.3])
 @example(dim=D3, kfrs=[2.7, 1.0], thetas=[0.0, 0.7])
+# the limit branch (kfr 0 and below LIMIT_SWITCH) and the kernel branch in one table
+@example(dim=D2, kfrs=[0.0, 5e-4, 2.5], thetas=[0.0, math.pi / 2.0])
+@example(dim=D3, kfrs=[2.5, 0.0, 5e-4], thetas=[math.pi / 2.0, 0.0])
 def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
     got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas))
     assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas))
@@ -721,6 +759,51 @@ def test_a_polar_point_is_rejected_only_where_its_centre_is(dim, kfr, theta, m):
     assert rejected(0.0) or not rejected(m / 2**20)
     if abs(theta) <= math.pi:
         assert repr(polar_shape(theta, 0.0)) == repr((0.5, 1.0, 0.5))
+
+
+@given(
+    dim=st.sampled_from([D2, D3]),
+    # (kfr, theta, m) per row: kfr 0 and below LIMIT_SWITCH (the limit
+    # branch), or up to the kernels' domain end (the kernel branch)
+    rows=st.lists(
+        st.tuples(
+            st.just(0.0)
+            | st.floats(0.0, LIMIT_SWITCH, exclude_min=True, exclude_max=True)
+            | st.floats(LIMIT_SWITCH / 4.0, 4.0 * LIMIT_SWITCH)
+            | st.floats(2.2250738585072014e-308, 50.0),
+            st.floats(-math.pi, math.pi) | st.sampled_from([0.0, math.pi / 2.0]),
+            st.integers(0, 2**19),
+        ),
+        min_size=1,
+        max_size=12,
+    ),
+)
+@settings(max_examples=300, deadline=None)
+@example(dim=D2, rows=[(0.0, 0.0, 2**19), (5e-4, math.pi / 2.0, 2**17), (2.5, 0.0, 2**19)])
+@example(dim=D3, rows=[(2.5, math.pi / 2.0, 3 * 2**14), (0.0, math.pi / 2.0, 1), (50.0, 0.3, 2**19)])
+@example(dim=D3, rows=[(LIMIT_SWITCH, 0.3, 2**18), (math.nextafter(LIMIT_SWITCH, 0.0), 0.3, 2**18)])
+def test_a_cleared_row_evaluates_as_the_checked_chain(dim, rows):
+    # past its centre, a valid row's weights, and so its GTE flag, come from
+    # its row constants alone, bit for bit, at every radius the sweep can
+    # read (a multiple of 2**-20)
+    import fermigte.scan as scan_module
+
+    weights, real = [], scan_module._er_parts
+
+    def recording(p12, p13, p23, mx):
+        weights.append(np.array([p12, p13, p23]).tobytes())
+        return real(p12, p13, p23, mx)
+
+    kfr, theta, m = (np.array(v) for v in zip(*rows))
+    cos, sin = np.array([scan_module.geometry._polar_direction(t) for t in theta]).T
+    valid = ~scan_module._polar_gte(dim, kfr, cos, sin, 0.0)[1]
+    kfr, cos, sin, q = (v[valid] for v in (kfr, cos, sin, m / 2**20))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(scan_module, "_er_parts", recording)
+        got = scan_module._cleared_gte(dim, kfr, cos, sin, q, *scan_module._row_constants(dim, kfr))
+        want = scan_module._polar_gte(dim, kfr, cos, sin, q)[0]
+    assert got.tolist() == want.tolist()
+    assert weights[0] == weights[1]
 
 
 FAMILIES = {
