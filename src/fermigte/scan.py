@@ -6,13 +6,13 @@ configuration families, each given by its unit-separation shape in
 limit (shape-only couplings), with the same checks as any finite
 separation.  Sweeps run on numpy arrays, through the array forms of the
 scalar point chain shape -> weights -> bound, which keep its operation
-order, and never raise mid-table: the array path marks the points that a
-scalar check rejects, an invalid kfr or grid value included, and the
-sweep raises the error that the scalar chain raises at the first failing
-point.  The collinear and isosceles tables are one array evaluation each
+order.  The collinear and isosceles tables are one array evaluation each
 (the distance table one per dimension), with each grid value's shape
 from its scalar shape function, so every cell is the scalar chain's, bit
-for bit, wherever numpy's sin, cos and sqrt round as math's.
+for bit, wherever numpy's sin, cos and sqrt round as math's; they never
+raise mid-table: the array path marks the points that a scalar check
+rejects, an invalid kfr or grid value included, and the sweep raises the
+error that the scalar chain raises at the first failing point.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -28,15 +28,17 @@ switch and q* of its own solve: each pre-scan call evaluates the next
 POLAR_PRESCAN_CHUNK = 4 grid points on every row whose flags are all
 True so far, a row's first False ends its switch step (so a row reads
 at most three grid points past its switch), and the switched rows are
-bisected together, each on its own one-step bracket.  A row is checked
-at its first point alone, the centre q = 0, through :func:`_polar_gte`:
-d13 = kfr is its largest distance at every radius, so a centre that
-passes the point chain's checks clears its row, whose branch and f13
-then hold at every radius (:func:`_row_constants`), and every later
-point is :func:`_cleared_gte`, the same flag from d12 and d23 alone.
-Both take their distances from :func:`polar_shape`'s formula on
-np.hypot, which may differ from math.hypot in the last bit; the table
-depends only on the bound's signs.
+bisected together, each on its own one-step bracket.  The rows are
+checked on the scalar chain before any point is read, each theta and
+kfr once: every centre q = 0 is the shape (0.5, 1, 0.5), and d13 = kfr
+is a row's largest distance at every radius, so a row whose theta's
+direction and centre pass is valid at every radius, and a failing table
+reads no point.  A valid row's branch and f13 hold at every radius
+(:func:`_row_constants`), and every point, the centre included, is
+:func:`_polar_gte`, the checked chain's GTE flag from d12 and d23 alone.
+Its distances come from :func:`polar_shape`'s formula on np.hypot,
+which may differ from math.hypot in the last bit; the table depends
+only on the bound's signs.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -171,39 +173,23 @@ def sweep_isosceles(
     return _grid_sweep(IsoscelesRow, dim, kfr_values, y_over_r_grid, geometry.isosceles_shape)
 
 
-def _polar_gte(
-    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: float | np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Witnessed GTE at radius q (one for all rows, or one per row) on the
-    polar rows (kfr, theta) with theta's direction (cos, sin), and the mask
-    of the points that a check of the scalar chain rejects (where the GTE
-    flag means nothing).
-
-    The point chain shape -> weights -> bound runs on arrays in the scalar
-    chain's operation order, and nothing raises: an invalid kfr, or an
-    invalid theta's direction (NaN, NaN), is rejected at every q.  The
-    coincident pair (theta = 0, q = 1/2) has the weights (0, 0, ~1) at
-    every kfr, whose best witness value 3 stays below 1 + sqrt(5).
-    """
-    s12, s23 = geometry._polar_distances(q, cos, sin, np)
-    p12, p13, p23, ok = cpl._weights_array(dim, kfr, s12, 1.0, s23)
-    return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
-
-
 def _row_constants(dim: Dimensionality, kfr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branch (limit, kfr = 0 included) and f13 of cleared polar rows:
+    """The branch (limit, kfr = 0 included) and f13 of valid polar rows:
     d13 = kfr is the largest distance at every radius, so neither changes."""
     return kfr < cpl.LIMIT_SWITCH, _f_array(dim, kfr)
 
 
-def _cleared_gte(
-    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: np.ndarray,
+def _polar_gte(
+    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: float | np.ndarray,
     limit: np.ndarray, f13: np.ndarray,
 ) -> np.ndarray:
-    """:func:`_polar_gte`'s GTE flag, bit for bit, at one radius per point
-    on rows whose centre passed its checks, given their
-    :func:`_row_constants`: no point of such a row is rejected, and only d12
-    and d23 are evaluated, with the checked chain's formulas."""
+    """Witnessed GTE at radius q (one for all points, or one per point) on
+    valid polar rows (kfr, theta) with theta's direction (cos, sin), given
+    their :func:`_row_constants`: the checked chain's flag, bit for bit,
+    with its formulas on d12 and d23 alone, since no point of a valid row
+    is rejected.  The coincident pair (theta = 0, q = 1/2) has the weights
+    (0, 0, ~1) at every kfr, whose best witness value 3 stays below
+    1 + sqrt(5)."""
     s12, s23 = geometry._polar_distances(q, cos, sin, np)
     scale = np.where(kfr == 0.0, 1.0, kfr)
     d12, d23 = scale * s12, scale * s23
@@ -231,9 +217,10 @@ def sweep_polar_boundary(
     row finds the switch and q* of its own bracket-then-bisect solve
     (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
     POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
-    chunk that holds its switch.  A table with an invalid kfr or theta
-    raises its first invalid row's scalar error at that row's centre
-    q = 0, before any row is solved or logged.
+    chunk that holds its switch.  Each theta and kfr is checked once on
+    the scalar chain, at the row centre q = 0, before any point is read: a
+    table with an invalid kfr or theta raises its first invalid row's
+    scalar error (rows in kfr-major order) and reads no point.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
     index (None when there is none) and the number of pre-scan points
@@ -245,29 +232,31 @@ def sweep_polar_boundary(
     grid = qs.tolist()
     pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
     n = len(pairs)
-    direction = [_or_nan(geometry._polar_direction, t, 2) for t in theta_grid]
+    direction = []
+    if n:
+        # a row is valid iff its theta's direction and its centre (0.5, 1, 0.5)
+        # pass; the first checks in kfr-major row order are theta_0, kfr_0, the
+        # other thetas, then the other kfrs, so the first invalid row raises
+        direction.append(geometry._polar_direction(theta_grid[0]))
+        cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, kfr_values[0], dim)
+        direction += map(geometry._polar_direction, theta_grid[1:])
+        for row_kfr in kfr_values[1:]:
+            cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)
     cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
     kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
     switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
-
-    # every row's centre is the shape (0.5, 1, 0.5), which decides its validity
-    gte, bad = _polar_gte(dim, kfr, cos, sin, 0.0)
-    if bad.any():
-        row_kfr, theta = pairs[int(np.argmax(bad))]
-        geometry._polar_direction(theta)  # raises for an invalid theta
-        cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)  # raises its error
     limit, f13 = _row_constants(dim, kfr)
 
-    def cleared(rows: np.ndarray, q: np.ndarray) -> np.ndarray:
-        return _cleared_gte(dim, kfr[rows], cos[rows], sin[rows], q, limit[rows], f13[rows])
+    def row_gte(rows: np.ndarray, q: float | np.ndarray) -> np.ndarray:
+        return _polar_gte(dim, kfr[rows], cos[rows], sin[rows], q, limit[rows], f13[rows])
 
-    live = np.flatnonzero(gte)
+    live = np.flatnonzero(row_gte(np.arange(n), 0.0))
     for j in range(1, POLAR_PRESCAN_POINTS, POLAR_PRESCAN_CHUNK):
         if not live.size:
             break
         chunk = qs[j : j + POLAR_PRESCAN_CHUNK]
         rows, q = np.repeat(live, chunk.size), np.tile(chunk, live.size)
-        gte = cleared(rows, q).reshape(-1, chunk.size)
+        gte = row_gte(rows, q).reshape(-1, chunk.size)
         held = gte.all(axis=1)
         # the first False in a switched row's chunk ends its switch step
         switch[live[~held]] = j - 1 + np.argmin(gte[~held], axis=1)
@@ -282,7 +271,7 @@ def sweep_polar_boundary(
     a[active], b[active] = qs[switch[active]], qs[switch[active] + 1]
     while (active := active[b[active] - a[active] > DEFAULT_TOL]).size:
         mid = 0.5 * (a[active] + b[active])
-        gte = cleared(active, mid)
+        gte = row_gte(active, mid)
         a[active] = np.where(gte, mid, a[active])
         b[active] = np.where(gte, b[active], mid)
         steps[active] += 1

@@ -211,12 +211,8 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        def constant(gte):  # no point is rejected: the centre and every later radius
-            monkeypatch.setattr(
-                scan_module, "_polar_gte",
-                lambda d, kfr, cos, sin, q: (np.full(kfr.size, gte), np.zeros(kfr.size, bool)),
-            )
-            monkeypatch.setattr(scan_module, "_cleared_gte", lambda d, kfr, *a: np.full(kfr.size, gte))
+        def constant(gte):  # the centre and every later radius
+            monkeypatch.setattr(scan_module, "_polar_gte", lambda d, kfr, *a: np.full(kfr.size, gte))
 
         constant(True)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
@@ -374,8 +370,7 @@ class TestBracketThenBisect:
 def polar_rows(monkeypatch):
     """(kfr, theta, q) of each point a polar predicate call reads, in call
     order; theta is read back from the directions that the sweep takes from
-    geometry._polar_direction, and a row whose direction is NaN (an invalid
-    theta, which geometry._polar_direction rejects) is recorded under theta NaN."""
+    geometry._polar_direction."""
     import fermigte.scan as scan_module
 
     theta_of = {}
@@ -389,29 +384,24 @@ def polar_rows(monkeypatch):
 
     def points(kfr, cos, sin, q):
         columns = (v.tolist() for v in (kfr, cos, sin, np.broadcast_to(q, kfr.shape)))
-        return [(k, theta_of.get((c, s), math.nan), qk) for k, c, s, qk in zip(*columns)]
+        return [(k, theta_of[(c, s)], qk) for k, c, s, qk in zip(*columns)]
 
     return points
 
 
 @pytest.fixture
 def polar_calls(monkeypatch, polar_rows):
-    # (kfr, theta) -> q of every row-predicate evaluation on that row: the
-    # checked centre (_polar_gte) and every later radius (_cleared_gte)
+    # (kfr, theta) -> q of every row-predicate evaluation on that row, the centre included
     import fermigte.scan as scan_module
 
-    calls = {}
+    calls, real = {}, scan_module._polar_gte
 
-    def counting(real):
-        def evaluate(dim, kfr, cos, sin, q, *row_constants):
-            for k, theta, qk in polar_rows(kfr, cos, sin, q):
-                calls.setdefault((k, theta), []).append(qk)
-            return real(dim, kfr, cos, sin, q, *row_constants)
+    def counting(dim, kfr, cos, sin, q, *row_constants):
+        for k, theta, qk in polar_rows(kfr, cos, sin, q):
+            calls.setdefault((k, theta), []).append(qk)
+        return real(dim, kfr, cos, sin, q, *row_constants)
 
-        return evaluate
-
-    for name in ("_polar_gte", "_cleared_gte"):
-        monkeypatch.setattr(scan_module, name, counting(getattr(scan_module, name)))
+    monkeypatch.setattr(scan_module, "_polar_gte", counting)
     return calls
 
 
@@ -533,15 +523,11 @@ class TestPolarFloatPath:
 
         calls = []
 
-        def always(dim, kfr, cos, sin, q):
+        def always(dim, kfr, cos, sin, q, limit, f13):
             calls.extend(np.broadcast_to(q, kfr.shape).tolist())
-            return np.ones(kfr.size, bool), np.zeros(kfr.size, bool)
-
-        def always_cleared(dim, kfr, cos, sin, q, limit, f13):
-            return always(dim, kfr, cos, sin, q)[0]
+            return np.ones(kfr.size, bool)
 
         monkeypatch.setattr(scan_module, "_polar_gte", always)
-        monkeypatch.setattr(scan_module, "_cleared_gte", always_cleared)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             sweep_polar_boundary(D3, [1.0], [0.3])
         (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
@@ -602,12 +588,8 @@ class TestLockStep:
         want = _error(lambda: polar_gte(D3, *point))
         assert want[0] is not AssertionError
         assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
-        # the failing row reads only q = 0, the point it fails at (the rows of an
-        # invalid theta are recorded under theta NaN, a NaN kfr is told by its repr)
-        kfr, theta, _ = point
-        row = repr((float(kfr), theta if abs(theta) <= math.pi else math.nan))
-        (reads,) = [qs for key, qs in polar_calls.items() if repr(key) == row]
-        assert set(reads) == {0.0}
+        # the rows are checked on the scalar chain: an invalid table reads no point
+        assert polar_calls == {}
 
     def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
         # a subnormal kfr scales d12 and d23 to 0 at the centre; the error
@@ -637,26 +619,28 @@ class TestLockStep:
         ],
         ids=["kfr-above-range", "theta-4", "kfr-subnormal"],
     )
-    def test_an_invalid_row_after_valid_rows_fails_at_every_centre(
+    def test_an_invalid_row_after_valid_rows_reads_no_point(
         self, kfrs, thetas, point, polar_calls, caplog
     ):
-        # the valid rows before it, some of which would be bisected, are read
-        # at their centre only, and no row logs a record
+        # the valid rows before it, some of which would be bisected, are not
+        # read, and no row logs a record
         want = _error(lambda: polar_gte(D3, *point))
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
         assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
-        assert len(polar_calls) == len(kfrs) * len(thetas)
-        assert all(qs == [0.0] for qs in polar_calls.values())
+        assert polar_calls == {}
 
     @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
     def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
         # theta = 0, q = 1/2 puts fermion 2 on fermion 3, as in the per-row oracle
         import fermigte.scan as scan_module
 
+        kfrs = np.array([kfr])
         cos, sin = (np.array([v]) for v in scan_module.geometry._polar_direction(0.0))
-        gte, bad = scan_module._polar_gte(D3, np.array([kfr]), cos, sin, 0.5)
-        assert (gte.tolist(), bad.tolist()) == ([False], [False])
+        gte, rejected = checked_polar_gte(D3, kfrs, cos, sin, 0.5)
+        assert (gte.tolist(), rejected.tolist()) == ([False], [False])
+        row_constants = scan_module._row_constants(D3, kfrs)
+        assert scan_module._polar_gte(D3, kfrs, cos, sin, 0.5, *row_constants).tolist() == [False]
         assert polar_gte(D3, kfr, 0.0, 0.5) is False
 
     @pytest.mark.parametrize("dim", [D2, D3])
@@ -667,21 +651,38 @@ class TestLockStep:
 
         per_row = []
 
-        def measuring(real):
-            def evaluate(dim, kfr, cos, sin, q, *row_constants):
-                rows = Counter((k, theta) for k, theta, _ in polar_rows(kfr, cos, sin, q))
-                per_row.append(max(rows.values()))
-                return real(dim, kfr, cos, sin, q, *row_constants)
+        real = scan_module._polar_gte
 
-            return evaluate
+        def measuring(dim, kfr, cos, sin, q, *row_constants):
+            rows = Counter((k, theta) for k, theta, _ in polar_rows(kfr, cos, sin, q))
+            per_row.append(max(rows.values()))
+            return real(dim, kfr, cos, sin, q, *row_constants)
 
-        for name in ("_polar_gte", "_cleared_gte"):
-            monkeypatch.setattr(scan_module, name, measuring(getattr(scan_module, name)))
+        monkeypatch.setattr(scan_module, "_polar_gte", measuring)
         thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
         sweep_polar_boundary(dim, _FIG2_KFR, thetas)
         # the centre, at most 8 pre-scan calls, then 14 bisection steps
         assert 1 + 14 < len(per_row) <= 1 + 8 + 14
         assert max(per_row) == POLAR_PRESCAN_CHUNK
+
+
+def checked_polar_gte(dim, kfr, cos, sin, q):
+    """The checked array chain at polar points: the GTE flag from
+    cpl._weights_array and _er_parts, and the mask of the points that a
+    check of the scalar chain rejects (where the flag means nothing)."""
+    import fermigte.scan as scan_module
+
+    s12, s23 = scan_module.geometry._polar_distances(q, cos, sin, np)
+    p12, p13, p23, ok = scan_module.cpl._weights_array(dim, kfr, s12, 1.0, s23)
+    return scan_module._er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
+
+
+def nan_direction(theta):
+    """theta's (cos, sin), or (NaN, NaN) for a theta that it rejects: a
+    direction that the checked chain rejects at every radius."""
+    import fermigte.scan as scan_module
+
+    return scan_module._or_nan(scan_module.geometry._polar_direction, theta, 2)
 
 
 def _outcome(fn):
@@ -718,6 +719,9 @@ def polar_oracle(dim, kfrs, thetas):
 # the limit branch (kfr 0 and below LIMIT_SWITCH) and the kernel branch in one table
 @example(dim=D2, kfrs=[0.0, 5e-4, 2.5], thetas=[0.0, math.pi / 2.0])
 @example(dim=D3, kfrs=[2.5, 0.0, 5e-4], thetas=[math.pi / 2.0, 0.0])
+# an empty table checks no row, an invalid theta's or kfr's included
+@example(dim=D3, kfrs=[], thetas=[4.0])
+@example(dim=D3, kfrs=[60.0], thetas=[])
 def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
     got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas))
     assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas))
@@ -748,17 +752,42 @@ polar_kfrs = (
 def test_a_polar_point_is_rejected_only_where_its_centre_is(dim, kfr, theta, m):
     # the fact that lets the table check each row at its centre alone: d13 =
     # kfr is the largest distance at every q, and every centre is (0.5, 1, 0.5)
-    import fermigte.scan as scan_module
-
-    direction = scan_module._or_nan(scan_module.geometry._polar_direction, theta, 2)
-    cos, sin, kfrs = (np.array([v]) for v in (*direction, kfr))
+    cos, sin, kfrs = (np.array([v]) for v in (*nan_direction(theta), kfr))
 
     def rejected(q):
-        return scan_module._polar_gte(dim, kfrs, cos, sin, q)[1].item()
+        return checked_polar_gte(dim, kfrs, cos, sin, q)[1].item()
 
     assert rejected(0.0) or not rejected(m / 2**20)
     if abs(theta) <= math.pi:
         assert repr(polar_shape(theta, 0.0)) == repr((0.5, 1.0, 0.5))
+
+
+@given(
+    dim=st.sampled_from([D2, D3]),
+    kfr=polar_kfrs,
+    theta=st.floats(-4.0, 4.0)
+    | st.sampled_from([math.pi, -math.pi, 4.0, -4.0, math.inf, -math.inf, math.nan]),
+)
+@settings(max_examples=500, deadline=None)
+@example(dim=D3, kfr=5e-324, theta=0.3)
+@example(dim=D3, kfr=1e-323, theta=math.pi)
+@example(dim=D2, kfr=math.nextafter(50.0, 60.0), theta=0.3)
+@example(dim=D2, kfr=50.0, theta=math.nextafter(math.pi, 4.0))
+def test_a_polar_centre_is_rejected_exactly_where_the_scalar_checks_raise(dim, kfr, theta):
+    # the fact that lets the table check its rows on the scalar chain: the
+    # checked array chain rejects a row's centre exactly where theta's
+    # direction or the centre shape (0.5, 1, 0.5) at kfr raises
+    import fermigte.scan as scan_module
+
+    cos, sin, kfrs = (np.array([v]) for v in (*nan_direction(theta), kfr))
+    rejected = checked_polar_gte(dim, kfrs, cos, sin, 0.0)[1].item()
+    try:
+        scan_module.geometry._polar_direction(theta)
+        scan_module.cpl.from_shape(scan_module.geometry._SYMMETRIC_COLLINEAR, kfr, dim)
+    except DomainError:
+        assert rejected
+    else:
+        assert not rejected
 
 
 @given(
@@ -782,10 +811,13 @@ def test_a_polar_point_is_rejected_only_where_its_centre_is(dim, kfr, theta, m):
 @example(dim=D2, rows=[(0.0, 0.0, 2**19), (5e-4, math.pi / 2.0, 2**17), (2.5, 0.0, 2**19)])
 @example(dim=D3, rows=[(2.5, math.pi / 2.0, 3 * 2**14), (0.0, math.pi / 2.0, 1), (50.0, 0.3, 2**19)])
 @example(dim=D3, rows=[(LIMIT_SWITCH, 0.3, 2**18), (math.nextafter(LIMIT_SWITCH, 0.0), 0.3, 2**18)])
+# the centres, which the table reads through the same evaluator, on both branches
+@example(dim=D2, rows=[(0.0, 0.3, 0), (5e-4, 0.0, 0), (2.5, math.pi / 2.0, 0)])
+@example(dim=D3, rows=[(2.5, 0.0, 0), (0.0, math.pi / 2.0, 0), (5e-4, -0.7, 0)])
 def test_a_cleared_row_evaluates_as_the_checked_chain(dim, rows):
-    # past its centre, a valid row's weights, and so its GTE flag, come from
-    # its row constants alone, bit for bit, at every radius the sweep can
-    # read (a multiple of 2**-20)
+    # a valid row's weights, and so its GTE flag, come from its row
+    # constants alone, bit for bit, at every radius the sweep can read (a
+    # multiple of 2**-20, the centre included)
     import fermigte.scan as scan_module
 
     weights, real = [], scan_module._er_parts
@@ -796,12 +828,12 @@ def test_a_cleared_row_evaluates_as_the_checked_chain(dim, rows):
 
     kfr, theta, m = (np.array(v) for v in zip(*rows))
     cos, sin = np.array([scan_module.geometry._polar_direction(t) for t in theta]).T
-    valid = ~scan_module._polar_gte(dim, kfr, cos, sin, 0.0)[1]
+    valid = ~checked_polar_gte(dim, kfr, cos, sin, 0.0)[1]
     kfr, cos, sin, q = (v[valid] for v in (kfr, cos, sin, m / 2**20))
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(scan_module, "_er_parts", recording)
-        got = scan_module._cleared_gte(dim, kfr, cos, sin, q, *scan_module._row_constants(dim, kfr))
-        want = scan_module._polar_gte(dim, kfr, cos, sin, q)[0]
+        got = scan_module._polar_gte(dim, kfr, cos, sin, q, *scan_module._row_constants(dim, kfr))
+        want = checked_polar_gte(dim, kfr, cos, sin, q)[0]
     assert got.tolist() == want.tolist()
     assert weights[0] == weights[1]
 
