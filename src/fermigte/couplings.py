@@ -25,11 +25,12 @@ The formulas are written once, for floats and arrays alike, in
 distance triple once, in :func:`geometry._distance_checks`, whose slack
 is relative to the largest distance, so that only the shape decides.
 :func:`from_config` takes :func:`zero_limit` below LIMIT_SWITCH and the
-kernel formula above it; :func:`from_shape` is :func:`zero_limit` of a
-unit shape at kfr = 0 and :func:`from_config` of the scaled shape
-elsewhere; :class:`Couplings` rejects non-finite weights.
-:func:`_weights_array` is :func:`from_shape` over arrays for the sweeps
-in :mod:`scan`, with the checks, a kfr's included, as a mask.
+kernel formula above it.  :func:`from_shape` decides a point by its unit
+shape: it takes :func:`zero_limit` of the unit shape itself wherever
+kfr * max(shape) < LIMIT_SWITCH, kfr = 0 included, and the kernel formula
+of the scaled distances (each at most X_MAX) above it.  :class:`Couplings`
+rejects non-finite weights.  :func:`_weights_array` is :func:`from_shape`
+over arrays for the sweeps in :mod:`scan`, with its checks as a mask.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateDenominatorError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, _distance_checks, check_distances, scaled
+from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
+from .geometry import Shape, TriangleConfig, _TRI_TOL, _distance_checks, check_distances
 from .specfun import X_MAX, Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
@@ -94,21 +95,27 @@ def _limit_formula(d12, d13, d23, dmax, m):
     # an exact power-of-two scaling puts dmax in [1/2, 1): no square under- or overflows
     e = -m.frexp(dmax)[1]
     u12, u13, u23 = m.ldexp(d12, e), m.ldexp(d13, e), m.ldexp(d23, e)
-    s12 = u12 * u12
-    s13 = u13 * u13
-    s23 = u23 * u23
+    s12, s13, s23 = u12 * u12, u13 * u13, u23 * u23
     total = s12 + s13 + s23
     return (s13 + s23 - s12) / total, (s12 + s23 - s13) / total, (s12 + s13 - s23) / total
 
 
 def from_shape(shape: Shape, kfr: float, dim: Dimensionality) -> Couplings:
-    """Singlet weights of a unit-separation shape at separation kfr.
+    """Singlet weights of a unit-separation shape at separation kfr, which
+    must be finite and nonnegative (checked before the shape).
 
-    kfr = 0 selects the exact vanishing-size limit (:func:`zero_limit`
-    of the shape, the same for both dimensions); any other kfr is
-    :func:`from_config` of the shape scaled to kfr, which must be positive.
+    The unit shape decides: it must pass check_distances, and wherever
+    kfr * max(shape) < LIMIT_SWITCH, kfr = 0 included, the weights are
+    :func:`zero_limit` of the unit shape itself, for both dimensions; above
+    the switch, the kernel formula of the scaled distances, each <= X_MAX.
     """
-    return zero_limit(*shape) if kfr == 0.0 else from_config(scaled(kfr, shape, dim))
+    if not 0.0 <= kfr < math.inf:
+        raise DomainError(f"kfr must be finite and nonnegative, got {kfr}")
+    if kfr * max(shape) < LIMIT_SWITCH:
+        return zero_limit(*shape)
+    check_distances(shape)
+    f12, f13, f23 = (f_factor(dim, kfr * d) for d in shape)
+    return Couplings(*_kernel_formula(f12, f13, f23)[1:])
 
 
 def from_config(cfg: TriangleConfig) -> Couplings:
@@ -116,8 +123,7 @@ def from_config(cfg: TriangleConfig) -> Couplings:
 
     Falls back to :func:`zero_limit` when all three distances are below
     LIMIT_SWITCH = 1e-3 (the shape-only limit), which raises
-    DegenerateDenominatorError for the equilateral shape; above the switch
-    the shared denominator stays below -1e-7.
+    DegenerateDenominatorError for the equilateral shape.
     """
     d12, d13, d23 = cfg.distances()
     if max(d12, d13, d23) < LIMIT_SWITCH:
@@ -151,31 +157,31 @@ def _weights_array(
     calling the float path's formula, and the mask ``ok`` of the elements
     whose checks pass.
 
-    kfr = 0 takes the limit branch of the unit shape; any other kfr scales
-    it, and a kfr that :func:`geometry.scaled` rejects (negative or NaN)
-    leaves distances that the distance checks reject.  ok is False exactly
-    where :func:`from_shape` raises, and a rejected point keeps NaN weights;
-    nothing raises or warns here, whatever the input.
+    The checks read kfr and the unit shape; below LIMIT_SWITCH the limit
+    branch evaluates the unit shape itself, kfr = 0 included, and the kernel
+    branch rejects a largest scaled distance above X_MAX.  ok is False
+    exactly where :func:`from_shape` raises, and a rejected point keeps NaN
+    weights; nothing raises or warns here, whatever the input.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        zero = kfr == 0.0
-        scale = np.where(zero, 1.0, kfr)
-        d12, d13, d23 = scale * s12, scale * s13, scale * s23
-        dmax = np.maximum(np.maximum(d12, d13), d23)
-        finite, single_zero, triangle = _distance_checks(d12, d13, d23, dmax)
-        checked = finite & single_zero & triangle
-        limit = (dmax < LIMIT_SWITCH) | zero
+        kfr, s12, s13, s23 = np.broadcast_arrays(kfr, s12, s13, s23)
+        smax = np.maximum(np.maximum(s12, s13), s23)
+        finite, single_zero, triangle = _distance_checks(s12, s13, s23, smax)
+        checked = (0.0 <= kfr) & (kfr < math.inf) & finite & single_zero & triangle  # NaN fails
+        dmax = kfr * smax
+        limit = dmax < LIMIT_SWITCH
         # each branch evaluates the points that pass its checks and leaves the
         # rest NaN: zero_limit rejects the equilateral shape, f_factor a distance above X_MAX
-        p12, p13, p23 = np.full((3, *d12.shape), math.nan)
-        equilateral = dmax - np.minimum(np.minimum(d12, d13), d23) <= _TRI_TOL * dmax
+        p12, p13, p23 = np.full((3, *smax.shape), math.nan)
+        equilateral = smax - np.minimum(np.minimum(s12, s13), s23) <= _TRI_TOL * smax
         i = np.flatnonzero(checked & limit & ~equilateral)
         if i.size:
-            p12[i], p13[i], p23[i] = _limit_formula(d12[i], d13[i], d23[i], dmax[i], np)
+            p12[i], p13[i], p23[i] = _limit_formula(s12[i], s13[i], s23[i], smax[i], np)
         i = np.flatnonzero(checked & ~limit & (dmax <= X_MAX))
         if i.size:
             # one kernel call for the three distances: its cost is mostly per call
-            f12, f13, f23 = _f_array(dim, np.concatenate((d12[i], d13[i], d23[i]))).reshape(3, -1)
+            d = kfr[i] * np.array((s12[i], s13[i], s23[i]))
+            f12, f13, f23 = _f_array(dim, d.ravel()).reshape(3, -1)
             _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13, f23)
         # Couplings rejects non-finite weights, the NaN of a rejected point among them
         ok = np.isfinite(p12 + p13 + p23)

@@ -57,13 +57,8 @@ def check_distances(d: Shape) -> None:
 
 @dataclass(frozen=True)
 class TriangleConfig:
-    """Pairwise distances k_F*r_ij of three localized fermions.
-
-    The triple must pass :func:`check_distances`: finite and nonnegative,
-    at most one vanishing distance, and realizable by three points within
-    1e-12 of the largest distance (or 5e-324 where that underflows), at
-    every scale.
-    """
+    """Pairwise distances k_F*r_ij of three localized fermions; the triple
+    must pass :func:`check_distances`."""
 
     d12: float
     d13: float

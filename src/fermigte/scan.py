@@ -2,17 +2,18 @@
 
 Sweeps tabulate the robustness lower bound along the standard
 configuration families, each given by its unit-separation shape in
-:mod:`geometry`; a separation value of 0 selects the exact vanishing-size
-limit (shape-only couplings), with the same checks as any finite
-separation.  Sweeps run on numpy arrays, through the array forms of the
-scalar point chain shape -> weights -> bound, which keep its operation
-order.  The collinear and isosceles tables are one array evaluation each
-(the distance table one per dimension), with each grid value's shape
-from its scalar shape function, so every cell is the scalar chain's, bit
-for bit, wherever numpy's sin, cos and sqrt round as math's; they never
-raise mid-table: the array path marks the points that a scalar check
-rejects, an invalid kfr or grid value included, and the sweep raises the
-error that the scalar chain raises at the first failing point.
+:mod:`geometry`.  A point is decided by its unit shape: every kfr with
+kfr * max(shape) < LIMIT_SWITCH, 0 included, takes the exact
+vanishing-size limit of the unit shape itself.  Sweeps run on numpy
+arrays, through the array forms of the scalar point chain shape ->
+weights -> bound, which keep its operation order.  The collinear and
+isosceles tables are one array evaluation each (the distance table one
+per dimension), with each grid value's shape from its scalar shape
+function, so every cell is the scalar chain's, bit for bit, wherever
+numpy's sin, cos and sqrt round as math's; they never raise mid-table:
+the array path marks the points that a scalar check rejects, an invalid
+kfr or grid value included, and the sweep raises the error that the
+scalar chain raises at the first failing point.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -30,15 +31,15 @@ True so far, a row's first False ends its switch step (so a row reads
 at most three grid points past its switch), and the switched rows are
 bisected together, each on its own one-step bracket.  The rows are
 checked on the scalar chain before any point is read, each theta and
-kfr once: every centre q = 0 is the shape (0.5, 1, 0.5), and d13 = kfr
-is a row's largest distance at every radius, so a row whose theta's
-direction and centre pass is valid at every radius, and a failing table
-reads no point.  A valid row's branch and f13 hold at every radius
-(:func:`_row_constants`), and every point, the centre included, is
-:func:`_polar_gte`, the checked chain's GTE flag from d12 and d23 alone.
-Its distances come from :func:`polar_shape`'s formula on np.hypot,
-which may differ from math.hypot in the last bit; the table depends
-only on the bound's signs.
+kfr once: every radius of a valid theta is a valid unit shape, every
+centre q = 0 the shape (0.5, 1, 0.5), and d13 = kfr the largest scaled
+distance, so a row whose theta's direction and centre pass is valid at
+every radius, and a failing table reads no point.  A valid row's branch
+and f13 hold at every radius (:func:`_row_constants`), and every point,
+the centre included, is :func:`_polar_gte`, the checked chain's GTE flag
+from the unit shape's s12 and s23 alone.  They come from
+:func:`polar_shape`'s formula on np.hypot, which may differ from
+math.hypot in the last bit; the table depends only on the bound's signs.
 
 Every table has one flat row type (:data:`CollinearRow`,
 :data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
@@ -174,8 +175,8 @@ def sweep_isosceles(
 
 
 def _row_constants(dim: Dimensionality, kfr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branch (limit, kfr = 0 included) and f13 of valid polar rows:
-    d13 = kfr is the largest distance at every radius, so neither changes."""
+    """The branch (the unit-shape limit below LIMIT_SWITCH) and f13 of valid
+    polar rows: d13 = kfr is the largest distance at every radius."""
     return kfr < cpl.LIMIT_SWITCH, _f_array(dim, kfr)
 
 
@@ -186,20 +187,19 @@ def _polar_gte(
     """Witnessed GTE at radius q (one for all points, or one per point) on
     valid polar rows (kfr, theta) with theta's direction (cos, sin), given
     their :func:`_row_constants`: the checked chain's flag, bit for bit,
-    with its formulas on d12 and d23 alone, since no point of a valid row
-    is rejected.  The coincident pair (theta = 0, q = 1/2) has the weights
+    with its formulas on the unit shape's s12, s13 = 1 and s23 alone (limit
+    rows) or on those scaled by kfr (kernel rows), since no point of a valid
+    row is rejected.  The coincident pair (theta = 0, q = 1/2) has the weights
     (0, 0, ~1) at every kfr, whose best witness value 3 stays below
     1 + sqrt(5)."""
     s12, s23 = geometry._polar_distances(q, cos, sin, np)
-    scale = np.where(kfr == 0.0, 1.0, kfr)
-    d12, d23 = scale * s12, scale * s23
     p12, p13, p23 = np.empty((3, kfr.size))
     i = np.flatnonzero(limit)
     if i.size:
-        p12[i], p13[i], p23[i] = cpl._limit_formula(d12[i], scale[i], d23[i], scale[i], np)
+        p12[i], p13[i], p23[i] = cpl._limit_formula(s12[i], 1.0, s23[i], 1.0, np)
     i = np.flatnonzero(~limit)
     if i.size:
-        f12, f23 = _f_array(dim, np.concatenate((d12[i], d23[i]))).reshape(2, -1)
+        f12, f23 = _f_array(dim, (kfr[i] * np.array((s12[i], s23[i]))).ravel()).reshape(2, -1)
         _, p12[i], p13[i], p23[i] = cpl._kernel_formula(f12, f13[i], f23)
     return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
 
@@ -217,10 +217,9 @@ def sweep_polar_boundary(
     row finds the switch and q* of its own bracket-then-bisect solve
     (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
     POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
-    chunk that holds its switch.  Each theta and kfr is checked once on
-    the scalar chain, at the row centre q = 0, before any point is read: a
-    table with an invalid kfr or theta raises its first invalid row's
-    scalar error (rows in kfr-major order) and reads no point.
+    chunk that holds its switch.  A table with an invalid kfr or theta
+    raises its first invalid row's scalar error (rows in kfr-major order)
+    and reads no point.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
     index (None when there is none) and the number of pre-scan points

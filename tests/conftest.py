@@ -5,10 +5,11 @@ values come from a truncated power series, the minimum eigenvalue from a
 cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
 biseparability hull from sampled lens boundaries and qhull, random
 states from direct Haar sampling, polar q* rows from the public
-configuration, coupling and bound objects solved one row at a time, the
-rows of the other figure sweeps from the scalar point chain one point at a
-time, CSV table bodies one row at a time, and the GHZ/W grid scan from kets
-built with their own local kets and np.kron products, evaluated and
+configuration, coupling and bound objects (by the unit-shape rule of
+public_couplings) solved one row at a time, the rows of the other figure
+sweeps from the scalar point chain one point at a time, CSV table
+bodies one row at a time, and the GHZ/W grid scan from kets built with
+their own local kets and np.kron products, evaluated and
 compared one node at a time, the energy-witness verdict and the closed E_R
 bound of both observable signs straight from the weights,
 and states of the Werner family from singlet terms built as (I - SWAP)/4.
@@ -29,7 +30,8 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
 )
-from fermigte.couplings import from_shape
+from fermigte.couplings import LIMIT_SWITCH, from_shape
+from fermigte.errors import DomainError
 from fermigte.geometry import collinear_shape, polar_shape, scaled
 from fermigte.tristate import _assemble
 
@@ -162,14 +164,24 @@ def bisect_root(f, a: float, b: float, iters: int = 200) -> float:
     return 0.5 * (a + b)
 
 
+def public_couplings(shape, kfr: float, dim: Dimensionality):
+    """The weights of a unit shape at separation kfr through the public
+    objects, by the unit-shape rule: kfr must be finite and nonnegative;
+    below LIMIT_SWITCH (kfr * max(shape) < 1e-3, kfr = 0 included) they are
+    the vanishing-size limit of the unit shape itself, above it those of
+    the scaled configuration."""
+    if not 0.0 <= kfr < math.inf:
+        raise DomainError(f"kfr must be finite and nonnegative, got {kfr}")
+    if kfr * max(shape) < LIMIT_SWITCH:
+        return couplings_zero_limit(*shape)
+    return couplings_from_config(scaled(kfr, shape, dim))
+
+
 def polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:
     """Witnessed GTE at one polar point, through the public objects; a
     coincident pair (theta = 0, q = 1/2) shows none."""
-    if kfr == 0.0:
-        d = polar_shape(theta, q)
-        return min(d) > 0.0 and er_lower_bound(couplings_zero_limit(*d)) > 0.0
-    cfg = scaled(kfr, polar_shape(theta, q), dim)
-    return min(cfg.distances()) > 0.0 and er_lower_bound(couplings_from_config(cfg)) > 0.0
+    d = polar_shape(theta, q)
+    return min(d) > 0.0 and er_lower_bound(public_couplings(d, kfr, dim)) > 0.0
 
 
 def polar_q_star(dim, kfr, theta, tol=1e-6, calls=None):

@@ -607,8 +607,9 @@ class TestTinyConfigurations:
         assert values[0] == pytest.approx(values[1], abs=1e-12)
 
     def test_subnormal_polar_point_one_spacing_outside_the_triangle(self, capsys):
-        # the distances round to (1e-323, 2e-323, 5e-324): d13 exceeds d12 + d23
-        # by one subnormal spacing, where 1e-12 of d13 underflows to 0
+        # the scaled distances round to (1e-323, 2e-323, 5e-324): d13 exceeds
+        # d12 + d23 by one subnormal spacing, where 1e-12 of d13 underflows to
+        # 0; the point is decided by its unit shape and evaluates
         args = ["er", "--geometry", "polar", "--kfr", "2e-323", "--theta", "0",
                 "--q-over-r", "0.12500000000000006"]
         d = scaled(2e-323, polar_shape(0.0, 0.12500000000000006), Dimensionality.THREE_D)
@@ -617,21 +618,25 @@ class TestTinyConfigurations:
         assert (code, err) == (0, "")
         assert json.loads(out)["value"] > 0.0
 
-    @pytest.mark.xfail(
-        raises=AssertionError,
-        strict=True,
-        reason="FOUND: at a subnormal kfr the bound comes from distances quantized to a few "
-        "subnormal spacings, so --kfr 2e-323 prints 0.1055728090 where --kfr 0 prints 0.0942914538",
+    @pytest.mark.parametrize(
+        "shape_args",
+        [
+            ["--geometry", "polar", "--theta", "0", "--q-over-r", "0.125"],
+            ["--geometry", "collinear", "--x-over-r", "0.3"],
+            ["--geometry", "isosceles", "--y-over-r", "0.2"],
+        ],
+        ids=["polar", "collinear", "isosceles"],
     )
-    def test_a_subnormal_kfr_gives_the_limit_bound_or_exit_2(self, capsys):
-        # either fix passes: rejecting a kfr whose scaled distances lose
-        # precision, or evaluating it as the vanishing-size limit
-        args = ["er", "--geometry", "polar", "--theta", "0", "--q-over-r", "0.125", "--kfr"]
-        code, out, _ = run(capsys, [*args, "0"])
-        assert code == 0
-        limit = json.loads(out)["value"]
-        code, out, _ = run(capsys, [*args, "2e-323"])
-        assert code == 2 or json.loads(out)["value"] == pytest.approx(limit, abs=1e-12)
+    def test_a_subnormal_kfr_gives_the_limit_bound(self, capsys, shape_args):
+        # below the limit switch every kfr takes the limit of the unit shape
+        # itself, so every tiny kfr prints the --kfr 0 value bit for bit
+        values = []
+        for kfr in ("0", "5e-324", "2e-323", "1e-300", "5e-4"):
+            code, out, err = run(capsys, ["er", *shape_args, "--kfr", kfr])
+            assert (code, err) == (0, ""), kfr
+            values.append(json.loads(out)["value"])
+        assert values[0] > 0.0
+        assert [v.hex() for v in values] == [values[0].hex()] * 5
 
 
 class TestCoincidentPair:

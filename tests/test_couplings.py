@@ -38,7 +38,7 @@ from fermigte.geometry import (
 )
 from fermigte.specfun import X_MAX
 
-from conftest import psd_werner_weights, random_config, werner_states
+from conftest import psd_werner_weights, public_couplings, random_config, werner_states
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -185,14 +185,19 @@ class TestFromShape:
             assert from_shape(shape, 0.0, dim) == couplings_zero_limit(*shape)
 
     def test_finite_separation_scales_the_shape(self):
+        # above the switch; below it the unit shape's limit, subnormal kfrs included
         shape = collinear_shape(0.3)
-        for kfr in (5e-4, 1.7):
-            assert from_shape(shape, kfr, D2) == couplings_from_config(scaled(kfr, shape, D2))
+        assert from_shape(shape, 1.7, D2) == couplings_from_config(scaled(1.7, shape, D2))
+        for kfr in (5e-324, 2e-323, 1e-300, 5e-4):
+            assert from_shape(shape, kfr, D2) == couplings_zero_limit(*shape)
 
-    @pytest.mark.parametrize("kfr", [-1.0, math.nan])
+    @pytest.mark.parametrize("kfr", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
     def test_rejects_bad_separation(self, kfr):
-        with pytest.raises(DomainError):
-            from_shape(collinear_shape(0.3), kfr, D3)
+        # kfr is checked before the shape, so an invalid shape shows the kfr error
+        for shape in (collinear_shape(0.3), (2.0, 1.0, 0.5)):
+            with pytest.raises(DomainError) as info:
+                from_shape(shape, kfr, D3)
+            assert str(info.value) == f"kfr must be finite and nonnegative, got {kfr}"
 
     def test_equilateral_has_no_limit(self):
         with pytest.raises(DegenerateDenominatorError):
@@ -212,9 +217,9 @@ class TestFloatCore:
     and the sweeps' array form the same values and checks, bit for bit."""
 
     # straddles LIMIT_SWITCH, where the shape-only limit hands over to the
-    # kernel formula
-    KFRS = [0.0, 2e-4, 5e-4, 9.99e-4, 1e-3, 1.0005e-3, 1.5e-3, 3e-3, 0.02, 0.5]
-    KFRS += [1.0, 2.59, 7.3, 49.0, 50.0, 60.0, -1.0, math.nan, math.inf]
+    # kernel formula, and reaches down to the subnormals
+    KFRS = [0.0, 5e-324, 2e-323, 1e-310, 2e-4, 5e-4, 9.99e-4, 1e-3, 1.0005e-3, 1.5e-3, 3e-3]
+    KFRS += [0.02, 0.5, 1.0, 2.59, 7.3, 49.0, 50.0, 60.0, -1.0, math.nan, math.inf]
     SHAPES = [collinear_shape(x) for x in (0.0, 0.1, 0.5, 0.77, 1.0)]
     SHAPES += [isosceles_shape(y) for y in (0.0, 0.3, math.sqrt(3.0) / 2.0, 1.2)]
     SHAPES += [polar_shape(t, q) for t in (0.0, 0.7, math.pi / 2.0) for q in (0.0, 0.21, 0.5)]
@@ -222,9 +227,7 @@ class TestFloatCore:
 
     @staticmethod
     def _public(shape, kfr, dim):
-        if kfr == 0.0:
-            return couplings_zero_limit(*shape).as_tuple()
-        return couplings_from_config(scaled(kfr, shape, dim)).as_tuple()
+        return public_couplings(shape, kfr, dim).as_tuple()
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_from_shape_equals_from_config(self, dim):
@@ -241,15 +244,15 @@ class TestFloatCore:
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_from_config(self, dim):
-        # every scaled triple that passes the distance checks, one element at
-        # a time, and every unit shape scaled by 2**-20 into limit mode
+        # every scaled triple, one element at a time, those that the distance
+        # checks reject included, and every unit shape scaled by 2**-20 into limit mode
         cases = []
         for shape in self.SHAPES:
             for kfr in self.KFRS:
                 if kfr == 0.0:
                     cases.append((tuple(2.0**-20 * d for d in shape), shape))
                 elif 0.0 < kfr <= X_MAX:
-                    cases.append((scaled(kfr, shape, dim).distances(), None))
+                    cases.append((tuple(kfr * d for d in shape), None))
 
         def array(d):
             return _weights_array(dim, 1.0, *(np.array(v, dtype=float) for v in zip(*d)))
@@ -276,6 +279,27 @@ class TestFloatCore:
         p12, p13, p23, ok = array([d for d, _ in cases])
         assert ok.tolist() == oks
         assert list(zip(p12[ok].tolist(), p13[ok].tolist(), p23[ok].tolist())) == good
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_array_form_equals_from_shape(self, dim):
+        # every (shape, kfr) point in one array: the mask is False exactly where
+        # from_shape raises, and every kfr > 0 below the switch, subnormals
+        # included, gives the kfr = 0 weights bit for bit or the same error type
+        points = list(itertools.product(self.SHAPES, self.KFRS))
+        s12, s13, s23 = np.array([shape for shape, _ in points]).T
+        *weights, ok = _weights_array(dim, np.array([k for _, k in points]), s12, s13, s23)
+        below = 0
+        for (shape, kfr), *got, valid in zip(points, *(v.tolist() for v in weights), ok.tolist()):
+            want = _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
+            assert valid is not isinstance(want[0], type), (shape, kfr, want)
+            if valid:
+                assert repr(tuple(got)) == repr(want), (shape, kfr)
+            if 0.0 < kfr * max(shape) < LIMIT_SWITCH:
+                at_zero = _outcome(lambda: from_shape(shape, 0.0, dim).as_tuple())
+                assert (want if valid else want[0]) == (at_zero if valid else at_zero[0])
+                below += 1
+        # each shape meets at least the three subnormal kfrs, 2e-4 and 5e-4
+        assert below >= 5 * len(self.SHAPES)
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_masks_non_finite_weights(self, dim, monkeypatch):

@@ -575,13 +575,8 @@ class TestLockStep:
             ([60.0, 1.0], [0.3, 4.0], (60.0, 0.3, 0.0)),
             ([math.nan], [0.3], (math.nan, 0.3, 0.0)),
             ([1.0, -1], [0.3], (-1, 0.3, 0.0)),
-            # a subnormal kfr scales d12 and d23 to 0: a rejected point
-            ([1.0, 5e-324], [0.3], (5e-324, 0.3, 0.0)),
         ],
-        ids=[
-            "kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int",
-            "kfr-subnormal",
-        ],
+        ids=["kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int"],
     )
     def test_domain_errors_are_the_scalar_errors(self, kfrs, thetas, point, polar_calls):
         # the error of the first failing row, at the first point it reads
@@ -592,9 +587,9 @@ class TestLockStep:
         assert polar_calls == {}
 
     def test_a_rejected_point_replays_its_own_distances(self, monkeypatch):
-        # a subnormal kfr scales d12 and d23 to 0 at the centre; the error
-        # comes from the row's own centre shape (0.5, 1, 0.5), not from a
-        # rebuilt polar shape
+        # kfr = 60 puts d13 = 60 past the kernels' domain at the centre; the
+        # error comes from the row's own centre shape (0.5, 1, 0.5), not from
+        # a rebuilt polar shape
         import fermigte.scan as scan_module
 
         shapes, real = [], scan_module.cpl.from_shape
@@ -605,8 +600,8 @@ class TestLockStep:
 
         monkeypatch.setattr(scan_module.geometry, "polar_shape", lambda *a: pytest.fail("rebuilt"))
         monkeypatch.setattr(scan_module.cpl, "from_shape", recording)
-        with pytest.raises(DomainError, match="at most one pairwise distance may vanish"):
-            sweep_polar_boundary(D3, [5e-324], [0.3])
+        with pytest.raises(DomainError, match="f_factor requires 0 <= x <= 50.0, got 60.0"):
+            sweep_polar_boundary(D3, [60.0], [0.3])
         monkeypatch.undo()
         assert repr(shapes) == repr([polar_shape(0.3, 0.0)]) == repr([(0.5, 1.0, 0.5)])
 
@@ -615,9 +610,8 @@ class TestLockStep:
         [
             ([1.0, 2.7, 60.0], [0.3, 0.7], (60.0, 0.3, 0.0)),
             ([1.0, 2.7], [0.3, 0.7, 4.0], (1.0, 4.0, 0.0)),
-            ([0.0, 1.0, 5e-324], [0.3], (5e-324, 0.3, 0.0)),
         ],
-        ids=["kfr-above-range", "theta-4", "kfr-subnormal"],
+        ids=["kfr-above-range", "theta-4"],
     )
     def test_an_invalid_row_after_valid_rows_reads_no_point(
         self, kfrs, thetas, point, polar_calls, caplog
@@ -629,6 +623,16 @@ class TestLockStep:
             assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
         assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
         assert polar_calls == {}
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_a_kfr_below_the_switch_gives_the_kfr_0_rows(self, dim):
+        # the unit shape decides below LIMIT_SWITCH: subnormal kfrs included,
+        # every row is the kfr = 0 row, bit for bit
+        kfrs, thetas = [0.0, 5e-324, 2e-323, 5e-4], [0.0, 0.3, 1.2, math.pi / 2.0]
+        q_stars = [r.q_star for r in sweep_polar_boundary(dim, kfrs, thetas)]
+        limit = q_stars[: len(thetas)]
+        assert 0.0 < min(limit) and max(limit) < 0.5
+        assert repr(q_stars) == repr(limit * len(kfrs))
 
     @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
     def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
@@ -747,7 +751,7 @@ polar_kfrs = (
 )
 @settings(max_examples=500, deadline=None)
 @example(dim=D2, kfr=math.nextafter(50.0, 60.0), theta=math.pi, m=2**18)
-# the centre rounds d12 = d23 = kfr/2 to 0, the point rounds d12 up: rejected at the centre only
+# the unit shape decides: d12 = d23 = kfr/2 would round to 0 at the centre
 @example(dim=D3, kfr=5e-324, theta=0.3, m=2**19)
 def test_a_polar_point_is_rejected_only_where_its_centre_is(dim, kfr, theta, m):
     # the fact that lets the table check each row at its centre alone: d13 =
