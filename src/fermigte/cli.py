@@ -63,7 +63,9 @@ _ER_FLAGS = {
 
 def _state(args: argparse.Namespace) -> tuple[couplings.Couplings, str | None]:
     """(couplings, dim) of a distance triple or an er geometry; dim is None
-    in limit mode, as the limit has no dim."""
+    wherever the weights are the vanishing-size limit, which has no dim:
+    in limit mode, below the switch of from_shape (kfr * max(shape) <
+    LIMIT_SWITCH) or of from_config (every distance below it)."""
     if args.command == "er":
         own = _ER_FLAGS[args.geometry]
         # the er parser leaves every flag not given out of args
@@ -76,13 +78,14 @@ def _state(args: argparse.Namespace) -> tuple[couplings.Couplings, str | None]:
             shape_of = getattr(geometry, f"{args.geometry}_shape")
             shape = shape_of(*[getattr(args, n) for n in own if n != "kfr"])
             c = couplings.from_shape(shape, args.kfr, Dimensionality(args.dim))
-            return c, None if args.kfr == 0.0 else args.dim
+            return c, None if args.kfr * max(shape) < couplings.LIMIT_SWITCH else args.dim
         if None in (args.d12, args.d13, args.d23):
             raise DomainError("--geometry triangle needs --d12, --d13 and --d23")
     if args.limit:
         return couplings.zero_limit(args.d12, args.d13, args.d23), None
     cfg = geometry.TriangleConfig(args.d12, args.d13, args.d23, Dimensionality(args.dim))
-    return couplings.from_config(cfg), args.dim
+    c = couplings.from_config(cfg)
+    return c, None if max(cfg.distances()) < couplings.LIMIT_SWITCH else args.dim
 
 
 class _Parser(argparse.ArgumentParser):

@@ -152,10 +152,16 @@ def _sweep_columns(
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
 
 
+def _rows(row: type, *columns: Iterable) -> list:
+    """The rows of a table of the NamedTuple type row from its columns, each
+    made at C level by tuple.__new__ (row._make is one Python call per row)."""
+    return list(map(tuple.__new__, repeat(row), zip(*columns)))
+
+
 def _grid_sweep(row, dim, kfr_values, grid, shape_of) -> list:
     columns = _sweep_columns(dim, kfr_values, grid, shape_of)
     kfr = [k for k in kfr_values for _ in grid]
-    return list(map(row._make, zip(kfr, list(grid) * len(kfr_values), *columns)))
+    return _rows(row, kfr, list(grid) * len(kfr_values), *columns)
 
 
 def sweep_collinear(
@@ -229,8 +235,9 @@ def sweep_polar_boundary(
     """
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid = qs.tolist()
-    pairs = [(kfr, theta) for kfr in kfr_values for theta in theta_grid]
-    n = len(pairs)
+    kfrs = [kfr for kfr in kfr_values for _ in theta_grid]
+    thetas = list(theta_grid) * len(kfr_values)
+    n = len(kfrs)
     direction = []
     if n:
         # a row is valid iff its theta's direction and its centre (0.5, 1, 0.5)
@@ -281,11 +288,11 @@ def sweep_polar_boundary(
             read = i + 2 if i >= 0 else 1 if q_star[k] == 0.0 else POLAR_PRESCAN_POINTS
             _log.debug(
                 "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
-                *pairs[k], None if i < 0 else i, read,
+                kfrs[k], thetas[k], None if i < 0 else i, read,
             )
             if i >= 0:
                 _log_bisection((grid[i], grid[i + 1]), steps[k], width[k])
-    return [PolarBoundaryRow(kfr, theta, q) for (kfr, theta), q in zip(pairs, q_star)]
+    return _rows(PolarBoundaryRow, kfrs, thetas, q_star)
 
 
 def sweep_distance(
@@ -296,7 +303,7 @@ def sweep_distance(
     rows = []
     for dim in dims:
         columns = _sweep_columns(dim, kfr_grid, [0.5], geometry.collinear_shape)
-        rows += map(DistanceRow._make, zip(repeat(dim.value), kfr_grid, *columns))
+        rows += _rows(DistanceRow, repeat(dim.value), kfr_grid, *columns)
     return rows
 
 

@@ -168,21 +168,25 @@ def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     nonnegative, and only the values on f_factor's domain [0, X_MAX] are
     f_factor's.
     """
+    # the small-x, J1 far and j1 series branches are skipped when they hold no
+    # point: each is a chain of 6 to 60 numpy calls, costly even on no elements
     out = np.empty_like(x)
     small = x < _SERIES_SWITCH
-    out[small] = _f_small_x(dim, x[small])
+    if small.any():
+        out[small] = _f_small_x(dim, x[small])
     rest = ~small
     if dim is Dimensionality.TWO_D:
         near, far = rest & (x <= 5.0), x > 5.0
         xn = x[near]
         out[near] = 2.0 * _j1_near(xn) / xn
-        if far.any():  # some 60 numpy calls, each costly even on no elements
+        if far.any():
             xf = x[far]
             out[far] = 2.0 * _j1_far(xf, np) / xf
         return out
     series = rest & (x < 0.5)
-    xs = x[series]
-    out[series] = 3.0 * _j1_series(xs) / xs
+    if series.any():
+        xs = x[series]
+        out[series] = 3.0 * _j1_series(xs) / xs
     closed = rest & ~series
     xc = x[closed]
     out[closed] = 3.0 * _j1_closed(xc, np) / xc

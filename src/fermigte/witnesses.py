@@ -141,9 +141,9 @@ _KETS = tuple(("ghz", {"alpha": a}) for a in _GRID) + tuple(
 # each grid ket's family and overlap bound, in scan order
 _GHZ = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
 _LAM = np.where(_GHZ, GHZ_OVERLAP, W_OVERLAP)
-# A ket is evaluated exactly when its screened minimum lies within this of
-# the screened minimum it competes for; the screen's rounding error is
-# below 1e-13 (see _screen), so every exactly minimal node is confirmed.
+# A node is evaluated exactly when its screened value lies within this of
+# its family's screened minimum; the screen's rounding error is below
+# 1e-13 (see _screen), so every exactly minimal node is confirmed.
 _CONFIRM_MARGIN = 1e-9
 
 
@@ -199,27 +199,32 @@ def _grid_kets() -> np.ndarray:
     return np.concatenate([ghz, w], axis=1).reshape(-1, 8)
 
 
-def _node_values(rhos: np.ndarray, psis: np.ndarray, k: int) -> list[float]:
-    """The exact node values of grid ket k over _VERTICES, each rounded as
-    lam - Re np.vdot(psi, rho @ psi), from one stacked product."""
-    lam, psi = _LAM[k], psis[k]
-    return [lam - float(np.vdot(psi, row).real) for row in rhos @ psi]
+def _node_value(rhos: np.ndarray, psis: np.ndarray, k: int, v: int) -> float:
+    """The exact value of node (grid ket k, vertex state v), rounded as
+    lam - Re np.vdot(psi, rho @ psi)."""
+    psi = psis[k]
+    return _LAM[k] - float(np.vdot(psi, rhos[v] @ psi).real)
 
 
 def _screen(rhos: np.ndarray, psis: np.ndarray) -> np.ndarray:
     """Every node value lam - Re psi^H rho psi at once, shape (kets, vertex
     states) in scan order.
 
-    All 10,240 quadratic forms are one batched product.  Its sums run in
-    another order than np.vdot's, so a value may differ from the exact one
-    in the last bits: psi is a unit vector and every row of a vertex rho
-    has absolute sum at most 1, so each form's 64 terms add up to at most
-    1 in size and its rounding error is below 64 * 2**-52 < 1e-13.
+    The vertex states are real symmetric, so with psi = a + ib the form is
+    a^T rho a + b^T rho b in real arithmetic: per vertex state one real
+    product of the stacked a and b rows with rho and one row-wise dot.  Its
+    sums run in another order than np.vdot's, so a value may differ from the
+    exact one in the last bits: psi is a unit vector and every row of a
+    vertex rho has absolute sum at most 1, so each form's 128 terms add up
+    to at most 1 in size and its rounding error is below
+    128 * 2**-52 < 1e-13.
     """
-    # column v, row k: np.vdot(psis[k], rho_v @ psis[k]), one vertex at a time
-    # so that no (vertex, 8, ket) product array is held
-    bras = psis.conj()
-    forms = [np.einsum("kn,nk->k", bras, rho @ psis.T).real for rho in rhos]
+    parts = np.concatenate([psis.real, psis.imag])
+    # one vertex at a time, so that no (vertex, 2 * ket, 8) product array is held
+    forms = []
+    for rho in rhos.real:
+        both = np.einsum("kn,kn->k", parts, parts @ rho)
+        forms.append(both[: len(psis)] + both[len(psis) :])
     return _LAM[:, None] - np.stack(forms, axis=1)
 
 
@@ -236,24 +241,27 @@ def grid_scan_ghz_w() -> GridScanReport:
 
     The report equals that of a node-by-node scan in scan order, each
     value lam - Re np.vdot(psi, rho @ psi), which keeps the first of equal
-    minima.  All nodes are screened at once (:func:`_screen`) and the kets
-    within _CONFIRM_MARGIN of their own family's screened minimum are
-    evaluated again exactly (:func:`_node_values`).
+    minima.  All nodes are screened at once in real arithmetic
+    (:func:`_screen`, a^T rho a + b^T rho b for psi = a + ib, each value
+    within 1e-13 of the exact one), and exactly the nodes within
+    _CONFIRM_MARGIN of their own family's screened minimum are evaluated
+    again exactly (:func:`_node_value`).  A node that can be its family's
+    minimum screens at most 1e-13 above its exact value, so it is among
+    them, and every node left out screens above that minimum.
 
-    Logs one DEBUG record per call: the nodes screened, the kets evaluated
-    again, and the largest |screen - exact| among them.
+    Logs one DEBUG record per call: the nodes screened, the nodes confirmed,
+    and the largest |screen - exact| among them.
     """
     rhos = _vertex_rhos()
     psis = _grid_kets()
-    screen = _screen(rhos, psis)
-    low = screen.min(axis=1)
-    # a family's minimum is never below the global one, so no ket near that is missed
-    cut = np.where(_GHZ, low[_GHZ].min(), low[~_GHZ].min())
-    picked = np.flatnonzero(low <= cut + _CONFIRM_MARGIN)
-    values = screen.copy()
-    values[picked] = [_node_values(rhos, psis, k) for k in picked]
-    error = float(np.abs(values[picked] - screen[picked]).max())
-    _log.debug("grid_scan_ghz_w nodes=%d kets=%d screen_error=%r", screen.size, len(picked), error)
+    values = _screen(rhos, psis)
+    # each family's screened minimum; the global minimum is one of the two
+    cut = np.where(_GHZ, values[_GHZ].min(), values[~_GHZ].min())
+    picked = np.nonzero(values <= cut[:, None] + _CONFIRM_MARGIN)
+    screened = values[picked]
+    values[picked] = [_node_value(rhos, psis, k, v) for k, v in zip(*picked)]
+    error = float(np.abs(values[picked] - screened).max())
+    _log.debug("grid_scan_ghz_w nodes=%d confirmed=%d screen_error=%r", values.size, screened.size, error)
     # row-major order is scan order, so np.argmin keeps the first of equal minima
     k, v = np.unravel_index(np.argmin(values), values.shape)
     family, phases = _KETS[k % len(_KETS)]
@@ -262,6 +270,6 @@ def grid_scan_ghz_w() -> GridScanReport:
     return GridScanReport(
         min_value=float(values[k, v]),
         argmin={"family": family, "p": list(_VERTICES[v]), "angles": angles, "phases": dict(phases)},
-        nodes_evaluated=screen.size,
+        nodes_evaluated=values.size,
         per_family={"ghz": float(values[_GHZ].min()), "w": float(values[~_GHZ].min())},
     )

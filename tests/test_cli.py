@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import fermigte
 from fermigte import Dimensionality, er_lower_bound, scan
-from fermigte.couplings import from_shape as couplings_from_shape
+from fermigte.couplings import LIMIT_SWITCH, from_shape as couplings_from_shape
 from fermigte.geometry import (
     collinear_shape,
     equilateral_shape,
@@ -142,6 +142,26 @@ class TestLimitModeDim:
         code, out, _ = run(capsys, [*args, "--dim", "2d"])
         assert code == 0
         assert json.loads(out)["dim"] == "2d"
+
+    # the largest distance steps across LIMIT_SWITCH = 1e-3: the weights, and
+    # with them the dim reported, switch from the limit to the kernel formula
+    BELOW = math.nextafter(LIMIT_SWITCH, 0.0)
+    STEPS = [(5e-324, None), (1e-4, None), (BELOW, None), (LIMIT_SWITCH, "2d"), (0.5, "2d")]
+
+    @pytest.mark.parametrize("kfr, dim", STEPS)
+    def test_named_geometry_reports_dim_above_the_switch(self, capsys, kfr, dim):
+        # the symmetric collinear shape (0.5, 1, 0.5): kfr * max(shape) = kfr
+        code, out, err = run(capsys, ["er", "--geometry", "collinear", "--kfr", repr(kfr), "--dim", "2d"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dim"] == dim
+
+    @pytest.mark.parametrize("command", [["couplings"], ["werner"], ["er", "--geometry", "triangle"]])
+    @pytest.mark.parametrize("dmax, dim", STEPS[1:])
+    def test_triple_reports_dim_above_the_switch(self, capsys, command, dmax, dim):
+        triple = ["--d12", repr(dmax / 2.0), "--d13", repr(dmax), "--d23", repr(dmax / 2.0)]
+        code, out, err = run(capsys, [*command, *triple, "--dim", "2d"])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["dim"] == dim
 
 
 class TestRecordKeys:

@@ -983,19 +983,29 @@ class TestCsvOutput:
         assert main(["sweep", *argv, "--points", "5"]) == 0
         assert capsys.readouterr().out.splitlines()[0] == header == ",".join(row._fields)
 
+    FIG_GRID = np.linspace(0.0, 1.0, 201).tolist()
+    FIG2_THETAS = np.linspace(0.0, math.pi / 2.0, 100).tolist()
+
     @pytest.mark.parametrize(
-        "sweep, row",
+        "sweep, row, count",
         [
-            (lambda: sweep_collinear(D3, [0.0, 1.0], [0.3, 0.5]), CollinearRow),
-            (lambda: sweep_isosceles(D3, [0.0, 1.0], [0.3, 0.5]), IsoscelesRow),
-            (lambda: sweep_distance([D2, D3], [0.0, 1.0]), DistanceRow),
-            (lambda: sweep_polar_boundary(D3, [2.7, 1.0], [0.0, 0.5]), PolarBoundaryRow),
+            (lambda: sweep_collinear(D3, [0.0, 1.0], [0.3, 0.5]), CollinearRow, 4),
+            (lambda: sweep_isosceles(D3, [0.0, 1.0], [0.3, 0.5]), IsoscelesRow, 4),
+            (lambda: sweep_distance([D2, D3], [0.0, 1.0]), DistanceRow, 4),
+            (lambda: sweep_polar_boundary(D3, [2.7, 1.0], [0.0, 0.5]), PolarBoundaryRow, 4),
+            (lambda: sweep_collinear(D3, _FIG_KFR, TestCsvOutput.FIG_GRID), CollinearRow, 1407),
+            (lambda: sweep_isosceles(D2, _FIG_KFR, TestCsvOutput.FIG_GRID), IsoscelesRow, 1407),
+            (lambda: sweep_distance([D2, D3], TestCsvOutput.FIG_GRID), DistanceRow, 402),
+            (lambda: sweep_polar_boundary(D3, _FIG2_KFR, TestCsvOutput.FIG2_THETAS), PolarBoundaryRow, 500),
         ],
-        ids=["collinear", "isosceles", "distance", "polar"],
+        ids=["collinear", "isosceles", "distance", "polar", "fig-1a", "fig-1b", "fig-3", "fig-2"],
     )
-    def test_each_sweep_returns_its_row_type(self, sweep, row):
+    def test_each_sweep_returns_its_row_type(self, sweep, row, count):
+        # every row is the row class with one cell per field, so that its
+        # _fields name the CSV columns
         rows = sweep()
-        assert len(rows) == 4 and all(type(r) is row for r in rows)
+        assert len(rows) == count
+        assert all(type(r) is row and len(r) == len(row._fields) for r in rows)
 
     @pytest.mark.parametrize(
         "sweep, row",

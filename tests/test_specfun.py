@@ -235,3 +235,21 @@ class TestArrayKernel:
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_empty(self, dim):
         assert _f_array(dim, np.array([])).shape == (0,)
+
+    # each branch left without points in turn: the small-x series, then the
+    # 2D near (x <= 5) and far J1 branches or the 3D j1 series and closed form
+    @pytest.mark.parametrize(
+        "dim, lo, hi",
+        [
+            (D2, _SERIES_SWITCH, X_MAX),
+            (D2, 5.0 + 1e-9, X_MAX),
+            (D2, 0.0, 5.0),
+            (D3, _SERIES_SWITCH, X_MAX),
+            (D3, 0.5, X_MAX),
+            (D3, 0.0, math.nextafter(0.5, 0.0)),
+        ],
+    )
+    def test_a_branch_without_points(self, dim, lo, hi):
+        xs = [x for x in self.sample() if lo <= x <= hi]
+        got = _f_array(dim, np.array(xs)).tolist()
+        assert _bits(got) == _bits([f_factor(dim, x) for x in xs])

@@ -30,8 +30,9 @@ from fermigte.witnesses import (
     _TRIPLES,
     GHZ_OVERLAP,
     W_OVERLAP,
+    _CONFIRM_MARGIN,
     _grid_kets,
-    _node_values,
+    _node_value,
     _screen,
     _vertex_rhos,
 )
@@ -62,6 +63,21 @@ def grid_kets_by_family():
     ghz = np.array([family == "ghz" for family, _ in _KETS] * len(_TRIPLES))
     psis = _grid_kets()
     return psis[ghz], psis[~ghz]
+
+
+def within_margin_of_family_minimum(screen: np.ndarray) -> set[tuple[int, int]]:
+    """The (ket, vertex) nodes whose screened value lies within _CONFIRM_MARGIN
+    of the smallest screened value of the ket's family, one node at a time."""
+    family = [_KETS[k % len(_KETS)][0] for k in range(len(screen))]
+    low = {}
+    for k, row in enumerate(screen.tolist()):
+        low[family[k]] = min(low.get(family[k], math.inf), *row)
+    return {
+        (k, v)
+        for k, row in enumerate(screen.tolist())
+        for v, value in enumerate(row)
+        if value <= low[family[k]] + _CONFIRM_MARGIN
+    }
 
 
 class TestGridKets:
@@ -367,14 +383,37 @@ class TestGridScan:
         }
 
     def test_every_node_value_matches_a_per_node_product(self):
-        # the exact path multiplies all vertex states by a ket at once; a
-        # stacked product that rounds differently from rho @ psi fails here
+        # the exact path reads one node at a time from the scan's own kets and
+        # vertex states; one that rounds differently from rho @ psi fails here
         expect = reference_node_values()
         rhos, psis = _vertex_rhos(), _grid_kets()
-        values = np.array([v for k in range(len(psis)) for v in _node_values(rhos, psis, k)])
+        values = np.array([_node_value(rhos, psis, k, v) for k in range(len(psis)) for v in range(8)])
         assert len(values) == len(expect) == 10240
         assert np.array_equal(values, expect)
         assert grid_scan_ghz_w().min_value == expect.min()
+
+    def test_confirms_exactly_the_nodes_within_the_margin(self, monkeypatch):
+        # each confirmed value is the per-node reference, bit for bit, and
+        # no node outside the margin of its family's screened minimum is read
+        confirmed = {}
+        node_value = witnesses_module._node_value
+
+        def recording(rhos, psis, k, v):
+            confirmed[(int(k), int(v))] = value = node_value(rhos, psis, k, v)
+            return value
+
+        monkeypatch.setattr(witnesses_module, "_node_value", recording)
+        grid_scan_ghz_w()
+        want = within_margin_of_family_minimum(_screen(_vertex_rhos(), _grid_kets()))
+        assert set(confirmed) == want
+        expect = reference_node_values()
+        assert all(value == expect[8 * k + v] for (k, v), value in confirmed.items())
+
+    def test_screen_vertex_states_are_real_symmetric(self):
+        # the screen's real form a^T rho a + b^T rho b rests on this
+        rhos = _vertex_rhos()
+        assert not rhos.imag.any()
+        assert np.array_equal(rhos, rhos.transpose(0, 2, 1))
 
     def test_screen_is_within_rounding_of_every_node(self):
         screen = _screen(_vertex_rhos(), _grid_kets())
@@ -419,9 +458,11 @@ class TestGridScan:
             grid_scan_ghz_w()
         (record,) = [r for r in caplog.records if r.name == "fermigte.witnesses"]
         assert record.levelno == logging.DEBUG
-        nodes, kets, error = record.args
+        nodes, confirmed, error = record.args
         assert nodes == 10240
-        assert 0 < kets <= 1280
+        assert 0 < confirmed <= 1280
+        screen = _screen(_vertex_rhos(), _grid_kets())
+        assert confirmed == len(within_margin_of_family_minimum(screen))
         assert 0.0 <= error <= 1e-12
 
     def test_silent_by_default(self, caplog):
