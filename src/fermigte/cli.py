@@ -1,7 +1,9 @@
 """Command-line front end; every computation is a subcommand.
 
 Scalar results are emitted as JSON objects (never holding NaN or an
-infinity), tables as CSV.  The figure grids live here; solver tolerances
+infinity), tables as CSV, a sweep's from :mod:`scan`'s columns with each
+axis value's "%.12g" text made once (``sweep_*`` rows are the library's
+view of the same columns).  The figure grids live here; solver tolerances
 and search brackets default beside their solvers in :mod:`scan` and
 :mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
 output path that cannot be written, 3 bracket or convergence error.
@@ -186,6 +188,11 @@ def _csv(header, rows) -> str:
     return buf.getvalue()
 
 
+def _text(values: list[float]) -> list[str]:
+    """Each axis value's CSV cell, "%.12g" as write_csv prints a float."""
+    return ["%.12g" % v for v in values]
+
+
 def _run_sweep(args: argparse.Namespace) -> str:
     if args.figure == "3" and args.dim is not None:
         raise DomainError("--figure 3 covers both dims and takes no --dim")
@@ -196,19 +203,21 @@ def _run_sweep(args: argparse.Namespace) -> str:
     if args.figure == "1a":
         grid = np.linspace(0.0, 1.0, n).tolist()
         # only the limit row (_FIG_KFR[0] = 0) takes the inset grid
-        rows = scan.sweep_collinear(dim, _FIG_KFR[:1], _limit_safe(grid))
-        rows += scan.sweep_collinear(dim, _FIG_KFR[1:], grid)
+        limit = scan._grid_table(dim, _FIG_KFR[:1], _limit_safe(grid), geometry.collinear_shape, _text)
+        rest = scan._grid_table(dim, _FIG_KFR[1:], grid, geometry.collinear_shape, _text)
+        rows = [*zip(*limit), *zip(*rest)]
         header = scan.CollinearRow._fields
     elif args.figure == "1b":
-        rows = scan.sweep_isosceles(dim, _FIG_KFR, np.linspace(0.0, 1.0, n).tolist())
+        grid = np.linspace(0.0, 1.0, n).tolist()
+        rows = zip(*scan._grid_table(dim, _FIG_KFR, grid, geometry.isosceles_shape, _text))
         header = scan.IsoscelesRow._fields
     elif args.figure == "2":
         thetas = np.linspace(0.0, math.pi / 2.0, max(2, n // 2)).tolist()
-        rows = scan.sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        rows = zip(*scan._polar_table(dim, _FIG2_KFR, thetas, _text))
         header = scan.PolarBoundaryRow._fields
     else:
         grid = [0.0] + np.linspace(0.015, 3.0, n).tolist()
-        rows = scan.sweep_distance([Dimensionality.TWO_D, Dimensionality.THREE_D], grid)
+        rows = zip(*scan._distance_table([Dimensionality.TWO_D, Dimensionality.THREE_D], grid, _text))
         header = scan.DistanceRow._fields
     return _csv(header, rows)
 

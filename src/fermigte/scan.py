@@ -41,11 +41,13 @@ from the unit shape's s12 and s23 alone.  They come from
 :func:`polar_shape`'s formula on np.hypot, which may differ from
 math.hypot in the last bit; the table depends only on the bound's signs.
 
-Every table has one flat row type (:data:`CollinearRow`,
-:data:`IsoscelesRow`, :data:`DistanceRow`, :class:`PolarBoundaryRow`),
-whose ``_fields`` are the table's CSV header, so an empty sweep still has
-a header; :func:`write_csv` formats a whole table body in one
-%-operation.
+Every table is columns: two axes laid out kfr-major (dim-major for the
+distance table) by :func:`_product_table`, then its values.  The sweeps'
+rows (:data:`CollinearRow`, :data:`IsoscelesRow`, :data:`DistanceRow`,
+:data:`PolarBoundaryRow`, whose ``_fields`` are the CSV header) are the
+library's view of them, with float axes; the CLI prints them with each
+axis value's "%.12g" text made once, which :func:`write_csv` prints as it
+prints any str cell, a whole table body in one %-operation.
 """
 
 from __future__ import annotations
@@ -72,19 +74,13 @@ POLAR_PRESCAN_CHUNK = 4  # grid radii per row in each lock-step pre-scan call
 _log = logging.getLogger(__name__)
 
 
-# the row types of the sweep tables: the point's variables, then its bound and weights
+# the row types of the sweep tables: the point's variables, then its bound and
+# weights, or the witnessed-GTE boundary radius q* at (kfr, theta)
 _BOUND_COLUMNS = [(c, float) for c in ("er_lower_bound", "witness_value", "p12", "p13", "p23")]
 CollinearRow = NamedTuple("CollinearRow", [("kfr", float), ("x_over_r", float), *_BOUND_COLUMNS])
 IsoscelesRow = NamedTuple("IsoscelesRow", [("kfr", float), ("y_over_r", float), *_BOUND_COLUMNS])
 DistanceRow = NamedTuple("DistanceRow", [("dim", str), ("kfr", float), *_BOUND_COLUMNS])
-
-
-class PolarBoundaryRow(NamedTuple):
-    """Witnessed-GTE boundary radius q* at one (kfr, theta)."""
-
-    kfr: float
-    theta: float
-    q_star: float
+PolarBoundaryRow = NamedTuple("PolarBoundaryRow", [(c, float) for c in ("kfr", "theta", "q_star")])
 
 
 def check_tol(tol: float) -> None:
@@ -131,12 +127,7 @@ def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
         return (math.nan,) * size
 
 
-def _sweep_columns(
-    dim: Dimensionality,
-    kfr_values: Sequence[float],
-    grid: Sequence[float],
-    shape_of: Callable[[float], geometry.Shape],
-) -> list[list[float]]:
+def _bound_columns(dim, kfr_values, grid, shape_of) -> list[list[float]]:
     """The columns er_lower_bound, witness_value, p12, p13, p23 over the
     points (kfr, grid value), kfr-major.  A point fails where shape_of
     rejects its grid value or the weights' checks reject it, kfr's included."""
@@ -152,32 +143,33 @@ def _sweep_columns(
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
 
 
-def _rows(row: type, *columns: Iterable) -> list:
-    """The rows of a table of the NamedTuple type row from its columns, each
-    made at C level by tuple.__new__ (row._make is one Python call per row)."""
+def _product_table(outer: Sequence, inner: Sequence, values: Iterable[list]) -> list[list]:
+    """The columns of the table over (outer, inner), outer-major: each outer cell
+    once per inner cell, the inner axis once per outer cell, then the values."""
+    return [[v for v in outer for _ in inner], list(inner) * len(outer), *values]
+
+
+def _rows(row: type, columns: list[list]) -> list:
+    """The table's rows as the NamedTuple type row, each made at C level by tuple.__new__."""
     return list(map(tuple.__new__, repeat(row), zip(*columns)))
 
 
-def _grid_sweep(row, dim, kfr_values, grid, shape_of) -> list:
-    columns = _sweep_columns(dim, kfr_values, grid, shape_of)
-    kfr = [k for k in kfr_values for _ in grid]
-    return _rows(row, kfr, list(grid) * len(kfr_values), *columns)
+def _grid_table(dim, kfr_values, grid, shape_of, axis: Callable = list) -> list[list]:
+    """The columns of a kfr-major grid sweep: axis(kfr_values) and axis(grid)
+    laid out by :func:`_product_table`, then :func:`_bound_columns`."""
+    return _product_table(axis(kfr_values), axis(grid), _bound_columns(dim, kfr_values, grid, shape_of))
 
 
 def sweep_collinear(
-    dim: Dimensionality,
-    kfr_values: Sequence[float],
-    x_over_r_grid: Sequence[float],
+    dim: Dimensionality, kfr_values: Sequence[float], x_over_r_grid: Sequence[float]
 ) -> list[CollinearRow]:
-    return _grid_sweep(CollinearRow, dim, kfr_values, x_over_r_grid, geometry.collinear_shape)
+    return _rows(CollinearRow, _grid_table(dim, kfr_values, x_over_r_grid, geometry.collinear_shape))
 
 
 def sweep_isosceles(
-    dim: Dimensionality,
-    kfr_values: Sequence[float],
-    y_over_r_grid: Sequence[float],
+    dim: Dimensionality, kfr_values: Sequence[float], y_over_r_grid: Sequence[float]
 ) -> list[IsoscelesRow]:
-    return _grid_sweep(IsoscelesRow, dim, kfr_values, y_over_r_grid, geometry.isosceles_shape)
+    return _rows(IsoscelesRow, _grid_table(dim, kfr_values, y_over_r_grid, geometry.isosceles_shape))
 
 
 def _row_constants(dim: Dimensionality, kfr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -210,34 +202,12 @@ def _polar_gte(
     return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
 
 
-def sweep_polar_boundary(
-    dim: Dimensionality,
-    kfr_values: Sequence[float],
-    theta_grid: Sequence[float],
-) -> list[PolarBoundaryRow]:
-    """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
-
-    Rows where GTE holds on the whole radius report q* = 1/2 and rows
-    where it holds nowhere report q* = 0, keeping the table rectangular;
-    any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
-    row finds the switch and q* of its own bracket-then-bisect solve
-    (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
-    POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
-    chunk that holds its switch.  A table with an invalid kfr or theta
-    raises its first invalid row's scalar error (rows in kfr-major order)
-    and reads no point.
-
-    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
-    index (None when there is none) and the number of pre-scan points
-    that the row's own solve reads (1 when the centre shows no GTE, all of
-    them when the whole radius does; the chunk's points past the switch
-    are not counted); each bisected row follows with its bisect_switch record.
-    """
+def _polar_table(dim, kfr_values, theta_grid, axis: Callable = list) -> list[list]:
+    """The columns of :func:`sweep_polar_boundary`, solved and logged as it says:
+    axis(kfr_values) and axis(theta_grid) by :func:`_product_table`, then q*."""
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
-    grid = qs.tolist()
-    kfrs = [kfr for kfr in kfr_values for _ in theta_grid]
-    thetas = list(theta_grid) * len(kfr_values)
-    n = len(kfrs)
+    grid, m = qs.tolist(), len(theta_grid)
+    n = len(kfr_values) * m
     direction = []
     if n:
         # a row is valid iff its theta's direction and its centre (0.5, 1, 0.5)
@@ -249,7 +219,7 @@ def sweep_polar_boundary(
         for row_kfr in kfr_values[1:]:
             cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)
     cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
-    kfr = np.repeat(np.asarray(kfr_values, dtype=float), len(theta_grid))
+    kfr = np.repeat(np.asarray(kfr_values, dtype=float), m)
     switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
     limit, f13 = _row_constants(dim, kfr)
 
@@ -288,23 +258,48 @@ def sweep_polar_boundary(
             read = i + 2 if i >= 0 else 1 if q_star[k] == 0.0 else POLAR_PRESCAN_POINTS
             _log.debug(
                 "sweep_polar_boundary row kfr=%r theta=%r switch=%s read=%d",
-                kfrs[k], thetas[k], None if i < 0 else i, read,
+                kfr_values[k // m], theta_grid[k % m], None if i < 0 else i, read,
             )
             if i >= 0:
                 _log_bisection((grid[i], grid[i + 1]), steps[k], width[k])
-    return _rows(PolarBoundaryRow, kfrs, thetas, q_star)
+    return _product_table(axis(kfr_values), axis(theta_grid), [q_star])
 
 
-def sweep_distance(
-    dims: Sequence[Dimensionality],
-    kfr_grid: Sequence[float],
-) -> list[DistanceRow]:
+def sweep_polar_boundary(
+    dim: Dimensionality, kfr_values: Sequence[float], theta_grid: Sequence[float]
+) -> list[PolarBoundaryRow]:
+    """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
+
+    Rows where GTE holds on the whole radius report q* = 1/2 and rows
+    where it holds nowhere report q* = 0, keeping the table rectangular;
+    any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
+    row finds the switch and q* of its own bracket-then-bisect solve
+    (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
+    POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
+    chunk that holds its switch.  A table with an invalid kfr or theta
+    raises its first invalid row's scalar error (rows in kfr-major order)
+    and reads no point.
+
+    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
+    index (None when there is none) and the number of pre-scan points
+    that the row's own solve reads (1 when the centre shows no GTE, all of
+    them when the whole radius does; the chunk's points past the switch
+    are not counted); each bisected row follows with its bisect_switch record.
+    """
+    return _rows(PolarBoundaryRow, _polar_table(dim, kfr_values, theta_grid))
+
+
+def _distance_table(dims, kfr_grid, axis: Callable = list) -> list[list]:
+    """The columns of :func:`sweep_distance`: each dim's name and axis(kfr_grid)
+    laid out by :func:`_product_table`, then each dim's bound columns in turn."""
+    values = [_bound_columns(dim, kfr_grid, [0.5], geometry.collinear_shape) for dim in dims]
+    values = [list(chain.from_iterable(c)) for c in zip(*values)]
+    return _product_table([dim.value for dim in dims], axis(kfr_grid), values)
+
+
+def sweep_distance(dims: Sequence[Dimensionality], kfr_grid: Sequence[float]) -> list[DistanceRow]:
     """Robustness bound of the symmetric collinear family versus separation."""
-    rows = []
-    for dim in dims:
-        columns = _sweep_columns(dim, kfr_grid, [0.5], geometry.collinear_shape)
-        rows += _rows(DistanceRow, repeat(dim.value), kfr_grid, *columns)
-    return rows
+    return _rows(DistanceRow, _distance_table(dims, kfr_grid))
 
 
 def find_rmin(

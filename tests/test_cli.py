@@ -319,15 +319,11 @@ class TestMatrixAndTables:
 
     @pytest.mark.parametrize(
         "figure, sweep",
-        [
-            ("1a", "sweep_collinear"),
-            ("1b", "sweep_isosceles"),
-            ("2", "sweep_polar_boundary"),
-            ("3", "sweep_distance"),
-        ],
+        [("1a", "_grid_table"), ("1b", "_grid_table"), ("2", "_polar_table"), ("3", "_distance_table")],
     )
     def test_sweep_grids_are_python_floats(self, capsys, monkeypatch, figure, sweep):
-        # the per-point kernels run on plain floats, not np.float64 scalars
+        # the per-point kernels run on plain floats, not np.float64 scalars:
+        # the CLI's tables are the scan column builders' with text axes
         seen = []
         real = getattr(scan, sweep)
 

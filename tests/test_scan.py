@@ -1007,6 +1007,48 @@ class TestCsvOutput:
         assert len(rows) == count
         assert all(type(r) is row and len(r) == len(row._fields) for r in rows)
 
+    @staticmethod
+    def library_csv(figure: str, dim: Dimensionality, points: int) -> str:
+        """`gte-fermi sweep`'s table written from the library sweeps' rows on
+        the CLI's grids: figure 1a is its limit row on the inset grid, then
+        the rest."""
+        grid = np.linspace(0.0, 1.0, points).tolist()
+        if figure == "1a":
+            rows = sweep_collinear(dim, _FIG_KFR[:1], _limit_safe(grid))
+            rows += sweep_collinear(dim, _FIG_KFR[1:], grid)
+        elif figure == "1b":
+            rows = sweep_isosceles(dim, _FIG_KFR, grid)
+        elif figure == "2":
+            thetas = np.linspace(0.0, math.pi / 2.0, max(2, points // 2)).tolist()
+            rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        else:
+            rows = sweep_distance([D2, D3], [0.0] + np.linspace(0.015, 3.0, points).tolist())
+        buf = io.StringIO()
+        write_csv(type(rows[0])._fields, rows, buf)
+        return buf.getvalue()
+
+    @staticmethod
+    def cli_csv(figure: str, dim: Dimensionality, points: int) -> str:
+        out = io.StringIO()
+        dim_flag = [] if figure == "3" else ["--dim", dim.value]
+        with contextlib.redirect_stdout(out):
+            assert main(["sweep", "--figure", figure, *dim_flag, "--points", str(points)]) == 0
+        return out.getvalue()
+
+    TABLES = [("1a", D2), ("1a", D3), ("1b", D2), ("1b", D3), ("2", D2), ("2", D3), ("3", D3)]
+
+    @pytest.mark.parametrize("points", [2, 3, 201])
+    @pytest.mark.parametrize("figure, dim", TABLES)
+    def test_the_cli_prints_the_library_rows(self, figure, dim, points):
+        # the CLI's text-axis columns and the library's rows are two views
+        # of one table and print the same bytes
+        assert self.cli_csv(figure, dim, points) == self.library_csv(figure, dim, points)
+
+    @given(st.sampled_from(TABLES), st.integers(2, 600))
+    @settings(max_examples=30, deadline=None)
+    def test_the_cli_prints_the_library_rows_at_drawn_points(self, table, points):
+        assert self.cli_csv(*table, points) == self.library_csv(*table, points)
+
     @pytest.mark.parametrize(
         "sweep, row",
         [
@@ -1075,19 +1117,21 @@ class TestCsvOutput:
         assert buf.getvalue() == expect
 
     @given(
-        st.booleans(),
+        st.integers(0, 2),
         st.lists(st.tuples(csv_numbers, csv_numbers, csv_numbers), max_size=8),
         st.booleans(),
     )
     @settings(max_examples=300, deadline=None)
-    @example(True, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], False)
-    @example(False, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], True)
-    @example(True, [], False)
-    def test_write_csv_equals_the_per_row_writer(self, text_first, rows, as_generator):
-        # a str first column, as in the figure 3 table, or an all-numeric row
-        if text_first:
-            rows = [(f"{a!r}", b, c) for a, b, c in rows]
-        template = ("%s" if text_first else "%.12g") + ",%.12g,%.12g\n"
+    @example(1, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], False)
+    @example(0, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], True)
+    @example(2, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], True)
+    @example(1, [], False)
+    def test_write_csv_equals_the_per_row_writer(self, text_columns, rows, as_generator):
+        # the first text_columns cells of a row are str, as the CLI's axis
+        # columns are (two of them, or the figure 3 table's dim and kfr), or
+        # the row is all numeric, as a library sweep's row is
+        rows = [tuple(f"{v!r}" if i < text_columns else v for i, v in enumerate(row)) for row in rows]
+        template = ",".join(["%s"] * text_columns + ["%.12g"] * (3 - text_columns)) + "\n"
         expect = "a,b,c\n" + csv_body_oracle(template, rows)
         # the stream already holds text, as a table written after others does
         buf = io.StringIO()
