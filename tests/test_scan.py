@@ -1127,9 +1127,8 @@ class TestCsvOutput:
     @example(2, [(-0.0, 5e-324, 1e300), (math.nan, -1e300, 2.2250738585072014e-309)], True)
     @example(1, [], False)
     def test_write_csv_equals_the_per_row_writer(self, text_columns, rows, as_generator):
-        # the first text_columns cells of a row are str, as the CLI's axis
-        # columns are (two of them, or the figure 3 table's dim and kfr), or
-        # the row is all numeric, as a library sweep's row is
+        # the first text_columns cells of a row are str: two in the CLI's
+        # tables (their axis columns), one in the library's figure 3 rows (dim)
         rows = [tuple(f"{v!r}" if i < text_columns else v for i, v in enumerate(row)) for row in rows]
         template = ",".join(["%s"] * text_columns + ["%.12g"] * (3 - text_columns)) + "\n"
         expect = "a,b,c\n" + csv_body_oracle(template, rows)
