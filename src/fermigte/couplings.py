@@ -24,13 +24,9 @@ The formulas are written once, for floats and arrays alike, in
 :func:`_kernel_formula` and :func:`_limit_formula`, and the validity of a
 distance triple once, in :func:`geometry._distance_checks`, whose slack
 is relative to the largest distance, so that only the shape decides.
-:func:`from_config` takes :func:`zero_limit` below LIMIT_SWITCH and the
-kernel formula above it.  :func:`from_shape` decides a point by its unit
-shape: it takes :func:`zero_limit` of the unit shape itself wherever
-kfr * max(shape) < LIMIT_SWITCH, kfr = 0 included, and the kernel formula
-of the scaled distances (each at most X_MAX) above it.  :class:`Couplings`
-rejects non-finite weights.  :func:`_weights_array` is :func:`from_shape`
-over arrays for the sweeps in :mod:`scan`, with its checks as a mask.
+Every figure table point is a unit shape (s12, 1, s23) at a separation
+kfr: :func:`_unit_weights` is :func:`from_shape` over arrays of them,
+given f(kfr) once per kfr, and :func:`_unit_checks` its checks as a mask.
 """
 
 from __future__ import annotations
@@ -149,43 +145,42 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
     return Couplings(*_limit_formula(d12, d13, d23, dmax, math))
 
 
-def _weights_array(
-    dim: Dimensionality, kfr: np.ndarray | float, s12, s13, s23
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`from_shape` element for element on unit shapes (s12, s13, s23)
-    at separations kfr, over arrays: the same checks and branches, each
-    calling the float path's formula, and the mask ``ok`` of the elements
-    whose checks pass.
+def _unit_weights(dim: Dimensionality, kfr, f13, s12, s23) -> tuple[np.ndarray, ...]:
+    """The weights (p12, p13, p23) of the unit shapes (s12, 1, s23) at
+    separations kfr, over arrays, given f13 = f(kfr), and the mask of the
+    points on the limit branch: element for element :func:`from_shape`'s
+    branch and weights, bit for bit, wherever :func:`_unit_checks` passes.
 
-    The checks read kfr and the unit shape; below LIMIT_SWITCH the limit
-    branch evaluates the unit shape itself, kfr = 0 included, and the kernel
-    branch rejects a largest scaled distance above X_MAX.  ok is False
-    exactly where :func:`from_shape` raises, and a rejected point keeps NaN
-    weights; nothing raises or warns here, whatever the input.
+    The limit branch, kfr * max(s12, 1, s23) < LIMIT_SWITCH, takes the limit
+    formula of the unit shape, and the kernel branch the kernel formula of
+    the scaled distances.  Nothing is checked.
     """
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        kfr, s12, s13, s23 = np.broadcast_arrays(kfr, s12, s13, s23)
-        smax = np.maximum(np.maximum(s12, s13), s23)
-        finite, single_zero, triangle = _distance_checks(s12, s13, s23, smax)
-        checked = (0.0 <= kfr) & (kfr < math.inf) & finite & single_zero & triangle  # NaN fails
-        dmax = kfr * smax
-        limit = dmax < LIMIT_SWITCH
-        # each branch evaluates the points that pass its checks and leaves the
-        # rest NaN: zero_limit rejects the equilateral shape, f_factor a distance above X_MAX
-        p12, p13, p23 = np.full((3, *smax.shape), math.nan)
-        equilateral = smax - np.minimum(np.minimum(s12, s13), s23) <= _TRI_TOL * smax
-        i = np.flatnonzero(checked & limit & ~equilateral)
-        if i.size:
-            p12[i], p13[i], p23[i] = _limit_formula(s12[i], s13[i], s23[i], smax[i], np)
-        i = np.flatnonzero(checked & ~limit & (dmax <= X_MAX))
-        if i.size:
-            # one kernel call for the three distances: its cost is mostly per call
-            d = kfr[i] * np.array((s12[i], s13[i], s23[i]))
-            f12, f13, f23 = _f_array(dim, d.ravel()).reshape(3, -1)
-            _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13, f23)
-        # Couplings rejects non-finite weights, the NaN of a rejected point among them
-        ok = np.isfinite(p12 + p13 + p23)
-    return p12, p13, p23, ok
+    smax = np.maximum(np.maximum(s12, 1.0), s23)
+    p12, p13, p23 = np.empty((3, smax.size))
+    limit = kfr * smax < LIMIT_SWITCH
+    i = np.flatnonzero(limit)
+    if i.size:
+        p12[i], p13[i], p23[i] = _limit_formula(s12[i], 1.0, s23[i], smax[i], np)
+    i = np.flatnonzero(~limit)
+    if i.size:
+        # one kernel call for both distances: its cost is mostly per call
+        f12, f23 = _f_array(dim, (kfr[i] * np.array((s12[i], s23[i]))).ravel()).reshape(2, -1)
+        _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
+    return p12, p13, p23, limit
+
+
+def _unit_checks(kfr, s12, s23, limit):
+    """The mask of the unit shapes (s12, 1, s23) at separations kfr, over
+    arrays, that pass :func:`from_shape`'s checks on the branch that
+    :func:`_unit_weights` gives (limit): kfr and the unit shape, then on
+    the limit branch no equilateral shape and on the kernel branch a
+    largest scaled distance of at most X_MAX."""
+    smax = np.maximum(np.maximum(s12, 1.0), s23)
+    finite, single_zero, triangle = _distance_checks(s12, 1.0, s23, smax)
+    equilateral = smax - np.minimum(np.minimum(s12, 1.0), s23) <= _TRI_TOL * smax
+    # NaN fails every comparison; the limit branch stays below X_MAX
+    branch = np.where(limit, ~equilateral, kfr * smax <= X_MAX)
+    return (0.0 <= kfr) & finite & single_zero & triangle & branch
 
 
 def _min_eigenvalue(c: Couplings) -> float:

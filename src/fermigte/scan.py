@@ -1,19 +1,18 @@
 """Parameter sweeps and threshold solvers for witnessed GTE.
 
-Sweeps tabulate the robustness lower bound along the standard
-configuration families, each given by its unit-separation shape in
-:mod:`geometry`.  A point is decided by its unit shape: every kfr with
-kfr * max(shape) < LIMIT_SWITCH, 0 included, takes the exact
-vanishing-size limit of the unit shape itself.  Sweeps run on numpy
-arrays, through the array forms of the scalar point chain shape ->
-weights -> bound, which keep its operation order.  The collinear and
-isosceles tables are one array evaluation each (the distance table one
-per dimension), with each grid value's shape from its scalar shape
-function, so every cell is the scalar chain's, bit for bit, wherever
-numpy's sin, cos and sqrt round as math's; they never raise mid-table:
-the array path marks the points that a scalar check rejects, an invalid
-kfr or grid value included, and the sweep raises the error that the
-scalar chain raises at the first failing point.
+Every figure table is columns: two axes laid out kfr-major (dim-major for
+the distance table) by :func:`_product_table`, then its values.  Every
+table point is a unit shape (s12, 1, s23) at a separation kfr, and
+f(kfr) is computed once per kfr: the collinear, isosceles and distance
+tables take each grid value's shape from its :mod:`geometry` shape
+function, and the polar table each radius's from polar_shape's formula
+on np.hypot (which may differ from math.hypot in the last bit; that
+table depends only on the bound's signs).  One array evaluator,
+:func:`cpl._unit_weights`, gives every point's weights, so every cell is
+the scalar chain's (from_shape, then the bound), bit for bit, wherever
+numpy's sin, cos and sqrt round as math's.  No table raises mid-way: it
+raises the scalar chain's error at its first failing point, before any
+cell is made, and an empty table checks nothing.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -22,32 +21,14 @@ crossings out of play, and a bisection narrows that step to the
 tolerance.  r_min and r_max are single solves through
 :func:`first_switch` and :func:`bisect_switch`; the r_min pre-scan stops
 at the first switch, while r_max evaluates its whole pre-scan, because
-it also checks that there is no second switch.
+it also checks that there is no second switch.  The polar table solves
+all its rows in lock step, each as its own solve would.
 
-The polar table solves all its q* rows in lock step, each finding the
-switch and q* of its own solve: each pre-scan call evaluates the next
-POLAR_PRESCAN_CHUNK = 4 grid points on every row whose flags are all
-True so far, a row's first False ends its switch step (so a row reads
-at most three grid points past its switch), and the switched rows are
-bisected together, each on its own one-step bracket.  The rows are
-checked on the scalar chain before any point is read, each theta and
-kfr once: every radius of a valid theta is a valid unit shape, every
-centre q = 0 the shape (0.5, 1, 0.5), and d13 = kfr the largest scaled
-distance, so a row whose theta's direction and centre pass is valid at
-every radius, and a failing table reads no point.  A valid row's branch
-and f13 hold at every radius (:func:`_row_constants`), and every point,
-the centre included, is :func:`_polar_gte`, the checked chain's GTE flag
-from the unit shape's s12 and s23 alone.  They come from
-:func:`polar_shape`'s formula on np.hypot, which may differ from
-math.hypot in the last bit; the table depends only on the bound's signs.
-
-Every table is columns: two axes laid out kfr-major (dim-major for the
-distance table) by :func:`_product_table`, then its values.  The sweeps'
-rows (:data:`CollinearRow`, :data:`IsoscelesRow`, :data:`DistanceRow`,
-:data:`PolarBoundaryRow`, whose ``_fields`` are the CSV header) are the
-library's view of them, with float axes; the CLI prints them with each
-axis value's "%.12g" text made once, which :func:`write_csv` prints as it
-prints any str cell, a whole table body in one %-operation.
+The sweeps' rows (:data:`CollinearRow`, :data:`IsoscelesRow`,
+:data:`DistanceRow`, :data:`PolarBoundaryRow`, whose ``_fields`` are the
+CSV header) are the library's view of the columns, with float axes; the
+CLI prints the columns with each axis value's text made once by
+:func:`_cells`, in :func:`write_csv`'s number format.
 """
 
 from __future__ import annotations
@@ -120,7 +101,7 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
 
 def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
     """rule(value), or size NaNs where rule raises DomainError: a point
-    that :func:`cpl._weights_array` rejects."""
+    that :func:`cpl._unit_checks` rejects."""
     try:
         return rule(value)
     except DomainError:
@@ -130,12 +111,17 @@ def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
 def _bound_columns(dim, kfr_values, grid, shape_of) -> list[list[float]]:
     """The columns er_lower_bound, witness_value, p12, p13, p23 over the
     points (kfr, grid value), kfr-major.  A point fails where shape_of
-    rejects its grid value or the weights' checks reject it, kfr's included."""
+    rejects its grid value, :func:`cpl._unit_checks` rejects it or its
+    weights are not finite."""
     shapes = [_or_nan(shape_of, v, 3) for v in grid]
-    n, m = len(shapes), len(kfr_values)
-    s12, s13, s23 = np.tile(np.reshape(np.array(shapes, dtype=float), (-1, 3)), (m, 1)).T
-    kfr = np.repeat(np.array(kfr_values, dtype=float), n)
-    p12, p13, p23, ok = cpl._weights_array(dim, kfr, s12, s13, s23)
+    n, kfr_axis = len(shapes), np.array(kfr_values, dtype=float)
+    s12, _, s23 = np.tile(np.reshape(np.array(shapes, dtype=float), (-1, 3)), (kfr_axis.size, 1)).T
+    kfr = np.repeat(kfr_axis, n)
+    # every point is evaluated, silently: a rejected point's values are never read
+    with np.errstate(all="ignore"):
+        f13 = np.repeat(_f_array(dim, kfr_axis), n)
+        p12, p13, p23, limit = cpl._unit_weights(dim, kfr, f13, s12, s23)
+        ok = cpl._unit_checks(kfr, s12, s23, limit) & np.isfinite(p12 + p13 + p23)
     if not ok.all():
         first = int(np.argmin(ok))
         k, v = kfr_values[first // n], grid[first % n]
@@ -172,46 +158,22 @@ def sweep_isosceles(
     return _rows(IsoscelesRow, _grid_table(dim, kfr_values, y_over_r_grid, geometry.isosceles_shape))
 
 
-def _row_constants(dim: Dimensionality, kfr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The branch (the unit-shape limit below LIMIT_SWITCH) and f13 of valid
-    polar rows: d13 = kfr is the largest distance at every radius."""
-    return kfr < cpl.LIMIT_SWITCH, _f_array(dim, kfr)
-
-
-def _polar_gte(
-    dim: Dimensionality, kfr: np.ndarray, cos: np.ndarray, sin: np.ndarray, q: float | np.ndarray,
-    limit: np.ndarray, f13: np.ndarray,
-) -> np.ndarray:
-    """Witnessed GTE at radius q (one for all points, or one per point) on
-    valid polar rows (kfr, theta) with theta's direction (cos, sin), given
-    their :func:`_row_constants`: the checked chain's flag, bit for bit,
-    with its formulas on the unit shape's s12, s13 = 1 and s23 alone (limit
-    rows) or on those scaled by kfr (kernel rows), since no point of a valid
-    row is rejected.  The coincident pair (theta = 0, q = 1/2) has the weights
-    (0, 0, ~1) at every kfr, whose best witness value 3 stays below
-    1 + sqrt(5)."""
-    s12, s23 = geometry._polar_distances(q, cos, sin, np)
-    p12, p13, p23 = np.empty((3, kfr.size))
-    i = np.flatnonzero(limit)
-    if i.size:
-        p12[i], p13[i], p23[i] = cpl._limit_formula(s12[i], 1.0, s23[i], 1.0, np)
-    i = np.flatnonzero(~limit)
-    if i.size:
-        f12, f23 = _f_array(dim, (kfr[i] * np.array((s12[i], s23[i]))).ravel()).reshape(2, -1)
-        _, p12[i], p13[i], p23[i] = cpl._kernel_formula(f12, f13[i], f23)
-    return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
-
-
 def _polar_table(dim, kfr_values, theta_grid, axis: Callable = list) -> list[list]:
     """The columns of :func:`sweep_polar_boundary`, solved and logged as it says:
-    axis(kfr_values) and axis(theta_grid) by :func:`_product_table`, then q*."""
+    axis(kfr_values) and axis(theta_grid) by :func:`_product_table`, then q*.
+
+    A row's pre-scan calls read the next POLAR_PRESCAN_CHUNK radii on every
+    row whose flags are all True so far, and the switched rows are bisected
+    together, each on its own one-step bracket.  The rows are checked on the
+    scalar chain before any point is read: every centre is the shape
+    (0.5, 1, 0.5), and d13 = kfr is the largest distance at every radius,
+    so a row whose theta's direction and centre pass is valid throughout."""
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid, m = qs.tolist(), len(theta_grid)
     n = len(kfr_values) * m
     direction = []
     if n:
-        # a row is valid iff its theta's direction and its centre (0.5, 1, 0.5)
-        # pass; the first checks in kfr-major row order are theta_0, kfr_0, the
+        # the first checks in kfr-major row order are theta_0, kfr_0, the
         # other thetas, then the other kfrs, so the first invalid row raises
         direction.append(geometry._polar_direction(theta_grid[0]))
         cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, kfr_values[0], dim)
@@ -219,12 +181,14 @@ def _polar_table(dim, kfr_values, theta_grid, axis: Callable = list) -> list[lis
         for row_kfr in kfr_values[1:]:
             cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)
     cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
-    kfr = np.repeat(np.asarray(kfr_values, dtype=float), m)
+    kfr_axis = np.array(kfr_values if n else [], dtype=float)  # checked kfrs only
+    kfr, f13 = np.repeat(kfr_axis, m), np.repeat(_f_array(dim, kfr_axis), m)
     switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
-    limit, f13 = _row_constants(dim, kfr)
 
     def row_gte(rows: np.ndarray, q: float | np.ndarray) -> np.ndarray:
-        return _polar_gte(dim, kfr[rows], cos[rows], sin[rows], q, limit[rows], f13[rows])
+        s12, s23 = geometry._polar_distances(q, cos[rows], sin[rows], np)
+        p12, p13, p23, _ = cpl._unit_weights(dim, kfr[rows], f13[rows], s12, s23)
+        return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
 
     live = np.flatnonzero(row_gte(np.arange(n), 0.0))
     for j in range(1, POLAR_PRESCAN_POINTS, POLAR_PRESCAN_CHUNK):
@@ -354,6 +318,14 @@ def analytic_limit_thresholds() -> dict[str, float]:
     return {"x_over_r": 0.5 - y, "y_over_r": y}
 
 
+_NUMBER = "%.12g"  # the text of a numeric CSV cell
+
+
+def _cells(values: Iterable[float]) -> list[str]:
+    """Each value's numeric CSV cell, as :func:`write_csv` prints it."""
+    return [_NUMBER % v for v in values]
+
+
 def write_csv(columns: Sequence[str], rows: Iterable[Sequence[object]], stream: TextIO) -> None:
     """Rectangular CSV with 12-significant-digit numeric cells.
 
@@ -367,5 +339,5 @@ def write_csv(columns: Sequence[str], rows: Iterable[Sequence[object]], stream: 
         raise ValueError(f"every CSV row must have {len(columns)} cells, one per column")
     stream.write(",".join(columns) + "\n")
     if rows:
-        template = ",".join("%s" if isinstance(v, str) else "%.12g" for v in rows[0]) + "\n"
+        template = ",".join("%s" if isinstance(v, str) else _NUMBER for v in rows[0]) + "\n"
         stream.write((template * len(rows)) % tuple(chain.from_iterable(rows)))

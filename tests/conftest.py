@@ -1,20 +1,23 @@
 """Shared fixtures and independent test oracles.
 
-The oracles here deliberately avoid the code paths they check: Bessel
-values come from a truncated power series, the minimum eigenvalue from a
-cyclic Jacobi sweep on the real embedding of the Hermitian matrix, the
-biseparability hull from sampled lens boundaries and qhull, random
-states from direct Haar sampling, polar q* rows from the public
-configuration, coupling and bound objects (by the unit-shape rule of
-public_couplings) solved one row at a time, the rows of the other figure
-sweeps from the scalar point chain one point at a time, CSV table
+Every figure table point is a unit shape (s12, 1, s23) at a separation
+kfr, and the package computes f(kfr) once per kfr; the oracles here take
+each point one at a time instead.  They deliberately avoid the code paths
+they check: Bessel values come from a truncated power series, the minimum
+eigenvalue from a cyclic Jacobi sweep on the real embedding of the
+Hermitian matrix, the biseparability hull from sampled lens boundaries
+and qhull, random states from direct Haar sampling, polar q* rows from
+the public configuration, coupling and bound objects (by the unit-shape
+rule of public_couplings) solved one row at a time, the rows of the other
+figure sweeps from the scalar point chain one point at a time, CSV table
 bodies one row at a time, and the GHZ/W grid scan from kets built with
-their own local kets and np.kron products, evaluated and
-compared one node at a time, the energy-witness verdict and the closed E_R
-bound of both observable signs straight from the weights,
-and states of the Werner family from singlet terms built as (I - SWAP)/4.
-The parser of the rho3 text dump, which the package only writes, is here too.
-"""
+their own local kets and np.kron products, evaluated and compared one
+node at a time, the energy-witness verdict and the closed E_R bound of
+both observable signs straight from the weights, and states of the
+Werner family from singlet terms built as (I - SWAP)/4.  The parser of
+the rho3 text dump, which the package only writes, is here too, and
+unit_points, the package's array evaluator and checks as a table runs
+them, for the tests that compare it point by point."""
 
 import itertools
 import math
@@ -30,9 +33,10 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
 )
-from fermigte.couplings import LIMIT_SWITCH, from_shape
+from fermigte.couplings import LIMIT_SWITCH, _unit_checks, _unit_weights, from_shape
 from fermigte.errors import DomainError
 from fermigte.geometry import collinear_shape, polar_shape, scaled
+from fermigte.specfun import _f_array
 from fermigte.tristate import _assemble
 
 
@@ -175,6 +179,17 @@ def public_couplings(shape, kfr: float, dim: Dimensionality):
     if kfr * max(shape) < LIMIT_SWITCH:
         return couplings_zero_limit(*shape)
     return couplings_from_config(scaled(kfr, shape, dim))
+
+
+def unit_points(dim: Dimensionality, kfr, s12, s23):
+    """The weights (p12, p13, p23) and the mask ok of the unit shapes
+    (s12, 1, s23) at separations kfr, arrays all, as a figure table computes
+    them: couplings._unit_weights given f(kfr), then ok where
+    couplings._unit_checks passes and the weights are finite."""
+    with np.errstate(all="ignore"):
+        *weights, limit = _unit_weights(dim, kfr, _f_array(dim, kfr), s12, s23)
+        ok = _unit_checks(kfr, s12, s23, limit) & np.isfinite(sum(weights))
+    return (*weights, ok)
 
 
 def polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:

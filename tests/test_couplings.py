@@ -14,15 +14,10 @@ from fermigte import (
     couplings_from_config,
     couplings_zero_limit,
     f_factor,
+    sweep_collinear,
     validate_couplings,
 )
-from fermigte.couplings import (
-    LIMIT_SWITCH,
-    _kernel_formula,
-    _min_eigenvalue,
-    _weights_array,
-    from_shape,
-)
+from fermigte.couplings import LIMIT_SWITCH, _kernel_formula, _min_eigenvalue, from_shape
 from fermigte.errors import (
     DegenerateDenominatorError,
     DomainError,
@@ -38,7 +33,7 @@ from fermigte.geometry import (
 )
 from fermigte.specfun import X_MAX
 
-from conftest import psd_werner_weights, public_couplings, random_config, werner_states
+from conftest import psd_werner_weights, public_couplings, random_config, unit_points, werner_states
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -242,43 +237,42 @@ class TestFloatCore:
                     kinds["limit" if max(shape) * abs(kfr) < LIMIT_SWITCH else "direct"] += 1
         assert set(kinds) == {"limit", "direct", DegenerateDenominatorError, DomainError}
 
+    @staticmethod
+    def _array(dim, points):
+        """The array form on (shape, kfr) points, as lists: the weights and the mask."""
+        (s12, s13, s23), kfr = np.array([d for d, _ in points]).T, np.array([k for _, k in points])
+        assert set(s13.tolist()) == {1.0}  # every point is a unit shape
+        *weights, ok = unit_points(dim, kfr, s12, s23)
+        return [w.tolist() for w in weights], ok.tolist()
+
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_from_config(self, dim):
-        # every scaled triple, one element at a time, those that the distance
-        # checks reject included, and every unit shape scaled by 2**-20 into limit mode
-        cases = []
-        for shape in self.SHAPES:
-            for kfr in self.KFRS:
-                if kfr == 0.0:
-                    cases.append((tuple(2.0**-20 * d for d in shape), shape))
-                elif 0.0 < kfr <= X_MAX:
-                    cases.append((tuple(kfr * d for d in shape), None))
-
-        def array(d):
-            return _weights_array(dim, 1.0, *(np.array(v, dtype=float) for v in zip(*d)))
-
+        # every (shape, kfr) point alone, those that the checks reject
+        # included: the mask rejects exactly the points whose public chain
+        # (from_config of the scaled triple, or the limit of the unit shape)
+        # raises, and the weights are that chain's
+        cases = list(itertools.product(self.SHAPES, self.KFRS))
         kinds = Counter()
         oks, good = [], []
-        for d, unit in cases:
-            want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
-            *weights, (ok,) = (v.tolist() for v in array([d]))
-            # the mask rejects exactly the triples that from_config rejects
-            assert ok is not isinstance(want[0], type), (d, want)
+        for shape, kfr in cases:
+            want = _outcome(lambda: self._public(shape, kfr, dim))
+            weights, (ok,) = self._array(dim, [(shape, kfr)])
+            assert ok is not isinstance(want[0], type), (shape, kfr, want)
             oks.append(ok)
-            if unit is not None:  # the power of two changes no limit weight or check
-                at_unit = _outcome(lambda: couplings_zero_limit(*unit).as_tuple())
-                assert (at_unit if ok else at_unit[0]) == (want if ok else want[0]), unit
             if ok:
-                assert tuple(w for (w,) in weights) == want, d
-                kinds[max(d) < LIMIT_SWITCH] += 1
+                assert tuple(w for (w,) in weights) == want, (shape, kfr)
+                kinds[kfr * max(shape) < LIMIT_SWITCH] += 1
                 good.append(want)
+                if kfr == 0.0:  # a power of two changes no limit weight
+                    tiny = TriangleConfig(*(2.0**-20 * d for d in shape), dim)
+                    assert couplings_from_config(tiny).as_tuple() == want, shape
             else:
                 kinds[want[0]] += 1
         assert set(kinds) == {True, False, DegenerateDenominatorError, DomainError}
         # all cases as one array, in any mix of branches
-        p12, p13, p23, ok = array([d for d, _ in cases])
-        assert ok.tolist() == oks
-        assert list(zip(p12[ok].tolist(), p13[ok].tolist(), p23[ok].tolist())) == good
+        (p12, p13, p23), ok = self._array(dim, cases)
+        assert ok == oks
+        assert [w for w, v in zip(zip(p12, p13, p23), ok) if v] == good
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_from_shape(self, dim):
@@ -286,10 +280,9 @@ class TestFloatCore:
         # from_shape raises, and every kfr > 0 below the switch, subnormals
         # included, gives the kfr = 0 weights bit for bit or the same error type
         points = list(itertools.product(self.SHAPES, self.KFRS))
-        s12, s13, s23 = np.array([shape for shape, _ in points]).T
-        *weights, ok = _weights_array(dim, np.array([k for _, k in points]), s12, s13, s23)
+        weights, ok = self._array(dim, points)
         below = 0
-        for (shape, kfr), *got, valid in zip(points, *(v.tolist() for v in weights), ok.tolist()):
+        for (shape, kfr), *got, valid in zip(points, *weights, ok):
             want = _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
             assert valid is not isinstance(want[0], type), (shape, kfr, want)
             if valid:
@@ -303,23 +296,27 @@ class TestFloatCore:
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_masks_non_finite_weights(self, dim, monkeypatch):
-        # the array form never raises: its mask rejects the element whose
-        # weights Couplings rejects, here from a NaN kernel value of its d23
+        # a table never returns a non-finite weight: a NaN kernel value at
+        # d23 = 1 - 0.9, injected on the array and the float path alike, makes
+        # the table raise Couplings' error at that point, before the later
+        # point that the shape function rejects
         import fermigte.couplings as couplings_module
 
-        real = couplings_module._f_array
+        d23 = 1.0 - 0.9
+        real_array, real_float = couplings_module._f_array, couplings_module.f_factor
 
-        def nan_last(dim, x):
-            out = real(dim, x)
-            out[-1] = math.nan
-            return out
+        def nan_array(dim, x):
+            return np.where(x == d23, math.nan, real_array(dim, x))
 
-        monkeypatch.setattr(couplings_module, "_f_array", nan_last)
-        cols = [np.array([1.0, v]) for v in (0.5, 0.9, 0.5)]
-        *weights, ok = _weights_array(dim, 1.0, *cols)
-        assert ok.tolist() == [True, False]
+        def nan_float(dim, x):
+            return math.nan if x == d23 else real_float(dim, x)
+
+        monkeypatch.setattr(couplings_module, "_f_array", nan_array)
+        monkeypatch.setattr(couplings_module, "f_factor", nan_float)
         with pytest.raises(InvalidCouplingsError):
-            Couplings(*(float(w[1]) for w in weights))
+            sweep_collinear(dim, [1.0], [0.5, 0.9, 1.5])
+        monkeypatch.undo()
+        assert len(sweep_collinear(dim, [1.0], [0.5, 0.9])) == 2
 
 
 @st.composite
@@ -349,30 +346,29 @@ def test_triangle_config_raises_exactly_when_from_config_would(dim, d):
         couplings_from_config(TriangleConfig(*d, dim))  # raises nothing
 
 
-# a valid configuration on either side of LIMIT_SWITCH, its distances in any
-# order: fermions 1 and 3 at distance `side`, fermion 2 at (u, w) in units of
-# side, so that u = w = 0 and u = 1, w = 0 make a coincident pair
+# a unit shape at a separation kfr on either side of LIMIT_SWITCH: fermions
+# 1 and 3 at unit distance, fermion 2 at (u, w), so that u = w = 0 and
+# u = 1, w = 0 make a coincident pair
 @given(
     st.sampled_from([D2, D3]),
     st.floats(min_value=1e-6, max_value=X_MAX / 2.0),
     st.one_of(st.just(0.0), st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
     st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1.0)),
-    st.permutations(range(3)),
 )
-@example(D3, 1e-4, 0.0, 0.0, [0, 1, 2])
-@example(D2, 9.99e-4, 1.0, 0.0, [2, 0, 1])
-@example(D3, LIMIT_SWITCH, 0.0, 0.0, [1, 2, 0])
-@example(D2, 1e-2, 1.0, 0.0, [0, 1, 2])
+@example(D3, 1e-4, 0.0, 0.0)
+@example(D2, 9.99e-4, 1.0, 0.0)
+@example(D3, LIMIT_SWITCH, 0.0, 0.0)
+@example(D2, 1e-2, 1.0, 0.0)
 @settings(max_examples=300, deadline=None)
-def test_array_form_equals_from_config_on_drawn_triples(dim, side, u, w, order):
-    d = (side * math.hypot(u, w), side, side * math.hypot(1.0 - u, w))
-    d = tuple(d[i] for i in order)
-    want = _outcome(lambda: couplings_from_config(TriangleConfig(*d, dim)).as_tuple())
-    *weights, (ok,) = (v.tolist() for v in _weights_array(dim, 1.0, *(np.array([v]) for v in d)))
-    # the mask rejects exactly the triples that from_config rejects
-    assert ok is not isinstance(want[0], type), (d, want)
+def test_array_form_equals_from_config_on_drawn_shapes(dim, kfr, u, w):
+    shape = (math.hypot(u, w), 1.0, math.hypot(1.0 - u, w))
+    want = _outcome(lambda: public_couplings(shape, kfr, dim).as_tuple())
+    s12, s23, kfrs = (np.array([v]) for v in (shape[0], shape[2], kfr))
+    *weights, (ok,) = (v.tolist() for v in unit_points(dim, kfrs, s12, s23))
+    # the mask rejects exactly the points whose public chain raises
+    assert ok is not isinstance(want[0], type), (shape, kfr, want)
     if ok:
-        assert tuple(p for (p,) in weights) == want, d
+        assert tuple(p for (p,) in weights) == want, (shape, kfr)
 
 
 # a valid configuration whose largest distance is at least LIMIT_SWITCH: fermions

@@ -257,3 +257,24 @@ def test_constructors_scale_their_shapes_bit_for_bit(kfr, x, y, theta, q):
 def test_shapes_reject_out_of_domain_arguments(shape, args):
     with pytest.raises(DomainError):
         shape(*args)
+
+
+# each shape function's arguments over its whole domain
+SHAPE_ARGS = {
+    "collinear_shape": st.tuples(st.floats(0.0, 1.0)),
+    "isosceles_shape": st.tuples(st.floats(0.0, 1e300)),
+    "polar_shape": st.tuples(st.floats(-math.pi, math.pi), st.floats(0.0, 0.5)),
+    "equilateral_shape": st.just(()),
+}
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_every_shape_is_a_unit_shape(data):
+    # the array evaluator of the figure tables reads a shape as (s12, 1, s23)
+    import fermigte.geometry as geometry
+
+    assert set(SHAPE_ARGS) == {name for name in dir(geometry) if name.endswith("_shape")}
+    for name, args in SHAPE_ARGS.items():
+        d13 = getattr(geometry, name)(*data.draw(args, label=name))[1]
+        assert repr(d13) == "1.0", name

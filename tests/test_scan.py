@@ -3,6 +3,7 @@ import io
 import itertools
 import logging
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -42,7 +43,14 @@ from fermigte.scan import (
     write_csv,
 )
 
-from conftest import csv_body_oracle, distance_oracle, polar_gte, polar_q_star, sweep_oracle
+from conftest import (
+    csv_body_oracle,
+    distance_oracle,
+    polar_gte,
+    polar_q_star,
+    sweep_oracle,
+    unit_points,
+)
 
 D2, D3 = Dimensionality.TWO_D, Dimensionality.THREE_D
 
@@ -211,13 +219,16 @@ class TestSweepPolarBoundary:
         # all-true / all-false reporting through a stubbed predicate
         import fermigte.scan as scan_module
 
-        def constant(gte):  # the centre and every later radius
-            monkeypatch.setattr(scan_module, "_polar_gte", lambda d, kfr, *a: np.full(kfr.size, gte))
+        def constant(p):  # the weights (p, p, p) at the centre and every later radius
+            def weights(dim, kfr, *args):
+                return (*np.full((3, kfr.size), p), None)
 
-        constant(True)
+            monkeypatch.setattr(scan_module.cpl, "_unit_weights", weights)
+
+        constant(1.0)  # the witness value 6 shows GTE
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.5
-        constant(False)
+        constant(0.0)
         rows = sweep_polar_boundary(D3, [1.0], [0.3])
         assert rows[0].q_star == 0.0
 
@@ -390,18 +401,42 @@ def polar_rows(monkeypatch):
 
 
 @pytest.fixture
-def polar_calls(monkeypatch, polar_rows):
-    # (kfr, theta) -> q of every row-predicate evaluation on that row, the centre included
+def on_polar_evaluation(monkeypatch, polar_rows):
+    """on_polar_evaluation(hook): hook(points) on each call of the shared
+    evaluator in a polar table, with the (kfr, theta, q) of its points.  The
+    table computes each call's s12 and s23 with geometry._polar_distances
+    just before it, on the same rows, so its radii are read there."""
     import fermigte.scan as scan_module
 
-    calls, real = {}, scan_module._polar_gte
+    hooks, last = [], {}
+    real_distances = scan_module.geometry._polar_distances
+    real_weights = scan_module.cpl._unit_weights
 
-    def counting(dim, kfr, cos, sin, q, *row_constants):
-        for k, theta, qk in polar_rows(kfr, cos, sin, q):
+    def distances(q, cos, sin, m):
+        last["rows"] = cos, sin, q
+        return real_distances(q, cos, sin, m)
+
+    def weights(dim, kfr, *args):
+        points = polar_rows(kfr, *last.pop("rows"))
+        for hook in hooks:
+            hook(points)
+        return real_weights(dim, kfr, *args)
+
+    monkeypatch.setattr(scan_module.geometry, "_polar_distances", distances)
+    monkeypatch.setattr(scan_module.cpl, "_unit_weights", weights)
+    return hooks.append
+
+
+@pytest.fixture
+def polar_calls(on_polar_evaluation):
+    # (kfr, theta) -> q of every evaluation on that row, the centre included
+    calls = {}
+
+    def counting(points):
+        for k, theta, qk in points:
             calls.setdefault((k, theta), []).append(qk)
-        return real(dim, kfr, cos, sin, q, *row_constants)
 
-    monkeypatch.setattr(scan_module, "_polar_gte", counting)
+    on_polar_evaluation(counting)
     return calls
 
 
@@ -521,13 +556,17 @@ class TestPolarFloatPath:
     def test_saturated_row_logs_every_prescan_point(self, monkeypatch, caplog):
         import fermigte.scan as scan_module
 
-        calls = []
+        calls, real = [], scan_module.geometry._polar_distances
 
-        def always(dim, kfr, cos, sin, q, limit, f13):
-            calls.extend(np.broadcast_to(q, kfr.shape).tolist())
-            return np.ones(kfr.size, bool)
+        def recording(q, cos, sin, m):
+            calls.extend(np.broadcast_to(q, cos.shape).tolist())
+            return real(q, cos, sin, m)
 
-        monkeypatch.setattr(scan_module, "_polar_gte", always)
+        def always(dim, kfr, *args):  # the weights (1, 1, 1): witness value 6, GTE
+            return (*np.ones((3, kfr.size)), None)
+
+        monkeypatch.setattr(scan_module.geometry, "_polar_distances", recording)
+        monkeypatch.setattr(scan_module.cpl, "_unit_weights", always)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
             sweep_polar_boundary(D3, [1.0], [0.3])
         (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
@@ -625,6 +664,14 @@ class TestLockStep:
         assert polar_calls == {}
 
     @pytest.mark.parametrize("dim", [D2, D3])
+    def test_an_empty_table_evaluates_no_kfr(self, dim):
+        # f(kfr) is computed for the checked rows' kfrs only, and a table
+        # without thetas checks none
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sweep_polar_boundary(dim, [math.inf], []) == []
+
+    @pytest.mark.parametrize("dim", [D2, D3])
     def test_a_kfr_below_the_switch_gives_the_kfr_0_rows(self, dim):
         # the unit shape decides below LIMIT_SWITCH: subnormal kfrs included,
         # every row is the kfr = 0 row, bit for bit
@@ -643,26 +690,18 @@ class TestLockStep:
         cos, sin = (np.array([v]) for v in scan_module.geometry._polar_direction(0.0))
         gte, rejected = checked_polar_gte(D3, kfrs, cos, sin, 0.5)
         assert (gte.tolist(), rejected.tolist()) == ([False], [False])
-        row_constants = scan_module._row_constants(D3, kfrs)
-        assert scan_module._polar_gte(D3, kfrs, cos, sin, 0.5, *row_constants).tolist() == [False]
         assert polar_gte(D3, kfr, 0.0, 0.5) is False
 
     @pytest.mark.parametrize("dim", [D2, D3])
-    def test_each_call_reads_at_most_one_chunk_per_row(self, dim, monkeypatch, polar_rows):
+    def test_each_call_reads_at_most_one_chunk_per_row(self, dim, on_polar_evaluation):
         # the pre-scan evaluates POLAR_PRESCAN_CHUNK radii per row at a time,
         # not its whole grid at once
-        import fermigte.scan as scan_module
-
         per_row = []
 
-        real = scan_module._polar_gte
+        def measuring(points):
+            per_row.append(max(Counter((k, theta) for k, theta, _ in points).values()))
 
-        def measuring(dim, kfr, cos, sin, q, *row_constants):
-            rows = Counter((k, theta) for k, theta, _ in polar_rows(kfr, cos, sin, q))
-            per_row.append(max(rows.values()))
-            return real(dim, kfr, cos, sin, q, *row_constants)
-
-        monkeypatch.setattr(scan_module, "_polar_gte", measuring)
+        on_polar_evaluation(measuring)
         thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
         sweep_polar_boundary(dim, _FIG2_KFR, thetas)
         # the centre, at most 8 pre-scan calls, then 14 bisection steps
@@ -671,14 +710,14 @@ class TestLockStep:
 
 
 def checked_polar_gte(dim, kfr, cos, sin, q):
-    """The checked array chain at polar points: the GTE flag from
-    cpl._weights_array and _er_parts, and the mask of the points that a
+    """The checked array chain at polar points: the GTE flag from the
+    shared evaluator and _er_parts, and the mask of the points that a
     check of the scalar chain rejects (where the flag means nothing)."""
     import fermigte.scan as scan_module
 
     s12, s23 = scan_module.geometry._polar_distances(q, cos, sin, np)
-    p12, p13, p23, ok = scan_module.cpl._weights_array(dim, kfr, s12, 1.0, s23)
-    return scan_module._er_parts(p12, p13, p23, np.maximum)[0] > 0.0, ~ok
+    *weights, ok = unit_points(dim, kfr, s12, s23)
+    return scan_module._er_parts(*weights, np.maximum)[0] > 0.0, ~ok
 
 
 def nan_direction(theta):
@@ -794,54 +833,6 @@ def test_a_polar_centre_is_rejected_exactly_where_the_scalar_checks_raise(dim, k
         assert not rejected
 
 
-@given(
-    dim=st.sampled_from([D2, D3]),
-    # (kfr, theta, m) per row: kfr 0 and below LIMIT_SWITCH (the limit
-    # branch), or up to the kernels' domain end (the kernel branch)
-    rows=st.lists(
-        st.tuples(
-            st.just(0.0)
-            | st.floats(0.0, LIMIT_SWITCH, exclude_min=True, exclude_max=True)
-            | st.floats(LIMIT_SWITCH / 4.0, 4.0 * LIMIT_SWITCH)
-            | st.floats(2.2250738585072014e-308, 50.0),
-            st.floats(-math.pi, math.pi) | st.sampled_from([0.0, math.pi / 2.0]),
-            st.integers(0, 2**19),
-        ),
-        min_size=1,
-        max_size=12,
-    ),
-)
-@settings(max_examples=300, deadline=None)
-@example(dim=D2, rows=[(0.0, 0.0, 2**19), (5e-4, math.pi / 2.0, 2**17), (2.5, 0.0, 2**19)])
-@example(dim=D3, rows=[(2.5, math.pi / 2.0, 3 * 2**14), (0.0, math.pi / 2.0, 1), (50.0, 0.3, 2**19)])
-@example(dim=D3, rows=[(LIMIT_SWITCH, 0.3, 2**18), (math.nextafter(LIMIT_SWITCH, 0.0), 0.3, 2**18)])
-# the centres, which the table reads through the same evaluator, on both branches
-@example(dim=D2, rows=[(0.0, 0.3, 0), (5e-4, 0.0, 0), (2.5, math.pi / 2.0, 0)])
-@example(dim=D3, rows=[(2.5, 0.0, 0), (0.0, math.pi / 2.0, 0), (5e-4, -0.7, 0)])
-def test_a_cleared_row_evaluates_as_the_checked_chain(dim, rows):
-    # a valid row's weights, and so its GTE flag, come from its row
-    # constants alone, bit for bit, at every radius the sweep can read (a
-    # multiple of 2**-20, the centre included)
-    import fermigte.scan as scan_module
-
-    weights, real = [], scan_module._er_parts
-
-    def recording(p12, p13, p23, mx):
-        weights.append(np.array([p12, p13, p23]).tobytes())
-        return real(p12, p13, p23, mx)
-
-    kfr, theta, m = (np.array(v) for v in zip(*rows))
-    cos, sin = np.array([scan_module.geometry._polar_direction(t) for t in theta]).T
-    valid = ~checked_polar_gte(dim, kfr, cos, sin, 0.0)[1]
-    kfr, cos, sin, q = (v[valid] for v in (kfr, cos, sin, m / 2**20))
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(scan_module, "_er_parts", recording)
-        got = scan_module._polar_gte(dim, kfr, cos, sin, q, *scan_module._row_constants(dim, kfr))
-        want = checked_polar_gte(dim, kfr, cos, sin, q)[0]
-    assert got.tolist() == want.tolist()
-    assert weights[0] == weights[1]
-
-
 FAMILIES = {
     "collinear": (sweep_collinear, collinear_shape),
     "isosceles": (sweep_isosceles, isosceles_shape),
@@ -896,6 +887,10 @@ class TestArraySweeps:
     )
     @settings(max_examples=150, deadline=None)
     @example(dim=D3, kfrs=[0.0, LIMIT_SWITCH, 1.0005e-3], grid=[5e-324, 0.5, 1.0 - 2**-53])
+    # an empty table checks no kfr, and evaluates none silently
+    @example(dim=D3, kfrs=[math.inf], grid=[])
+    @example(dim=D2, kfrs=[math.nan], grid=[])
+    @example(dim=D3, kfrs=[-1.0], grid=[])
     def test_drawn_collinear_grids(self, dim, kfrs, grid):
         got, want = family_outcomes("collinear", dim, kfrs, grid)
         assert got == want
@@ -908,6 +903,9 @@ class TestArraySweeps:
     @settings(max_examples=150, deadline=None)
     # at kfr = 0 a wide shape keeps the limit of its unit shape
     @example(dim=D2, kfrs=[0.0, 1e-3], grid=[0.1, 2000.0, 5e-324])
+    @example(dim=D2, kfrs=[math.inf], grid=[])
+    @example(dim=D3, kfrs=[math.nan], grid=[])
+    @example(dim=D2, kfrs=[-1.0], grid=[])
     def test_drawn_isosceles_grids(self, dim, kfrs, grid):
         got, want = family_outcomes("isosceles", dim, kfrs, grid)
         assert got == want
