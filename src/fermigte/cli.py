@@ -3,9 +3,9 @@
 Scalar results are emitted as JSON objects (never holding NaN or an
 infinity), tables as CSV, a sweep's from :mod:`scan`'s columns with each
 axis value's text made once by ``scan._cells`` (``sweep_*`` rows are the
-library's view of the same columns).  The figure grids live here; solver tolerances
-and search brackets default beside their solvers in :mod:`scan` and
-:mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
+library's view of the same columns).  The figure grids live here; solver
+tolerances and search brackets default beside their solvers in :mod:`scan`
+and :mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
 output path that cannot be written, 3 bracket or convergence error.
 """
 
