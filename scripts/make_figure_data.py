@@ -32,25 +32,29 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--points", type=int, default=201)
     args = parser.parse_args(argv)
 
-    out = pathlib.Path(args.outdir)
-    out.mkdir(parents=True, exist_ok=True)
-    for name, command in TABLES.items():
-        if command[0] == "sweep":
-            command = command + ["--points", str(args.points)]
-        path = out / name
-        code = cli.main(command + ["--out", str(path)])
-        if code != 0:
-            print(f"gte-fermi {' '.join(command)} exited with {code}", file=sys.stderr)
-            return code
-        print(f"wrote {path}")
+    try:
+        out = pathlib.Path(args.outdir)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, command in TABLES.items():
+            if command[0] == "sweep":
+                command = command + ["--points", str(args.points)]
+            path = out / name
+            code = cli.main(command + ["--out", str(path)])
+            if code != 0:
+                print(f"gte-fermi {' '.join(command)} exited with {code}", file=sys.stderr)
+                return code
+            print(f"wrote {path}")
 
-    summary = {"limit_shape_thresholds": analytic_limit_thresholds()}
-    for d in (Dimensionality.TWO_D, Dimensionality.THREE_D):
-        summary[f"r_min_{d.value}"] = find_rmin(d)
-        summary[f"r_max_{d.value}"] = r_max_solver(d)
-    (out / "thresholds.json").write_text(json.dumps(summary, indent=2) + "\n")
-    print(f"wrote {out / 'thresholds.json'}")
-    return 0
+        summary = {"limit_shape_thresholds": analytic_limit_thresholds()}
+        for d in (Dimensionality.TWO_D, Dimensionality.THREE_D):
+            summary[f"r_min_{d.value}"] = find_rmin(d)
+            summary[f"r_max_{d.value}"] = r_max_solver(d)
+        (out / "thresholds.json").write_text(json.dumps(summary, indent=2) + "\n")
+        print(f"wrote {out / 'thresholds.json'}")
+        return 0
+    except OSError as exc:  # an --outdir or thresholds.json that cannot be written
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,6 +1,7 @@
 """Genuine tripartite entanglement of three localized spins in the
 degenerate Fermi gas: reduced state, witnesses, robustness bound and the
-distance thresholds that bracket where the entanglement disappears."""
+distance thresholds that bracket where the entanglement disappears.
+Its figure tables are built one way, by the ``gte-fermi sweep`` command."""
 
 __version__ = "0.1.0"
 
@@ -25,18 +26,7 @@ from .errors import (
     NonHermitianInputError,
 )
 from .geometry import TriangleConfig
-from .scan import (
-    CollinearRow,
-    DistanceRow,
-    IsoscelesRow,
-    PolarBoundaryRow,
-    analytic_limit_thresholds,
-    find_rmin,
-    sweep_collinear,
-    sweep_distance,
-    sweep_isosceles,
-    sweep_polar_boundary,
-)
+from .scan import analytic_limit_thresholds, find_rmin
 from .specfun import Dimensionality, bessel_j1, f_factor, spherical_j1
 from .tristate import (
     WernerCoords,
@@ -60,21 +50,17 @@ from .witnesses import (
 __all__ = [
     "__version__",
     "BracketError",
-    "CollinearRow",
     "ConvergenceFailure",
     "Couplings",
     "DegenerateDenominatorError",
     "Dimensionality",
-    "DistanceRow",
     "DomainError",
     "EmptyRegionError",
     "FermiGteError",
     "GridScanReport",
     "GTE_THRESHOLD",
     "InvalidCouplingsError",
-    "IsoscelesRow",
     "NonHermitianInputError",
-    "PolarBoundaryRow",
     "TriangleConfig",
     "WernerCoords",
     "analytic_limit_thresholds",
@@ -96,10 +82,6 @@ __all__ = [
     "r_max_solver",
     "rho3",
     "spherical_j1",
-    "sweep_collinear",
-    "sweep_distance",
-    "sweep_isosceles",
-    "sweep_polar_boundary",
     "validate_couplings",
     "werner_coords",
 ]

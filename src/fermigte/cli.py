@@ -1,11 +1,11 @@
 """Command-line front end; every computation is a subcommand.
 
 Scalar results are emitted as JSON objects (never holding NaN or an
-infinity), tables as CSV, a sweep's from :mod:`scan`'s columns with each
-axis value's text made once by ``scan._cells`` (``sweep_*`` rows are the
-library's view of the same columns).  The figure grids live here; solver
-tolerances and search brackets default beside their solvers in :mod:`scan`
-and :mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
+infinity), tables as CSV.  ``sweep`` is the one way a figure table is
+built: :mod:`scan`'s column builders on the figure grids defined here,
+printed under the figure's header in _HEADERS.  Solver tolerances and
+search brackets default beside their solvers in :mod:`scan` and
+:mod:`bisep`.  Exit codes: 0 success, 2 validation/domain error or an
 output path that cannot be written, 3 bracket or convergence error.
 """
 
@@ -33,6 +33,13 @@ _FIG2_KFR = [0.0, 1.0, 2.0, 2.5, 2.59]
 _LIMIT_INSET = 0.0025
 # grid points per sweep axis; figure 1a at the maximum is 70,000 rows
 MAX_POINTS = 10_000
+# each figure table's CSV header: its two axes, then its value columns
+_HEADERS = {
+    "1a": ("kfr", "x_over_r", *scan._BOUND_COLUMNS),
+    "1b": ("kfr", "y_over_r", *scan._BOUND_COLUMNS),
+    "2": ("kfr", "theta", "q_star"),
+    "3": ("dim", "kfr", *scan._BOUND_COLUMNS),
+}
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -163,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", choices=["1a", "1b", "2", "3"], required=True)
     p.add_argument("--dim", choices=["2d", "3d"], help="figures 1a, 1b and 2 (default 3d)")
     p.add_argument(
-        "--points", type=int, default=201, help=f"grid points per axis, 2 to {MAX_POINTS}"
+        "--points", type=int, default=201,
+        help=f"grid points per axis, 2 to {MAX_POINTS}; figure 2 takes max(2, N // 2) angles",
     )
 
     p = sub.add_parser(
@@ -199,24 +207,18 @@ def _run_sweep(args: argparse.Namespace) -> str:
         grid = np.linspace(0.0, 1.0, n).tolist()
         # only the limit row (_FIG_KFR[0] = 0) takes the inset grid
         shape = geometry.collinear_shape
-        limit = scan._grid_table(dim, _FIG_KFR[:1], _limit_safe(grid), shape, scan._cells)
-        rest = scan._grid_table(dim, _FIG_KFR[1:], grid, shape, scan._cells)
-        rows = [*zip(*limit), *zip(*rest)]
-        header = scan.CollinearRow._fields
+        limit = scan._grid_table(dim, _FIG_KFR[:1], _limit_safe(grid), shape)
+        rows = [*zip(*limit), *zip(*scan._grid_table(dim, _FIG_KFR[1:], grid, shape))]
     elif args.figure == "1b":
         grid = np.linspace(0.0, 1.0, n).tolist()
-        rows = zip(*scan._grid_table(dim, _FIG_KFR, grid, geometry.isosceles_shape, scan._cells))
-        header = scan.IsoscelesRow._fields
+        rows = zip(*scan._grid_table(dim, _FIG_KFR, grid, geometry.isosceles_shape))
     elif args.figure == "2":
         thetas = np.linspace(0.0, math.pi / 2.0, max(2, n // 2)).tolist()
-        rows = zip(*scan._polar_table(dim, _FIG2_KFR, thetas, scan._cells))
-        header = scan.PolarBoundaryRow._fields
+        rows = zip(*scan._polar_table(dim, _FIG2_KFR, thetas))
     else:
         grid = [0.0] + np.linspace(0.015, 3.0, n).tolist()
-        dims = [Dimensionality.TWO_D, Dimensionality.THREE_D]
-        rows = zip(*scan._distance_table(dims, grid, scan._cells))
-        header = scan.DistanceRow._fields
-    return _csv(header, rows)
+        rows = zip(*scan._distance_table([Dimensionality.TWO_D, Dimensionality.THREE_D], grid))
+    return _csv(_HEADERS[args.figure], rows)
 
 
 def dispatch(args: argparse.Namespace) -> str:

@@ -24,19 +24,17 @@ at the first switch, while r_max evaluates its whole pre-scan, because
 it also checks that there is no second switch.  The polar table solves
 all its rows in lock step, each as its own solve would.
 
-The sweeps' rows (:data:`CollinearRow`, :data:`IsoscelesRow`,
-:data:`DistanceRow`, :data:`PolarBoundaryRow`, whose ``_fields`` are the
-CSV header) are the library's view of the columns, with float axes; the
-CLI prints the columns with each axis value's text made once by
-:func:`_cells`, in :func:`write_csv`'s number format.
+``gte-fermi sweep`` is the one way a figure table is made: it prints the
+columns of :func:`_grid_table`, :func:`_polar_table` or
+:func:`_distance_table`, whose axis values' text :func:`_cells` makes once.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from itertools import chain, pairwise, repeat
-from typing import Callable, Iterable, NamedTuple, Sequence, TextIO
+from itertools import chain, pairwise
+from typing import Callable, Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -53,15 +51,6 @@ POLAR_PRESCAN_POINTS = 33
 POLAR_PRESCAN_CHUNK = 4  # grid radii per row in each lock-step pre-scan call
 
 _log = logging.getLogger(__name__)
-
-
-# the row types of the sweep tables: the point's variables, then its bound and
-# weights, or the witnessed-GTE boundary radius q* at (kfr, theta)
-_BOUND_COLUMNS = [(c, float) for c in ("er_lower_bound", "witness_value", "p12", "p13", "p23")]
-CollinearRow = NamedTuple("CollinearRow", [("kfr", float), ("x_over_r", float), *_BOUND_COLUMNS])
-IsoscelesRow = NamedTuple("IsoscelesRow", [("kfr", float), ("y_over_r", float), *_BOUND_COLUMNS])
-DistanceRow = NamedTuple("DistanceRow", [("dim", str), ("kfr", float), *_BOUND_COLUMNS])
-PolarBoundaryRow = NamedTuple("PolarBoundaryRow", [(c, float) for c in ("kfr", "theta", "q_star")])
 
 
 def check_tol(tol: float) -> None:
@@ -108,11 +97,13 @@ def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
         return (math.nan,) * size
 
 
+_BOUND_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
+
+
 def _bound_columns(dim, kfr_values, grid, shape_of) -> list[list[float]]:
-    """The columns er_lower_bound, witness_value, p12, p13, p23 over the
-    points (kfr, grid value), kfr-major.  A point fails where shape_of
-    rejects its grid value, :func:`cpl._unit_checks` rejects it or its
-    weights are not finite."""
+    """The columns _BOUND_COLUMNS over the points (kfr, grid value),
+    kfr-major.  A point fails where shape_of rejects its grid value,
+    :func:`cpl._unit_checks` rejects it or its weights are not finite."""
     shapes = [_or_nan(shape_of, v, 3) for v in grid]
     n, kfr_axis = len(shapes), np.array(kfr_values, dtype=float)
     s12, _, s23 = np.tile(np.reshape(np.array(shapes, dtype=float), (-1, 3)), (kfr_axis.size, 1)).T
@@ -135,39 +126,34 @@ def _product_table(outer: Sequence, inner: Sequence, values: Iterable[list]) -> 
     return [[v for v in outer for _ in inner], list(inner) * len(outer), *values]
 
 
-def _rows(row: type, columns: list[list]) -> list:
-    """The table's rows as the NamedTuple type row, each made at C level by tuple.__new__."""
-    return list(map(tuple.__new__, repeat(row), zip(*columns)))
+def _grid_table(dim, kfr_values, grid, shape_of) -> list[list]:
+    """Figure 1a's or 1b's columns: the text axes kfr and grid value by
+    :func:`_product_table`, then :func:`_bound_columns`."""
+    return _product_table(_cells(kfr_values), _cells(grid), _bound_columns(dim, kfr_values, grid, shape_of))
 
 
-def _grid_table(dim, kfr_values, grid, shape_of, axis: Callable = list) -> list[list]:
-    """The columns of a kfr-major grid sweep: axis(kfr_values) and axis(grid)
-    laid out by :func:`_product_table`, then :func:`_bound_columns`."""
-    return _product_table(axis(kfr_values), axis(grid), _bound_columns(dim, kfr_values, grid, shape_of))
+def _polar_table(dim, kfr_values, theta_grid) -> list[list]:
+    """Figure 2's columns: the text axes kfr and theta by :func:`_product_table`,
+    then the radius q*(theta) separating witnessed GTE (q < q*) from none.
 
+    q* = 1/2 where GTE holds on the whole radius and q* = 0 where it holds
+    nowhere, keeping the table rectangular; any other q* is bisected to a
+    bracket of width DEFAULT_TOL.  Each row finds the switch and q* of its
+    own bracket-then-bisect solve (:func:`first_switch`, then
+    :func:`bisect_switch`), all rows in lock step: each pre-scan call reads
+    the next POLAR_PRESCAN_CHUNK radii of every row whose flags are all True
+    so far, and the switched rows are bisected together, each on its own
+    one-step bracket.  The rows are checked on the scalar chain before any
+    point is read: every centre is the shape (0.5, 1, 0.5), and d13 = kfr
+    is the largest distance at every radius, so a row whose theta's
+    direction and centre pass is valid throughout; else the first invalid
+    row (kfr-major) raises its scalar error, and no point is read.
 
-def sweep_collinear(
-    dim: Dimensionality, kfr_values: Sequence[float], x_over_r_grid: Sequence[float]
-) -> list[CollinearRow]:
-    return _rows(CollinearRow, _grid_table(dim, kfr_values, x_over_r_grid, geometry.collinear_shape))
-
-
-def sweep_isosceles(
-    dim: Dimensionality, kfr_values: Sequence[float], y_over_r_grid: Sequence[float]
-) -> list[IsoscelesRow]:
-    return _rows(IsoscelesRow, _grid_table(dim, kfr_values, y_over_r_grid, geometry.isosceles_shape))
-
-
-def _polar_table(dim, kfr_values, theta_grid, axis: Callable = list) -> list[list]:
-    """The columns of :func:`sweep_polar_boundary`, solved and logged as it says:
-    axis(kfr_values) and axis(theta_grid) by :func:`_product_table`, then q*.
-
-    A row's pre-scan calls read the next POLAR_PRESCAN_CHUNK radii on every
-    row whose flags are all True so far, and the switched rows are bisected
-    together, each on its own one-step bracket.  The rows are checked on the
-    scalar chain before any point is read: every centre is the shape
-    (0.5, 1, 0.5), and d13 = kfr is the largest distance at every radius,
-    so a row whose theta's direction and centre pass is valid throughout."""
+    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
+    (None when there is none) and the number of pre-scan points that the
+    row's own solve reads (1 when the centre shows no GTE, all of them when
+    the whole radius does; the chunk's points past the switch are not
+    counted); each bisected row follows with its bisect_switch record."""
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid, m = qs.tolist(), len(theta_grid)
     n = len(kfr_values) * m
@@ -226,44 +212,16 @@ def _polar_table(dim, kfr_values, theta_grid, axis: Callable = list) -> list[lis
             )
             if i >= 0:
                 _log_bisection((grid[i], grid[i + 1]), steps[k], width[k])
-    return _product_table(axis(kfr_values), axis(theta_grid), [q_star])
+    return _product_table(_cells(kfr_values), _cells(theta_grid), [q_star])
 
 
-def sweep_polar_boundary(
-    dim: Dimensionality, kfr_values: Sequence[float], theta_grid: Sequence[float]
-) -> list[PolarBoundaryRow]:
-    """Boundary radius q*(theta) separating witnessed GTE (q < q*) from none.
-
-    Rows where GTE holds on the whole radius report q* = 1/2 and rows
-    where it holds nowhere report q* = 0, keeping the table rectangular;
-    any other q* is bisected to a bracket of width DEFAULT_TOL.  Every
-    row finds the switch and q* of its own bracket-then-bisect solve
-    (:func:`first_switch`, then :func:`bisect_switch`); its pre-scan reads
-    POLAR_PRESCAN_CHUNK = 4 grid points per call, up to the end of the
-    chunk that holds its switch.  A table with an invalid kfr or theta
-    raises its first invalid row's scalar error (rows in kfr-major order)
-    and reads no point.
-
-    Logs one DEBUG record per row: kfr, theta, the pre-scan's switch
-    index (None when there is none) and the number of pre-scan points
-    that the row's own solve reads (1 when the centre shows no GTE, all of
-    them when the whole radius does; the chunk's points past the switch
-    are not counted); each bisected row follows with its bisect_switch record.
-    """
-    return _rows(PolarBoundaryRow, _polar_table(dim, kfr_values, theta_grid))
-
-
-def _distance_table(dims, kfr_grid, axis: Callable = list) -> list[list]:
-    """The columns of :func:`sweep_distance`: each dim's name and axis(kfr_grid)
-    laid out by :func:`_product_table`, then each dim's bound columns in turn."""
+def _distance_table(dims, kfr_grid) -> list[list]:
+    """Figure 3's columns, the symmetric collinear family's bound versus
+    separation: each dim's name and the text axis kfr by
+    :func:`_product_table`, then each dim's bound columns in turn."""
     values = [_bound_columns(dim, kfr_grid, [0.5], geometry.collinear_shape) for dim in dims]
     values = [list(chain.from_iterable(c)) for c in zip(*values)]
-    return _product_table([dim.value for dim in dims], axis(kfr_grid), values)
-
-
-def sweep_distance(dims: Sequence[Dimensionality], kfr_grid: Sequence[float]) -> list[DistanceRow]:
-    """Robustness bound of the symmetric collinear family versus separation."""
-    return _rows(DistanceRow, _distance_table(dims, kfr_grid))
+    return _product_table([dim.value for dim in dims], _cells(kfr_grid), values)
 
 
 def find_rmin(

@@ -1,15 +1,17 @@
 """Shared fixtures and independent test oracles.
 
 Every figure table point is a unit shape (s12, 1, s23) at a separation
-kfr, and the package computes f(kfr) once per kfr; the oracles here take
-each point one at a time instead.  They deliberately avoid the code paths
+kfr, and the package computes f(kfr) once per kfr in the column builders
+behind `gte-fermi sweep`, the one way a figure table is built; the
+oracles here take each point one at a time instead, and give each table
+as rows with float axes, which write_csv prints as the CLI does.  They deliberately avoid the code paths
 they check: Bessel values come from a truncated power series, the minimum
 eigenvalue from a cyclic Jacobi sweep on the real embedding of the
 Hermitian matrix, the biseparability hull from sampled lens boundaries
 and qhull, random states from direct Haar sampling, polar q* rows from
 the public configuration, coupling and bound objects (by the unit-shape
 rule of public_couplings) solved one row at a time, the rows of the other
-figure sweeps from the scalar point chain one point at a time, CSV table
+figure tables from the scalar point chain one point at a time, CSV table
 bodies one row at a time, and the GHZ/W grid scan from kets built with
 their own local kets and np.kron products, evaluated and compared one
 node at a time, the energy-witness verdict and the closed E_R bound of
@@ -87,11 +89,11 @@ def er_two_sign_oracle(p12: float, p13: float, p23: float) -> float:
 
 
 def sweep_oracle(dim, kfr_values, grid, shape_of) -> list[tuple]:
-    """The rows of sweep_collinear or sweep_isosceles (shape_of naming the
-    family) as flat tuples (kfr, grid value, bound, witness value, weights),
-    one point at a time, kfr-major: the shape, the scalar weights of
-    from_shape and the E_R bound and best witness value written out.
-    Raises the first point's error."""
+    """The rows of the collinear or isosceles table (figures 1a and 1b;
+    shape_of names the family) as flat tuples (kfr, grid value, bound,
+    witness value, weights), one point at a time, kfr-major: the shape,
+    the scalar weights of from_shape and the E_R bound and best witness
+    value written out.  Raises the first point's error."""
     rows = []
     for kfr in kfr_values:
         for v in grid:
@@ -101,8 +103,8 @@ def sweep_oracle(dim, kfr_values, grid, shape_of) -> list[tuple]:
 
 
 def distance_oracle(dims, kfr_grid) -> list[tuple]:
-    """The rows of sweep_distance as flat tuples (dim, kfr, ...), one point
-    at a time, as in sweep_oracle."""
+    """The rows of the distance table (figure 3) as flat tuples (dim, kfr,
+    ...), dim-major, one point at a time, as in sweep_oracle."""
     rows = []
     for dim in dims:
         for kfr in kfr_grid:

@@ -25,12 +25,12 @@ from fermigte import (
     min_eigenvalue,
     r_max_solver,
     rho3,
-    sweep_polar_boundary,
     validate_couplings,
 )
 from fermigte.bisep import _symmetric_point
 from fermigte.cli import main
 from fermigte.geometry import collinear_shape, equilateral_shape, scaled
+from fermigte.scan import _polar_table
 
 from conftest import (
     in_lens_hull,
@@ -189,8 +189,7 @@ def test_criterion_07_analytic_thresholds():
         0.1,
         0.8,
     )
-    rows = sweep_polar_boundary(D3, [0.0], list(np.linspace(0.0, math.pi / 2.0, 9)))
-    qs = [r.q_star for r in rows]
+    qs = _polar_table(D3, [0.0], list(np.linspace(0.0, math.pi / 2.0, 9)))[2]
     spread = max(qs) - min(qs)
     ok = (
         abs(x_cross - 0.0792255) <= 1e-4

@@ -14,7 +14,6 @@ from fermigte import (
     couplings_from_config,
     couplings_zero_limit,
     f_factor,
-    sweep_collinear,
     validate_couplings,
 )
 from fermigte.couplings import LIMIT_SWITCH, _kernel_formula, _min_eigenvalue, from_shape
@@ -31,6 +30,7 @@ from fermigte.geometry import (
     polar_shape,
     scaled,
 )
+from fermigte.scan import _bound_columns
 from fermigte.specfun import X_MAX
 
 from conftest import psd_werner_weights, public_couplings, random_config, unit_points, werner_states
@@ -314,9 +314,9 @@ class TestFloatCore:
         monkeypatch.setattr(couplings_module, "_f_array", nan_array)
         monkeypatch.setattr(couplings_module, "f_factor", nan_float)
         with pytest.raises(InvalidCouplingsError):
-            sweep_collinear(dim, [1.0], [0.5, 0.9, 1.5])
+            _bound_columns(dim, [1.0], [0.5, 0.9, 1.5], collinear_shape)
         monkeypatch.undo()
-        assert len(sweep_collinear(dim, [1.0], [0.5, 0.9])) == 2
+        assert len(_bound_columns(dim, [1.0], [0.5, 0.9], collinear_shape)[0]) == 2
 
 
 @st.composite

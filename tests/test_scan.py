@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import logging
@@ -12,24 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import (
-    CollinearRow,
     Couplings,
     Dimensionality,
-    DistanceRow,
-    IsoscelesRow,
-    PolarBoundaryRow,
     analytic_limit_thresholds,
     couplings_from_config,
     couplings_zero_limit,
     er_lower_bound,
     find_rmin,
     r_max_solver,
-    sweep_collinear,
-    sweep_distance,
-    sweep_isosceles,
-    sweep_polar_boundary,
 )
-from fermigte.cli import _FIG2_KFR, _FIG_KFR, _limit_safe, main
+from fermigte.cli import _FIG2_KFR, _FIG_KFR, _HEADERS, _limit_safe, main
 from fermigte.couplings import LIMIT_SWITCH
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import collinear_shape, isosceles_shape, polar_shape, scaled
@@ -38,6 +31,10 @@ from fermigte.scan import (
     POLAR_PRESCAN_CHUNK,
     POLAR_PRESCAN_POINTS,
     RMIN_PRESCAN_STEP,
+    _bound_columns,
+    _distance_table,
+    _grid_table,
+    _polar_table,
     bisect_switch,
     first_switch,
     write_csv,
@@ -70,6 +67,17 @@ def limit_er_collinear(x: float) -> float:
 def limit_er_isosceles(y: float) -> float:
     s = math.hypot(0.5, y)
     return er_lower_bound(couplings_zero_limit(s, 1.0, s))
+
+
+def q_stars(dim, kfrs, thetas) -> list[float]:
+    """The q* column of the polar table (figure 2) over kfrs x thetas."""
+    return _polar_table(dim, kfrs, thetas)[2]
+
+
+def text_axes(rows) -> list[tuple]:
+    """rows with their two axis cells as the CSV prints them, "%.12g" (a str
+    cell, figure 3's dim, stays): a table's rows as its builder makes them."""
+    return [(*(v if isinstance(v, str) else f"{v:.12g}" for v in r[:2]), *r[2:]) for r in rows]
 
 
 def bisect_predicate(pred, lo, hi, tol=1e-10):
@@ -140,10 +148,10 @@ class TestAnalyticThresholds:
 
 class TestSweepCollinear:
     def test_limit_row_at_midpoint(self):
-        rows = sweep_collinear(D3, [0.0], [0.5])
+        (er,), (witness_value,), *_ = _bound_columns(D3, [0.0], [0.5], collinear_shape)
         expect = (3.0 * (4.0 / 3.0) - 1.0 - math.sqrt(5.0)) / (5.0 + math.sqrt(5.0))
-        assert rows[0].er_lower_bound == pytest.approx(expect, abs=1e-12)
-        assert rows[0].witness_value == pytest.approx(4.0, abs=1e-12)
+        assert er == pytest.approx(expect, abs=1e-12)
+        assert witness_value == pytest.approx(4.0, abs=1e-12)
 
     def test_limit_positivity_window(self):
         # nonzero strictly inside (x*, 1-x*), zero outside
@@ -159,20 +167,20 @@ class TestSweepCollinear:
         assert crossing == pytest.approx(analytic_limit_thresholds()["x_over_r"], abs=1e-4)
 
     def test_near_gte_distance(self):
-        rows = sweep_collinear(D3, [2.59], [0.5])
-        assert 0.0 <= rows[0].er_lower_bound <= 1e-3
+        (er,), *_ = _bound_columns(D3, [2.59], [0.5], collinear_shape)
+        assert 0.0 <= er <= 1e-3
 
     def test_row_recompute_invariant(self):
-        rows = sweep_collinear(D3, [0.0, 1.0, 2.0], [0.2, 0.5, 0.8])
-        for row in rows:
-            assert row.er_lower_bound == er_lower_bound(Couplings(row.p12, row.p13, row.p23))
+        ers, _, *weights = _bound_columns(D3, [0.0, 1.0, 2.0], [0.2, 0.5, 0.8], collinear_shape)
+        assert len(ers) == 9
+        for er, *w in zip(ers, *weights):
+            assert er == er_lower_bound(Couplings(*w))
 
 
 class TestSweepIsosceles:
     def test_limit_monotone_decreasing(self):
         ys = list(np.linspace(0.0, 0.9, 60))
-        rows = sweep_isosceles(D3, [0.0], ys)
-        ers = [r.er_lower_bound for r in rows]
+        ers = _bound_columns(D3, [0.0], ys, isosceles_shape)[0]
         assert all(b <= a + 1e-15 for a, b in zip(ers, ers[1:]))
 
     def test_limit_crossing(self):
@@ -184,35 +192,28 @@ class TestSweepIsosceles:
     def test_equilateral_row_is_zero(self):
         y_eq = math.sqrt(3.0) / 2.0
         for kfr in (0.5, 1.0, 2.0, 5.0):
-            rows = sweep_isosceles(D3, [kfr], [y_eq])
-            assert rows[0].er_lower_bound == 0.0
+            assert _bound_columns(D3, [kfr], [y_eq], isosceles_shape)[0] == [0.0]
 
     def test_finite_kfr_below_limit(self):
         for y in (0.0, 0.2):
-            finite = sweep_isosceles(D3, [1.0], [y])[0].er_lower_bound
-            limit = sweep_isosceles(D3, [0.0], [y])[0].er_lower_bound
+            (finite, limit), *_ = _bound_columns(D3, [1.0, 0.0], [y], isosceles_shape)
             assert finite <= limit
 
 
 class TestSweepPolarBoundary:
     def test_limit_circle(self):
         thetas = list(np.linspace(0.0, math.pi / 2.0, 9))
-        rows = sweep_polar_boundary(D3, [0.0], thetas)
-        qs = [r.q_star for r in rows]
+        qs = q_stars(D3, [0.0], thetas)
         assert max(qs) - min(qs) <= 1e-6
         assert qs[0] == pytest.approx(Y_STAR, abs=1e-4)
 
     def test_boundary_squeezes_with_distance(self):
-        q_at = {}
-        for kfr in (1.0, 2.0, 2.5):
-            rows = sweep_polar_boundary(D3, [kfr], [math.pi / 2.0])
-            q_at[kfr] = rows[0].q_star
+        q_at = dict(zip((1.0, 2.0, 2.5), q_stars(D3, [1.0, 2.0, 2.5], [math.pi / 2.0])))
         assert q_at[1.0] > q_at[2.0] > q_at[2.5] > 0.0
 
     def test_vanishes_beyond_gte_distance(self):
         thetas = list(np.linspace(0.0, math.pi / 2.0, 5))
-        rows = sweep_polar_boundary(D3, [2.7], thetas)
-        assert all(r.q_star == 0.0 for r in rows)
+        assert q_stars(D3, [2.7], thetas) == [0.0] * 5
 
     def test_saturated_rows_report_endpoints(self, monkeypatch):
         # the physics never saturates the quarter disk, so exercise the
@@ -226,11 +227,9 @@ class TestSweepPolarBoundary:
             monkeypatch.setattr(scan_module.cpl, "_unit_weights", weights)
 
         constant(1.0)  # the witness value 6 shows GTE
-        rows = sweep_polar_boundary(D3, [1.0], [0.3])
-        assert rows[0].q_star == 0.5
+        assert q_stars(D3, [1.0], [0.3]) == [0.5]
         constant(0.0)
-        rows = sweep_polar_boundary(D3, [1.0], [0.3])
-        assert rows[0].q_star == 0.0
+        assert q_stars(D3, [1.0], [0.3]) == [0.0]
 
 
 class TestBracketThenBisect:
@@ -456,7 +455,7 @@ class TestLazyPrescan:
         i = next(k for k in range(len(qs) - 1) if flags[k] and not flags[k + 1])
         assert i + 2 < POLAR_PRESCAN_POINTS
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            (row,) = sweep_polar_boundary(D3, [kfr], [theta])
+            (q_star,) = q_stars(D3, [kfr], [theta])
         (record,) = [r for r in caplog.records if r.msg.startswith("bisect_switch")]
         steps = record.args[1]
         calls = polar_calls[(kfr, theta)]
@@ -466,11 +465,10 @@ class TestLazyPrescan:
         assert len(calls) == read + steps
         assert calls[:read] == qs[:read]
         assert all(qs[i] < q < qs[i + 1] for q in calls[read:])
-        assert qs[i] < row.q_star < qs[i + 1]
+        assert qs[i] < q_star < qs[i + 1]
 
     def test_polar_row_without_gte_at_the_centre_makes_one_evaluation(self, polar_calls):
-        (row,) = sweep_polar_boundary(D3, [2.7], [0.3])
-        assert row.q_star == 0.0
+        assert q_stars(D3, [2.7], [0.3]) == [0.0]
         assert polar_calls == {(2.7, 0.3): [0.0]}
 
     def test_r_max_prescan_still_checks_for_a_second_switch(self, monkeypatch):
@@ -494,19 +492,19 @@ class TestPolarFloatPath:
     def test_figure_rows_equal_the_public_path(self, dim, points, polar_calls):
         # the theta grid of `sweep --figure 2 --points <points>`
         thetas = np.linspace(0.0, math.pi / 2.0, points // 2).tolist()
-        rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        rows = list(zip(*_polar_table(dim, _FIG2_KFR, thetas)))
         ref_calls = {(kfr, theta): [] for kfr in _FIG2_KFR for theta in thetas}
         ref = [
             (kfr, theta, polar_q_star(dim, kfr, theta, 1e-6, calls))
             for (kfr, theta), calls in ref_calls.items()
         ]
-        assert [(r.kfr, r.theta, r.q_star) for r in rows] == ref
+        assert rows == text_axes(ref)
         assert polar_calls == {key: chunked(calls) for key, calls in ref_calls.items()}
 
     def test_rows_log_their_prescan(self, polar_calls, caplog):
         kfrs, thetas = [0.0, 1.0, 2.7], [0.0, 0.3, math.pi / 2.0]
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            sweep_polar_boundary(D3, kfrs, thetas)
+            _polar_table(D3, kfrs, thetas)
         records = [r for r in caplog.records if r.name == "fermigte.scan"]
         assert all(r.levelno == logging.DEBUG for r in records)
         qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
@@ -553,6 +551,22 @@ class TestPolarFloatPath:
                 assert bisection.args[1] == 14
         assert rows == len(_FIG2_KFR) * max(2, points // 2)
 
+    # figure 2's DEBUG stream at --points 201: the record count and the SHA-256
+    # of the records as "<logger> <message>" lines, each ending in a newline
+    DEBUG_STREAMS = {
+        "2d": (800, "2125c67db785ed2c855a4d738ca08bf84a0d1bcbe714ce243cf65f8ba0cd8348"),
+        "3d": (1000, "d1fc689f5d867edb3ee22d26e32458abcc76e4af446c80dc40bc74f2d34ae1e6"),
+    }
+
+    @pytest.mark.parametrize("dim", ["2d", "3d"])
+    def test_the_figure_debug_stream_is_unchanged(self, dim, capsys, caplog):
+        with caplog.at_level(logging.DEBUG, logger="fermigte"):
+            assert main(["sweep", "--figure", "2", "--dim", dim, "--points", "201"]) == 0
+        capsys.readouterr()
+        lines = [f"{r.name} {r.getMessage()}" for r in caplog.records if r.name.startswith("fermigte")]
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        assert (len(lines), digest) == self.DEBUG_STREAMS[dim]
+
     def test_saturated_row_logs_every_prescan_point(self, monkeypatch, caplog):
         import fermigte.scan as scan_module
 
@@ -568,14 +582,14 @@ class TestPolarFloatPath:
         monkeypatch.setattr(scan_module.geometry, "_polar_distances", recording)
         monkeypatch.setattr(scan_module.cpl, "_unit_weights", always)
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            sweep_polar_boundary(D3, [1.0], [0.3])
+            _polar_table(D3, [1.0], [0.3])
         (record,) = [r for r in caplog.records if r.name == "fermigte.scan"]
         assert record.args == (1.0, 0.3, None, POLAR_PRESCAN_POINTS)
         assert calls == np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS).tolist()
 
     def test_row_records_are_silent_by_default(self, caplog):
         assert not logging.getLogger("fermigte").isEnabledFor(logging.DEBUG)
-        sweep_polar_boundary(D3, [1.0, 2.7], [0.0, 0.3])
+        _polar_table(D3, [1.0, 2.7], [0.0, 0.3])
         assert [r for r in caplog.records if r.name.startswith("fermigte")] == []
 
 
@@ -595,12 +609,13 @@ class TestLockStep:
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_rows_equal_the_per_row_oracle(self, dim, polar_calls):
-        rows = sweep_polar_boundary(dim, self.KFRS, self.THETAS)
+        kfr_cells, theta_cells, q_star = _polar_table(dim, self.KFRS, self.THETAS)
         ref_calls = {}
-        for row in rows:
-            calls = ref_calls.setdefault((row.kfr, row.theta), [])
-            assert row.q_star == polar_q_star(dim, row.kfr, row.theta, 1e-6, calls), row
-        assert [(r.kfr, r.theta) for r in rows] == list(itertools.product(self.KFRS, self.THETAS))
+        pairs = list(itertools.product(self.KFRS, self.THETAS))
+        for (kfr, theta), q in zip(pairs, q_star, strict=True):
+            calls = ref_calls.setdefault((kfr, theta), [])
+            assert q == polar_q_star(dim, kfr, theta, 1e-6, calls), (kfr, theta)
+        assert list(zip(kfr_cells, theta_cells)) == text_axes(pairs)
         assert polar_calls == {key: chunked(calls) for key, calls in ref_calls.items()}
         reads = {len(c) for c in polar_calls.values()}
         assert 1 in reads and any(n > POLAR_PRESCAN_POINTS for n in reads)
@@ -621,7 +636,7 @@ class TestLockStep:
         # the error of the first failing row, at the first point it reads
         want = _error(lambda: polar_gte(D3, *point))
         assert want[0] is not AssertionError
-        assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
+        assert _error(lambda: _polar_table(D3, kfrs, thetas)) == want
         # the rows are checked on the scalar chain: an invalid table reads no point
         assert polar_calls == {}
 
@@ -640,7 +655,7 @@ class TestLockStep:
         monkeypatch.setattr(scan_module.geometry, "polar_shape", lambda *a: pytest.fail("rebuilt"))
         monkeypatch.setattr(scan_module.cpl, "from_shape", recording)
         with pytest.raises(DomainError, match="f_factor requires 0 <= x <= 50.0, got 60.0"):
-            sweep_polar_boundary(D3, [60.0], [0.3])
+            _polar_table(D3, [60.0], [0.3])
         monkeypatch.undo()
         assert repr(shapes) == repr([polar_shape(0.3, 0.0)]) == repr([(0.5, 1.0, 0.5)])
 
@@ -659,7 +674,7 @@ class TestLockStep:
         # read, and no row logs a record
         want = _error(lambda: polar_gte(D3, *point))
         with caplog.at_level(logging.DEBUG, logger="fermigte"):
-            assert _error(lambda: sweep_polar_boundary(D3, kfrs, thetas)) == want
+            assert _error(lambda: _polar_table(D3, kfrs, thetas)) == want
         assert [r for r in caplog.records if r.name == "fermigte.scan"] == []
         assert polar_calls == {}
 
@@ -669,17 +684,17 @@ class TestLockStep:
         # without thetas checks none
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert sweep_polar_boundary(dim, [math.inf], []) == []
+            assert _polar_table(dim, [math.inf], []) == [[], [], []]
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_a_kfr_below_the_switch_gives_the_kfr_0_rows(self, dim):
         # the unit shape decides below LIMIT_SWITCH: subnormal kfrs included,
         # every row is the kfr = 0 row, bit for bit
         kfrs, thetas = [0.0, 5e-324, 2e-323, 5e-4], [0.0, 0.3, 1.2, math.pi / 2.0]
-        q_stars = [r.q_star for r in sweep_polar_boundary(dim, kfrs, thetas)]
-        limit = q_stars[: len(thetas)]
+        qs = q_stars(dim, kfrs, thetas)
+        limit = qs[: len(thetas)]
         assert 0.0 < min(limit) and max(limit) < 0.5
-        assert repr(q_stars) == repr(limit * len(kfrs))
+        assert repr(qs) == repr(limit * len(kfrs))
 
     @pytest.mark.parametrize("kfr", [0.0, 5e-4, 1.0])
     def test_a_coincident_pair_shows_no_gte_and_no_error(self, kfr):
@@ -703,7 +718,7 @@ class TestLockStep:
 
         on_polar_evaluation(measuring)
         thetas = np.linspace(0.0, math.pi / 2.0, 100).tolist()
-        sweep_polar_boundary(dim, _FIG2_KFR, thetas)
+        _polar_table(dim, _FIG2_KFR, thetas)
         # the centre, at most 8 pre-scan calls, then 14 bisection steps
         assert 1 + 14 < len(per_row) <= 1 + 8 + 14
         assert max(per_row) == POLAR_PRESCAN_CHUNK
@@ -738,8 +753,8 @@ def _outcome(fn):
 
 
 def polar_oracle(dim, kfrs, thetas):
-    """The polar rows solved one at a time by polar_q_star; the first
-    raising row's error ends the table."""
+    """The polar rows (kfr, theta, q*) solved one at a time by
+    polar_q_star; the first raising row's error ends the table."""
     pairs = itertools.product(kfrs, thetas)
     return [(kfr, theta, polar_q_star(dim, kfr, theta)) for kfr, theta in pairs]
 
@@ -766,8 +781,8 @@ def polar_oracle(dim, kfrs, thetas):
 @example(dim=D3, kfrs=[], thetas=[4.0])
 @example(dim=D3, kfrs=[60.0], thetas=[])
 def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
-    got = _outcome(lambda: sweep_polar_boundary(dim, kfrs, thetas))
-    assert got == _outcome(lambda: polar_oracle(dim, kfrs, thetas))
+    got = _outcome(lambda: zip(*_polar_table(dim, kfrs, thetas)))
+    assert got == _outcome(lambda: text_axes(polar_oracle(dim, kfrs, thetas)))
 
 
 # kfr: normal floats up to 60 (the kernels' domain ends at 50), multiples of
@@ -833,19 +848,24 @@ def test_a_polar_centre_is_rejected_exactly_where_the_scalar_checks_raise(dim, k
         assert not rejected
 
 
-FAMILIES = {
-    "collinear": (sweep_collinear, collinear_shape),
-    "isosceles": (sweep_isosceles, isosceles_shape),
-}
+FAMILIES = {"collinear": collinear_shape, "isosceles": isosceles_shape}
 
 
 def family_outcomes(family, dim, kfrs, grid):
-    """The outcome of the array sweep and of the per-point oracle; each
-    float is compared by repr as well, so a signed zero shows."""
-    sweep, shape_of = FAMILIES[family]
-    got = _outcome(lambda: sweep(dim, kfrs, grid))
-    want = _outcome(lambda: sweep_oracle(dim, kfrs, grid, shape_of))
+    """The outcome of the grid table (figures 1a and 1b) and of the
+    per-point oracle; each float is compared by repr as well, so a signed
+    zero shows."""
+    shape_of = FAMILIES[family]
+    got = _outcome(lambda: zip(*_grid_table(dim, kfrs, grid, shape_of)))
+    want = _outcome(lambda: text_axes(sweep_oracle(dim, kfrs, grid, shape_of)))
     return (got, repr(got)), (want, repr(want))
+
+
+def distance_outcomes(kfrs):
+    """The outcome of the distance table (figure 3) over both dims and of
+    the per-point oracle, each by repr."""
+    got = _outcome(lambda: zip(*_distance_table([D2, D3], kfrs)))
+    return repr(got), repr(_outcome(lambda: text_axes(distance_oracle([D2, D3], kfrs))))
 
 
 # kfr lists that straddle the limit switch and reach the kernels' domain end,
@@ -861,7 +881,7 @@ kfr_values = st.lists(
 
 
 class TestArraySweeps:
-    """The 1a, 1b and 3 sweeps, one array evaluation per table, equal the
+    """The 1a, 1b and 3 tables, one array evaluation per table, equal the
     per-point scalar chain cell for cell and raise its errors."""
 
     @pytest.mark.parametrize("dim", [D2, D3])
@@ -876,9 +896,8 @@ class TestArraySweeps:
         for family, kfrs, g in cases:
             got, want = family_outcomes(family, dim, kfrs, g)
             assert isinstance(want[0], list) and got == want, (family, kfrs[0])
-        kfr_grid = [0.0] + np.linspace(0.015, 3.0, points).tolist()
-        got = _outcome(lambda: sweep_distance([D2, D3], kfr_grid))
-        assert repr(got) == repr(distance_oracle([D2, D3], kfr_grid))
+        got, want = distance_outcomes([0.0] + np.linspace(0.015, 3.0, points).tolist())
+        assert want.startswith("[") and got == want
 
     @given(
         dim=st.sampled_from([D2, D3]),
@@ -913,8 +932,8 @@ class TestArraySweeps:
     @given(kfrs=kfr_values)
     @settings(max_examples=100, deadline=None)
     def test_drawn_distance_grids(self, kfrs):
-        got = _outcome(lambda: sweep_distance([D2, D3], kfrs))
-        assert repr(got) == repr(_outcome(lambda: distance_oracle([D2, D3], kfrs)))
+        got, want = distance_outcomes(kfrs)
+        assert got == want
 
     @pytest.mark.parametrize(
         "family, kfrs, grid",
@@ -938,137 +957,138 @@ class TestArraySweeps:
 
     @pytest.mark.parametrize("kfrs", [[-1.0], [math.nan], [math.inf], [60.0], [0.5, 2.0, 60.0]])
     def test_distance_errors_are_the_scalar_errors(self, kfrs):
-        got = _outcome(lambda: sweep_distance([D2, D3], kfrs))
-        assert isinstance(got, tuple) and got == _outcome(lambda: distance_oracle([D2, D3], kfrs))
+        got, want = distance_outcomes(kfrs)
+        assert want.startswith("(") and got == want
 
 
 class TestSweepDistance:
     def test_limit_endpoint(self):
-        rows = sweep_distance([D3], [0.0])
-        assert rows[0].er_lower_bound == pytest.approx(0.1055728090, abs=1e-9)
+        (er,) = _distance_table([D3], [0.0])[2]
+        assert er == pytest.approx(0.1055728090, abs=1e-9)
 
     def test_monotone_decreasing_up_to_rmin(self):
         for dim in (D3, D2):
             rmin = find_rmin(dim, tol=1e-6)
             grid = [0.0] + list(np.linspace(rmin / 200.0, rmin, 200))
-            rows = sweep_distance([dim], grid)
-            ers = [r.er_lower_bound for r in rows]
+            ers = _distance_table([dim], grid)[2]
             assert all(b <= a + 1e-15 for a, b in zip(ers, ers[1:]))
 
     def test_reaches_zero_at_rmin(self):
         for dim, rmin in ((D3, 2.5964), (D2, 2.3588)):
-            rows = sweep_distance([dim], [rmin + 5e-4])
-            assert rows[0].er_lower_bound == 0.0
+            assert _distance_table([dim], [rmin + 5e-4])[2] == [0.0]
 
     def test_dim_column(self):
-        rows = sweep_distance([D2, D3], [1.0])
-        assert rows[0].dim == "2d"
-        assert rows[1].dim == "3d"
+        assert _distance_table([D2, D3], [1.0])[0] == ["2d", "3d"]
+
+
+# each figure table's CSV header, written out
+HEADERS = {
+    "1a": "kfr,x_over_r,er_lower_bound,witness_value,p12,p13,p23",
+    "1b": "kfr,y_over_r,er_lower_bound,witness_value,p12,p13,p23",
+    "2": "kfr,theta,q_star",
+    "3": "dim,kfr,er_lower_bound,witness_value,p12,p13,p23",
+}
+
+
+def oracle_csv(figure: str, dim: Dimensionality, points: int) -> str:
+    """`gte-fermi sweep`'s table written by write_csv from the point-by-point
+    oracles on the figure grids, written out: figure 1a is its limit row on
+    the grid inset by 0.0025 at each end, then the rest; figure 2 takes
+    max(2, points // 2) angles."""
+    grid = np.linspace(0.0, 1.0, points).tolist()
+    kfrs = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 2.59]
+    if figure == "1a":
+        inset = [min(max(x, 0.0025), 0.9975) for x in grid]
+        rows = sweep_oracle(dim, kfrs[:1], inset, collinear_shape)
+        rows += sweep_oracle(dim, kfrs[1:], grid, collinear_shape)
+    elif figure == "1b":
+        rows = sweep_oracle(dim, kfrs, grid, isosceles_shape)
+    elif figure == "2":
+        thetas = np.linspace(0.0, math.pi / 2.0, max(2, points // 2)).tolist()
+        rows = polar_oracle(dim, [0.0, 1.0, 2.0, 2.5, 2.59], thetas)
+    else:
+        rows = distance_oracle([D2, D3], [0.0] + np.linspace(0.015, 3.0, points).tolist())
+    buf = io.StringIO()
+    write_csv(HEADERS[figure].split(","), rows, buf)
+    return buf.getvalue()
+
+
+def cli_csv(figure: str, dim: Dimensionality, points: int) -> str:
+    out = io.StringIO()
+    dim_flag = [] if figure == "3" else ["--dim", dim.value]
+    with contextlib.redirect_stdout(out):
+        assert main(["sweep", "--figure", figure, *dim_flag, "--points", str(points)]) == 0
+    return out.getvalue()
 
 
 class TestCsvOutput:
-    @pytest.mark.parametrize(
-        "argv, row, header",
-        [
-            (["--figure", "1a"], CollinearRow, "kfr,x_over_r,er_lower_bound,witness_value,p12,p13,p23"),
-            (["--figure", "1b"], IsoscelesRow, "kfr,y_over_r,er_lower_bound,witness_value,p12,p13,p23"),
-            (["--figure", "2"], PolarBoundaryRow, "kfr,theta,q_star"),
-            (["--figure", "3"], DistanceRow, "dim,kfr,er_lower_bound,witness_value,p12,p13,p23"),
-        ],
-        ids=["1a", "1b", "2", "3"],
-    )
-    def test_row_fields_are_the_cli_header(self, capsys, argv, row, header):
-        assert main(["sweep", *argv, "--points", "5"]) == 0
-        assert capsys.readouterr().out.splitlines()[0] == header == ",".join(row._fields)
+    @pytest.mark.parametrize("figure", ["1a", "1b", "2", "3"])
+    def test_the_headers_are_the_cli_header(self, capsys, figure):
+        assert main(["sweep", "--figure", figure, "--points", "5"]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == HEADERS[figure] == ",".join(_HEADERS[figure])
 
     FIG_GRID = np.linspace(0.0, 1.0, 201).tolist()
     FIG2_THETAS = np.linspace(0.0, math.pi / 2.0, 100).tolist()
 
     @pytest.mark.parametrize(
-        "sweep, row, count",
+        "table, figure, count",
         [
-            (lambda: sweep_collinear(D3, [0.0, 1.0], [0.3, 0.5]), CollinearRow, 4),
-            (lambda: sweep_isosceles(D3, [0.0, 1.0], [0.3, 0.5]), IsoscelesRow, 4),
-            (lambda: sweep_distance([D2, D3], [0.0, 1.0]), DistanceRow, 4),
-            (lambda: sweep_polar_boundary(D3, [2.7, 1.0], [0.0, 0.5]), PolarBoundaryRow, 4),
-            (lambda: sweep_collinear(D3, _FIG_KFR, TestCsvOutput.FIG_GRID), CollinearRow, 1407),
-            (lambda: sweep_isosceles(D2, _FIG_KFR, TestCsvOutput.FIG_GRID), IsoscelesRow, 1407),
-            (lambda: sweep_distance([D2, D3], TestCsvOutput.FIG_GRID), DistanceRow, 402),
-            (lambda: sweep_polar_boundary(D3, _FIG2_KFR, TestCsvOutput.FIG2_THETAS), PolarBoundaryRow, 500),
+            (lambda: _grid_table(D3, [0.0, 1.0], [0.3, 0.5], collinear_shape), "1a", 4),
+            (lambda: _grid_table(D3, [0.0, 1.0], [0.3, 0.5], isosceles_shape), "1b", 4),
+            (lambda: _distance_table([D2, D3], [0.0, 1.0]), "3", 4),
+            (lambda: _polar_table(D3, [2.7, 1.0], [0.0, 0.5]), "2", 4),
+            (lambda: _grid_table(D3, _FIG_KFR, TestCsvOutput.FIG_GRID, collinear_shape), "1a", 1407),
+            (lambda: _grid_table(D2, _FIG_KFR, TestCsvOutput.FIG_GRID, isosceles_shape), "1b", 1407),
+            (lambda: _distance_table([D2, D3], TestCsvOutput.FIG_GRID), "3", 402),
+            (lambda: _polar_table(D3, _FIG2_KFR, TestCsvOutput.FIG2_THETAS), "2", 500),
         ],
         ids=["collinear", "isosceles", "distance", "polar", "fig-1a", "fig-1b", "fig-3", "fig-2"],
     )
-    def test_each_sweep_returns_its_row_type(self, sweep, row, count):
-        # every row is the row class with one cell per field, so that its
-        # _fields name the CSV columns
-        rows = sweep()
-        assert len(rows) == count
-        assert all(type(r) is row and len(r) == len(row._fields) for r in rows)
-
-    @staticmethod
-    def library_csv(figure: str, dim: Dimensionality, points: int) -> str:
-        """`gte-fermi sweep`'s table written from the library sweeps' rows on
-        the CLI's grids: figure 1a is its limit row on the inset grid, then
-        the rest."""
-        grid = np.linspace(0.0, 1.0, points).tolist()
-        if figure == "1a":
-            rows = sweep_collinear(dim, _FIG_KFR[:1], _limit_safe(grid))
-            rows += sweep_collinear(dim, _FIG_KFR[1:], grid)
-        elif figure == "1b":
-            rows = sweep_isosceles(dim, _FIG_KFR, grid)
-        elif figure == "2":
-            thetas = np.linspace(0.0, math.pi / 2.0, max(2, points // 2)).tolist()
-            rows = sweep_polar_boundary(dim, _FIG2_KFR, thetas)
-        else:
-            rows = sweep_distance([D2, D3], [0.0] + np.linspace(0.015, 3.0, points).tolist())
-        buf = io.StringIO()
-        write_csv(type(rows[0])._fields, rows, buf)
-        return buf.getvalue()
-
-    @staticmethod
-    def cli_csv(figure: str, dim: Dimensionality, points: int) -> str:
-        out = io.StringIO()
-        dim_flag = [] if figure == "3" else ["--dim", dim.value]
-        with contextlib.redirect_stdout(out):
-            assert main(["sweep", "--figure", figure, *dim_flag, "--points", str(points)]) == 0
-        return out.getvalue()
+    def test_each_table_has_one_column_per_header_name(self, table, figure, count):
+        # every column holds one cell per row, so that the rows fit the CSV
+        # header, and the axis columns are text
+        columns = table()
+        assert len(columns) == len(_HEADERS[figure])
+        assert {len(c) for c in columns} == {count}
+        assert all(type(v) is str for c in columns[:2] for v in c)
 
     TABLES = [("1a", D2), ("1a", D3), ("1b", D2), ("1b", D3), ("2", D2), ("2", D3), ("3", D3)]
 
     @pytest.mark.parametrize("points", [2, 3, 201])
     @pytest.mark.parametrize("figure, dim", TABLES)
-    def test_the_cli_prints_the_library_rows(self, figure, dim, points):
-        # the CLI's text-axis columns and the library's rows are two views
-        # of one table and print the same bytes
-        assert self.cli_csv(figure, dim, points) == self.library_csv(figure, dim, points)
+    def test_the_cli_prints_the_oracle_rows(self, figure, dim, points):
+        # the CLI's table and write_csv of the point-by-point oracles' rows
+        # print the same bytes
+        assert cli_csv(figure, dim, points) == oracle_csv(figure, dim, points)
 
+    # the oracles solve figure 2 one row at a time: 20 draws keep this near 1 s
     @given(st.sampled_from(TABLES), st.integers(2, 600))
-    @settings(max_examples=30, deadline=None)
-    def test_the_cli_prints_the_library_rows_at_drawn_points(self, table, points):
-        assert self.cli_csv(*table, points) == self.library_csv(*table, points)
+    @settings(max_examples=20, deadline=None)
+    def test_the_cli_prints_the_oracle_rows_at_drawn_points(self, table, points):
+        assert cli_csv(*table, points) == oracle_csv(*table, points)
 
     @pytest.mark.parametrize(
-        "sweep, row",
+        "table, figure",
         [
-            (lambda: sweep_collinear(D3, [], [0.5]), CollinearRow),
-            (lambda: sweep_collinear(D3, [1.0], []), CollinearRow),
-            (lambda: sweep_isosceles(D3, [], [0.5]), IsoscelesRow),
-            (lambda: sweep_isosceles(D3, [0.0, 1.0], []), IsoscelesRow),
-            (lambda: sweep_distance([D3], []), DistanceRow),
-            (lambda: sweep_polar_boundary(D3, [1.0], []), PolarBoundaryRow),
-            (lambda: sweep_polar_boundary(D3, [], [0.3]), PolarBoundaryRow),
+            (lambda: _grid_table(D3, [], [0.5], collinear_shape), "1a"),
+            (lambda: _grid_table(D3, [1.0], [], collinear_shape), "1a"),
+            (lambda: _grid_table(D3, [], [0.5], isosceles_shape), "1b"),
+            (lambda: _grid_table(D3, [0.0, 1.0], [], isosceles_shape), "1b"),
+            (lambda: _distance_table([D3], []), "3"),
+            (lambda: _polar_table(D3, [1.0], []), "2"),
+            (lambda: _polar_table(D3, [], [0.3]), "2"),
         ],
         ids=[
             "collinear-no-kfr", "collinear-no-grid", "isosceles-no-kfr", "isosceles-no-grid",
             "distance", "polar-no-theta", "polar-no-kfr",
         ],
     )
-    def test_an_empty_sweep_writes_the_header_only(self, sweep, row):
-        rows = sweep()
-        assert rows == []
+    def test_an_empty_table_writes_the_header_only(self, table, figure):
+        columns = table()
+        assert columns == [[]] * len(_HEADERS[figure])
         buf = io.StringIO()
-        write_csv(row._fields, rows, buf)
-        assert buf.getvalue() == ",".join(row._fields) + "\n"
+        write_csv(_HEADERS[figure], zip(*columns), buf)
+        assert buf.getvalue() == HEADERS[figure] + "\n"
 
     @pytest.mark.parametrize(
         "columns, rows",
@@ -1126,7 +1146,7 @@ class TestCsvOutput:
     @example(1, [], False)
     def test_write_csv_equals_the_per_row_writer(self, text_columns, rows, as_generator):
         # the first text_columns cells of a row are str: two in the CLI's
-        # tables (their axis columns), one in the library's figure 3 rows (dim)
+        # tables (their axis columns), one in the oracles' figure 3 rows (dim)
         rows = [tuple(f"{v!r}" if i < text_columns else v for i, v in enumerate(row)) for row in rows]
         template = ",".join(["%s"] * text_columns + ["%.12g"] * (3 - text_columns)) + "\n"
         expect = "a,b,c\n" + csv_body_oracle(template, rows)
