@@ -22,11 +22,11 @@ trusted.
 
 The formulas are written once, for floats and arrays alike, in
 :func:`_kernel_formula` and :func:`_limit_formula`, and the validity of a
-distance triple once, in :func:`geometry._distance_checks`, whose slack
+distance triple once, in :func:`geometry.check_distances`, whose slack
 is relative to the largest distance, so that only the shape decides.
 Every figure table point is a unit shape (s12, 1, s23) at a separation
-kfr: :func:`_unit_weights` is :func:`from_shape` over arrays of them,
-given f(kfr) once per kfr, and :func:`_unit_checks` its checks as a mask.
+kfr: :func:`_unit_weights` is :func:`from_shape`'s weights over arrays of
+them, given f(kfr) once per kfr, and checks nothing.
 """
 
 from __future__ import annotations
@@ -37,8 +37,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, InvalidCouplingsError
-from .geometry import Shape, TriangleConfig, _TRI_TOL, _distance_checks, check_distances
-from .specfun import X_MAX, Dimensionality, _f_array, f_factor
+from .geometry import Shape, TriangleConfig, _TRI_TOL, check_distances
+from .specfun import Dimensionality, _f_array, f_factor
 
 # Below this configuration scale the direct formula drowns in cancellation
 # noise (|D|, about a tenth of the summed squared distances, falls under
@@ -147,13 +147,13 @@ def zero_limit(d12: float, d13: float, d23: float) -> Couplings:
 
 def _unit_weights(dim: Dimensionality, kfr, f13, s12, s23) -> tuple[np.ndarray, ...]:
     """The weights (p12, p13, p23) of the unit shapes (s12, 1, s23) at
-    separations kfr, over arrays, given f13 = f(kfr), and the mask of the
-    points on the limit branch: element for element :func:`from_shape`'s
-    branch and weights, bit for bit, wherever :func:`_unit_checks` passes.
+    separations kfr, over arrays, given f13 = f(kfr): element for element
+    :func:`from_shape`'s branch and weights, bit for bit.
 
     The limit branch, kfr * max(s12, 1, s23) < LIMIT_SWITCH, takes the limit
     formula of the unit shape, and the kernel branch the kernel formula of
-    the scaled distances.  Nothing is checked.
+    the scaled distances.  Nothing is checked: every point must be one that
+    from_shape accepts.
     """
     smax = np.maximum(np.maximum(s12, 1.0), s23)
     p12, p13, p23 = np.empty((3, smax.size))
@@ -166,21 +166,7 @@ def _unit_weights(dim: Dimensionality, kfr, f13, s12, s23) -> tuple[np.ndarray, 
         # one kernel call for both distances: its cost is mostly per call
         f12, f23 = _f_array(dim, (kfr[i] * np.array((s12[i], s23[i]))).ravel()).reshape(2, -1)
         _, p12[i], p13[i], p23[i] = _kernel_formula(f12, f13[i], f23)
-    return p12, p13, p23, limit
-
-
-def _unit_checks(kfr, s12, s23, limit):
-    """The mask of the unit shapes (s12, 1, s23) at separations kfr, over
-    arrays, that pass :func:`from_shape`'s checks on the branch that
-    :func:`_unit_weights` gives (limit): kfr and the unit shape, then on
-    the limit branch no equilateral shape and on the kernel branch a
-    largest scaled distance of at most X_MAX."""
-    smax = np.maximum(np.maximum(s12, 1.0), s23)
-    finite, single_zero, triangle = _distance_checks(s12, 1.0, s23, smax)
-    equilateral = smax - np.minimum(np.minimum(s12, 1.0), s23) <= _TRI_TOL * smax
-    # NaN fails every comparison; the limit branch stays below X_MAX
-    branch = np.where(limit, ~equilateral, kfr * smax <= X_MAX)
-    return (0.0 <= kfr) & finite & single_zero & triangle & branch
+    return p12, p13, p23
 
 
 def _min_eigenvalue(c: Couplings) -> float:

@@ -23,35 +23,23 @@ _TRI_TOL = 1e-12
 Shape = tuple[float, float, float]
 
 
-def _distance_checks(d12, d13, d23, dmax):
-    """The three checks of a distance triple whose largest is dmax, on floats
-    or arrays: finite and nonnegative, at most one vanishing distance, and no
-    distance above the sum of the other two by more than 1e-12 * dmax (5e-324
-    where that product underflows to 0)."""
-    # NaN fails its own comparison; an infinity shows as dmax
-    finite = (0.0 <= d12) & (0.0 <= d13) & (0.0 <= d23) & (dmax < math.inf)
-    n12, n13, n23 = d12 != 0.0, d13 != 0.0, d23 != 0.0
-    # d12 and one other distance, or d13 and d23, are nonzero
-    single_zero = (n12 & (n13 | n23)) | (n13 & n23)
-    tol = _TRI_TOL * dmax
-    # where that underflows to 0, one subnormal spacing: three rounded
-    # subnormal distances break the triangle inequality by at most that
-    tol = tol + (tol == 0.0) * 5e-324
-    triangle = (d12 <= d13 + d23 + tol) & (d13 <= d12 + d23 + tol) & (d23 <= d12 + d13 + tol)
-    return finite, single_zero, triangle
-
-
 def check_distances(d: Shape) -> None:
     """Raise DomainError unless the distances are finite and nonnegative, at
     most one vanishes (two fermions may coincide, but not two pairs at once)
     and none exceeds the sum of the other two by more than 1e-12 times the
     largest (one subnormal spacing where that is 0), at every scale."""
-    finite, single_zero, triangle = _distance_checks(*d, max(d))
-    if not finite:
+    d12, d13, d23 = d
+    dmax = max(d)
+    # NaN fails its own comparison; an infinity shows as dmax
+    if not (0.0 <= d12 and 0.0 <= d13 and 0.0 <= d23 and dmax < math.inf):
         raise DomainError(f"distances must be finite and nonnegative, got {d}")
-    if not single_zero:
+    # d12 and one other distance, or d13 and d23, are nonzero
+    if not ((d12 != 0.0 and (d13 != 0.0 or d23 != 0.0)) or (d13 != 0.0 and d23 != 0.0)):
         raise DomainError("at most one pairwise distance may vanish")
-    if not triangle:
+    # where 1e-12 * dmax underflows to 0, one subnormal spacing: three
+    # rounded subnormal distances break the triangle inequality by at most that
+    tol = _TRI_TOL * dmax or 5e-324
+    if not (d12 <= d13 + d23 + tol and d13 <= d12 + d23 + tol and d23 <= d12 + d13 + tol):
         raise DomainError(f"triangle inequality violated for {d}")
 
 

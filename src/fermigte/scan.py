@@ -10,9 +10,8 @@ on np.hypot (which may differ from math.hypot in the last bit; that
 table depends only on the bound's signs).  One array evaluator,
 :func:`cpl._unit_weights`, gives every point's weights, so every cell is
 the scalar chain's (from_shape, then the bound), bit for bit, wherever
-numpy's sin, cos and sqrt round as math's.  No table raises mid-way: it
-raises the scalar chain's error at its first failing point, before any
-cell is made, and an empty table checks nothing.
+numpy's sin, cos and sqrt round as math's.  The tables check nothing:
+every point of the CLI's figure grids is one that from_shape accepts.
 
 Every threshold (r_min, q*(theta), and r_max in :mod:`bisep`) is one
 bracket-then-bisect solve: a pre-scan finds the first grid step where a
@@ -88,35 +87,16 @@ def bisect_switch(before: Callable[[float], bool], a: float, b: float, tol: floa
     return 0.5 * (a + b)
 
 
-def _or_nan(rule: Callable[[float], tuple], value: float, size: int) -> tuple:
-    """rule(value), or size NaNs where rule raises DomainError: a point
-    that :func:`cpl._unit_checks` rejects."""
-    try:
-        return rule(value)
-    except DomainError:
-        return (math.nan,) * size
-
-
 _BOUND_COLUMNS = ("er_lower_bound", "witness_value", "p12", "p13", "p23")
 
 
 def _bound_columns(dim, kfr_values, grid, shape_of) -> list[list[float]]:
     """The columns _BOUND_COLUMNS over the points (kfr, grid value),
-    kfr-major.  A point fails where shape_of rejects its grid value,
-    :func:`cpl._unit_checks` rejects it or its weights are not finite."""
-    shapes = [_or_nan(shape_of, v, 3) for v in grid]
-    n, kfr_axis = len(shapes), np.array(kfr_values, dtype=float)
-    s12, _, s23 = np.tile(np.reshape(np.array(shapes, dtype=float), (-1, 3)), (kfr_axis.size, 1)).T
-    kfr = np.repeat(kfr_axis, n)
-    # every point is evaluated, silently: a rejected point's values are never read
-    with np.errstate(all="ignore"):
-        f13 = np.repeat(_f_array(dim, kfr_axis), n)
-        p12, p13, p23, limit = cpl._unit_weights(dim, kfr, f13, s12, s23)
-        ok = cpl._unit_checks(kfr, s12, s23, limit) & np.isfinite(p12 + p13 + p23)
-    if not ok.all():
-        first = int(np.argmin(ok))
-        k, v = kfr_values[first // n], grid[first % n]
-        cpl.from_shape(shape_of(v), k, dim)  # raises its error
+    kfr-major: each grid value's unit shape from shape_of at every kfr."""
+    n, kfr_axis = len(grid), np.array(kfr_values, dtype=float)
+    s12, _, s23 = np.tile(np.array([shape_of(v) for v in grid], dtype=float), (kfr_axis.size, 1)).T
+    kfr, f13 = np.repeat(kfr_axis, n), np.repeat(_f_array(dim, kfr_axis), n)
+    p12, p13, p23 = cpl._unit_weights(dim, kfr, f13, s12, s23)
     return [c.tolist() for c in (*_er_parts(p12, p13, p23, np.maximum), p12, p13, p23)]
 
 
@@ -143,11 +123,7 @@ def _polar_table(dim, kfr_values, theta_grid) -> list[list]:
     :func:`bisect_switch`), all rows in lock step: each pre-scan call reads
     the next POLAR_PRESCAN_CHUNK radii of every row whose flags are all True
     so far, and the switched rows are bisected together, each on its own
-    one-step bracket.  The rows are checked on the scalar chain before any
-    point is read: every centre is the shape (0.5, 1, 0.5), and d13 = kfr
-    is the largest distance at every radius, so a row whose theta's
-    direction and centre pass is valid throughout; else the first invalid
-    row (kfr-major) raises its scalar error, and no point is read.
+    one-step bracket.
 
     Logs one DEBUG record per row: kfr, theta, the pre-scan's switch index
     (None when there is none) and the number of pre-scan points that the
@@ -156,25 +132,14 @@ def _polar_table(dim, kfr_values, theta_grid) -> list[list]:
     counted); each bisected row follows with its bisect_switch record."""
     qs = np.linspace(0.0, 0.5, POLAR_PRESCAN_POINTS)
     grid, m = qs.tolist(), len(theta_grid)
-    n = len(kfr_values) * m
-    direction = []
-    if n:
-        # the first checks in kfr-major row order are theta_0, kfr_0, the
-        # other thetas, then the other kfrs, so the first invalid row raises
-        direction.append(geometry._polar_direction(theta_grid[0]))
-        cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, kfr_values[0], dim)
-        direction += map(geometry._polar_direction, theta_grid[1:])
-        for row_kfr in kfr_values[1:]:
-            cpl.from_shape(geometry._SYMMETRIC_COLLINEAR, row_kfr, dim)
-    cos, sin = np.tile(np.reshape(direction, (-1, 2)), (len(kfr_values), 1)).T
-    kfr_axis = np.array(kfr_values if n else [], dtype=float)  # checked kfrs only
+    n, kfr_axis = len(kfr_values) * m, np.array(kfr_values, dtype=float)
+    cos, sin = np.tile(np.array([geometry._polar_direction(t) for t in theta_grid]).T, len(kfr_values))
     kfr, f13 = np.repeat(kfr_axis, m), np.repeat(_f_array(dim, kfr_axis), m)
     switch, steps = np.full(n, -1), np.zeros(n, dtype=int)
 
     def row_gte(rows: np.ndarray, q: float | np.ndarray) -> np.ndarray:
         s12, s23 = geometry._polar_distances(q, cos[rows], sin[rows], np)
-        p12, p13, p23, _ = cpl._unit_weights(dim, kfr[rows], f13[rows], s12, s23)
-        return _er_parts(p12, p13, p23, np.maximum)[0] > 0.0
+        return _er_parts(*cpl._unit_weights(dim, kfr[rows], f13[rows], s12, s23), np.maximum)[0] > 0.0
 
     live = np.flatnonzero(row_gte(np.arange(n), 0.0))
     for j in range(1, POLAR_PRESCAN_POINTS, POLAR_PRESCAN_CHUNK):

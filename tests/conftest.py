@@ -18,8 +18,9 @@ node at a time, the energy-witness verdict and the closed E_R bound of
 both observable signs straight from the weights, and states of the
 Werner family from singlet terms built as (I - SWAP)/4.  The parser of
 the rho3 text dump, which the package only writes, is here too, and
-unit_points, the package's array evaluator and checks as a table runs
-them, for the tests that compare it point by point."""
+unit_points, the package's array evaluator as a table runs it, for the
+tests that compare it point by point on the points that the scalar chain
+accepts: the tables check nothing, since the CLI's grids hold no other."""
 
 import itertools
 import math
@@ -35,7 +36,7 @@ from fermigte import (
     couplings_zero_limit,
     er_lower_bound,
 )
-from fermigte.couplings import LIMIT_SWITCH, _unit_checks, _unit_weights, from_shape
+from fermigte.couplings import LIMIT_SWITCH, _unit_weights, from_shape
 from fermigte.errors import DomainError
 from fermigte.geometry import collinear_shape, polar_shape, scaled
 from fermigte.specfun import _f_array
@@ -184,14 +185,11 @@ def public_couplings(shape, kfr: float, dim: Dimensionality):
 
 
 def unit_points(dim: Dimensionality, kfr, s12, s23):
-    """The weights (p12, p13, p23) and the mask ok of the unit shapes
-    (s12, 1, s23) at separations kfr, arrays all, as a figure table computes
-    them: couplings._unit_weights given f(kfr), then ok where
-    couplings._unit_checks passes and the weights are finite."""
-    with np.errstate(all="ignore"):
-        *weights, limit = _unit_weights(dim, kfr, _f_array(dim, kfr), s12, s23)
-        ok = _unit_checks(kfr, s12, s23, limit) & np.isfinite(sum(weights))
-    return (*weights, ok)
+    """The weights (p12, p13, p23) of the unit shapes (s12, 1, s23) at
+    separations kfr, arrays all, as a figure table computes them:
+    couplings._unit_weights given f(kfr).  Every point must be one that
+    from_shape accepts."""
+    return _unit_weights(dim, kfr, _f_array(dim, kfr), s12, s23)
 
 
 def polar_gte(dim: Dimensionality, kfr: float, theta: float, q: float) -> bool:

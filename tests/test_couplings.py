@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermigte import (
@@ -30,7 +30,6 @@ from fermigte.geometry import (
     polar_shape,
     scaled,
 )
-from fermigte.scan import _bound_columns
 from fermigte.specfun import X_MAX
 
 from conftest import psd_werner_weights, public_couplings, random_config, unit_points, werner_states
@@ -209,7 +208,8 @@ def _outcome(fn):
 
 class TestFloatCore:
     """from_shape gives from_config's (or the limit's) weights and errors,
-    and the sweeps' array form the same values and checks, bit for bit."""
+    and the tables' array form the same values, bit for bit, wherever they
+    raise nothing."""
 
     # straddles LIMIT_SWITCH, where the shape-only limit hands over to the
     # kernel formula, and reaches down to the subnormals
@@ -239,84 +239,56 @@ class TestFloatCore:
 
     @staticmethod
     def _array(dim, points):
-        """The array form on (shape, kfr) points, as lists: the weights and the mask."""
+        """The array form's weights on (shape, kfr) points, as lists."""
         (s12, s13, s23), kfr = np.array([d for d, _ in points]).T, np.array([k for _, k in points])
         assert set(s13.tolist()) == {1.0}  # every point is a unit shape
-        *weights, ok = unit_points(dim, kfr, s12, s23)
-        return [w.tolist() for w in weights], ok.tolist()
+        return [w.tolist() for w in unit_points(dim, kfr, s12, s23)]
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_from_config(self, dim):
-        # every (shape, kfr) point alone, those that the checks reject
-        # included: the mask rejects exactly the points whose public chain
-        # (from_config of the scaled triple, or the limit of the unit shape)
-        # raises, and the weights are that chain's
+        # every (shape, kfr) point alone whose public chain (from_config of
+        # the scaled triple, or the limit of the unit shape) raises nothing:
+        # the weights are that chain's
         cases = list(itertools.product(self.SHAPES, self.KFRS))
         kinds = Counter()
-        oks, good = [], []
+        valid, good = [], []
         for shape, kfr in cases:
             want = _outcome(lambda: self._public(shape, kfr, dim))
-            weights, (ok,) = self._array(dim, [(shape, kfr)])
-            assert ok is not isinstance(want[0], type), (shape, kfr, want)
-            oks.append(ok)
-            if ok:
-                assert tuple(w for (w,) in weights) == want, (shape, kfr)
-                kinds[kfr * max(shape) < LIMIT_SWITCH] += 1
-                good.append(want)
-                if kfr == 0.0:  # a power of two changes no limit weight
-                    tiny = TriangleConfig(*(2.0**-20 * d for d in shape), dim)
-                    assert couplings_from_config(tiny).as_tuple() == want, shape
-            else:
+            if isinstance(want[0], type):
                 kinds[want[0]] += 1
+                continue
+            assert tuple(w for (w,) in self._array(dim, [(shape, kfr)])) == want, (shape, kfr)
+            kinds[kfr * max(shape) < LIMIT_SWITCH] += 1
+            valid.append((shape, kfr))
+            good.append(want)
+            if kfr == 0.0:  # a power of two changes no limit weight
+                tiny = TriangleConfig(*(2.0**-20 * d for d in shape), dim)
+                assert couplings_from_config(tiny).as_tuple() == want, shape
         assert set(kinds) == {True, False, DegenerateDenominatorError, DomainError}
-        # all cases as one array, in any mix of branches
-        (p12, p13, p23), ok = self._array(dim, cases)
-        assert ok == oks
-        assert [w for w, v in zip(zip(p12, p13, p23), ok) if v] == good
+        # all those points as one array, in any mix of branches
+        assert list(zip(*self._array(dim, valid))) == good
 
     @pytest.mark.parametrize("dim", [D2, D3])
     def test_array_form_equals_from_shape(self, dim):
-        # every (shape, kfr) point in one array: the mask is False exactly where
-        # from_shape raises, and every kfr > 0 below the switch, subnormals
-        # included, gives the kfr = 0 weights bit for bit or the same error type
+        # every (shape, kfr) point that from_shape accepts, in one array, is
+        # from_shape's bit for bit; and every kfr > 0 below the switch,
+        # subnormals included, gives the kfr = 0 weights bit for bit or the
+        # same error type
         points = list(itertools.product(self.SHAPES, self.KFRS))
-        weights, ok = self._array(dim, points)
+        wants = [_outcome(lambda: from_shape(shape, kfr, dim).as_tuple()) for shape, kfr in points]
+        valid = [(p, want) for p, want in zip(points, wants) if not isinstance(want[0], type)]
+        weights = self._array(dim, [p for p, _ in valid])
+        for (point, want), *got in zip(valid, *weights, strict=True):
+            assert repr(tuple(got)) == repr(want), point
         below = 0
-        for (shape, kfr), *got, valid in zip(points, *weights, ok):
-            want = _outcome(lambda: from_shape(shape, kfr, dim).as_tuple())
-            assert valid is not isinstance(want[0], type), (shape, kfr, want)
-            if valid:
-                assert repr(tuple(got)) == repr(want), (shape, kfr)
+        for (shape, kfr), want in zip(points, wants):
             if 0.0 < kfr * max(shape) < LIMIT_SWITCH:
                 at_zero = _outcome(lambda: from_shape(shape, 0.0, dim).as_tuple())
-                assert (want if valid else want[0]) == (at_zero if valid else at_zero[0])
+                raises = isinstance(want[0], type)
+                assert (want[0] if raises else want) == (at_zero[0] if raises else at_zero)
                 below += 1
         # each shape meets at least the three subnormal kfrs, 2e-4 and 5e-4
         assert below >= 5 * len(self.SHAPES)
-
-    @pytest.mark.parametrize("dim", [D2, D3])
-    def test_array_form_masks_non_finite_weights(self, dim, monkeypatch):
-        # a table never returns a non-finite weight: a NaN kernel value at
-        # d23 = 1 - 0.9, injected on the array and the float path alike, makes
-        # the table raise Couplings' error at that point, before the later
-        # point that the shape function rejects
-        import fermigte.couplings as couplings_module
-
-        d23 = 1.0 - 0.9
-        real_array, real_float = couplings_module._f_array, couplings_module.f_factor
-
-        def nan_array(dim, x):
-            return np.where(x == d23, math.nan, real_array(dim, x))
-
-        def nan_float(dim, x):
-            return math.nan if x == d23 else real_float(dim, x)
-
-        monkeypatch.setattr(couplings_module, "_f_array", nan_array)
-        monkeypatch.setattr(couplings_module, "f_factor", nan_float)
-        with pytest.raises(InvalidCouplingsError):
-            _bound_columns(dim, [1.0], [0.5, 0.9, 1.5], collinear_shape)
-        monkeypatch.undo()
-        assert len(_bound_columns(dim, [1.0], [0.5, 0.9], collinear_shape)[0]) == 2
 
 
 @st.composite
@@ -363,12 +335,10 @@ def test_triangle_config_raises_exactly_when_from_config_would(dim, d):
 def test_array_form_equals_from_config_on_drawn_shapes(dim, kfr, u, w):
     shape = (math.hypot(u, w), 1.0, math.hypot(1.0 - u, w))
     want = _outcome(lambda: public_couplings(shape, kfr, dim).as_tuple())
+    # a table takes only the points whose public chain raises nothing
+    assume(not isinstance(want[0], type))
     s12, s23, kfrs = (np.array([v]) for v in (shape[0], shape[2], kfr))
-    *weights, (ok,) = (v.tolist() for v in unit_points(dim, kfrs, s12, s23))
-    # the mask rejects exactly the points whose public chain raises
-    assert ok is not isinstance(want[0], type), (shape, kfr, want)
-    if ok:
-        assert tuple(p for (p,) in weights) == want, (shape, kfr)
+    assert tuple(p for (p,) in unit_points(dim, kfrs, s12, s23)) == want, (shape, kfr)
 
 
 # a valid configuration whose largest distance is at least LIMIT_SWITCH: fermions
