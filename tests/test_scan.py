@@ -22,7 +22,7 @@ from fermigte import (
     r_max_solver,
 )
 from fermigte.cli import _FIG2_KFR, _FIG_KFR, _HEADERS, MAX_POINTS, _limit_safe, main
-from fermigte.couplings import LIMIT_SWITCH
+from fermigte.couplings import LIMIT_SWITCH, from_shape
 from fermigte.errors import BracketError, ConvergenceFailure, DomainError
 from fermigte.geometry import _TRI_TOL, check_distances, collinear_shape, isosceles_shape, polar_shape, scaled
 from fermigte.scan import (
@@ -696,6 +696,80 @@ def test_drawn_polar_grids_equal_the_row_by_row_oracle(dim, kfrs, thetas):
     assert [tuple(r) for r in zip(*_polar_table(dim, kfrs, thetas))] == want
 
 
+@pytest.mark.parametrize(
+    "kfrs, thetas",
+    [
+        ([60.0], [0.3]),
+        ([1.0, -1.0], [0.3, 0.7]),
+        ([1.0], [0.3, 4.0, 5.0]),
+        ([60.0, 1.0], [0.3, 4.0]),
+        ([math.nan], [0.3]),
+        ([1.0, -1], [0.3]),
+        # an invalid row after valid rows
+        ([1.0, 2.7, 60.0], [0.3, 0.7]),
+        ([1.0, 2.7], [0.3, 0.7, 4.0]),
+    ],
+    ids=[
+        "kfr-above-range", "kfr-negative", "theta-4", "kfr-before-theta", "kfr-nan", "kfr-int",
+        "rows-then-kfr-above-range", "rows-then-theta-4",
+    ],
+)
+def test_domain_errors_are_the_scalar_errors(kfrs, thetas):
+    # the row-by-row oracle rejects these tables, and the precondition fails
+    # exactly where from_shape raises, at each row's centre and rim
+    assert oracle_rows(lambda: polar_oracle(D3, kfrs, thetas)) is None
+    points = [(kfr, polar_shape, theta, q) for kfr in kfrs for theta in thetas for q in (0.0, 0.5)]
+    assert_precondition_is_from_shape(D3, points)
+
+
+# kfr: normal floats up to 60 (the kernels' domain ends at 50), multiples of
+# the smallest subnormal, zero, negative values and NaN
+polar_kfrs = (
+    st.floats(2.2250738585072014e-308, 60.0)
+    | st.integers(0, 2**53).map(lambda k: k * 5e-324)
+    | st.sampled_from([0.0, -0.0, 50.0, math.nextafter(50.0, 60.0), LIMIT_SWITCH, math.nan])
+    | st.floats(max_value=-5e-324)
+)
+
+
+@given(
+    kfr=polar_kfrs,
+    theta=st.floats(-4.0, 4.0) | st.sampled_from([math.pi, -math.pi, math.inf, math.nan]),
+    # every radius the sweep reads, a pre-scan point j/64 or a bisection
+    # midpoint, is a multiple of 2**-20 in [0, 1/2]
+    m=st.integers(0, 2**19),
+)
+@settings(max_examples=500, deadline=None)
+@example(kfr=math.nextafter(50.0, 60.0), theta=math.pi, m=2**18)
+# the unit shape decides: d12 = d23 = kfr/2 would round to 0 at the centre
+@example(kfr=5e-324, theta=0.3, m=2**19)
+def test_a_polar_point_is_rejected_only_where_its_centre_is(kfr, theta, m):
+    # the fact that lets a row's centre stand for every radius it reads: d13
+    # = kfr is the largest distance at every q, and every centre is (0.5, 1, 0.5)
+    centre, point = (precondition_faults(kfr, polar_shape, theta, q) for q in (0.0, m / 2**20))
+    assert centre or not point
+    if abs(theta) <= math.pi:
+        assert repr(polar_shape(theta, 0.0)) == repr((0.5, 1.0, 0.5))
+
+
+@given(
+    dim=st.sampled_from([D2, D3]),
+    kfr=polar_kfrs,
+    theta=st.floats(-4.0, 4.0)
+    | st.sampled_from([math.pi, -math.pi, 4.0, -4.0, math.inf, -math.inf, math.nan]),
+)
+@settings(max_examples=500, deadline=None)
+@example(dim=D3, kfr=5e-324, theta=0.3)
+@example(dim=D3, kfr=1e-323, theta=math.pi)
+@example(dim=D2, kfr=math.nextafter(50.0, 60.0), theta=0.3)
+@example(dim=D2, kfr=50.0, theta=math.nextafter(math.pi, 4.0))
+def test_a_polar_centre_is_rejected_exactly_where_the_scalar_checks_raise(dim, kfr, theta):
+    # the precondition is from_shape's rule at every row centre, where
+    # theta's direction or the centre shape (0.5, 1, 0.5) at kfr may raise
+    centre = (kfr, polar_shape, theta, 0.0)
+    assert bool(precondition_faults(*centre)) == scalar_chain_raises(dim, *centre)
+
+
 FAMILIES = {"collinear": collinear_shape, "isosceles": isosceles_shape}
 
 
@@ -732,7 +806,8 @@ kfr_values = st.lists(
 
 class TestArraySweeps:
     """The 1a, 1b and 3 tables, one array evaluation per table, equal the
-    per-point scalar chain cell for cell wherever it raises nothing."""
+    per-point scalar chain cell for cell wherever it raises nothing; the
+    precondition of the figure grids fails exactly where it raises."""
 
     @pytest.mark.parametrize("dim", [D2, D3])
     @pytest.mark.parametrize("points", [181, 201, 221])
@@ -783,6 +858,36 @@ class TestArraySweeps:
         assume(outcomes is not None)
         got, want = outcomes
         assert got == want
+
+    @pytest.mark.parametrize(
+        "family, kfrs, grid",
+        [
+            *[(f, [k], [0.5]) for f in FAMILIES for k in (-1.0, math.nan, math.inf, 60.0)],
+            ("collinear", [1.0], [0.2, 1.5]),
+            ("isosceles", [1.0], [0.2, -0.1]),
+            # the equilateral limit point
+            ("isosceles", [0.0], [0.2, math.sqrt(3.0) / 2.0]),
+            # invalid points after valid rows
+            ("collinear", [0.5, 2.0, 60.0, -1.0], [0.1, 0.9]),
+            ("collinear", [0.5, 0.0], [0.3, 0.0, 1.5]),
+            ("isosceles", [2.5, 1.0], [0.0, 0.4, 1e6]),
+            ("isosceles", [1.0, -1.0], [0.2, -0.1]),
+        ],
+    )
+    @pytest.mark.parametrize("dim", [D2, D3])
+    def test_errors_are_the_scalar_errors(self, family, kfrs, grid, dim):
+        # the oracle rejects these grids, and the precondition that keeps
+        # every figure grid off such a point fails exactly where it raises
+        assert family_outcomes(family, dim, kfrs, grid) is None
+        points = [(kfr, FAMILIES[family], v) for kfr in kfrs for v in grid]
+        assert_precondition_is_from_shape(dim, points)
+
+    @pytest.mark.parametrize("kfrs", [[-1.0], [math.nan], [math.inf], [60.0], [0.5, 2.0, 60.0]])
+    def test_distance_errors_are_the_scalar_errors(self, kfrs):
+        assert distance_outcomes(kfrs) is None
+        for dim in (D2, D3):
+            assert_precondition_is_from_shape(dim, [(kfr, collinear_shape, 0.5) for kfr in kfrs])
+
 
 class TestSweepDistance:
     def test_limit_endpoint(self):
@@ -848,41 +953,83 @@ def oracle_csv(figure: str, dim: Dimensionality, points: int) -> str:
     return buf.getvalue()
 
 
-def test_every_figure_grid_point_is_one_that_from_shape_accepts():
-    # The tables check nothing, so every point of every figure grid must be
-    # one that from_shape accepts: its shape passes check_distances,
-    # kfr * max(shape) <= X_MAX, and no shape on the limit branch (kfr <
-    # LIMIT_SWITCH, since d13 = 1 is never below the largest distance) lies
-    # within _TRI_TOL of the equilateral shape.  Each shape function accepts
-    # a closed interval of grid values, whose shapes pass check_distances
+def precondition_faults(kfr, shape_of, *value) -> list[str]:
+    """The parts of the figure tables' precondition that the point (kfr,
+    shape_of(*value)) fails, [] if none.  The tables check nothing, so
+    each point needs a value that its shape function takes, a finite
+    nonnegative kfr, a shape that passes check_distances with kfr *
+    max(shape) <= X_MAX and, on the limit branch (kfr * max(shape) <
+    LIMIT_SWITCH), no shape within _TRI_TOL of the equilateral shape:
+    from_shape's checks, written out."""
+    try:
+        shape = shape_of(*value)
+    except DomainError:
+        return ["value"]
+    faults = [] if 0.0 <= kfr < math.inf else ["kfr"]
+    try:
+        check_distances(shape)
+    except DomainError:
+        return faults + ["distances"]
+    dmax = max(shape)
+    if kfr * dmax > X_MAX:
+        faults.append("kernel domain")
+    if kfr * dmax < LIMIT_SWITCH and dmax - min(shape) <= _TRI_TOL * dmax:
+        faults.append("equilateral limit")
+    return faults
+
+
+def scalar_chain_raises(dim, kfr, shape_of, *value) -> bool:
+    """Whether from_shape raises at the point (kfr, shape_of(*value))."""
+    try:
+        from_shape(shape_of(*value), kfr, dim)
+    except DomainError:
+        return True
+    return False
+
+
+def assert_precondition_is_from_shape(dim, points):
+    """Each point (kfr, shape_of, *value) fails precondition_faults exactly
+    where from_shape raises, and some point fails."""
+    faults = [bool(precondition_faults(*point)) for point in points]
+    assert faults == [scalar_chain_raises(dim, *point) for point in points]
+    assert any(faults)
+
+
+@pytest.mark.parametrize("dim", [D2, D3])
+@pytest.mark.parametrize("figure", ["1a", "1b", "2", "3"])
+def test_every_figure_grid_point_is_one_that_from_shape_accepts(figure, dim):
+    # The tables check nothing, so every point of every figure grid must
+    # meet precondition_faults, which is from_shape's rule
+    # (test_errors_are_the_scalar_errors).  Each shape function accepts a
+    # closed interval of grid values, whose shapes pass check_distances
     # throughout (test_geometry's *_realizable tests), and its largest
-    # distance grows with the value (polar: 1 at every q <= 1/2), so a
-    # grid's two ends stand for all of its values; np.linspace's ends are
-    # its start and stop at every --points.  Only the isosceles family meets
-    # the equilateral shape, at y = sqrt(3)/2 (a polar shape would need
-    # q = sqrt(3)/2), so on its limit row the grid values on either side of
-    # that height stand for the rest, at every --points.
-    ends = set()
+    # distance grows with the value (polar: 1 at every q <= 1/2, see
+    # test_a_polar_point_is_rejected_only_where_its_centre_is), so a grid's
+    # two ends at its smallest and largest kfr stand for all of its points;
+    # np.linspace's ends are its start and stop at every --points.  Only the
+    # isosceles family meets the equilateral shape (next test).
     for points in (2, 3, MAX_POINTS):
-        for figure in ("1a", "1b", "2", "3"):
-            for kfrs, grid, shape_of in figure_grids(figure, points):
-                ends.add((shape_of, float(np.min(kfrs)), float(np.max(kfrs)), grid.min(), grid.max()))
-    for shape_of, kfr_min, kfr_max, *values in ends:
-        for v in values:
-            for shape in [polar_shape(v, 0.0), polar_shape(v, 0.5)] if shape_of is polar_shape else [shape_of(v)]:
-                check_distances(shape)
-                assert kfr_max * max(shape) <= X_MAX, (shape_of, v)
-                if kfr_min < LIMIT_SWITCH:
-                    assert max(shape) - min(shape) > _TRI_TOL * max(shape), (shape_of, v)
+        for kfrs, grid, shape_of in figure_grids(figure, points):
+            for kfr, v in itertools.product((min(kfrs), max(kfrs)), (grid.min(), grid.max())):
+                for value in [(v, 0.0), (v, 0.5)] if shape_of is polar_shape else [(v,)]:
+                    assert precondition_faults(float(kfr), shape_of, *value) == [], (kfr, value)
+                    from_shape(shape_of(*value), float(kfr), dim)
+
+
+def test_no_isosceles_limit_row_point_is_near_equilateral():
+    # the isosceles family meets the equilateral shape at y = sqrt(3)/2 (a
+    # polar shape would need q = sqrt(3)/2), so on figure 1b's limit row the
+    # grid values on either side of that height stand for the rest, at
+    # every --points
     y_equilateral, near = math.sqrt(3.0) / 2.0, set()
     for points in range(2, MAX_POINTS + 1):
         ((kfrs, grid, _),) = figure_grids("1b", points)
         assert min(kfrs) < LIMIT_SWITCH
         i = np.searchsorted(grid, y_equilateral)
         near.update(grid[i - 1 : i + 1].tolist())
-    shapes = [isosceles_shape(y) for y in near]
-    assert all(max(d) - min(d) > _TRI_TOL * max(d) for d in shapes)
+    assert [y for y in near if precondition_faults(0.0, isosceles_shape, y)] == []
     # the closest approach, a side 1.5e-8 from 1 at --points 2912, is far from it
+    shapes = [isosceles_shape(y) for y in near]
     assert min(max(d) - min(d) for d in shapes) > 1e-8
 
 
