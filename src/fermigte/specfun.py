@@ -159,35 +159,29 @@ def f_factor(dim: Dimensionality, x: float) -> float:
 def _f_array(dim: Dimensionality, x: np.ndarray) -> np.ndarray:
     """:func:`f_factor` element for element on a float array.
 
-    Every branch is the scalar path's own code (the small-x series, J1's
-    two branches, and j1's series and closed form), so each value is the
-    scalar one where numpy's sin, cos and sqrt round as math's.
-    Every figure table's kernels come from here, so the printed digits of
-    the collinear, isosceles and distance tables rest on that rounding.
-    Nothing is checked and nothing raises: every x must be finite and
-    nonnegative, and only the values on f_factor's domain [0, X_MAX] are
-    f_factor's.
+    One loop over three pieces, each a mask and the scalar path's own
+    formula (the small-x series, then J1's two branches or j1's series and
+    closed form), so each value is the scalar one where numpy's sin, cos
+    and sqrt round as math's; the printed digits of the collinear,
+    isosceles and distance tables rest on that rounding.  A piece that holds
+    no point is skipped: its formula is 6 to 60 numpy calls, costly even on
+    no elements.  Nothing is checked and nothing raises: every x must be
+    finite and nonnegative, and only the values on f_factor's domain
+    [0, X_MAX] are f_factor's.
     """
-    # the small-x, J1 far and j1 series branches are skipped when they hold no
-    # point: each is a chain of 6 to 60 numpy calls, costly even on no elements
-    out = np.empty_like(x)
     small = x < _SERIES_SWITCH
-    if small.any():
-        out[small] = _f_small_x(dim, x[small])
-    rest = ~small
+    # above the series f = c * j(x) / x, with j's two branches split at `low`
     if dim is Dimensionality.TWO_D:
-        near, far = rest & (x <= 5.0), x > 5.0
-        xn = x[near]
-        out[near] = 2.0 * _j1_near(xn) / xn
-        if far.any():
-            xf = x[far]
-            out[far] = 2.0 * _j1_far(xf, np) / xf
-        return out
-    series = rest & (x < 0.5)
-    if series.any():
-        xs = x[series]
-        out[series] = 3.0 * _j1_series(xs) / xs
-    closed = rest & ~series
-    xc = x[closed]
-    out[closed] = 3.0 * _j1_closed(xc, np) / xc
+        c, low, near, far = 2.0, x <= 5.0, _j1_near, lambda v: _j1_far(v, np)
+    else:
+        c, low, near, far = 3.0, x < 0.5, _j1_series, lambda v: _j1_closed(v, np)
+    pieces = (
+        (small, lambda v: _f_small_x(dim, v)),
+        (~small & low, lambda v: c * near(v) / v),
+        (~low, lambda v: c * far(v) / v),
+    )
+    out = np.empty_like(x)
+    for mask, formula in pieces:
+        if mask.any():
+            out[mask] = formula(x[mask])
     return out

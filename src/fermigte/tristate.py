@@ -2,7 +2,8 @@
 
 Basis convention, fixed once for the whole package: basis index
 b = 4*b1 + 2*b2 + b3 with bit 0 = spin up and bit 1 = spin down, qubit
-order (1, 2, 3).  The state is
+order (1, 2, 3), which :func:`_embed` applies (the only np.kron call in
+the package, a rule of tests/test_exports.py).  The state is
 
     rho3 = (1-p)/8 * I8 + sum_ij p_ij |S_ij><S_ij| (x) I/2,
 
@@ -30,24 +31,21 @@ HERMITICITY_TOL = 1e-10
 
 _SINGLET = np.array([0.0, 1.0, -1.0, 0.0]) / math.sqrt(2.0)
 
-# Axis order (pair_a, pair_b, rest) feeding physical qubits (1, 2, 3).
-_PAIR_AXES = {
-    (1, 2): (0, 1, 2),
-    (1, 3): (0, 2, 1),
-    (2, 3): (2, 0, 1),
+
+def _embed(op: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The 8x8 operator acting as `op` on `qubits`, in that order, and as the
+    identity on the rest: op (x) I with its axes moved to the order (1, 2, 3)."""
+    order = (*qubits, *(q for q in (1, 2, 3) if q not in qubits))
+    perm = [order.index(q) for q in (1, 2, 3)]
+    t = np.kron(op, np.eye(8 // len(op))).reshape((2,) * 6)
+    return t.transpose(perm + [a + 3 for a in perm]).reshape(8, 8)
+
+
+# singlet projector on each pair tensored with I/2 on the third qubit
+_TERMS = {
+    pair: (_embed(np.outer(_SINGLET, _SINGLET), pair) / 2.0).astype(complex)
+    for pair in ((1, 2), (1, 3), (2, 3))
 }
-
-
-def _pair_term(pair: tuple[int, int]) -> np.ndarray:
-    """Singlet projector on `pair` tensored with I/2 on the third qubit."""
-    m = np.kron(np.outer(_SINGLET, _SINGLET), np.eye(2) / 2.0)
-    t = m.reshape((2,) * 6)
-    perm = list(_PAIR_AXES[pair])
-    perm = perm + [a + 3 for a in perm]
-    return t.transpose(perm).reshape(8, 8).astype(complex)
-
-
-_TERMS = {pair: _pair_term(pair) for pair in _PAIR_AXES}
 _I8 = np.eye(8, dtype=complex)
 
 

@@ -41,7 +41,7 @@ import numpy as np
 
 from .couplings import Couplings
 from .errors import DomainError
-from .tristate import _assemble, expectation, rho3
+from .tristate import _assemble, _embed, expectation, rho3
 
 GTE_THRESHOLD = 1.0 + math.sqrt(5.0)
 _NORM = 5.0 + math.sqrt(5.0)
@@ -58,13 +58,6 @@ _PAULI = (
 )
 
 
-def _single(op: np.ndarray, qubit: int) -> np.ndarray:
-    mats = [np.eye(2, dtype=complex)] * 3
-    mats[qubit - 1] = op
-    a, b, c = mats
-    return np.kron(np.kron(a, b), c)
-
-
 def _is_spin(v) -> bool:  # 1, 2 or 3 as an int or numpy integer; a bool or 2.0 is none
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v in (1, 2, 3)
 
@@ -75,7 +68,7 @@ def pauli_dot(i: int, j: int) -> np.ndarray:
         raise DomainError(f"need two distinct qubits out of 1..3, got ({i}, {j})")
     out = np.zeros((8, 8), dtype=complex)
     for s in _PAULI:
-        out += _single(s, i) @ _single(s, j)
+        out += _embed(s, (i,)) @ _embed(s, (j,))
     return out
 
 

@@ -129,3 +129,26 @@ def test_no_pass_through_functions():
     # a function that only hands its parameters to another is the other one
     paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fermigte").glob("*.py"))
     assert [f"{p.name}:{f}" for p in paths for f in _pass_throughs(p.read_text())] == []
+
+
+def _kron_callers(source: str) -> list[str]:
+    """The module-level function around each call of kron (np.kron, numpy.kron
+    or a bare kron), "<module>" outside any, one entry per call."""
+    out = []
+    for node in ast.parse(source).body:
+        owner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else "<module>"
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and ast.unparse(call.func).split(".")[-1] == "kron":
+                out.append(owner)
+    return out
+
+
+def test_kron_scan_finds_every_spelling():
+    source = "import numpy as np\nA = np.kron(a, b)\n\n\ndef f(a):\n    return kron(numpy.kron(a, a), a)\n"
+    assert _kron_callers(source) == ["<module>", "f", "f"]
+
+
+def test_only_embed_calls_kron():
+    # the basis convention lives in tristate._embed; every other operator is placed through it
+    paths = sorted((Path(__file__).resolve().parents[1] / "src" / "fermigte").glob("*.py"))
+    assert [f"{p.stem}.{f}" for p in paths for f in _kron_callers(p.read_text())] == ["tristate._embed"]

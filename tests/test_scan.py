@@ -1171,3 +1171,42 @@ class TestCsvOutput:
         write_csv(("a", "b", "c"), (row for row in rows) if as_generator else rows, buf)
         assert buf.getvalue()[start:] == expect
         assert buf.tell() - start == len(expect)
+
+
+def limit_rows(figure: str, dim: Dimensionality, points: int) -> list[list[float]]:
+    """The kfr = 0 rows of a printed figure table, every cell a float."""
+    lines = cli_csv(figure, dim, points).splitlines()[1:]
+    return [[float(v) for v in line.split(",")] for line in lines if line.split(",")[0] == "0"]
+
+
+class TestVanishingSizeRows:
+    """The kfr = 0 rows against the closed form of the vanishing-size limit:
+    the best energy-witness value of a unit shape is 6 d_max^2 / S, with S the
+    sum of its squared distances, and it certifies GTE while d_max^2 exceeds
+    (1 + sqrt(5))/6 * S.  Each shape here is the geometry's, written out."""
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("points", [2, 201, 1001])
+    @pytest.mark.parametrize("figure", ["1a", "1b"])
+    def test_witness_value_is_six_dmax_squared_over_s(self, figure, dim, points):
+        rows = limit_rows(figure, dim, points)
+        assert len(rows) == points
+        for _, v, _, witness_value, *_ in rows:
+            if figure == "1a":
+                # collinear (v, 1, 1 - v): d_max = 1, S = 2(1 - v + v^2)
+                expect = 3.0 / (1.0 - v + v * v)
+            else:
+                # isosceles (side, 1, side), side^2 = 1/4 + v^2
+                side2 = 0.25 + v * v
+                expect = 6.0 * max(side2, 1.0) / (2.0 * side2 + 1.0)
+            assert witness_value == pytest.approx(expect, rel=1e-11, abs=0.0)
+
+    @pytest.mark.parametrize("dim", [D2, D3])
+    @pytest.mark.parametrize("points", [2, 201])
+    def test_q_star_is_the_closed_radius_at_every_theta(self, dim, points):
+        # polar point at radius q: d_max = 1 and S = 3/2 + 2 q^2, so GTE ends at
+        # q^2 = 3 (sqrt(5) - 2) / 4 whatever theta is
+        y_star = math.sqrt(3.0 * (math.sqrt(5.0) - 2.0)) / 2.0
+        rows = limit_rows("2", dim, points)
+        assert len(rows) == max(2, points // 2)
+        assert max(abs(q_star - y_star) for _, _, q_star in rows) <= DEFAULT_TOL / 2.0

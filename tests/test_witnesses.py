@@ -272,8 +272,8 @@ class TestBoundedWitness:
         monkeypatch.setattr(np, "kron", counting_kron)
         er_lower_bound_matrix(LIMIT)
         assert sorted(built) == sorted(MIDDLES)
-        # the Pauli construction: 2 krons per single-qubit operator, 24 per witness
-        assert len(krons) == 72
+        # the Pauli construction: 1 kron per single-qubit operator, 12 per witness
+        assert len(krons) == 36
 
 
 class TestErLowerBound:
